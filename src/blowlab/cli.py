@@ -74,7 +74,9 @@ def _cmd_profile(config: RunConfig, run_dir):
     ok = True
     for b in config.b_sweep:
         rep = profiles.error_Psi(b, "tilde", grid, M=config.M)
-        _, c_b, d_b = profiles.radiation_sigma(b, grid)
+        # error_Psi left this b's profile set in the grid's LRU
+        pset = profiles.assemble_profiles(b, grid)
+        c_b, d_b = pset.c_b, pset.d_b
         lb = profiles.log_binv(b)
         rows.append((
             b, c_b, d_b, rep.norm_H, rep.norm_w8, rep.norm_H2, rep.flux_ratio,

@@ -66,7 +66,6 @@ class FlowParams:
     # decomposition
     newton_tol: float = 1e-11
     newton_max: int = 16
-    jacobian_refresh: int = 40
     # bookkeeping
     checkpoint_every: int = 20
     lambda_decay_target: float = 10.0
@@ -100,23 +99,16 @@ class ProfileCache:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    lam: float
-    b: float
-    kappa: float
-    res_phi: float
-    res_hphi: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class FlowState:
     t: float
     s: float
-    r: np.ndarray
+    grid: radial.RadialGrid
     u: np.ndarray
     tail: float
-    decomposition: Decomposition | None = None
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.grid.nodes
 
 
 @dataclass(frozen=True)
@@ -145,7 +137,6 @@ class FlowTrajectory:
     termination: str
     classification: RunClass | None
     final_state: FlowState
-    prev_u: tuple | None  # (t, r, u) one checkpoint before the end
     steps: int
     cache: ProfileCache = field(repr=False, default=None)
 
@@ -158,9 +149,9 @@ class FlowTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _flow_grid(r_min: float, r_max: float, nodes_per_decade: int) -> np.ndarray:
+def _flow_grid(r_min: float, r_max: float, nodes_per_decade: int) -> radial.RadialGrid:
     n = max(int(np.ceil(nodes_per_decade * np.log10(r_max / r_min))) + 1, 64)
-    return np.exp(np.linspace(np.log(r_min), np.log(r_max), n))
+    return radial.RadialGrid.on_nodes(np.exp(np.linspace(np.log(r_min), np.log(r_max), n)))
 
 
 def _u_eval(r: np.ndarray, u: np.ndarray):
@@ -182,33 +173,16 @@ def _u_eval(r: np.ndarray, u: np.ndarray):
     return evaluate
 
 
-def _diffusion_banded(r: np.ndarray, dt: float):
-    """Banded I - dt*Delta with regularity row at r_min and Dirichlet at r_max."""
-    n = len(r)
-    t = np.log(r)
-    h = (t[-1] - t[0]) / (n - 1)
-    ep, em = np.exp(h), np.exp(-h)
-    inv = 1.0 / (r**2 * h * h)
-    upper = np.zeros(n)
-    diag = np.ones(n)
-    lower = np.zeros(n)
-    diag[1:-1] += dt * inv[1:-1] * (ep + em)
-    upper[2:] = -dt * inv[1:-1] * ep
-    lower[:-2] = -dt * inv[1:-1] * em
-    c0 = 8.0 / (r[1] ** 2 - r[0] ** 2)
-    diag[0] = 1.0 + dt * c0
-    upper[1] = -dt * c0
-    return np.vstack([upper, diag, lower])
-
-
-def _imex_substep(r, u, tail, dt):
+def _imex_substep(grid, u, tail, dt):
+    """Solve (I - dt Delta) u_new = u + dt u^3, Dirichlet u_new = tail at r_max."""
     rhs = u + dt * u**3
     rhs[-1] = tail
-    banded = _diffusion_banded(r, dt)
+    banded = radial.neg_laplacian_bands(grid, dt)
+    banded[1] += 1.0
     return solve_banded((1, 1), banded, rhs)
 
 
-def step_flow(r: np.ndarray, u: np.ndarray, tail: float, dt: float,
+def step_flow(grid: radial.RadialGrid, u: np.ndarray, tail: float, dt: float,
               rtol: float, atol: float):
     """One accepted IMEX step with step-doubling control.
 
@@ -216,8 +190,8 @@ def step_flow(r: np.ndarray, u: np.ndarray, tail: float, dt: float,
     """
     rejects = 0
     while True:
-        full = _imex_substep(r, u, tail, dt)
-        half = _imex_substep(r, _imex_substep(r, u, tail, 0.5 * dt), tail, 0.5 * dt)
+        full = _imex_substep(grid, u, tail, dt)
+        half = _imex_substep(grid, _imex_substep(grid, u, tail, 0.5 * dt), tail, 0.5 * dt)
         scale = atol + rtol * np.max(np.abs(u))
         err = float(np.max(np.abs(half - full))) / scale
         if not np.isfinite(err):
@@ -252,8 +226,7 @@ def _pairing_residuals(cache: ProfileCache, u_eval, lam: float, b: float):
 
 
 def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
-              seed: tuple, tol: float | None = None, max_iter: int | None = None,
-              jacobian: np.ndarray | None = None):
+              seed: tuple, tol: float | None = None, max_iter: int | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
     Returns (lam, b, diagnostics dict).  Raises RuntimeError when the Newton
@@ -279,14 +252,12 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
         merit = (r1 / s1) ** 2 + (r2 / s2) ** 2
         return r1, r2, s1, s2, merit
 
-    J = jacobian
     it = 0
     r1, r2, s1, s2, merit = residuals(lam, b)
     for it in range(1, max_iter + 1):
         if abs(r1) <= tol * s1 and abs(r2) <= tol * s2:
             break
-        if J is None:
-            J = _pairing_jacobian(cache, u_eval, lam, b)
+        J = _pairing_jacobian(cache, u_eval, lam, b)
         try:
             dlam, db = np.linalg.solve(J, [r1, r2])
         except np.linalg.LinAlgError:
@@ -305,11 +276,7 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
                 r1, r2, s1, s2, merit = r1_t, r2_t, s1_t, s2_t, merit_t
                 moved = True
                 break
-        J = None  # always refresh after a move or a stall
         if not moved:
-            if jacobian is not None:
-                jacobian = None
-                continue  # retry once with a fresh Jacobian
             # stalled at the evaluation-noise floor of the pairings
             if abs(r1) <= 1e3 * tol * s1 and abs(r2) <= 1e3 * tol * s2:
                 break
@@ -320,7 +287,6 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
         "res_phi": abs(r1) / s1,
         "res_hphi": abs(r2) / s2,
         "iterations": it,
-        "jacobian": None,
         "u_eval": u_eval,
     }
     return lam, b, diag
@@ -350,10 +316,18 @@ def _epsilon_on_profile_grid(cache: ProfileCache, u_eval, lam: float, b: float,
     return eps, cover
 
 
-def _kappa(cache: ProfileCache, eps: np.ndarray) -> float:
+def _kappa(cache: ProfileCache, u_eval, lam: float, b: float, r_max: float):
+    """Unstable-mode amplitude kappa = (eps, psi) over the psi window.
+
+    None when the flow grid (the same 0.95 r_max coverage as the energies)
+    does not reach the whole window; the caller then keeps the last kappa.
+    """
     idx = cache.psi_idx
-    g = cache.grid
-    return float(np.dot(g.weights[idx], eps[idx] * cache.eig.psi.values[idx]))
+    y = cache.grid.nodes[idx]
+    if y[-1] > 0.95 * r_max / lam:
+        return None
+    eps = lam * u_eval(lam * y) - cache.qtilde_values(b)[idx]
+    return float(np.dot(cache.grid.weights[idx], eps * cache.eig.psi.values[idx]))
 
 
 def flow_energies(cache: ProfileCache, eps: np.ndarray, cover: np.ndarray, b: float):
@@ -378,15 +352,11 @@ def flow_energies(cache: ProfileCache, eps: np.ndarray, cover: np.ndarray, b: fl
     return e1, e2, e4, e2_hat
 
 
-def flow_energy(r: np.ndarray, u: np.ndarray) -> float:
+def flow_energy(grid: radial.RadialGrid, u: np.ndarray) -> float:
     """Dissipated energy 1/2 int |grad u|^2 - 1/4 int u^4 (r^3 dr measure)."""
-    t = np.log(r)
-    du = np.gradient(u, t) / r
-    m0, m1 = radial._panel_moments(r)
-    w = np.zeros(len(r))
-    w[:-1] += m0 - m1
-    w[1:] += m1
-    return float(np.dot(w, 0.5 * du * du - 0.25 * u**4))
+    r = grid.nodes
+    du = np.gradient(u, np.log(r)) / r
+    return float(np.dot(grid.weights, 0.5 * du * du - 0.25 * u**4))
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +374,28 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
             f"window {window:g}", stacklevel=2)
     _, b1 = zone_radii(b0)
     r_max = p.r_max_factor * lambda0 * b1
-    r = _flow_grid(p.y_min_flow * lambda0, r_max, p.nodes_per_decade)
-    y = r / lambda0
+    grid = _flow_grid(p.y_min_flow * lambda0, r_max, p.nodes_per_decade)
+    y = grid.nodes / lambda0
     qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b0))
     psi = CubicSpline(np.log(cache.grid.nodes), cache.eig.psi.values)
     inside = y <= cache.grid.y_max
-    vals = np.empty_like(r)
+    vals = np.empty_like(y)
     vals[inside] = qt(np.log(y[inside])) + a_plus * psi(np.log(y[inside]))
     vals[~inside] = radial.q_soliton(y[~inside])
     u = vals / lambda0
-    return FlowState(t=0.0, s=0.0, r=r, u=u, tail=float(u[-1]))
+    return FlowState(t=0.0, s=0.0, grid=grid, u=u, tail=float(u[-1]))
 
 
 def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTrajectory:
     cache = cache or ProfileCache(params)
     state = init_data(cache, params.b0, params.a_plus, params.lambda0)
-    r, u, tail = state.r, state.u.copy(), state.tail
+    grid, u, tail = state.grid, state.u.copy(), state.tail
     lam, b = params.lambda0, params.b0
     dt = params.ds_init * lam**2
     t = s = 0.0
     u0_max = float(np.max(np.abs(u)))
-    jacobian = None
+    dd = None
     checkpoints = []
-    prev_u = None
     termination = "budget"
     decomp_lost = False
     kappa = 0.0
@@ -437,7 +406,7 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
         dt = min(dt, params.ds_cap * lam**2)
         try:
             u_new, dt_taken, dt, _ = step_flow(
-                r, u, tail, dt, params.rtol_step, params.atol_step)
+                grid, u, tail, dt, params.rtol_step, params.atol_step)
         except RuntimeError:
             termination = "solver_failure"
             break
@@ -451,24 +420,15 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
         lam_old = lam
         if not decomp_lost:
             try:
-                lam, b, dd = decompose(cache, r, u, (lam, b), jacobian=jacobian)
-                if step % params.jacobian_refresh == 0:
-                    jacobian = None
-                else:
-                    jacobian = dd["jacobian"]
+                lam, b, dd = decompose(cache, grid.nodes, u, (lam, b))
             except RuntimeError:
                 decomp_lost = True
                 dd = None
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
 
         if not decomp_lost:
-            eps_w = None
-            idx = cache.psi_idx
-            y_psi = cache.grid.nodes[idx]
-            if lam * y_psi[-1] <= r[-1]:
-                eps_psi = lam * dd["u_eval"](lam * y_psi) - cache.qtilde_values(b)[idx]
-                kappa = float(np.dot(cache.grid.weights[idx],
-                                     eps_psi * cache.eig.psi.values[idx]))
+            k = _kappa(cache, dd["u_eval"], lam, b, grid.y_max)
+            kappa = kappa if k is None else k
             window = params.kappa_exit_factor * b**2.5 / log_binv(b)
             if abs(kappa) > window:
                 termination = "exit_plus" if kappa > 0 else "exit_minus"
@@ -481,50 +441,38 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
                 break
 
         if step % params.checkpoint_every == 0 or step == 1:
-            cp = _make_checkpoint(cache, step, t, s, r, u, lam, b, kappa,
-                                  decomp_lost, dd if not decomp_lost else None)
+            cp = _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
+                                  decomp_lost, dd)
             checkpoints.append(cp)
-            if len(checkpoints) >= 2:
-                prev_u = (checkpoints[-2].t, r.copy(), u.copy()) if prev_u is None \
-                    else prev_u
-            prev_u = (cp.t, r.copy(), u.copy())
             if cp.E < E_OF_Q and umax < u0_max / params.dissipation_drop:
                 termination = "dissipated"
                 break
 
-        if lam < (r[0] / params.y_min_flow) / 2.0:
-            r, u = _remesh(params, r, u, lam)
+        if lam < (grid.y_min / params.y_min_flow) / 2.0:
+            grid, u = _remesh(params, grid, u, lam)
             tail = float(u[-1])
-            jacobian = None
 
-    final_cp = _make_checkpoint(cache, step, t, s, r, u, lam, b, kappa,
-                                decomp_lost, None)
-    checkpoints.append(final_cp)
-    final = FlowState(
-        t=t, s=s, r=r, u=u, tail=tail,
-        decomposition=Decomposition(
-            lam=lam, b=b, kappa=kappa,
-            res_phi=final_cp.res_phi, res_hphi=final_cp.res_hphi, iterations=0,
-        ) if not decomp_lost else None,
-    )
+    checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
+                                        decomp_lost, None))
     traj = FlowTrajectory(
         params=params, checkpoints=checkpoints, termination=termination,
-        classification=None, final_state=final, prev_u=prev_u, steps=step,
-        cache=cache,
+        classification=None, final_state=FlowState(t=t, s=s, grid=grid, u=u, tail=tail),
+        steps=step, cache=cache,
     )
     traj.classification = classify(traj)
     return traj
 
 
-def _make_checkpoint(cache, step, t, s, r, u, lam, b, kappa, decomp_lost, dd):
+def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd):
     if decomp_lost:
         e1 = e2 = e4 = e2h = np.nan
         res1 = res2 = np.nan
     else:
-        u_eval = dd["u_eval"] if dd else _u_eval(r, u)
-        eps, cover = _epsilon_on_profile_grid(cache, u_eval, lam, b, r[-1])
+        u_eval = dd["u_eval"] if dd else _u_eval(grid.nodes, u)
+        eps, cover = _epsilon_on_profile_grid(cache, u_eval, lam, b, grid.y_max)
         e1, e2, e4, e2h = flow_energies(cache, eps, cover, b)
-        kappa = _kappa(cache, eps)
+        k = _kappa(cache, u_eval, lam, b, grid.y_max)
+        kappa = kappa if k is None else k
         r1, r2, _ = _pairing_residuals(cache, u_eval, lam, b)
         idx = cache.pair_idx
         field = lam * u_eval(lam * cache.grid.nodes[idx])
@@ -533,17 +481,17 @@ def _make_checkpoint(cache, step, t, s, r, u, lam, b, kappa, decomp_lost, dd):
         res2 = abs(r2) / (radial.norm2(cache.phi.H_Phi_M) * fnorm)
     return Checkpoint(
         step=step, t=t, s=s, lam=lam, b=b, kappa=kappa,
-        E=flow_energy(r, u), E1=e1, E2=e2, E4=e4, E2_hat=e2h,
+        E=flow_energy(grid, u), E1=e1, E2=e2, E4=e4, E2_hat=e2h,
         u_max=float(np.max(np.abs(u))), res_phi=res1, res_hphi=res2,
         decomposed=not decomp_lost,
     )
 
 
-def _remesh(params: FlowParams, r, u, lam):
+def _remesh(params: FlowParams, grid: radial.RadialGrid, u, lam):
     """Rebuild the grid in the self-similar variable once lambda halves."""
-    u_eval = _u_eval(r, u)
-    r_new = _flow_grid(params.y_min_flow * lam, r[-1], params.nodes_per_decade)
-    return r_new, u_eval(r_new)
+    u_eval = _u_eval(grid.nodes, u)
+    new = _flow_grid(params.y_min_flow * lam, grid.y_max, params.nodes_per_decade)
+    return new, u_eval(new.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +713,4 @@ def asymptotic_profile(traj: FlowTrajectory, r_cut: float | None = None):
     du = np.gradient(u_star, t)
     d2u = np.gradient(du, t)
     lap = (d2u + 2.0 * du) / rr**2
-    m0, m1 = radial._panel_moments(rr)
-    w = np.zeros(len(rr))
-    w[:-1] += m0 - m1
-    w[1:] += m1
-    return rr, u_star, float(np.dot(w, lap**2))
+    return rr, u_star, float(np.dot(st.grid.weights[mask], lap**2))

@@ -17,7 +17,6 @@ Sigma_3 = T2 - y T2' + 6 Q T1 T2 + T1^3).
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -158,23 +157,6 @@ class ProfileSet:
     alpha_hat: RadialFunction
     arrays: dict = field(repr=False)
 
-    def localized(self, variant: str) -> RadialFunction:
-        if variant == "raw":
-            return self.Q_b
-        if variant == "tilde":
-            return self.Q_b_tilde
-        if variant == "hat":
-            return self.Q_b_hat
-        raise ValueError(f"unknown profile variant {variant!r}")
-
-
-def build_T2(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT) -> RadialFunction:
-    return assemble_profiles(b, grid, b_star=b_star, need_localized=False).T2
-
-
-def build_T3(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT) -> RadialFunction:
-    return assemble_profiles(b, grid, b_star=b_star, need_localized=False).T3
-
 
 def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT,
                       need_localized: bool = True) -> ProfileSet:
@@ -274,17 +256,6 @@ class ErrorReport:
     norm_w8: float
     norm_H2: float
     flux_ratio: float
-
-    def to_json(self) -> str:
-        payload = {
-            "variant": self.variant,
-            "b": self.b,
-            "norm_H": self.norm_H,
-            "norm_w8": self.norm_w8,
-            "norm_H2": self.norm_H2,
-            "flux_ratio": self.flux_ratio,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _psi_values(pset: ProfileSet, variant: str, db_rel: float,

@@ -14,21 +14,10 @@ y^3 (Gamma (Lambda Q)' - Gamma' Lambda Q) = 1 which normalizes the inverse.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-
-
-class StaticKind(enum.Enum):
-    Q = "Q"
-    LambdaQ = "LambdaQ"
-    Lambda2Q = "Lambda2Q"
-    V = "V"
-    LambdaV = "LambdaV"
-    Gamma = "Gamma"
-    LambdaGamma = "LambdaGamma"
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +32,9 @@ class RadialGrid:
     Nodes are uniform in t = log y.  The weights integrate the piecewise
     linear-in-t interpolant of f against the exact panel moments of e^{4t},
     so f == 1 integrates to (y_max^4 - y_min^4)/4 exactly and smooth
-    integrands converge at O(h^2) under refinement.
+    integrands converge at O(h^2) under refinement.  The profile grid
+    (make_grid) and the flow grid of the PDE share this one construction,
+    its weights and its stencil of -Delta.
     """
 
     nodes: np.ndarray
@@ -80,6 +71,15 @@ class RadialGrid:
     def sample(self, f) -> "RadialFunction":
         return self.function(f(self.nodes))
 
+    @classmethod
+    def on_nodes(cls, nodes: np.ndarray) -> "RadialGrid":
+        """Grid on the given log-uniform nodes, with the panel-moment weights."""
+        m0, m1 = _panel_moments(nodes)
+        w = np.zeros(len(nodes))
+        w[:-1] += m0 - m1
+        w[1:] += m1
+        return cls(nodes=nodes, weights=w, y_max=float(nodes[-1]))
+
 
 def make_grid(y_min: float, y_max: float, n: int, grading: str = "log") -> RadialGrid:
     """Build the graded grid; density increases toward the origin."""
@@ -92,11 +92,7 @@ def make_grid(y_min: float, y_max: float, n: int, grading: str = "log") -> Radia
     t = np.linspace(np.log(y_min), np.log(y_max), n)
     y = np.exp(t)
     y[0], y[-1] = y_min, y_max
-    m0, m1 = _panel_moments(y)
-    w = np.zeros(n)
-    w[:-1] += m0 - m1
-    w[1:] += m1
-    return RadialGrid(nodes=y, weights=w, y_max=float(y_max))
+    return RadialGrid.on_nodes(y)
 
 
 def _panel_moments(y: np.ndarray):
@@ -244,22 +240,6 @@ def gamma_growing_prime(y):
     return da * bracket + a * dbracket + 256.0 * y / (y**2 + 8.0) ** 3
 
 
-_STATIC_EVAL = {
-    StaticKind.Q: q_soliton,
-    StaticKind.LambdaQ: lambda_q,
-    StaticKind.Lambda2Q: lambda2_q,
-    StaticKind.V: potential,
-    StaticKind.LambdaV: lambda_potential,
-    StaticKind.Gamma: gamma_growing,
-    StaticKind.LambdaGamma: lambda y: gamma_growing(y) + np.asarray(y, float) * gamma_growing_prime(y),
-}
-
-
-def eval_static(kind: StaticKind, y):
-    """Closed-form value of one of the static profiles."""
-    return _STATIC_EVAL[kind](y)
-
-
 # ---------------------------------------------------------------------------
 # cutoff
 # ---------------------------------------------------------------------------
@@ -346,6 +326,26 @@ def _stencil_coeffs(grid: RadialGrid):
     return grid.cache[key]
 
 
+def neg_laplacian_bands(grid: RadialGrid, scale: float = 1.0) -> np.ndarray:
+    """scale * (-Delta) as a tridiagonal matrix in solve_banded (1, 1) storage.
+
+    Interior rows are the flux stencil of apply_H; the first row is its
+    even-extension regularity rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2).
+    The last row is zero: the caller sets the outer boundary condition.
+    """
+    ep, em, inv = _stencil_coeffs(grid)
+    y = grid.nodes
+    c = scale * inv[1:-1]
+    bands = np.zeros((3, grid.n))
+    bands[0, 2:] = -c * ep
+    bands[1, 1:-1] = c * (ep + em)
+    bands[2, :-2] = -c * em
+    c0 = scale * (8.0 / (y[1] ** 2 - y[0] ** 2))
+    bands[0, 1] = -c0
+    bands[1, 0] = c0
+    return bands
+
+
 def apply_H(f: RadialFunction, potential_values: np.ndarray | None = None) -> RadialFunction:
     """Discrete H f = -(f'' + 3 f'/y) - V f.
 
@@ -353,6 +353,8 @@ def apply_H(f: RadialFunction, potential_values: np.ndarray | None = None) -> Ra
     log variable (exactly symmetric against the quadrature weights away from
     the ends).  The first node encodes radial regularity f'(0) = 0 through
     the even-extension parabola rule, the last node a one-sided stencil.
+    All rows but the last are those of neg_laplacian_bands minus V, summed
+    as flux differences because the H^2-weighted norms see this roundoff.
     """
     grid = f.grid
     y, v = grid.nodes, f.values
@@ -462,29 +464,6 @@ class Eigenpair:
     psi: RadialFunction
 
 
-def _h_matrix_banded(grid: RadialGrid):
-    """Tridiagonal H in banded storage: flux interior, zero-flux first row,
-    Dirichlet last row."""
-    y = grid.nodes
-    n = grid.n
-    h = grid.h
-    ep, em = np.exp(h), np.exp(-h)
-    inv = 1.0 / (y**2 * h * h)
-    V = potential(y)
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    diag[1:-1] = inv[1:-1] * (ep + em) - V[1:-1]
-    upper[2:] = -inv[1:-1] * ep
-    lower[:-2] = -inv[1:-1] * em
-    # first cell: outgoing flux only (y^3 f' -> 0 at the origin)
-    diag[0] = inv[0] * ep - V[0]
-    upper[1] = -inv[0] * ep
-    diag[-1] = 1.0
-    lower[-2] = 0.0
-    return np.vstack([upper, diag, lower])
-
-
 def unstable_mode(grid: RadialGrid, shift: float = -1.0, tol: float = 1e-10,
                   max_iter: int = 400) -> Eigenpair:
     """Unique negative-eigenvalue pair of the discretized H.
@@ -496,8 +475,10 @@ def unstable_mode(grid: RadialGrid, shift: float = -1.0, tol: float = 1e-10,
     """
     if "unstable_mode" in grid.cache:
         return grid.cache["unstable_mode"]
-    banded = _h_matrix_banded(grid)
-    n = grid.n
+    # H with a Dirichlet last row
+    banded = neg_laplacian_bands(grid)
+    banded[1] -= potential(grid.nodes)
+    banded[1, -1] = 1.0
     w = grid.weights
 
     def matvec(x):
@@ -552,11 +533,3 @@ def unstable_mode(grid: RadialGrid, shift: float = -1.0, tol: float = 1e-10,
     pair = Eigenpair(zeta=float(-mu), psi=psi)
     grid.cache["unstable_mode"] = pair
     return pair
-
-
-def to_csv(f: RadialFunction, path):
-    """Two-column debugging dump (y, value), full double precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("y,value\r\n")
-        for y, v in zip(f.grid.nodes, f.values):
-            fh.write(f"{float(y)!r},{float(v)!r}\r\n")

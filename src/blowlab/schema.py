@@ -11,6 +11,11 @@ TRAJECTORY_CSV = ("s", "t", "b", "lambda")
 FIT_JSON = ("kappa", "exponent", "residual", "T_est", "T_est_alt",
             "window_lo", "window_hi")
 
+# The scaled columns keep their historical normalizations.  ratio_w8 =
+# norm_w8/b^6 is not a constant: the inner-zone residual is b^2 c_b T1, so it
+# is about c_b^2 * 0.00533 / b^2.  flux_scaled = flux_ratio |log b| / b^2 is
+# the radiation flux only once the support [0, 2M] of Phi_M lies on the
+# radiation plateau, 2M <= B0/4 (b <= 6.25e-6 at M = 50).
 PROFILE_SUMMARY_CSV = (
     "b", "c_b", "d_b", "norm_H", "norm_w8", "norm_H2", "flux_ratio",
     "ratio_H", "ratio_w8", "ratio_H2", "flux_scaled",

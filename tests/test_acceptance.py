@@ -300,7 +300,7 @@ def test_criterion_8_orthogonal_decomposition():
     worst_err = 0.0
     worst_res = 0.0
     for lam_true, delta in ((0.7, 1e-5), (0.7, 1e-4), (1.3, 1e-4)):
-        r = flow._flow_grid(0.02 * lam_true, 30.0 * lam_true * 218.0, 100)
+        r = flow._flow_grid(0.02 * lam_true, 30.0 * lam_true * 218.0, 100).nodes
         y = r / lam_true
         inside = y <= cache.grid.y_max
         vals = np.where(inside, qt(np.log(np.minimum(y, cache.grid.y_max))),

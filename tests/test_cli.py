@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from blowlab import cli
+from blowlab import cli, schema
 from blowlab.config import RunConfig, parse_config
 
 
@@ -114,6 +114,29 @@ def test_simulate_command(tmp_path):
     cps = open(os.path.join(m["run_dir"], "checkpoints.csv")).read().splitlines()
     assert cps[0] == ("step,t,s,lambda,b,kappa,E,E1,E2,E4,E2_hat,u_max,"
                       "res_phi,res_hphi,decomposed")
+
+
+def test_json_outputs_follow_the_schema(tmp_path):
+    # every JSON a command writes carries the keys that schema.py declares
+    configs = ("command=modulation b0=0.01 s_end=1e3 fit_s_end=1e8",
+               "command=profile b_sweep=3e-3",
+               "command=verify samples=60 seed=2")
+    for text in configs:
+        m = cli.run(parse_config(text), out_override=str(tmp_path))
+        run_dir = m.pop("run_dir")
+        assert set(m) == set(schema.MANIFEST_JSON)
+        names = m["files"] + ["manifest.json"]
+        for fname in (f for f in names if f.endswith(".json")):
+            keys = set(json.load(open(os.path.join(run_dir, fname))))
+            if fname == "manifest.json":
+                assert keys == set(schema.MANIFEST_JSON)
+            elif fname == "fit.json":
+                assert keys == set(schema.FIT_JSON)
+            elif fname.startswith("error-report-"):
+                assert keys == set(schema.ERROR_REPORT_JSON)
+            else:
+                assert fname.startswith("suite-"), fname
+                assert keys >= set(schema.SUITE_JSON)
 
 
 def test_cli_main_exit_codes(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
-from blowlab import radial
-from blowlab.radial import StaticKind
+from blowlab import flow, radial
 
 from conftest import l2_window
 
@@ -92,12 +91,12 @@ def test_radial_function_arithmetic_is_pointwise(a, b):
 
 
 def test_static_values():
-    assert radial.eval_static(StaticKind.Q, 0.0) == 1.0
-    assert radial.eval_static(StaticKind.V, 0.0) == 3.0
-    assert abs(radial.eval_static(StaticKind.Gamma, np.sqrt(8.0)) + 0.25) < 1e-14
-    assert abs(radial.eval_static(StaticKind.Gamma, 1e6) - 1.0 / 16.0) < 1e-8
-    assert radial.eval_static(StaticKind.LambdaQ, 0.0) == 1.0
-    assert abs(radial.eval_static(StaticKind.Lambda2Q, 0.0) - 1.0) < 1e-14
+    assert radial.q_soliton(0.0) == 1.0
+    assert radial.potential(0.0) == 3.0
+    assert abs(radial.gamma_growing(np.sqrt(8.0)) + 0.25) < 1e-14
+    assert abs(radial.gamma_growing(1e6) - 1.0 / 16.0) < 1e-8
+    assert radial.lambda_q(0.0) == 1.0
+    assert abs(radial.lambda2_q(0.0) - 1.0) < 1e-14
 
 
 def test_wronskian_identity():
@@ -191,6 +190,27 @@ def test_apply_H_on_the_bubble(grid, fine_grid):
     assert np.all(zero.values == 0.0)
 
 
+def test_neg_laplacian_bands_match_apply_H(grid):
+    # one -Delta for the profile grid and the flow grid: the banded rows and
+    # the flux form of apply_H differ only by their order of summation
+    flow_grid = flow._flow_grid(0.02, 300.0, 120)
+    for g in (grid, flow_grid):
+        y = g.nodes
+        f = (1.0 + y**2) * np.exp(-(y**2) / 50.0)
+        bands = radial.neg_laplacian_bands(g)
+        bf = bands[1] * f
+        bf[:-1] += bands[0][1:] * f[1:]
+        bf[1:] += bands[2][:-1] * f[:-1]
+        ref = radial.apply_H(g.function(f)).values + radial.potential(y) * f
+        _, _, inv = radial._stencil_coeffs(g)
+        bound = 16.0 * np.finfo(float).eps * inv * np.max(np.abs(f))
+        assert np.all(np.abs(bf - ref)[:-1] <= bound[:-1])
+    # the flow grid's weights integrate the measure r^3 dr exactly too
+    total = radial.radial_integral(flow_grid.function(np.ones(flow_grid.n)))
+    exact = (flow_grid.y_max**4 - flow_grid.y_min**4) / 4.0
+    assert abs(total / exact - 1.0) < 1e-10
+
+
 def test_apply_H_is_symmetric(grid):
     y = grid.nodes
     f = np.exp(-((y - 3.0) ** 2)) * y**2
@@ -245,13 +265,3 @@ def test_unstable_mode(grid, fine_grid, eigenpair):
     assert abs(radial.inner(psi_fine, lq_fine)) < 0.5 * ortho
     assert abs(psi.values[-1]) < 1e-8 * np.max(np.abs(psi.values))
     assert psi.values[0] > 0
-
-
-def test_csv_export_layout(tmp_path, grid):
-    f = grid.function(radial.q_soliton(grid.nodes))
-    path = tmp_path / "q.csv"
-    radial.to_csv(f, path)
-    lines = path.read_bytes().split(b"\r\n")
-    assert lines[0] == b"y,value"
-    y0, v0 = lines[1].split(b",")
-    assert float(y0) == grid.nodes[0] and float(v0) == f.values[0]
