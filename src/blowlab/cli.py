@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 

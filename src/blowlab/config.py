@@ -8,7 +8,7 @@ documented window so a config that parses is a config that can run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 

@@ -32,6 +32,25 @@ from .profiles import (
 
 E_OF_Q = 4.0 / 3.0  # energy of the stationary bubble, = 1/2*16/3 - 1/4*16/3
 
+# flow grid
+Y_MIN_FLOW = 0.02
+R_MAX_FACTOR = 20.0  # times lambda0 * B1(b0)
+# profile grid
+PROFILE_Y_MIN = 1e-4
+PROFILE_N = 3072
+B_FLOOR = 2.5e-4  # smallest b the profile grid must resolve
+# stepping
+ATOL_STEP = 1e-9
+DS_INIT = 1e-3
+DS_CAP = 0.5
+# decomposition
+NEWTON_TOL = 1e-11
+NEWTON_MAX = 16
+# bookkeeping
+CHECKPOINT_EVERY = 20
+LAMBDA_DECAY_TARGET = 10.0
+DISSIPATION_DROP = 10.0
+
 
 class RunClass(enum.Enum):
     TypeII_tracking = "TypeII_tracking"
@@ -47,30 +66,11 @@ class FlowParams:
     lambda0: float = 1.0
     a_plus: float = 0.0
     M: float = M_DEFAULT
-    b_star: float = B_STAR_DEFAULT
-    # flow grid
-    y_min_flow: float = 0.02
     nodes_per_decade: int = 120
-    r_max_factor: float = 20.0  # times lambda0 * B1(b0)
-    # profile grid
-    profile_y_min: float = 1e-4
-    profile_n: int = 3072
-    b_floor: float = 2.5e-4  # smallest b the profile grid must resolve
-    # stepping
     rtol_step: float = 1e-5
-    atol_step: float = 1e-9
-    ds_init: float = 1e-3
-    ds_cap: float = 0.5
     max_steps: int = 200_000
     u_cap: float = 1e12
-    # decomposition
-    newton_tol: float = 1e-11
-    newton_max: int = 16
-    # bookkeeping
-    checkpoint_every: int = 20
-    lambda_decay_target: float = 10.0
     kappa_exit_factor: float = 2.0
-    dissipation_drop: float = 10.0
 
     def a_plus_window(self) -> float:
         return 2.0 * self.b0**2.5 / log_binv(self.b0)
@@ -81,9 +81,9 @@ class ProfileCache:
 
     def __init__(self, params: FlowParams):
         self.params = params
-        _, b1_floor = zone_radii(params.b_floor)
+        _, b1_floor = zone_radii(B_FLOOR)
         y_max = max(4.2 * b1_floor, 40.0 * params.M)
-        self.grid = radial.make_grid(params.profile_y_min, y_max, params.profile_n)
+        self.grid = radial.make_grid(PROFILE_Y_MIN, y_max, PROFILE_N)
         self.phi = direction_phi(params.M, self.grid)
         self.eig = radial.unstable_mode(self.grid)
         y = self.grid.nodes
@@ -92,7 +92,7 @@ class ProfileCache:
         self.psi_idx = np.flatnonzero(y <= psi_cut)
 
     def profile_set(self, b: float):
-        return assemble_profiles(b, self.grid, b_star=self.params.b_star)
+        return assemble_profiles(b, self.grid)
 
     def qtilde_values(self, b: float) -> np.ndarray:
         return self.profile_set(b).Q_b_tilde.values
@@ -225,16 +225,12 @@ def _pairing_residuals(cache: ProfileCache, u_eval, lam: float, b: float):
     return r1, r2, eps_norm
 
 
-def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
-              seed: tuple, tol: float | None = None, max_iter: int | None = None):
+def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
     Returns (lam, b, diagnostics dict).  Raises RuntimeError when the Newton
     iteration leaves the soliton tube.
     """
-    p = cache.params
-    tol = p.newton_tol if tol is None else tol
-    max_iter = p.newton_max if max_iter is None else max_iter
     lam, b = seed
     u_eval = _u_eval(r, u)
     idx = cache.pair_idx
@@ -254,8 +250,8 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
 
     it = 0
     r1, r2, s1, s2, merit = residuals(lam, b)
-    for it in range(1, max_iter + 1):
-        if abs(r1) <= tol * s1 and abs(r2) <= tol * s2:
+    for it in range(1, NEWTON_MAX + 1):
+        if abs(r1) <= NEWTON_TOL * s1 and abs(r2) <= NEWTON_TOL * s2:
             break
         J = _pairing_jacobian(cache, u_eval, lam, b)
         try:
@@ -268,17 +264,17 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray,
         moved = False
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             lam_t, b_t = lam - alpha * dlam, b - alpha * db
-            if not (lam_t > 0 and 0 < b_t < p.b_star):
+            if not (lam_t > 0 and 0 < b_t < B_STAR_DEFAULT):
                 continue
             r1_t, r2_t, s1_t, s2_t, merit_t = residuals(lam_t, b_t)
-            if merit_t < merit * (1.0 - 1e-4 * alpha) or merit_t < tol**2:
+            if merit_t < merit * (1.0 - 1e-4 * alpha) or merit_t < NEWTON_TOL**2:
                 lam, b = lam_t, b_t
                 r1, r2, s1, s2, merit = r1_t, r2_t, s1_t, s2_t, merit_t
                 moved = True
                 break
         if not moved:
             # stalled at the evaluation-noise floor of the pairings
-            if abs(r1) <= 1e3 * tol * s1 and abs(r2) <= 1e3 * tol * s2:
+            if abs(r1) <= 1e3 * NEWTON_TOL * s1 and abs(r2) <= 1e3 * NEWTON_TOL * s2:
                 break
             raise RuntimeError("decomposition left the soliton tube")
     else:
@@ -373,8 +369,8 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
             f"unstable amplitude {a_plus:g} exceeds 10x the admissible "
             f"window {window:g}", stacklevel=2)
     _, b1 = zone_radii(b0)
-    r_max = p.r_max_factor * lambda0 * b1
-    grid = _flow_grid(p.y_min_flow * lambda0, r_max, p.nodes_per_decade)
+    r_max = R_MAX_FACTOR * lambda0 * b1
+    grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, p.nodes_per_decade)
     y = grid.nodes / lambda0
     qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b0))
     psi = CubicSpline(np.log(cache.grid.nodes), cache.eig.psi.values)
@@ -391,7 +387,7 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
     state = init_data(cache, params.b0, params.a_plus, params.lambda0)
     grid, u, tail = state.grid, state.u.copy(), state.tail
     lam, b = params.lambda0, params.b0
-    dt = params.ds_init * lam**2
+    dt = DS_INIT * lam**2
     t = s = 0.0
     u0_max = float(np.max(np.abs(u)))
     dd = None
@@ -403,10 +399,10 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
     step = 0
     while step < params.max_steps:
         step += 1
-        dt = min(dt, params.ds_cap * lam**2)
+        dt = min(dt, DS_CAP * lam**2)
         try:
             u_new, dt_taken, dt, _ = step_flow(
-                grid, u, tail, dt, params.rtol_step, params.atol_step)
+                grid, u, tail, dt, params.rtol_step, ATOL_STEP)
         except RuntimeError:
             termination = "solver_failure"
             break
@@ -433,22 +429,22 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
             if abs(kappa) > window:
                 termination = "exit_plus" if kappa > 0 else "exit_minus"
                 break
-            if lam <= params.lambda0 / params.lambda_decay_target:
+            if lam <= params.lambda0 / LAMBDA_DECAY_TARGET:
                 termination = "tracked"
                 break
-            if b <= 1.05 * params.b_floor:
+            if b <= 1.05 * B_FLOOR:
                 termination = "b_floor"
                 break
 
-        if step % params.checkpoint_every == 0 or step == 1:
+        if step % CHECKPOINT_EVERY == 0 or step == 1:
             cp = _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
                                   decomp_lost, dd)
             checkpoints.append(cp)
-            if cp.E < E_OF_Q and umax < u0_max / params.dissipation_drop:
+            if cp.E < E_OF_Q and umax < u0_max / DISSIPATION_DROP:
                 termination = "dissipated"
                 break
 
-        if lam < (grid.y_min / params.y_min_flow) / 2.0:
+        if lam < (grid.y_min / Y_MIN_FLOW) / 2.0:
             grid, u = _remesh(params, grid, u, lam)
             tail = float(u[-1])
 
@@ -490,7 +486,7 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd)
 def _remesh(params: FlowParams, grid: radial.RadialGrid, u, lam):
     """Rebuild the grid in the self-similar variable once lambda halves."""
     u_eval = _u_eval(grid.nodes, u)
-    new = _flow_grid(params.y_min_flow * lam, grid.y_max, params.nodes_per_decade)
+    new = _flow_grid(Y_MIN_FLOW * lam, grid.y_max, params.nodes_per_decade)
     return new, u_eval(new.nodes)
 
 
@@ -509,7 +505,7 @@ def classify(traj: FlowTrajectory) -> RunClass:
     p = traj.params
     lam = traj.series("lam")
     if traj.termination in ("tracked", "b_floor") and \
-            lam[-1] <= p.lambda0 / p.lambda_decay_target:
+            lam[-1] <= p.lambda0 / LAMBDA_DECAY_TARGET:
         ratios = bootstrap_ratios(traj)
         if all(np.isfinite(v).all() for v in ratios.values()):
             return RunClass.TypeII_tracking

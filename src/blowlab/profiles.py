@@ -18,7 +18,7 @@ Sigma_3 = T2 - y T2' + 6 Q T1 T2 + T1^3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +28,14 @@ from .radial import (
     apply_H,
     cutoff,
     cutoff_laplacian,
-    gamma_growing,
-    gamma_growing_prime,
     inner,
     lambda_q,
     lambda_q_prime,
-    potential,
-    q_prime,
     q_soliton,
     radial_integral,
+    solve_H,
     solve_H_with_derivative,
+    zero_modes,
 )
 
 B_STAR_DEFAULT = 0.05
@@ -69,7 +67,7 @@ def build_T1(grid: RadialGrid) -> RadialFunction:
 def _t1_parts(grid: RadialGrid):
     key = "T1_parts"
     if key not in grid.cache:
-        rhs = grid.function(-lambda_q(grid.nodes))
+        rhs = grid.function(-zero_modes(grid)[0])
         grid.cache[key] = solve_H_with_derivative(rhs, 0.0, check=False)
     return grid.cache[key]
 
@@ -87,42 +85,20 @@ def radiation_sigma(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT):
     holds exactly beyond 6 B0.  On the inner plateau y <= B0/4 the formula
     reproduces -c_b T1 exactly.
     """
-    parts = _sigma_parts(b, grid, b_star)
-    return parts.sigma, parts.c_b, parts.d_b
-
-
-@dataclass(frozen=True)
-class _SigmaParts:
-    sigma: RadialFunction
-    sigma_prime: np.ndarray
-    c_b: float
-    d_b: float
-
-
-def _sigma_parts(b: float, grid: RadialGrid, b_star: float) -> _SigmaParts:
     if not (0.0 < b < b_star):
         raise ValueError(f"b must lie in (0, {b_star}), got {b}")
     B0, _ = zone_radii(b)
     if grid.y_max < 6.0 * B0:
         raise ValueError("grid must cover 6*B0 for the radiation")
     y = grid.nodes
-    lq = lambda_q(y)
-    gm = gamma_growing(y)
+    lq, _, gm, _ = zero_modes(grid)
     chi = cutoff(B0 / 4.0, y)
     denom = float(np.dot(grid.weights, chi * lq * lq))
     c_b = 64.0 / denom
     d_b = c_b * float(np.dot(grid.weights, chi * lq * gm))
-    rhs = grid.function(c_b * chi * lq)
-    core, core_p = solve_H_with_derivative(rhs, 0.0, check=False)
-    tail_chi = cutoff(3.0 * B0, y)
-    tail = d_b * (1.0 - tail_chi) * lq
-    tail_p = d_b * (-cutoff(3.0 * B0, y, 1) * lq + (1.0 - tail_chi) * lambda_q_prime(y))
-    return _SigmaParts(
-        sigma=grid.function(core.values + tail),
-        sigma_prime=core_p.values + tail_p,
-        c_b=c_b,
-        d_b=d_b,
-    )
+    core = solve_H(grid.function(c_b * chi * lq), 0.0, check=False)
+    tail = d_b * (1.0 - cutoff(3.0 * B0, y)) * lq
+    return grid.function(core.values + tail), c_b, d_b
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +110,10 @@ def _sigma_parts(b: float, grid: RadialGrid, b_star: float) -> _SigmaParts:
 class ProfileSet:
     """b-dependent bundle of profiles on a common grid.
 
-    Derivative and Laplacian arrays come from the closed forms and the
-    defining equations H T_i = rhs_i, never from grid differencing, so the
-    assembled residual is free of stencil noise.
+    alpha = b T1 + b^2 T2 + b^3 T3 is the profile correction, alpha_prime its
+    derivative from the closed forms of the variation-of-parameters inverse
+    (never from grid differencing), and sigma2, sigma3 the exact right-hand
+    sides H T2 = sigma2, H T3 = sigma3; all four are arrays on grid.nodes.
     """
 
     b: float
@@ -148,19 +125,18 @@ class ProfileSet:
     T1: RadialFunction
     T2: RadialFunction
     T3: RadialFunction
-    Sigma_b: RadialFunction
     Q_b: RadialFunction
     Q_b_tilde: RadialFunction
-    Q_b_hat: RadialFunction
     zeta_b: RadialFunction
-    alpha_tilde: RadialFunction
-    alpha_hat: RadialFunction
-    arrays: dict = field(repr=False)
+    alpha: np.ndarray
+    alpha_prime: np.ndarray
+    sigma2: np.ndarray
+    sigma3: np.ndarray
 
 
 def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT,
                       need_localized: bool = True) -> ProfileSet:
-    """Build the full profile bundle at one value of b (LRU-cached per grid)."""
+    """Build the profile bundle at one value of b (LRU-cached per grid)."""
     cache: OrderedDict = grid.cache.setdefault("profile_sets", OrderedDict())
     key = (float(b), b_star)
     if key in cache:
@@ -174,16 +150,13 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
         )
     y = grid.nodes
     Q = q_soliton(y)
-    Qp = q_prime(y)
-    lq = lambda_q(y)
-    V = potential(y)
 
     t1, t1p = _t1_parts(grid)
     T1, T1p = t1.values, t1p.values
-    sp = _sigma_parts(b, grid, b_star)
+    sigma, c_b, d_b = radiation_sigma(b, grid, b_star)
 
     # order b^2: the radiation absorbs the O(1) tail of -y T1'
-    sigma2 = -sp.sigma.values - y * T1p + 3.0 * Q * T1 * T1
+    sigma2 = -sigma.values - y * T1p + 3.0 * Q * T1 * T1
     t2, t2p = solve_H_with_derivative(grid.function(sigma2), 0.0, check=False)
     T2, T2p = t2.values, t2p.values
 
@@ -194,47 +167,16 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
 
     alpha = b * T1 + b * b * T2 + b**3 * T3
     alpha_p = b * T1p + b * b * T2p + b**3 * T3p
-    # Delta T_i = -(H T_i) - V T_i with the exact right-hand sides
-    lap_alpha = -(b * (-lq) + b * b * sigma2 + b**3 * sigma3) - V * alpha
-
-    arrays = {
-        "alpha": alpha,
-        "alpha_prime": alpha_p,
-        "lap_alpha": lap_alpha,
-        "sigma2": sigma2,
-        "sigma3": sigma3,
-        "T1_prime": T1p,
-        "T2_prime": T2p,
-        "T3_prime": T3p,
-        "sigma_prime": sp.sigma_prime,
-    }
-
-    def loc(scale):
-        chi = cutoff(scale, y)
-        chi_p = cutoff(scale, y, 1)
-        a = chi * alpha
-        a_p = chi * alpha_p + chi_p * alpha
-        lap = chi * lap_alpha + 2.0 * chi_p * alpha_p + alpha * cutoff_laplacian(scale, y)
-        return a, a_p, lap
-
-    a_t, a_t_p, lap_a_t = loc(B1)
-    a_h, a_h_p, lap_a_h = loc(B0)
-    arrays.update(
-        tilde_prime=Qp + a_t_p, tilde_lap=-(Q**3) + lap_a_t,
-        hat_prime=Qp + a_h_p, hat_lap=-(Q**3) + lap_a_h,
-        raw_prime=Qp + alpha_p, raw_lap=-(Q**3) + lap_alpha,
-    )
+    a_t = cutoff(B1, y) * alpha
+    a_h = cutoff(B0, y) * alpha
 
     pset = ProfileSet(
-        b=float(b), B0=B0, B1=B1, grid=grid, c_b=sp.c_b, d_b=sp.d_b,
-        T1=t1, T2=t2, T3=t3, Sigma_b=sp.sigma,
+        b=float(b), B0=B0, B1=B1, grid=grid, c_b=c_b, d_b=d_b,
+        T1=t1, T2=t2, T3=t3,
         Q_b=grid.function(Q + alpha),
         Q_b_tilde=grid.function(Q + a_t),
-        Q_b_hat=grid.function(Q + a_h),
         zeta_b=grid.function(a_t - a_h),
-        alpha_tilde=grid.function(a_t),
-        alpha_hat=grid.function(a_h),
-        arrays=arrays,
+        alpha=alpha, alpha_prime=alpha_p, sigma2=sigma2, sigma3=sigma3,
     )
     cache[key] = pset
     while len(cache) > _PROFILE_CACHE_SIZE:
@@ -279,10 +221,9 @@ def _psi_values(pset: ProfileSet, variant: str, db_rel: float,
     grid = pset.grid
     y = grid.nodes
     b = pset.b
-    arr = pset.arrays
     Q = q_soliton(y)
-    alpha, alpha_p = arr["alpha"], arr["alpha_prime"]
-    order23 = b * b * arr["sigma2"] + b**3 * arr["sigma3"]
+    alpha, alpha_p = pset.alpha, pset.alpha_prime
+    order23 = b * b * pset.sigma2 + b**3 * pset.sigma3
     lam_alpha = alpha + y * alpha_p
     if variant == "raw":
         return (
@@ -302,11 +243,11 @@ def _psi_values(pset: ProfileSet, variant: str, db_rel: float,
         (lo.B1, hi.B1) if variant == "tilde" else (lo.B0, hi.B0)
     )
     dloc_db = (
-        cutoff(scale_hi, y) * hi.arrays["alpha"]
-        - cutoff(scale_lo, y) * lo.arrays["alpha"]
+        cutoff(scale_hi, y) * hi.alpha
+        - cutoff(scale_lo, y) * lo.alpha
     ) / (2.0 * db)
     return (
-        b * (1.0 - chi) * lambda_q(y)
+        b * (1.0 - chi) * zero_modes(grid)[0]
         + b * chi * lam_alpha
         + b * y * chi_p * alpha
         + chi * order23

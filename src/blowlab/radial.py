@@ -15,6 +15,7 @@ y^3 (Gamma (Lambda Q)' - Gamma' Lambda Q) = 1 which normalizes the inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -59,9 +60,9 @@ class RadialGrid:
     def y_min(self) -> float:
         return float(self.nodes[0])
 
-    @property
+    @cached_property
     def h(self) -> float:
-        """Uniform step in t = log y."""
+        """Uniform step in t = log y, computed once per grid."""
         t = np.log(self.nodes)
         return float((t[-1] - t[0]) / (len(t) - 1))
 
@@ -81,14 +82,12 @@ class RadialGrid:
         return cls(nodes=nodes, weights=w, y_max=float(nodes[-1]))
 
 
-def make_grid(y_min: float, y_max: float, n: int, grading: str = "log") -> RadialGrid:
-    """Build the graded grid; density increases toward the origin."""
+def make_grid(y_min: float, y_max: float, n: int) -> RadialGrid:
+    """Build the log-graded grid; density increases toward the origin."""
     if not (0 < y_min < y_max):
         raise ValueError(f"need 0 < y_min < y_max, got ({y_min}, {y_max})")
     if n < 64:
         raise ValueError(f"need n >= 64, got {n}")
-    if grading != "log":
-        raise ValueError(f"unknown grading policy {grading!r}")
     t = np.linspace(np.log(y_min), np.log(y_max), n)
     y = np.exp(t)
     y[0], y[-1] = y_min, y_max
@@ -381,7 +380,10 @@ def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0
     cumulative sum survives fourth-order differencing of the profiles it
     feeds and would dominate the H^2-weighted residual norms.
     """
-    m0, m1 = grid.cache.setdefault("panel_moments", _panel_moments(grid.nodes))
+    key = "panel_moments"
+    if key not in grid.cache:
+        grid.cache[key] = _panel_moments(grid.nodes)
+    m0, m1 = grid.cache[key]
     inc = (m0 - m1) * integrand[:-1] + m1 * integrand[1:]
     out = np.empty(grid.n)
     out[0] = head
@@ -406,6 +408,16 @@ def _series_heads(grid: RadialGrid, f0: float):
     return head_lq, head_g
 
 
+def zero_modes(grid: RadialGrid):
+    """Cached closed forms (Lambda Q, Lambda Q', Gamma, Gamma') on the nodes."""
+    key = "zero_modes"
+    if key not in grid.cache:
+        y = grid.nodes
+        grid.cache[key] = (lambda_q(y), lambda_q_prime(y),
+                           gamma_growing(y), gamma_growing_prime(y))
+    return grid.cache[key]
+
+
 def solve_H(rhs: RadialFunction, c: float = 0.0, check: bool = True):
     """Solve H u = rhs by variation of parameters, smooth at the origin.
 
@@ -420,13 +432,10 @@ def solve_H(rhs: RadialFunction, c: float = 0.0, check: bool = True):
 
 def solve_H_with_derivative(rhs: RadialFunction, c: float = 0.0, check: bool = True):
     grid = rhs.grid
-    y, f = grid.nodes, rhs.values
+    f = rhs.values
     if check:
         _reject_non_integrable(grid, f)
-    lq = grid.cache.setdefault("lambda_q", lambda_q(y))
-    lqp = grid.cache.setdefault("lambda_q_prime", lambda_q_prime(y))
-    gm = grid.cache.setdefault("gamma", gamma_growing(y))
-    gmp = grid.cache.setdefault("gamma_prime", gamma_growing_prime(y))
+    lq, lqp, gm, gmp = zero_modes(grid)
     head_lq, head_g = _series_heads(grid, float(f[0]))
     i1 = cumulative_integral(grid, f * lq, head=head_lq)
     i2 = cumulative_integral(grid, f * gm, head=head_g)

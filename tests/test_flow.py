@@ -23,7 +23,7 @@ def cache(params):
 
 def synthetic_state(cache, lam, b, delta=0.0, shape=None):
     p = cache.params
-    r = flow._flow_grid(p.y_min_flow * lam, 30.0 * lam * flow.zone_radii(b)[1],
+    r = flow._flow_grid(flow.Y_MIN_FLOW * lam, 30.0 * lam * flow.zone_radii(b)[1],
                         p.nodes_per_decade).nodes
     y = r / lam
     qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b))

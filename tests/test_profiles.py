@@ -87,7 +87,7 @@ def test_T2_T3_defining_equations_and_bounds(grid, fine_grid):
         for g in (grid, fine_grid):
             pset = profiles.assemble_profiles(b, g)
             tk = getattr(profiles.assemble_profiles(b, g, need_localized=False), name)
-            res = radial.apply_H(tk).values - pset.arrays[key]
+            res = radial.apply_H(tk).values - getattr(pset, key)
             errs.append(l2_window(g, res))
         assert np.log2(errs[0] / errs[1]) > 1.5
     pset = profiles.assemble_profiles(b, grid)
@@ -111,11 +111,29 @@ def test_assemble_profiles_invariants(grid):
     outer = y >= 2.0 * pset.B1
     assert np.array_equal(pset.Q_b_tilde.values[inner], pset.Q_b.values[inner])
     assert np.array_equal(pset.Q_b_tilde.values[outer], radial.q_soliton(y[outer]))
-    # localization difference is the radiation by construction
-    dev = pset.Q_b_tilde.values - pset.Q_b_hat.values - pset.zeta_b.values
+    # the radiation is the correction between the two localization radii
+    shell = radial.cutoff(pset.B1, y) - radial.cutoff(pset.B0, y)
+    dev = pset.zeta_b.values - shell * pset.alpha
     assert np.max(np.abs(dev)) < 1e-16
     assert np.all(pset.zeta_b.values[y <= pset.B0] == 0.0)
     assert np.all(pset.zeta_b.values[y >= 2.0 * pset.B1] == 0.0)
+
+
+def test_grid_caches_compute_only_on_a_miss(monkeypatch):
+    g = radial.make_grid(1e-4, 4000.0, 1024)
+    calls = {}
+    for name in ("lambda_q", "gamma_growing", "_panel_moments"):
+        def counted(*args, _f=getattr(radial, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(radial, name, counted)
+    rhs = g.function(np.exp(-g.nodes))
+    first, _ = radial.solve_H_with_derivative(rhs)
+    second, _ = radial.solve_H_with_derivative(rhs)
+    assert calls == {"lambda_q": 1, "gamma_growing": 1, "_panel_moments": 1}
+    assert np.array_equal(first.values, second.values)
+    pset = profiles.assemble_profiles(1e-3, g)
+    assert profiles.assemble_profiles(1e-3, g) is pset
 
 
 def test_assemble_rejects_small_grid():

@@ -26,8 +26,6 @@ def test_make_grid_rejects_bad_parameters():
         radial.make_grid(1.0, 0.5, 4096)
     with pytest.raises(ValueError):
         radial.make_grid(1e-4, 1e4, 32)
-    with pytest.raises(ValueError):
-        radial.make_grid(1e-4, 1e4, 4096, grading="uniform")
 
 
 def test_grid_invariants():
