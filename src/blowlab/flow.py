@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -60,6 +60,9 @@ class RunClass(enum.Enum):
     GridExhausted = "GridExhausted"
 
 
+_EXIT_SIGN = {RunClass.ExitUnstableMinus: -1, RunClass.ExitUnstablePlus: +1}
+
+
 @dataclass(frozen=True)
 class FlowParams:
     b0: float = 0.01
@@ -86,10 +89,11 @@ class ProfileCache:
         self.grid = radial.make_grid(PROFILE_Y_MIN, y_max, PROFILE_N)
         self.phi = direction_phi(params.M, self.grid)
         self.eig = radial.unstable_mode(self.grid)
+        # the pairing and psi windows are prefixes of the profile grid
         y = self.grid.nodes
-        self.pair_idx = np.flatnonzero(y <= 2.2 * params.M)
+        self.pair_n = int(np.count_nonzero(y <= 2.2 * params.M))
         psi_cut = max(60.0, 40.0 / np.sqrt(self.eig.zeta))
-        self.psi_idx = np.flatnonzero(y <= psi_cut)
+        self.psi_n = int(np.count_nonzero(y <= psi_cut))
 
     def profile_set(self, b: float):
         return assemble_profiles(b, self.grid)
@@ -100,11 +104,8 @@ class ProfileCache:
 
 @dataclass(frozen=True)
 class FlowState:
-    t: float
-    s: float
     grid: radial.RadialGrid
     u: np.ndarray
-    tail: float
 
     @property
     def r(self) -> np.ndarray:
@@ -138,7 +139,6 @@ class FlowTrajectory:
     classification: RunClass | None
     final_state: FlowState
     steps: int
-    cache: ProfileCache = field(repr=False, default=None)
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(c, name) for c in self.checkpoints])
@@ -173,25 +173,29 @@ def _u_eval(r: np.ndarray, u: np.ndarray):
     return evaluate
 
 
-def _imex_substep(grid, u, tail, dt):
-    """Solve (I - dt Delta) u_new = u + dt u^3, Dirichlet u_new = tail at r_max."""
+def _imex_substep(grid, u, dt):
+    """Solve (I - dt Delta) u_new = u + dt u^3, Dirichlet u_new = u at r_max.
+
+    The last band row is the identity, so the boundary value u[-1] is kept
+    bit for bit by every step.
+    """
     rhs = u + dt * u**3
-    rhs[-1] = tail
+    rhs[-1] = u[-1]
     banded = radial.neg_laplacian_bands(grid, dt)
     banded[1] += 1.0
     return solve_banded((1, 1), banded, rhs)
 
 
-def step_flow(grid: radial.RadialGrid, u: np.ndarray, tail: float, dt: float,
-              rtol: float, atol: float):
+def step_flow(grid: radial.RadialGrid, u: np.ndarray, dt: float, rtol: float,
+              atol: float):
     """One accepted IMEX step with step-doubling control.
 
     Returns (u_new, dt_taken, dt_next, n_rejects).
     """
     rejects = 0
     while True:
-        full = _imex_substep(grid, u, tail, dt)
-        half = _imex_substep(grid, _imex_substep(grid, u, tail, 0.5 * dt), tail, 0.5 * dt)
+        full = _imex_substep(grid, u, dt)
+        half = _imex_substep(grid, _imex_substep(grid, u, 0.5 * dt), 0.5 * dt)
         scale = atol + rtol * np.max(np.abs(u))
         err = float(np.max(np.abs(half - full))) / scale
         if not np.isfinite(err):
@@ -210,50 +214,72 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, tail: float, dt: float,
 # ---------------------------------------------------------------------------
 
 
-def _pairing_residuals(cache: ProfileCache, u_eval, lam: float, b: float):
-    g = cache.grid
-    idx = cache.pair_idx
-    y = g.nodes[idx]
-    w = g.weights[idx]
-    qt = cache.qtilde_values(b)[idx]
-    eps = lam * u_eval(lam * y) - qt
-    phi = cache.phi.Phi_M.values[idx]
-    hphi = cache.phi.H_Phi_M.values[idx]
-    r1 = float(np.dot(w, eps * phi))
-    r2 = float(np.dot(w, eps * hphi))
-    eps_norm = float(np.sqrt(np.dot(w, eps * eps)))
-    return r1, r2, eps_norm
+def _field(cache: ProfileCache, u_eval, lam: float, n: int) -> np.ndarray:
+    """F_lam = lam u(lam y) on the first n nodes of the profile grid."""
+    return lam * u_eval(lam * cache.grid.nodes[:n])
+
+
+def _epsilon(cache: ProfileCache, field: np.ndarray, b: float) -> np.ndarray:
+    """eps = F_lam - Q~_b on the prefix of the profile grid that `field` covers."""
+    return field - cache.qtilde_values(b)[:field.size]
+
+
+def _pairings(cache: ProfileCache, field: np.ndarray, b: float):
+    """(eps, Phi_M) and (eps, H Phi_M) over the pairing window."""
+    n = cache.pair_n
+    w = cache.grid.weights[:n]
+    eps = _epsilon(cache, field[:n], b)
+    return (float(np.dot(w, eps * cache.phi.Phi_M.values[:n])),
+            float(np.dot(w, eps * cache.phi.H_Phi_M.values[:n])))
+
+
+def _pairing_scales(cache: ProfileCache, field: np.ndarray):
+    """Scales of the two pairings: |Phi_M| and |H Phi_M| times the norm of the
+    field over the pairing window, which is scale free and stays meaningful
+    when eps vanishes identically."""
+    n = cache.pair_n
+    f = field[:n]
+    norm = float(np.sqrt(np.dot(cache.grid.weights[:n], f * f)))
+    return np.sqrt(cache.phi.norm_sq) * norm, radial.norm2(cache.phi.H_Phi_M) * norm
+
+
+def _covered(cache: ProfileCache, lam: float, r_max: float) -> int:
+    """Length of the profile-grid prefix the flow grid covers, y <= 0.95 r_max/lam."""
+    return int(np.count_nonzero(cache.grid.nodes <= 0.95 * r_max / lam))
+
+
+def _kappa(cache: ProfileCache, field: np.ndarray, b: float, n_covered: int):
+    """Unstable-mode amplitude kappa = (eps, psi) over the psi window.
+
+    None when the flow grid does not cover the whole window; the caller then
+    keeps the last kappa.
+    """
+    n = cache.psi_n
+    if n > n_covered:
+        return None
+    eps = _epsilon(cache, field[:n], b)
+    return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi.values[:n]))
 
 
 def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
-    Returns (lam, b, diagnostics dict).  Raises RuntimeError when the Newton
-    iteration leaves the soliton tube.
+    The field F_lam is evaluated once per lambda.  Returns (lam, b,
+    diagnostics dict), whose "field" covers the pairing and psi windows at
+    the returned lambda.  Raises RuntimeError when the Newton iteration
+    leaves the soliton tube.
     """
     lam, b = seed
     u_eval = _u_eval(r, u)
-    idx = cache.pair_idx
-    y_pair = cache.grid.nodes[idx]
-    w_pair = cache.grid.weights[idx]
-    # residuals are measured against the rescaled field's own norm, which is
-    # scale free and stays meaningful when eps vanishes identically
-    field = lam * u_eval(lam * y_pair)
-    field_norm = float(np.sqrt(np.dot(w_pair, field * field)))
-    s1 = np.sqrt(cache.phi.norm_sq) * field_norm
-    s2 = radial.norm2(cache.phi.H_Phi_M) * field_norm
-
-    def residuals(lam_, b_):
-        r1, r2, _ = _pairing_residuals(cache, u_eval, lam_, b_)
-        merit = (r1 / s1) ** 2 + (r2 / s2) ** 2
-        return r1, r2, s1, s2, merit
-
-    it = 0
-    r1, r2, s1, s2, merit = residuals(lam, b)
+    n = max(cache.pair_n, cache.psi_n)
+    field = _field(cache, u_eval, lam, n)
+    s1, s2 = _pairing_scales(cache, field)
+    r1, r2 = _pairings(cache, field, b)
+    merit = (r1 / s1) ** 2 + (r2 / s2) ** 2
     for it in range(1, NEWTON_MAX + 1):
         if abs(r1) <= NEWTON_TOL * s1 and abs(r2) <= NEWTON_TOL * s2:
             break
-        J = _pairing_jacobian(cache, u_eval, lam, b)
+        J = _jacobian(cache, u_eval, field, lam, b)
         try:
             dlam, db = np.linalg.solve(J, [r1, r2])
         except np.linalg.LinAlgError:
@@ -266,10 +292,12 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
             lam_t, b_t = lam - alpha * dlam, b - alpha * db
             if not (lam_t > 0 and 0 < b_t < B_STAR_DEFAULT):
                 continue
-            r1_t, r2_t, s1_t, s2_t, merit_t = residuals(lam_t, b_t)
+            field_t = _field(cache, u_eval, lam_t, n)
+            r1_t, r2_t = _pairings(cache, field_t, b_t)
+            merit_t = (r1_t / s1) ** 2 + (r2_t / s2) ** 2
             if merit_t < merit * (1.0 - 1e-4 * alpha) or merit_t < NEWTON_TOL**2:
-                lam, b = lam_t, b_t
-                r1, r2, s1, s2, merit = r1_t, r2_t, s1_t, s2_t, merit_t
+                lam, b, field = lam_t, b_t, field_t
+                r1, r2, merit = r1_t, r2_t, merit_t
                 moved = True
                 break
         if not moved:
@@ -284,59 +312,40 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
         "res_hphi": abs(r2) / s2,
         "iterations": it,
         "u_eval": u_eval,
+        "field": field,
     }
     return lam, b, diag
 
 
-def _pairing_jacobian(cache: ProfileCache, u_eval, lam: float, b: float):
+def _jacobian(cache: ProfileCache, u_eval, field: np.ndarray, lam: float, b: float):
+    """Centered differences of the pairings; the b-column reuses F_lam."""
     dl = 1e-6 * lam
     db = 1e-6 * max(b, 1e-4)
-    r1p, r2p, _ = _pairing_residuals(cache, u_eval, lam + dl, b)
-    r1m, r2m, _ = _pairing_residuals(cache, u_eval, lam - dl, b)
-    c1p, c2p, _ = _pairing_residuals(cache, u_eval, lam, b + db)
-    c1m, c2m, _ = _pairing_residuals(cache, u_eval, lam, b - db)
+    r1p, r2p = _pairings(cache, _field(cache, u_eval, lam + dl, cache.pair_n), b)
+    r1m, r2m = _pairings(cache, _field(cache, u_eval, lam - dl, cache.pair_n), b)
+    c1p, c2p = _pairings(cache, field, b + db)
+    c1m, c2m = _pairings(cache, field, b - db)
     return np.array([
         [(r1p - r1m) / (2 * dl), (c1p - c1m) / (2 * db)],
         [(r2p - r2m) / (2 * dl), (c2p - c2m) / (2 * db)],
     ])
 
 
-def _epsilon_on_profile_grid(cache: ProfileCache, u_eval, lam: float, b: float,
-                             r_max: float):
-    """eps on the profile grid over the radius range the flow grid covers."""
-    g = cache.grid
-    y = g.nodes
-    cover = y <= 0.95 * r_max / lam
-    eps = np.zeros(g.n)
-    eps[cover] = lam * u_eval(lam * y[cover]) - cache.qtilde_values(b)[cover]
-    return eps, cover
+def flow_energies(cache: ProfileCache, field: np.ndarray, b: float):
+    """E1, E2, E4 and the second-localization E2_hat of the error.
 
-
-def _kappa(cache: ProfileCache, u_eval, lam: float, b: float, r_max: float):
-    """Unstable-mode amplitude kappa = (eps, psi) over the psi window.
-
-    None when the flow grid (the same 0.95 r_max coverage as the energies)
-    does not reach the whole window; the caller then keeps the last kappa.
+    `field` covers a prefix of the profile grid; eps is zero beyond it.
     """
-    idx = cache.psi_idx
-    y = cache.grid.nodes[idx]
-    if y[-1] > 0.95 * r_max / lam:
-        return None
-    eps = lam * u_eval(lam * y) - cache.qtilde_values(b)[idx]
-    return float(np.dot(cache.grid.weights[idx], eps * cache.eig.psi.values[idx]))
-
-
-def flow_energies(cache: ProfileCache, eps: np.ndarray, cover: np.ndarray, b: float):
-    """E1, E2, E4 and the second-localization E2_hat of the error."""
     g = cache.grid
+    n = field.size
+    eps = np.zeros(g.n)
+    eps[:n] = _epsilon(cache, field, b)
     f = g.function(eps)
     he = radial.apply_H(f)
     h2e = radial.apply_H(he)
-    mask = cover.copy()
-    edge = np.flatnonzero(cover)
-    if edge.size and edge[-1] < g.n - 1:
-        mask[edge[-6:]] = False  # keep stencil noise at the coverage edge out
-    w = g.weights * mask
+    # keep stencil noise at the coverage edge out
+    keep = n if n == g.n else max(n - 6, 0)
+    w = g.weights * (np.arange(g.n) < keep)
     t = np.log(g.nodes)
     dy = np.gradient(eps, t) / g.nodes
     e1 = float(np.dot(w, dy * dy))
@@ -362,7 +371,6 @@ def flow_energy(grid: radial.RadialGrid, u: np.ndarray) -> float:
 
 def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
     """(Q_loc(b0) + a+ psi) at scale lambda0 sampled on the flow grid."""
-    p = cache.params
     window = 2.0 * b0**2.5 / log_binv(b0)
     if abs(a_plus) > 10.0 * window:
         warnings.warn(
@@ -370,7 +378,7 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
             f"window {window:g}", stacklevel=2)
     _, b1 = zone_radii(b0)
     r_max = R_MAX_FACTOR * lambda0 * b1
-    grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, p.nodes_per_decade)
+    grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, cache.params.nodes_per_decade)
     y = grid.nodes / lambda0
     qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b0))
     psi = CubicSpline(np.log(cache.grid.nodes), cache.eig.psi.values)
@@ -378,14 +386,13 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
     vals = np.empty_like(y)
     vals[inside] = qt(np.log(y[inside])) + a_plus * psi(np.log(y[inside]))
     vals[~inside] = radial.q_soliton(y[~inside])
-    u = vals / lambda0
-    return FlowState(t=0.0, s=0.0, grid=grid, u=u, tail=float(u[-1]))
+    return FlowState(grid=grid, u=vals / lambda0)
 
 
 def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTrajectory:
     cache = cache or ProfileCache(params)
     state = init_data(cache, params.b0, params.a_plus, params.lambda0)
-    grid, u, tail = state.grid, state.u.copy(), state.tail
+    grid, u = state.grid, state.u
     lam, b = params.lambda0, params.b0
     dt = DS_INIT * lam**2
     t = s = 0.0
@@ -401,12 +408,10 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
         step += 1
         dt = min(dt, DS_CAP * lam**2)
         try:
-            u_new, dt_taken, dt, _ = step_flow(
-                grid, u, tail, dt, params.rtol_step, ATOL_STEP)
+            u, dt_taken, dt, _ = step_flow(grid, u, dt, params.rtol_step, ATOL_STEP)
         except RuntimeError:
             termination = "solver_failure"
             break
-        u = u_new
         t += dt_taken
         umax = float(np.max(np.abs(u)))
         if not np.isfinite(umax) or umax > params.u_cap:
@@ -419,11 +424,10 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
                 lam, b, dd = decompose(cache, grid.nodes, u, (lam, b))
             except RuntimeError:
                 decomp_lost = True
-                dd = None
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
 
         if not decomp_lost:
-            k = _kappa(cache, dd["u_eval"], lam, b, grid.y_max)
+            k = _kappa(cache, dd["field"], b, _covered(cache, lam, grid.y_max))
             kappa = kappa if k is None else k
             window = params.kappa_exit_factor * b**2.5 / log_binv(b)
             if abs(kappa) > window:
@@ -446,14 +450,12 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
 
         if lam < (grid.y_min / Y_MIN_FLOW) / 2.0:
             grid, u = _remesh(params, grid, u, lam)
-            tail = float(u[-1])
 
     checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
                                         decomp_lost, None))
     traj = FlowTrajectory(
         params=params, checkpoints=checkpoints, termination=termination,
-        classification=None, final_state=FlowState(t=t, s=s, grid=grid, u=u, tail=tail),
-        steps=step, cache=cache,
+        classification=None, final_state=FlowState(grid=grid, u=u), steps=step,
     )
     traj.classification = classify(traj)
     return traj
@@ -464,17 +466,16 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd)
         e1 = e2 = e4 = e2h = np.nan
         res1 = res2 = np.nan
     else:
+        # one evaluation over the covered prefix and the whole pairing window
         u_eval = dd["u_eval"] if dd else _u_eval(grid.nodes, u)
-        eps, cover = _epsilon_on_profile_grid(cache, u_eval, lam, b, grid.y_max)
-        e1, e2, e4, e2h = flow_energies(cache, eps, cover, b)
-        k = _kappa(cache, u_eval, lam, b, grid.y_max)
+        n = _covered(cache, lam, grid.y_max)
+        field = _field(cache, u_eval, lam, max(n, cache.pair_n))
+        e1, e2, e4, e2h = flow_energies(cache, field[:n], b)
+        k = _kappa(cache, field, b, n)
         kappa = kappa if k is None else k
-        r1, r2, _ = _pairing_residuals(cache, u_eval, lam, b)
-        idx = cache.pair_idx
-        field = lam * u_eval(lam * cache.grid.nodes[idx])
-        fnorm = float(np.sqrt(np.dot(cache.grid.weights[idx], field**2)))
-        res1 = abs(r1) / (np.sqrt(cache.phi.norm_sq) * fnorm)
-        res2 = abs(r2) / (radial.norm2(cache.phi.H_Phi_M) * fnorm)
+        r1, r2 = _pairings(cache, field, b)
+        s1, s2 = _pairing_scales(cache, field)
+        res1, res2 = abs(r1) / s1, abs(r2) / s2
     return Checkpoint(
         step=step, t=t, s=s, lam=lam, b=b, kappa=kappa,
         E=flow_energy(grid, u), E1=e1, E2=e2, E4=e4, E2_hat=e2h,
@@ -485,9 +486,8 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd)
 
 def _remesh(params: FlowParams, grid: radial.RadialGrid, u, lam):
     """Rebuild the grid in the self-similar variable once lambda halves."""
-    u_eval = _u_eval(grid.nodes, u)
     new = _flow_grid(Y_MIN_FLOW * lam, grid.y_max, params.nodes_per_decade)
-    return new, u_eval(new.nodes)
+    return new, _u_eval(grid.nodes, u)(new.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +502,9 @@ def classify(traj: FlowTrajectory) -> RunClass:
         return RunClass.ExitUnstableMinus
     if traj.termination == "dissipated":
         return RunClass.Dissipation
-    p = traj.params
-    lam = traj.series("lam")
     if traj.termination in ("tracked", "b_floor") and \
-            lam[-1] <= p.lambda0 / LAMBDA_DECAY_TARGET:
-        ratios = bootstrap_ratios(traj)
-        if all(np.isfinite(v).all() for v in ratios.values()):
+            traj.series("lam")[-1] <= traj.params.lambda0 / LAMBDA_DECAY_TARGET:
+        if all(np.isfinite(v).all() for v in bootstrap_ratios(traj).values()):
             return RunClass.TypeII_tracking
     return RunClass.GridExhausted
 
@@ -547,26 +544,19 @@ def modulation_residuals(traj: FlowTrajectory) -> dict:
     b_s = (b[2:] - b[:-2])[ok] / ds[ok]
     b_mid = b[1:-1][ok]
     lb = np.array([log_binv(x) for x in b_mid])
-    e2 = np.array([c.E2 for c in live])[1:-1][ok]
-    e4 = np.array([c.E4 for c in live])[1:-1][ok]
-    kap = np.array([c.kappa for c in live])[1:-1][ok]
-    return {
-        "s": s[1:-1][ok],
-        "lam_res": dlog_lam + b_mid,
-        "b_res": b_s + b_mid**2 * (1.0 + 2.0 / lb),
-        "b_mid": b_mid,
-        "E2_ratio": e2 / (b_mid**2 * lb**5),
-        "E4_ratio": e4 / (b_mid**4 / lb**2),
-        "kappa_ratio": np.abs(kap) * lb / b_mid**2.5,
-    }
+    out = {key: v[1:-1][ok] for key, v in bootstrap_ratios(traj).items()}
+    out.update(lam_res=dlog_lam + b_mid, b_res=b_s + b_mid**2 * (1.0 + 2.0 / lb),
+               b_mid=b_mid)
+    return out
 
 
 def lyapunov_series(traj: FlowTrajectory) -> dict:
     """Monitored monotone quantities E4/lam^6 and E2_hat/lam^2.
 
-    Alongside each series the allowed drift rate from the monotonicity
-    statements is evaluated and the fitted constant (observed rate over
-    allowed rate, positive part) is reported.
+    Returns "t", "E4_over_lam6" and "E2hat_over_lam2" over the checkpoints
+    with finite energies, and from three of them on "C4_fit" and "C2_fit":
+    the largest observed drift rate of each series over the rate the
+    monotonicity statements allow (positive part).
     """
     t = traj.series("t")
     lam = traj.series("lam")
@@ -588,23 +578,29 @@ def lyapunov_series(traj: FlowTrajectory) -> dict:
             + b[mid] ** 2 / lb[mid] * np.sqrt(e4[mid])
         )
         allowed2 = b[mid] ** 3 * lb[mid] ** 2 / lam[mid] ** 4
-        out["C4_fit"] = float(np.max(np.maximum(d4, 0.0) / allowed4)) if d4.size else np.nan
-        out["C2_fit"] = float(np.max(np.maximum(d2, 0.0) / allowed2)) if d2.size else np.nan
-        out["d4"] = d4
-        out["d2"] = d2
-        out["allowed4"] = allowed4
-        out["allowed2"] = allowed2
+        out["C4_fit"] = float(np.max(np.maximum(d4, 0.0) / allowed4))
+        out["C2_fit"] = float(np.max(np.maximum(d2, 0.0) / allowed2))
     return out
 
 
 @dataclass
 class ShootingResult:
     bracket: tuple
-    class_lo: RunClass
-    class_hi: RunClass
     iterations: int
     best: FlowTrajectory
     history: list
+
+
+def _exit_sign(traj: FlowTrajectory) -> int:
+    """+1 / -1 for an unstable exit on the focusing / dispersing side, else 0."""
+    return _EXIT_SIGN.get(traj.classification, 0)
+
+
+def _probe(params: FlowParams, cache: ProfileCache, a: float) -> FlowTrajectory:
+    """One shooting run at amplitude a, with the window warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return simulate(replace(params, a_plus=a), cache=cache)
 
 
 def find_bracket(params: FlowParams, cache: ProfileCache | None = None,
@@ -619,15 +615,11 @@ def find_bracket(params: FlowParams, cache: ProfileCache | None = None,
     """
     cache = cache or ProfileCache(params)
     a = start if start is not None else params.a_plus_window()
-    sign = {RunClass.ExitUnstableMinus: -1, RunClass.ExitUnstablePlus: +1}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        while a <= max_factor * params.a_plus_window():
-            lo = simulate(replace(params, a_plus=-a), cache=cache)
-            hi = simulate(replace(params, a_plus=+a), cache=cache)
-            if sign.get(lo.classification, 0) * sign.get(hi.classification, 0) == -1:
-                return -a, a
-            a *= grow
+    while a <= max_factor * params.a_plus_window():
+        lo, hi = _probe(params, cache, -a), _probe(params, cache, +a)
+        if _exit_sign(lo) * _exit_sign(hi) == -1:
+            return -a, a
+        a *= grow
     raise RuntimeError("no opposite-sign bracket found within the cap")
 
 
@@ -635,27 +627,17 @@ def shoot(a_lo: float, a_hi: float, budget: int, params: FlowParams,
           cache: ProfileCache | None = None) -> ShootingResult:
     """Bisect the unstable amplitude between opposite-sign exits."""
     cache = cache or ProfileCache(params)
-
-    def run(a):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return simulate(replace(params, a_plus=a), cache=cache)
-
-    lo_traj = run(a_lo)
-    hi_traj = run(a_hi)
-    cl_lo, cl_hi = lo_traj.classification, hi_traj.classification
-    sign = {RunClass.ExitUnstableMinus: -1, RunClass.ExitUnstablePlus: +1}
-    if sign.get(cl_lo, 0) * sign.get(cl_hi, 0) != -1:
+    lo_traj, hi_traj = _probe(params, cache, a_lo), _probe(params, cache, a_hi)
+    if _exit_sign(lo_traj) * _exit_sign(hi_traj) != -1:
         raise ValueError(
-            f"bracket endpoints classify as {cl_lo} / {cl_hi}; "
-            "need opposite unstable exits")
-    if sign[cl_lo] > 0:
+            f"bracket endpoints classify as {lo_traj.classification} / "
+            f"{hi_traj.classification}; need opposite unstable exits")
+    if _exit_sign(lo_traj) > 0:
         a_lo, a_hi = a_hi, a_lo
         lo_traj, hi_traj = hi_traj, lo_traj
 
     def depth(tr):
-        lam = tr.series("lam")
-        return tr.params.lambda0 / np.nanmin(lam)
+        return tr.params.lambda0 / np.nanmin(tr.series("lam"))
 
     best = max([lo_traj, hi_traj], key=depth)
     history = [(a_lo, a_hi)]
@@ -664,30 +646,21 @@ def shoot(a_lo: float, a_hi: float, budget: int, params: FlowParams,
         mid = 0.5 * (a_lo + a_hi)
         if mid in (a_lo, a_hi):
             break  # bracket at floating point resolution
-        traj = run(mid)
+        traj = _probe(params, cache, mid)
         if depth(traj) > depth(best):
             best = traj
-        cl = traj.classification
-        if cl is RunClass.ExitUnstablePlus:
+        # a run without an unstable exit sides with the sign of its last kappa
+        if (_exit_sign(traj) or (1 if traj.series("kappa")[-1] >= 0 else -1)) > 0:
             a_hi = mid
-        elif cl is RunClass.ExitUnstableMinus:
-            a_lo = mid
         else:
-            kappa_end = traj.series("kappa")[-1]
-            if kappa_end >= 0:
-                a_hi = mid
-            else:
-                a_lo = mid
-            if cl is RunClass.TypeII_tracking:
-                break
+            a_lo = mid
+        if traj.classification is RunClass.TypeII_tracking:
+            break
         history.append((a_lo, a_hi))
         if abs(a_hi - a_lo) < 1e-12 * max(abs(a_lo), abs(a_hi)):
             break
-    return ShootingResult(
-        bracket=(a_lo, a_hi), class_lo=RunClass.ExitUnstableMinus,
-        class_hi=RunClass.ExitUnstablePlus, iterations=it, best=best,
-        history=history,
-    )
+    return ShootingResult(bracket=(a_lo, a_hi), iterations=it, best=best,
+                          history=history)
 
 
 def asymptotic_profile(traj: FlowTrajectory, r_cut: float | None = None):

@@ -188,11 +188,6 @@ def q_soliton(y):
     return 1.0 / (1.0 + np.asarray(y, dtype=float) ** 2 / 8.0)
 
 
-def q_prime(y):
-    y = np.asarray(y, dtype=float)
-    return -16.0 * y / (y**2 + 8.0) ** 2
-
-
 def lambda_q(y):
     y = np.asarray(y, dtype=float)
     return 8.0 * (8.0 - y**2) / (y**2 + 8.0) ** 2

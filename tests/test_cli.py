@@ -78,13 +78,19 @@ def test_modulation_outputs_and_manifest(tmp_path):
                         "window_lo", "window_hi"}
 
 
-def test_determinism_byte_identical(tmp_path):
-    cfg = parse_config("command=modulation b0=0.004 s_end=1e5 fit_s_end=1e8")
+@pytest.mark.parametrize("text", [
+    "command=modulation b0=0.004 s_end=1e5 fit_s_end=1e8",
+    "command=simulate b0=0.001 kappa_exit_factor=1e5 max_steps=800 nodes_per_decade=100",
+    "command=profile b_sweep=3e-3",
+], ids=["modulation", "simulate", "profile"])
+def test_determinism_byte_identical(tmp_path, text):
+    cfg = parse_config(text)
     m1 = cli.run(cfg, out_override=str(tmp_path))
     m2 = cli.run(cfg, out_override=str(tmp_path))
-    assert filecmp.cmp(os.path.join(m1["run_dir"], "trajectory.csv"),
-                       os.path.join(m2["run_dir"], "trajectory.csv"),
-                       shallow=False)
+    csvs = [f for f in m1["files"] if f.endswith(".csv")]
+    assert csvs and m2["files"] == m1["files"]
+    match, _, _ = filecmp.cmpfiles(m1["run_dir"], m2["run_dir"], csvs, shallow=False)
+    assert match == csvs
 
 
 def test_verify_command_writes_five_suites(tmp_path):

@@ -46,9 +46,9 @@ def test_stationary_bubble_drift(cache):
     g = flow._flow_grid(0.02 * lam, 300.0, 120)
     u = radial.q_soliton(g.nodes / lam) / lam
     u0 = u.copy()
-    tail, t, dt = u[-1], 0.0, 1e-3 * lam**2
+    t, dt = 0.0, 1e-3 * lam**2
     while t < 1.0:
-        u, taken, dt, _ = flow.step_flow(g, u, tail, min(dt, 1.0 - t), 1e-5, 1e-9)
+        u, taken, dt, _ = flow.step_flow(g, u, min(dt, 1.0 - t), 1e-5, 1e-9)
         t += taken
     drift = np.max(np.abs(u - u0)) / np.max(np.abs(u0))
     # pure O(h^2) quasi-steady offset at this resolution
@@ -56,9 +56,9 @@ def test_stationary_bubble_drift(cache):
 
     g2 = flow._flow_grid(0.02 * lam, 300.0, 240)
     u2 = radial.q_soliton(g2.nodes / lam) / lam
-    u20, tail2, t, dt = u2.copy(), u2[-1], 0.0, 1e-3 * lam**2
+    u20, t, dt = u2.copy(), 0.0, 1e-3 * lam**2
     while t < 1.0:
-        u2, taken, dt, _ = flow.step_flow(g2, u2, tail2, min(dt, 1.0 - t), 1e-5, 1e-9)
+        u2, taken, dt, _ = flow.step_flow(g2, u2, min(dt, 1.0 - t), 1e-5, 1e-9)
         t += taken
     drift2 = np.max(np.abs(u2 - u20)) / np.max(np.abs(u20))
     assert drift2 < 0.35 * drift  # second-order in the mesh
@@ -67,16 +67,29 @@ def test_stationary_bubble_drift(cache):
 def test_small_data_dissipates():
     g = flow._flow_grid(0.01, 50.0, 100)
     u = 0.01 * np.exp(-(g.nodes**2))
-    tail, t, dt = u[-1], 0.0, 1e-4
+    t, dt = 0.0, 1e-4
     peaks = [np.max(np.abs(u))]
     energies = [flow.flow_energy(g, u)]
     while t < 2.0:
-        u, taken, dt, _ = flow.step_flow(g, u, tail, dt, 1e-5, 1e-12)
+        u, taken, dt, _ = flow.step_flow(g, u, dt, 1e-5, 1e-12)
         t += taken
         peaks.append(np.max(np.abs(u)))
         energies.append(flow.flow_energy(g, u))
     assert all(np.diff(peaks) <= 1e-12)
     assert all(np.diff(energies) <= 1e-12)
+
+
+def test_step_keeps_the_boundary_value():
+    # the last row of the implicit system is the identity, so the Dirichlet
+    # value at r_max is the incoming u[-1], bit for bit, at every step
+    g = flow._flow_grid(0.01, 50.0, 100)
+    u = radial.q_soliton(g.nodes / 0.5) / 0.5 + 0.1 * np.exp(-(g.nodes**2))
+    boundary, dt = u[-1], 1e-4
+    for _ in range(200):
+        u_new, _, dt, _ = flow.step_flow(g, u, dt, 1e-5, 1e-9)
+        assert u_new[-1] == u[-1]
+        u = u_new
+    assert u[-1] == boundary
 
 
 def test_energy_of_the_bubble():
@@ -116,6 +129,31 @@ def test_resonance_perturbation_moves_lambda_not_b(cache):
     assert abs(lam2 - lam1) > 5.0 * abs(b2 - b1)
 
 
+def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
+    # F_lam = lam u(lam y) is evaluated once per lambda: the Jacobian's
+    # b-column reuses it, and the step's kappa reads the field decompose returns
+    radii = []  # lam * y0 of every spline evaluation
+    original = flow._u_eval
+
+    def recording(r, u):
+        evaluate = original(r, u)
+
+        def wrapped(rq):
+            radii.append(float(rq[0]))
+            return evaluate(rq)
+
+        return wrapped
+
+    monkeypatch.setattr(flow, "_u_eval", recording)
+    r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
+    lam, b, dd = flow.decompose(cache, r, u, (0.7 * 1.02, 1e-3 * 1.1))
+    assert dd["iterations"] >= 2
+    assert len(radii) == len(set(radii))
+    evaluations = len(radii)
+    kappa = flow._kappa(cache, dd["field"], b, flow._covered(cache, lam, r[-1]))
+    assert kappa is not None and len(radii) == evaluations
+
+
 def test_decompose_signals_tube_loss(cache):
     r = flow._flow_grid(0.01, 500.0, 100).nodes
     u = 0.3 * np.exp(-(r**2))  # nowhere near the soliton family
@@ -135,10 +173,11 @@ def test_init_data_window_warning(cache):
 def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     st = flow.init_data(cache, params.b0, 0.0, 1.0)
     lam, b, dd = flow.decompose(cache, st.r, st.u, (1.0, params.b0))
-    eps, cover = flow._epsilon_on_profile_grid(cache, dd["u_eval"], lam, b, st.r[-1])
+    n = flow._covered(cache, lam, st.r[-1])
     # kappa vanishes up to the pairing tolerance times its scale
-    assert abs(flow._kappa(cache, dd["u_eval"], lam, b, st.r[-1])) < 5e-9
-    e1, e2, e4, e2h = flow.flow_energies(cache, eps, cover, b)
+    assert abs(flow._kappa(cache, dd["field"], b, n)) < 5e-9
+    field = flow._field(cache, dd["u_eval"], lam, n)
+    e1, e2, e4, e2h = flow.flow_energies(cache, field, b)
     assert e2 < 1e-6  # interpolation floor of the second-order energy
     # the fourth-order energy is floored by double-differentiated
     # interpolation noise; its physical scale b^4/|log b|^2 ~ 4e-14 is
@@ -233,7 +272,7 @@ def test_lyapunov_series_fields(unstable_runs):
         assert np.isfinite(table["C2_fit"]) or np.isnan(table["C2_fit"])
 
 
-def test_asymptotic_profile_of_stationary_state(cache):
+def test_asymptotic_profile_of_stationary_state():
     lam = 1.0
     g = flow._flow_grid(0.02, 2000.0, 120)
     u = radial.q_soliton(g.nodes / lam) / lam
@@ -243,8 +282,7 @@ def test_asymptotic_profile_of_stationary_state(cache):
                             E=flow.E_OF_Q, E1=0, E2=0, E4=0, E2_hat=0,
                             u_max=1.0, res_phi=0, res_hphi=0)],
         termination="budget", classification=None,
-        final_state=flow.FlowState(t=0.0, s=0.0, grid=g, u=u, tail=u[-1]),
-        steps=0, cache=cache)
+        final_state=flow.FlowState(grid=g, u=u), steps=0)
     rr, u_star, lap2 = flow.asymptotic_profile(traj, r_cut=10.0)
     assert np.max(np.abs(u_star)) < 1e-14
     assert lap2 < 1e-20
