@@ -67,7 +67,10 @@ def _cmd_modulation(config: RunConfig, run_dir):
 
 
 def _cmd_profile(config: RunConfig, run_dir):
-    grid = radial.make_grid(config.grid_y_min, config.grid_y_max, config.grid_n)
+    # the grid reaches 4 B1 of the smallest b, which the localized profiles need
+    y_max = max([config.grid_y_max]
+                + [4.0 * profiles.zone_radii(b)[1] for b in config.b_sweep])
+    grid = radial.make_grid(config.grid_y_min, y_max, config.grid_n)
     rows = []
     files = ["summary.csv"]
     ok = True

@@ -246,18 +246,23 @@ def _smoothstep(x, order: int = 0):
     the localized profiles: the H^2-weighted norm of the profile residual
     differentiates the cutoff six times, and any derivative jump at the joins
     makes that norm diverge under grid refinement.
+
+    The polynomial is evaluated only on the open transition (0, 1); outside
+    it the value is exactly 0 or 1 (the polynomial's own values at the joins)
+    and every derivative is 0.
     """
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    if order == 0:
-        return x**7 * (
-            1716.0
-            + x * (-9009.0 + x * (20020.0 + x * (-24024.0
-                  + x * (16380.0 + x * (-6006.0 + 924.0 * x)))))
-        )
+    x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
-    out = np.zeros_like(x)
     xi = x[inside]
-    if order == 1:
+    out = np.zeros_like(x)
+    if order == 0:
+        out[x >= 1.0] = 1.0
+        out[inside] = xi**7 * (
+            1716.0
+            + xi * (-9009.0 + xi * (20020.0 + xi * (-24024.0
+                  + xi * (16380.0 + xi * (-6006.0 + 924.0 * xi)))))
+        )
+    elif order == 1:
         out[inside] = 12012.0 * (xi * (1.0 - xi)) ** 6
     elif order == 2:
         out[inside] = 72072.0 * (xi * (1.0 - xi)) ** 5 * (1.0 - 2.0 * xi)

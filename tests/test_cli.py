@@ -110,6 +110,16 @@ def test_profile_command_summary(tmp_path):
     assert len(rows) == 3
 
 
+def test_profile_command_sizes_its_grid(tmp_path):
+    # 4 B1(3e-5) = 7604 lies beyond the default grid_y_max = 4000
+    cfg = parse_config("command=profile b_sweep=3e-5")
+    m = cli.run(cfg, out_override=str(tmp_path))
+    assert m["ok"]
+    rows = open(os.path.join(m["run_dir"], "summary.csv")).read().splitlines()
+    assert len(rows) == 2
+    assert np.isfinite([float(v) for v in rows[1].split(",")]).all()
+
+
 def test_simulate_command(tmp_path):
     cfg = parse_config(
         "command=simulate b0=0.001 kappa_exit_factor=1e5 max_steps=800 "

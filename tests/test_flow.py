@@ -131,7 +131,8 @@ def test_resonance_perturbation_moves_lambda_not_b(cache):
 
 def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
     # F_lam = lam u(lam y) is evaluated once per lambda: the Jacobian's
-    # b-column reuses it, and the step's kappa reads the field decompose returns
+    # b-column reads no field, and the step's kappa reads the field that
+    # decompose returns
     radii = []  # lam * y0 of every spline evaluation
     original = flow._u_eval
 
@@ -152,6 +153,43 @@ def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
     evaluations = len(radii)
     kappa = flow._kappa(cache, dd["field"], b, flow._covered(cache, lam, r[-1]))
     assert kappa is not None and len(radii) == evaluations
+
+
+@pytest.mark.parametrize("b", [1e-2, 3e-3, 1e-3])
+def test_jacobian_b_column_matches_centred_difference(cache, b):
+    # the one-sided, field-free b-column against a centred difference of
+    # the pairings of one field
+    lam = 0.7
+    r, u = synthetic_state(cache, lam, b, delta=1e-5)
+    u_eval = flow._u_eval(r, u)
+    field = flow._field(cache, u_eval, lam, cache.pair_n)
+    db = 1e-6 * b
+    plus = np.array(flow._pairings(cache, field, b + db))
+    minus = np.array(flow._pairings(cache, field, b - db))
+    centred = (plus - minus) / (2.0 * db)
+    column = flow._jacobian(cache, u_eval, lam, b)[:, 1]
+    assert np.all(np.abs(column - centred) <= 1e-5 * np.abs(centred))
+
+
+def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
+    # each Newton update builds Q~ at b + db for the Jacobian and at most
+    # one line-search trial; Q~ at the current b is already in the LRU
+    r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
+    misses = []
+    original = flow.assemble_profiles
+
+    def counting(b, grid, *args, **kwargs):
+        lru = grid.cache.get("profile_sets", {})
+        if not any(key[0] == float(b) for key in lru):
+            misses.append(b)
+        return original(b, grid, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "assemble_profiles", counting)
+    _, _, dd = flow.decompose(cache, r, u, (0.7 * 0.98, 1e-3 * 0.9))
+    iterations = dd["iterations"]
+    assert iterations >= 2
+    assert misses[0] == 1e-3 * 0.9  # the seed's own build
+    assert len(misses) - 1 <= 2 * (iterations - 1)
 
 
 def test_decompose_signals_tube_loss(cache):

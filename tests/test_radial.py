@@ -149,6 +149,52 @@ def test_cutoff_monotone_with_c2_joins(scale):
         assert abs(inner - outer) < 1e-6 / scale**2
 
 
+def _clipped_smoothstep(x, order=0):
+    """The smoothstep as first written: clip to [0, 1], then evaluate the
+    polynomial on every node."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    if order == 0:
+        return x**7 * (
+            1716.0
+            + x * (-9009.0 + x * (20020.0 + x * (-24024.0
+                  + x * (16380.0 + x * (-6006.0 + 924.0 * x)))))
+        )
+    inside = (x > 0.0) & (x < 1.0)
+    out = np.zeros_like(x)
+    xi = x[inside]
+    if order == 1:
+        out[inside] = 12012.0 * (xi * (1.0 - xi)) ** 6
+    else:
+        out[inside] = 72072.0 * (xi * (1.0 - xi)) ** 5 * (1.0 - 2.0 * xi)
+    return out
+
+
+@pytest.mark.parametrize("y_max, n", [(4000.0, 3072), (1e21, 16384)])
+def test_cutoff_matches_the_clipped_polynomial_bit_for_bit(y_max, n):
+    # evaluating only the transition leaves every value and derivative as
+    # the clipped form gives it, the joins x = 0 and x = 1 included
+    y = radial.make_grid(1e-4, y_max, n).nodes
+    for scale in (0.3, 4.56, 55.0, 1e3, 1e8):
+        x = y / scale - 1.0
+        for order in (0, 1, 2):
+            assert np.array_equal(radial._smoothstep(x, order),
+                                  _clipped_smoothstep(x, order)), (scale, order)
+        assert np.array_equal(radial.cutoff(scale, y),
+                              1.0 - _clipped_smoothstep(x))
+    assert _clipped_smoothstep(1.0) == 1.0
+
+
+def test_cutoff_of_a_scalar_is_a_scalar():
+    for y in (4.0, 5.0, 7.5, 10.0, 12.0):
+        x = y / 5.0 - 1.0
+        for order in (0, 1, 2):
+            value = radial.cutoff(5.0, y, order)
+            assert isinstance(value, float) and np.ndim(value) == 0
+            expected = (1.0 - _clipped_smoothstep(x) if order == 0
+                        else -_clipped_smoothstep(x, order) / 5.0**order)
+            assert value == expected
+
+
 def test_lambda_scale_closed_forms(grid):
     y = grid.nodes
     const = radial.lambda_scale(grid.function(np.full(grid.n, 3.7)))
