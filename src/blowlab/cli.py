@@ -168,9 +168,9 @@ def _cmd_verify(config: RunConfig, run_dir):
     files = []
     reports = []
 
-    def sampler(offset=0, family=None):
+    def sampler(offset=0):
         return inequalities.TestFunctionSampler(
-            seed=config.seed + offset, family=family or config.family)
+            seed=config.seed + offset, family=config.family)
 
     reports.append(inequalities.hardy_suite(
         sampler(), max(50, config.samples // 4),

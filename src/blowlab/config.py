@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .inequalities import C4_FAMILIES
+
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
 B_WINDOW = (0.0, 0.05)
@@ -48,9 +50,9 @@ class RunConfig:
     def validate(self):
         _require(self.command in COMMANDS,
                  f"command must be one of {COMMANDS}, got {self.command!r}")
-        _window("b0", self.b0, B_WINDOW, open_left=True)
+        _window("b0", self.b0, B_WINDOW)
         for b in self.b_sweep:
-            _window("b_sweep", b, B_WINDOW, open_left=True)
+            _window("b_sweep", b, B_WINDOW)
         _require(self.lambda0 > 0, "lambda0 must be positive")
         _require(10.0 <= self.M <= 2000.0, f"M must lie in [10, 2000], got {self.M}")
         _require(0 < self.grid_y_min < self.grid_y_max,
@@ -64,6 +66,9 @@ class RunConfig:
         _require(1 <= self.max_steps <= 10_000_000, "max_steps out of range")
         _require(1e-12 <= self.rtol_step <= 1e-2, "rtol_step out of range")
         _require(self.samples >= 50, "samples must be >= 50")
+        _require(self.family in C4_FAMILIES,
+                 f"family must be one of {C4_FAMILIES}, the C^4 sample families "
+                 f"verify runs, got {self.family!r}")
         _require(self.seed >= 0, "seed must be nonnegative")
         return self
 
@@ -91,13 +96,11 @@ def _require(cond: bool, message: str):
         raise ValueError(message)
 
 
-def _window(name, value, window, open_left=False):
+def _window(name, value, window):
     lo, hi = window
-    ok = (lo < value if open_left else lo <= value) and value <= hi
-    if not ok:
-        bracket = "(" if open_left else "["
+    if not lo < value <= hi:
         raise ValueError(
-            f"{name}={value!r} outside the admissible window {bracket}{lo}, {hi}]")
+            f"{name}={value!r} outside the admissible window ({lo}, {hi}]")
 
 
 _CASTS = {

@@ -46,6 +46,9 @@ DS_CAP = 0.5
 # decomposition
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 16
+# bracket search: grow from the admissible window up to this multiple of it
+BRACKET_GROW = 4.0
+BRACKET_MAX_FACTOR = 1e7
 # bookkeeping
 CHECKPOINT_EVERY = 20
 LAMBDA_DECAY_TARGET = 10.0
@@ -617,9 +620,7 @@ def _probe(params: FlowParams, cache: ProfileCache, a: float) -> FlowTrajectory:
         return simulate(replace(params, a_plus=a), cache=cache)
 
 
-def find_bracket(params: FlowParams, cache: ProfileCache | None = None,
-                 start: float | None = None, grow: float = 4.0,
-                 max_factor: float = 1e7):
+def find_bracket(params: FlowParams, cache: ProfileCache | None = None):
     """Grow a symmetric amplitude bracket until the exits have opposite signs.
 
     The admissible window of the continuous problem is far smaller than the
@@ -628,12 +629,12 @@ def find_bracket(params: FlowParams, cache: ProfileCache | None = None,
     workable bracket typically sits several orders above the window.
     """
     cache = cache or ProfileCache(params)
-    a = start if start is not None else params.a_plus_window()
-    while a <= max_factor * params.a_plus_window():
+    a = params.a_plus_window()
+    while a <= BRACKET_MAX_FACTOR * params.a_plus_window():
         lo, hi = _probe(params, cache, -a), _probe(params, cache, +a)
         if _exit_sign(lo) * _exit_sign(hi) == -1:
             return -a, a
-        a *= grow
+        a *= BRACKET_GROW
     raise RuntimeError("no opposite-sign bracket found within the cap")
 
 

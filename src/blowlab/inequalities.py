@@ -16,7 +16,15 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import radial
-from .profiles import build_T1, direction_phi
+from .profiles import build_T1, direction_phi, log_binv
+
+# the sample families smooth enough (C^4) for every suite `verify` runs
+C4_FAMILIES = ("gaussian-bumps", "polynomial-decay")
+SAMPLER_SUPPORT = 40.0  # radius scale of the samples; a grid reaches 2.5 times it
+GRID_Y_MIN = 1e-3
+HARDY_R = 100.0  # outer radius of the second and third Hardy controls
+HARDY_GAMMA = 1.0  # extra power of y in the third Hardy control
+KERNEL_SPIKE_M = 400.0
 
 
 @dataclass(frozen=True)
@@ -43,28 +51,24 @@ class InequalityReport:
 class TestFunctionSampler:
     """Seeded generator of C^2 radial test functions with f'(0) = 0.
 
-    families: 'gaussian-bumps' and 'polynomial-decay' are smooth closed
-    forms carrying exact first and second derivatives; 'random-spline' is a
-    random cubic spline flattened by the smooth compact cutoff (C^2 only,
-    so it is excluded from fourth-order suites).
+    families: C4_FAMILIES, 'gaussian-bumps' and 'polynomial-decay', are
+    smooth closed forms carrying exact first and second derivatives;
+    'random-spline' is a random cubic spline flattened by the smooth compact
+    cutoff (C^2 only, so it is excluded from fourth-order suites).
     """
 
-    FAMILIES = ("gaussian-bumps", "polynomial-decay", "random-spline")
+    FAMILIES = C4_FAMILIES + ("random-spline",)
 
-    def __init__(self, seed: int = 0, family: str = "gaussian-bumps",
-                 support: float = 40.0, smoothness: int = 4):
+    def __init__(self, seed: int = 0, family: str = "gaussian-bumps"):
         if family not in self.FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        self.seed = seed
         self.family = family
-        self.support = support
-        self.smoothness = 2 if family == "random-spline" else smoothness
         self._rng = np.random.default_rng(seed)
 
     def sample(self, grid: radial.RadialGrid):
         """One sample: (values, d/dy values, d2/dy2 values) on the grid."""
         y = grid.nodes
-        if grid.y_max < 2.5 * self.support:
+        if grid.y_max < 2.5 * SAMPLER_SUPPORT:
             raise ValueError("grid too small for the sampler support window")
         rng = self._rng
         if self.family == "gaussian-bumps":
@@ -73,7 +77,7 @@ class TestFunctionSampler:
             fpp = np.zeros_like(y)
             for _ in range(rng.integers(2, 5)):
                 a = rng.uniform(-1.0, 1.0)
-                c = rng.uniform(0.0, 0.5 * self.support)
+                c = rng.uniform(0.0, 0.5 * SAMPLER_SUPPORT)
                 # keep the ring width resolvable on a log grid: w grows with c
                 w = rng.uniform(max(1.0, 0.35 * c), max(2.0, 0.5 * c))
                 # ring bump exp(-((y^2-c^2)/w^2)^2): even in y, C-infinity
@@ -88,7 +92,7 @@ class TestFunctionSampler:
                 fpp += a * gpp
             return f, fp, fpp
         if self.family == "polynomial-decay":
-            s = rng.uniform(1.0, 0.3 * self.support)
+            s = rng.uniform(1.0, 0.3 * SAMPLER_SUPPORT)
             coef = rng.uniform(-1.0, 1.0, size=4)
             u = (y / s) ** 2
             up = 2.0 * y / s**2
@@ -101,17 +105,17 @@ class TestFunctionSampler:
             fpp = e * ((2.0 / s**2) * (dp - p) + up**2 * (d2p - 2.0 * dp + p))
             return f, fp, fpp
         # random spline times the smooth cutoff
-        knots = np.linspace(0.0, self.support, 12)
+        knots = np.linspace(0.0, SAMPLER_SUPPORT, 12)
         vals = rng.uniform(-1.0, 1.0, size=knots.size)
         vals[-2:] = 0.0
         spl = CubicSpline(knots, vals, bc_type=((1, 0.0), (1, 0.0)))
-        yc = np.minimum(y, self.support)
-        chi = radial.cutoff(self.support / 2.5, y)
-        chi_p = radial.cutoff(self.support / 2.5, y, 1)
-        chi_pp = radial.cutoff(self.support / 2.5, y, 2)
+        yc = np.minimum(y, SAMPLER_SUPPORT)
+        chi = radial.cutoff(SAMPLER_SUPPORT / 2.5, y)
+        chi_p = radial.cutoff(SAMPLER_SUPPORT / 2.5, y, 1)
+        chi_pp = radial.cutoff(SAMPLER_SUPPORT / 2.5, y, 2)
         f0, f1, f2 = spl(yc), spl(yc, 1), spl(yc, 2)
-        f1[y > self.support] = 0.0
-        f2[y > self.support] = 0.0
+        f1[y > SAMPLER_SUPPORT] = 0.0
+        f2[y > SAMPLER_SUPPORT] = 0.0
         return (f0 * chi, f1 * chi + f0 * chi_p,
                 f2 * chi + 2.0 * f1 * chi_p + f0 * chi_pp)
 
@@ -123,17 +127,15 @@ def _log_weight(y):
 def _grid_derivatives(grid, v):
     """First and second derivative on the log grid (for fitted-ratio checks)."""
     t = np.log(grid.nodes)
-    vp = np.gradient(v, t) / grid.nodes
-    vpp = (np.gradient(np.gradient(v, t), t) - np.gradient(v, t)) / grid.nodes**2
-    return vp, vpp
+    vt = np.gradient(v, t)
+    return vt / grid.nodes, (np.gradient(vt, t) - vt) / grid.nodes**2
 
 
-def default_grid(n: int = 4096, y_max: float = 400.0,
-                 y_min: float = 1e-3) -> radial.RadialGrid:
+def default_grid(n: int = 4096, y_max: float = 400.0) -> radial.RadialGrid:
     """Suite grid; the inner cutoff stays at 1e-3 because fourth-order
     stencils near the origin amplify one ulp of an O(1) sample by
     (h^2 y^2)^-2, and no inequality mass lives below that radius."""
-    return radial.make_grid(y_min, y_max, n)
+    return radial.make_grid(GRID_Y_MIN, y_max, n)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +144,7 @@ def default_grid(n: int = 4096, y_max: float = 400.0,
 
 
 def hardy_suite(sampler: TestFunctionSampler, n: int,
-                grid: radial.RadialGrid | None = None,
-                R: float = 100.0, gamma: float = 1.0) -> InequalityReport:
+                grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Integration-by-parts identity for the radial bilaplacian energy plus
     the three weighted Hardy controls, as sample-wide fitted ratios."""
     if n < 50:
@@ -163,14 +164,14 @@ def hardy_suite(sampler: TestFunctionSampler, n: int,
             worst["hardy1"],
             (np.dot(w, vpp**2) + np.dot(w, vp**2 / y**2)) / max(lhs_id, 1e-300),
         )
-        in_r = y <= R
+        in_r = y <= HARDY_R
         band = (y >= 1.0) & (y <= 2.0)
         lhs2 = np.dot(w[in_r], (v**2 / (y**4 * _log_weight(y) ** 2))[in_r])
         rhs2 = np.dot(w[in_r], (vp**2 / y**2)[in_r]) + np.dot(w[band], (v**2)[band])
         worst["hardy2"] = max(worst["hardy2"], lhs2 / max(rhs2, 1e-300))
-        ring = (y >= 1.0) & (y <= R)
-        lhs3 = np.dot(w[ring], (v**2 / (y ** (4 + gamma) * _log_weight(y) ** 2))[ring])
-        rhs3 = (np.dot(w[ring], (vp**2 / (y ** (2 + gamma) * _log_weight(y) ** 2))[ring])
+        ring = (y >= 1.0) & (y <= HARDY_R)
+        lhs3 = np.dot(w[ring], (v**2 / (y ** (4 + HARDY_GAMMA) * _log_weight(y) ** 2))[ring])
+        rhs3 = (np.dot(w[ring], (vp**2 / (y ** (2 + HARDY_GAMMA) * _log_weight(y) ** 2))[ring])
                 + np.dot(w[band], (v**2)[band]))
         worst["hardy3"] = max(worst["hardy3"], lhs3 / max(rhs3, 1e-300))
     tolerance = 1e-6
@@ -207,10 +208,14 @@ def subpositivity_suite(sampler: TestFunctionSampler, n: int,
     )
 
 
-def _h_energy_numerator(grid, v, vp, vpp):
+def _h_ratio(grid, u):
+    """Second-order coercivity ratio for one sample array."""
     y, w = grid.nodes, grid.weights
-    return (np.dot(w, vpp**2) + np.dot(w, vp**2 / y**2)
-            + np.dot(w, v**2 / (y**4 * _log_weight(y) ** 2)))
+    up, upp = _grid_derivatives(grid, u)
+    hu = radial.apply_H(grid.function(u)).values
+    num = (np.dot(w, upp**2) + np.dot(w, up**2 / y**2)
+           + np.dot(w, u**2 / (y**4 * _log_weight(y) ** 2)))
+    return num / max(np.dot(w, hu**2), 1e-300)
 
 
 def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = 50.0,
@@ -225,12 +230,7 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = 50.0,
         v, vp, vpp = sampler.sample(grid)
         f = grid.function(v)
         c = radial.inner(f, phi.Phi_M) / phi_n2
-        u = v - c * phi.Phi_M.values
-        up, upp = _grid_derivatives(grid, u)
-        hu = radial.apply_H(grid.function(u)).values
-        num = _h_energy_numerator(grid, u, up, upp)
-        den = np.dot(grid.weights, hu**2)
-        ratio = num / max(den, 1e-300)
+        ratio = _h_ratio(grid, v - c * phi.Phi_M.values)
         ratios.append(ratio)
         worst = max(worst, ratio)
     return InequalityReport(
@@ -240,17 +240,11 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = 50.0,
     )
 
 
-def coercivity_H_adversarial(M: float = 50.0,
-                             grid: radial.RadialGrid | None = None) -> float:
+def coercivity_H_adversarial(grid: radial.RadialGrid | None = None) -> float:
     """Ratio for the unprojected near-kernel direction chi_10 Lambda Q."""
     grid = grid or default_grid()
     y = grid.nodes
-    u = radial.cutoff(10.0, y) * radial.lambda_q(y)
-    up, upp = _grid_derivatives(grid, u)
-    hu = radial.apply_H(grid.function(u)).values
-    num = _h_energy_numerator(grid, u, up, upp)
-    den = np.dot(grid.weights, hu**2)
-    return float(num / max(den, 1e-300))
+    return float(_h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y)))
 
 
 def _double_project(grid, phi, v):
@@ -273,7 +267,7 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = 50.0,
                         grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Fitted constant of the fourth-order coercivity under the double
     orthogonality (u, Phi_M) = (Hu, Phi_M) = 0."""
-    if sampler.smoothness < 4:
+    if sampler.family not in C4_FAMILIES:
         raise ValueError("fourth-order suite needs a C^4 sample family")
     grid = grid or default_grid()
     phi = direction_phi(M, grid)
@@ -320,18 +314,17 @@ def _h2_ratio(grid, u):
     return num / max(np.dot(w, h2u.values**2), 1e-300)
 
 
-def coercivity_H2_kernel_spike(M: float = 400.0,
-                               grid: radial.RadialGrid | None = None):
+def coercivity_H2_kernel_spike():
     """Ratio for the localized H^2 near-kernel direction, before and after
     the double projection.
 
     The localization junk of T1 scales like (log M)^2/M^4 against an O(1)
-    numerator, so the near-kernel spike only emerges for large M; the
-    default keeps it well clear of the suite radius.
+    numerator, so the near-kernel spike only emerges for large M;
+    KERNEL_SPIKE_M keeps it well clear of the suite radius.
     """
-    grid = grid or default_grid(y_max=4.0 * M)
-    phi = direction_phi(M, grid)
-    raw = radial.cutoff(M, grid.nodes) * build_T1(grid).values
+    grid = default_grid(y_max=4.0 * KERNEL_SPIKE_M)
+    phi = direction_phi(KERNEL_SPIKE_M, grid)
+    raw = radial.cutoff(KERNEL_SPIKE_M, grid.nodes) * build_T1(grid).values
     return _h2_ratio(grid, raw), _h2_ratio(grid, _double_project(grid, phi, raw))
 
 
@@ -366,8 +359,6 @@ def interpolation_spotcheck(epsilon: radial.RadialFunction, E2: float, E4: float
         "supnorm_tail": sup_tail,
     }
     if b is not None:
-        from .profiles import log_binv
-
         lb = log_binv(b)
         details["supnorm_over_b3logC"] = sup_tail / (b**3 * lb**2)
     zero_input = float(np.max(np.abs(eps))) == 0.0

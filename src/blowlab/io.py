@@ -7,6 +7,8 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 
 def format_value(v) -> str:
     if isinstance(v, float):
@@ -29,15 +31,10 @@ def write_json(path, payload):
 
 
 def _json_default(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, (np.floating, np.integer, np.bool_)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -18,20 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from .profiles import log_binv
 
-
-@dataclass(frozen=True)
-class ModulationState:
-    b: float
-    lam: float
-    s: float
-    t: float
-
-    def __post_init__(self):
-        if self.b <= 0 or self.lam <= 0:
-            raise ValueError("modulation state requires b > 0 and lam > 0")
+RTOL = 1e-10  # relative tolerance of every RK45 integration of the system
+FIT_DECADES = 1.0  # fit_blowup_law's window: the final decades of lam decay
 
 
 @dataclass(frozen=True)
@@ -44,12 +36,6 @@ class ReducedTrajectory:
     T_est: float
     T_est_alt: float
 
-    def states(self):
-        return [
-            ModulationState(b=float(bb), lam=float(ll), s=float(ss), t=float(tt))
-            for ss, bb, ll, tt in zip(self.s, self.b, self.lam, self.t)
-        ]
-
 
 def _rhs(_s, state):
     b, lam, _t = state
@@ -58,7 +44,7 @@ def _rhs(_s, state):
 
 
 def integrate_reduced(b0: float, lambda0: float, s_end: float,
-                      rtol: float = 1e-10, n_samples: int = 600) -> ReducedTrajectory:
+                      n_samples: int = 600) -> ReducedTrajectory:
     """Integrate the reduced system with an adaptive embedded RK pair."""
     if not (0.0 < b0 < 1.0):
         raise ValueError("need 0 < b0 < 1")
@@ -82,7 +68,7 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     atol = [1e-300, 1e-300, 1e-16 * lambda0**2 * min(s_end, 1.0 / b0**2)]
     sol = solve_ivp(
         _rhs, (0.0, s_end), (b0, lambda0, 0.0), method="RK45",
-        rtol=rtol, atol=atol,
+        rtol=RTOL, atol=atol,
         dense_output=False, t_eval=s_eval,
         events=[b_vanishes, lam_underflow], max_step=np.inf,
     )
@@ -91,7 +77,7 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     if sol.t_events[0].size or sol.t_events[1].size:
         raise RuntimeError("b or lambda underflowed before s_end")
     s, (b, lam, t) = sol.t, sol.y
-    tau_end, T_alt = _estimate_blowup_time(s, b, lam, rtol)
+    tau_end, T_alt = _estimate_blowup_time(s, b, lam)
     tau = _stable_tau(s, lam, t, tau_end)
     T_est = t[-1] + tau_end
     return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau,
@@ -105,8 +91,6 @@ def _stable_tau(s, lam, t, tau_end):
     increments are recovered from quadrature of lam^2 on the samples and
     accumulated backward from the far end where tau is known.
     """
-    from scipy.interpolate import CubicSpline
-
     dt = np.diff(t)
     safe = dt > 1e-8 * np.maximum(t[1:], 1e-300)
     if not np.all(safe) and len(s) > 3:
@@ -138,7 +122,7 @@ def _tail_integral(s_end, lam_end):
     )
 
 
-def _estimate_blowup_time(s, b, lam, rtol):
+def _estimate_blowup_time(s, b, lam):
     """Remaining time T - t(s_end), extrapolated two ways.
 
     The sharp estimate extends the integration far past s_end (adaptive
@@ -155,7 +139,7 @@ def _estimate_blowup_time(s, b, lam, rtol):
         s_far = 1e4 * s_now
         sol = solve_ivp(
             _rhs, (s_now, s_far), state, method="RK45",
-            rtol=min(rtol, 1e-10),
+            rtol=RTOL,
             atol=[1e-300, 1e-300, 1e-18 * window],
         )
         if not sol.success:
@@ -186,7 +170,7 @@ class BlowupFit:
     window: tuple
 
 
-def fit_blowup_law(traj: ReducedTrajectory, decades: float = 1.0) -> BlowupFit:
+def fit_blowup_law(traj: ReducedTrajectory) -> BlowupFit:
     """Fit lam(t) against (T-t)/|log(T-t)|^2 over the final lam-decade.
 
     Returns the regression slope (expected 1), the prefactor, and the RMS
@@ -196,7 +180,7 @@ def fit_blowup_law(traj: ReducedTrajectory, decades: float = 1.0) -> BlowupFit:
     span = lam[0] / lam[-1]
     if span < 100.0:
         raise ValueError("trajectory spans fewer than 2 decades of lam decay")
-    mask = (lam <= lam[-1] * 10.0**decades) & (tau > 0)
+    mask = (lam <= lam[-1] * 10.0**FIT_DECADES) & (tau > 0)
     x = np.log(tau[mask]) - 2.0 * np.log(np.abs(np.log(tau[mask])))
     z = np.log(lam[mask])
     slope, intercept = np.polyfit(x, z, 1)

@@ -40,6 +40,7 @@ from .radial import (
 
 B_STAR_DEFAULT = 0.05
 M_DEFAULT = 50.0
+DB_REL = 1e-3  # relative step of the tilde/hat residuals' centred b-difference
 _PROFILE_CACHE_SIZE = 24
 
 
@@ -200,8 +201,7 @@ class ErrorReport:
     flux_ratio: float
 
 
-def _psi_values(pset: ProfileSet, variant: str, db_rel: float,
-                b_star: float) -> np.ndarray:
+def _psi_values(pset: ProfileSet, variant: str) -> np.ndarray:
     """Residual of the profile ansatz under b_s = -b^2, lambda_s/lambda = -b.
 
     raw variant: -b^2 (T1 + 2 b T2) + b Lambda Q_b - Delta Q_b - Q_b^3 (the
@@ -236,9 +236,9 @@ def _psi_values(pset: ProfileSet, variant: str, db_rel: float,
     chi_p = cutoff(scale, y, 1)
     lap_chi = cutoff_laplacian(scale, y)
     loc_alpha = chi * alpha
-    db = db_rel * b
-    lo = assemble_profiles(b - db, grid, b_star=b_star, need_localized=False)
-    hi = assemble_profiles(b + db, grid, b_star=b_star, need_localized=False)
+    db = DB_REL * b
+    lo = assemble_profiles(b - db, grid, need_localized=False)
+    hi = assemble_profiles(b + db, grid, need_localized=False)
     scale_lo, scale_hi = (
         (lo.B1, hi.B1) if variant == "tilde" else (lo.B0, hi.B0)
     )
@@ -259,16 +259,15 @@ def _psi_values(pset: ProfileSet, variant: str, db_rel: float,
     )
 
 
-def error_Psi(b: float, variant: str, grid: RadialGrid, M: float = M_DEFAULT,
-              db_rel: float = 1e-3, b_star: float = B_STAR_DEFAULT) -> ErrorReport:
+def error_Psi(b: float, variant: str, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
     """Weighted norms of the profile residual on y <= 2 B1, plus the flux."""
     if variant not in ("raw", "tilde", "hat"):
         raise ValueError(f"unknown profile variant {variant!r}")
-    pset = assemble_profiles(b, grid, b_star=b_star)
+    pset = assemble_profiles(b, grid)
     if grid.y_max < 2.0 * pset.B1:
         raise ValueError("grid y_max below 2*B1; residual zone not covered")
     y = grid.nodes
-    psi = grid.function(_psi_values(pset, variant, db_rel, b_star))
+    psi = grid.function(_psi_values(pset, variant))
     h_psi = apply_H(psi)
     h2_psi = apply_H(h_psi)
     mask = y <= 2.0 * pset.B1
@@ -284,10 +283,9 @@ def error_Psi(b: float, variant: str, grid: RadialGrid, M: float = M_DEFAULT,
     )
 
 
-def flux_ratio(b: float, M: float, grid: RadialGrid,
-               b_star: float = B_STAR_DEFAULT) -> float:
+def flux_ratio(b: float, M: float, grid: RadialGrid) -> float:
     """(H Psi_tilde, Phi_M) / (Lambda Q, Phi_M) by quadrature."""
-    return error_Psi(b, "tilde", grid, M=M, b_star=b_star).flux_ratio
+    return error_Psi(b, "tilde", grid, M=M).flux_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +295,6 @@ def flux_ratio(b: float, M: float, grid: RadialGrid,
 
 @dataclass(frozen=True)
 class DirectionPhi:
-    M: float
-    c_M: float
     Phi_M: RadialFunction
     H_Phi_M: RadialFunction
     pair_lambda_q: float
@@ -331,8 +327,6 @@ def direction_phi(M: float, grid: RadialGrid) -> DirectionPhi:
     phi = grid.function(phi_vals)
     h_phi = grid.function(hs - c_M * apply_H(grid.function(hs)).values)
     direction = DirectionPhi(
-        M=float(M),
-        c_M=c_M,
         Phi_M=phi,
         H_Phi_M=h_phi,
         pair_lambda_q=float(np.dot(grid.weights, phi_vals * lambda_q(y))),

@@ -69,9 +69,6 @@ class RadialGrid:
     def function(self, values) -> "RadialFunction":
         return RadialFunction(self, np.asarray(values, dtype=float))
 
-    def sample(self, f) -> "RadialFunction":
-        return self.function(f(self.nodes))
-
     @classmethod
     def on_nodes(cls, nodes: np.ndarray) -> "RadialGrid":
         """Grid on the given log-uniform nodes, with the panel-moment weights."""
@@ -112,7 +109,7 @@ def _panel_moments(y: np.ndarray):
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Sampled radial function; arithmetic requires the identical grid."""
+    """Sampled radial function; pairings require the identical grid."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -130,34 +127,6 @@ class RadialFunction:
             other.grid.nodes, self.grid.nodes
         ):
             raise ValueError("operands live on different grids")
-
-    def __add__(self, other):
-        if isinstance(other, RadialFunction):
-            self._check(other)
-            return RadialFunction(self.grid, self.values + other.values)
-        return RadialFunction(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, RadialFunction):
-            self._check(other)
-            return RadialFunction(self.grid, self.values - other.values)
-        return RadialFunction(self.grid, self.values - other)
-
-    def __rsub__(self, other):
-        return RadialFunction(self.grid, other - self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, RadialFunction):
-            self._check(other)
-            return RadialFunction(self.grid, self.values * other.values)
-        return RadialFunction(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RadialFunction(self.grid, -self.values)
 
 
 def radial_integral(f: RadialFunction) -> float:
@@ -198,19 +167,9 @@ def lambda_q_prime(y):
     return 16.0 * y * (y**2 - 24.0) / (y**2 + 8.0) ** 3
 
 
-def lambda2_q(y):
-    y = np.asarray(y, dtype=float)
-    return 8.0 * (y**4 - 48.0 * y**2 + 64.0) / (y**2 + 8.0) ** 3
-
-
 def potential(y):
     y = np.asarray(y, dtype=float)
     return 192.0 / (y**2 + 8.0) ** 2
-
-
-def lambda_potential(y):
-    y = np.asarray(y, dtype=float)
-    return -192.0 * (3.0 * y**2 - 8.0) / (y**2 + 8.0) ** 3
 
 
 def gamma_growing(y):
@@ -296,23 +255,6 @@ def cutoff_laplacian(scale: float, y):
 # ---------------------------------------------------------------------------
 
 
-def lambda_scale(f: RadialFunction) -> RadialFunction:
-    """Scaling generator Lambda f = f + y f' by differencing on the grid."""
-    y = f.grid.nodes
-    t = np.log(y)
-    v = f.values
-    ft = np.empty_like(v)
-    ft[1:-1] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
-    ft[0] = (v[1] - v[0]) / (t[1] - t[0]) - 0.5 * (
-        (v[2] - v[1]) / (t[2] - t[1]) - (v[1] - v[0]) / (t[1] - t[0])
-    )
-    ft[-1] = (v[-1] - v[-2]) / (t[-1] - t[-2]) + 0.5 * (
-        (v[-1] - v[-2]) / (t[-1] - t[-2]) - (v[-2] - v[-3]) / (t[-2] - t[-3])
-    )
-    # y f' = df/dt
-    return RadialFunction(f.grid, v + ft)
-
-
 def _stencil_coeffs(grid: RadialGrid):
     """Cached interior stencil factors for the flux form of the Laplacian."""
     key = "H_stencil"
@@ -345,7 +287,7 @@ def neg_laplacian_bands(grid: RadialGrid, scale: float = 1.0) -> np.ndarray:
     return bands
 
 
-def apply_H(f: RadialFunction, potential_values: np.ndarray | None = None) -> RadialFunction:
+def apply_H(f: RadialFunction) -> RadialFunction:
     """Discrete H f = -(f'' + 3 f'/y) - V f.
 
     Interior nodes use the conservative flux stencil of -(y^3 f')'/y^3 in the
@@ -358,7 +300,7 @@ def apply_H(f: RadialFunction, potential_values: np.ndarray | None = None) -> Ra
     grid = f.grid
     y, v = grid.nodes, f.values
     ep, em, inv = _stencil_coeffs(grid)
-    V = potential(y) if potential_values is None else potential_values
+    V = potential(y)
     out = np.empty_like(v)
     out[1:-1] = -inv[1:-1] * (
         ep * (v[2:] - v[1:-1]) - em * (v[1:-1] - v[:-2])
@@ -467,14 +409,19 @@ def _reject_non_integrable(grid: RadialGrid, f: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+# shifted inverse iteration of unstable_mode
+EIG_SHIFT = -1.0
+EIG_TOL = 1e-10
+EIG_MAX_ITER = 400
+
+
 @dataclass(frozen=True)
 class Eigenpair:
     zeta: float
     psi: RadialFunction
 
 
-def unstable_mode(grid: RadialGrid, shift: float = -1.0, tol: float = 1e-10,
-                  max_iter: int = 400) -> Eigenpair:
+def unstable_mode(grid: RadialGrid) -> Eigenpair:
     """Unique negative-eigenvalue pair of the discretized H.
 
     Shifted inverse iteration on the tridiagonal operator; the one isolated
@@ -498,11 +445,11 @@ def unstable_mode(grid: RadialGrid, shift: float = -1.0, tol: float = 1e-10,
 
     x = np.exp(-grid.nodes)
     x /= np.sqrt(np.dot(w, x * x))
-    mu = shift
-    sigma = shift
+    mu = EIG_SHIFT
+    sigma = EIG_SHIFT
     best = np.inf
     stale = 0
-    for it in range(max_iter):
+    for it in range(EIG_MAX_ITER):
         shifted = banded.copy()
         shifted[1] -= sigma
         shifted[1, -1] = 1.0  # keep Dirichlet row intact
@@ -521,7 +468,7 @@ def unstable_mode(grid: RadialGrid, shift: float = -1.0, tol: float = 1e-10,
         res = np.sqrt(np.dot(w, (ax - mu * x) ** 2))
         if it >= 8:
             sigma = mu  # Rayleigh acceleration once locked in
-        if res <= tol * max(abs(mu), 1.0):
+        if res <= EIG_TOL * max(abs(mu), 1.0):
             break
         # roundoff floor of the near-singular Rayleigh solves
         if res < best * 0.9:

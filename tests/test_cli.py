@@ -46,6 +46,11 @@ def test_config_round_trips_losslessly():
 def test_invalid_command():
     with pytest.raises(ValueError, match="command"):
         parse_config("command=explode")
+    # verify runs fourth-order suites, so only the C^4 families parse
+    for family in ("random-spline", "nope"):
+        with pytest.raises(ValueError, match="'gaussian-bumps', 'polynomial-decay'"):
+            parse_config(f"command=verify family={family}")
+    assert parse_config("command=verify family=polynomial-decay").family == "polynomial-decay"
 
 
 def test_run_dirs_are_append_only(tmp_path):

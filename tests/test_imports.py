@@ -65,3 +65,70 @@ def test_no_unread_definitions():
         if not any(node.name in refs for _, other, refs in parts if other is not node):
             unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unread, "defined but never read:\n" + "\n".join(unread)
+
+
+# Defaulted parameters that may keep a default no call sets, each with its reason.
+UNSET_DEFAULTS_ALLOWED = {
+    # perfbench/spans.py reads this default with inspect.signature to key
+    # its profile-LRU hit probe, so the signature keeps it
+    ("assemble_profiles", "b_star"),
+}
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(function name, parameter, positional index or None, line) for every
+    defaulted parameter of a function, method or nested function.  A method
+    is called by its name, __init__ by its class's; no call passes self or
+    cls by position."""
+    owner = {id(f): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for f in cls.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        bound = id(node) in owner
+        name = owner[id(node)] if node.name == "__init__" else node.name
+        first = len(positional) - len(a.defaults)
+        for k in range(first, len(positional)):
+            out.append((name, positional[k].arg, k - bound, node.lineno))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((name, arg.arg, None, node.lineno))
+    return out
+
+
+def _calls(tree: ast.Module) -> list:
+    """(callee name, positional count, keyword names) for every call, matched
+    to definitions by name alone; a starred argument counts as every
+    position, ** as every keyword (None)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.append((name, float("inf") if starred else len(node.args),
+                        {k.arg for k in node.keywords}))
+    return out
+
+
+def test_no_unset_defaults():
+    # a default that no call overrides is a constant in disguise
+    defaults, calls = [], []
+    for root in READERS:
+        for path in sorted(root.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            calls += _calls(tree)
+            if path.parent == SRC:
+                defaults += [(path.name, *d) for d in _defaulted_parameters(tree)]
+    unset = []
+    for fname, func, param, index, line in defaults:
+        if (func, param) in UNSET_DEFAULTS_ALLOWED:
+            continue
+        if not any(name == func and (param in kw or None in kw
+                                     or (index is not None and n_pos > index))
+                   for name, n_pos, kw in calls):
+            unset.append(f"{fname}:{line}: {func}({param})")
+    assert not unset, "defaulted parameters no call sets:\n" + "\n".join(unset)

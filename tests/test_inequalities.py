@@ -26,7 +26,7 @@ def test_sampler_families_are_regular(sgrid):
             # radial regularity: derivative vanishes toward the origin
             assert abs(vp[0]) < 1e-2 * (np.max(np.abs(v)) + 1e-30)
             # decay at the outer edge
-            assert np.max(np.abs(v[sgrid.nodes > 2.4 * sampler.support])) \
+            assert np.max(np.abs(v[sgrid.nodes > 2.4 * ineq.SAMPLER_SUPPORT])) \
                 <= 1e-10 * (np.max(np.abs(v)) + 1e-30)
 
 

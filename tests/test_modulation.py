@@ -11,12 +11,7 @@ def reference_trajectory():
     return modulation.integrate_reduced(0.01, 1.0, 1e6)
 
 
-def test_states_and_guards(reference_trajectory):
-    tr = reference_trajectory
-    st = tr.states()[0]
-    assert st.b == 0.01 and st.lam == 1.0
-    with pytest.raises(ValueError):
-        modulation.ModulationState(b=-1.0, lam=1.0, s=0.0, t=0.0)
+def test_states_and_guards():
     with pytest.raises(ValueError):
         modulation.integrate_reduced(-0.01, 1.0, 10.0)
     with pytest.raises(ValueError):
