@@ -2,19 +2,23 @@
 
 Lines hold `key = value` pairs ('#' starts a comment); a `[section]` header
 prefixes the following keys as `section.key`.  Unknown keys are rejected
-with their full path, and every numeric parameter is validated against its
+with their full path, every float must be finite (NaN in bracket_lo/hi means
+"grow a bracket"), and every numeric parameter is validated against its
 documented window so a config that parses is a config that can run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .inequalities import C4_FAMILIES
+from .modulation import S_MAX
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
 B_WINDOW = (0.0, 0.05)
+NAN_MEANS_UNSET = ("bracket_lo", "bracket_hi")  # NaN: shoot grows its own bracket
 
 
 @dataclass
@@ -50,6 +54,11 @@ class RunConfig:
     def validate(self):
         _require(self.command in COMMANDS,
                  f"command must be one of {COMMANDS}, got {self.command!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not (
+                    math.isfinite(v) or (f.name in NAN_MEANS_UNSET and math.isnan(v))):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         _window("b0", self.b0, B_WINDOW)
         for b in self.b_sweep:
             _window("b_sweep", b, B_WINDOW)
@@ -58,7 +67,8 @@ class RunConfig:
         _require(0 < self.grid_y_min < self.grid_y_max,
                  "grid_y_min must be positive and below grid_y_max")
         _require(64 <= self.grid_n <= 2_000_000, "grid_n must lie in [64, 2e6]")
-        _require(self.s_end > 0 and self.fit_s_end > 0, "s_end must be positive")
+        _require(0 < self.s_end <= S_MAX and 0 < self.fit_s_end <= S_MAX,
+                 f"s_end and fit_s_end must lie in (0, {S_MAX:g}]")
         _require(0 <= self.budget <= 1000, "budget must lie in [0, 1000]")
         _require(self.kappa_exit_factor >= 1.0, "kappa_exit_factor must be >= 1")
         _require(30 <= self.nodes_per_decade <= 2000,

@@ -7,8 +7,20 @@ The closed system
     dt/ds      = lam^2
 
 encodes the leading-order evolution extracted from the profile construction:
-the 2/|log b| correction is the radiation flux, and reintegrating it produces
-the blow-up speed lam(t) ~ (T-t)/|log(T-t)|^2.
+the 2/|log b| correction is the radiation flux.  In L = |log b| it integrates
+exactly.  With L0 = |log b0|, d = L - L0, S(x) = x^4 + 10x^3 + 42x^2 + 92x + 92
+and C = lam0^2 / (b0 (L0+2)^4):
+
+    s     = e^L - e^L0 - 2 e^-2 (Ei(L+2) - Ei(L0+2))
+    b     = b0 e^-d
+    lam   = lam0 e^-d ((L+2)/(L0+2))^2
+    T - t = C e^-d S(L),   T = C S(L0)
+
+so lam/(T-t) is proportional to (L+2)^2/S(L) ~ 1/L^2 while |log(T-t)| ~ L:
+the blow-up speed lam(t) ~ (T-t)/|log(T-t)|^2 read off directly.  Each
+sample inverts s(d) by Newton.  Two differences cancel where d is small:
+Ei(L+2) - Ei(L0+2), so s integrates its first unit of d by quadrature, and
+T - (T-t), so t is formed from the increment S(L) - S(L0) expanded in d.
 """
 
 from __future__ import annotations
@@ -17,13 +29,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.special import expi
 
 from .profiles import log_binv
 
-RTOL = 1e-10  # relative tolerance of every RK45 integration of the system
+S_MAX = 1e280  # largest s_end: b ~ 1/s, and lam, T - t for lambda0 ~ 1, stay normal doubles
 FIT_DECADES = 1.0  # fit_blowup_law's window: the final decades of lam decay
+HEAD = 1.0  # s(d) by quadrature for d <= HEAD, where the Ei difference cancels
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+S_POLY = np.polynomial.Polynomial([92.0, 92.0, 42.0, 10.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -32,86 +46,63 @@ class ReducedTrajectory:
     b: np.ndarray
     lam: np.ndarray
     t: np.ndarray
-    tau: np.ndarray  # T_est - t, accumulated backward so deep values keep precision
+    tau: np.ndarray  # T_est - t = C e^-d S(L), formed directly so deep values keep precision
     T_est: float
     T_est_alt: float
 
 
-def _rhs(_s, state):
-    b, lam, _t = state
-    db = -b * b * (1.0 + 2.0 / log_binv(b))
-    return (db, -b * lam, lam * lam)
-
-
 def integrate_reduced(b0: float, lambda0: float, s_end: float,
                       n_samples: int = 600) -> ReducedTrajectory:
-    """Integrate the reduced system with an adaptive embedded RK pair."""
+    """Evaluate the exact solution of the reduced system on log-spaced s."""
     if not (0.0 < b0 < 1.0):
         raise ValueError("need 0 < b0 < 1")
-    if lambda0 <= 0 or s_end <= 0:
-        raise ValueError("need lambda0 > 0 and s_end > 0")
-
-    def b_vanishes(_s, state):
-        return state[0] - 1e-280
-
-    def lam_underflow(_s, state):
-        return state[1] - 1e-280
-
-    b_vanishes.terminal = True
-    lam_underflow.terminal = True
-
-    s_eval = np.unique(np.concatenate([
+    if not (0.0 < lambda0 < np.inf and 0.0 < s_end <= S_MAX):
+        raise ValueError(f"need finite lambda0 > 0 and 0 < s_end <= {S_MAX:g}")
+    s = np.unique(np.concatenate([
         [0.0], np.logspace(np.log10(max(s_end * 1e-8, 1e-8)), np.log10(s_end), n_samples - 1)
     ]))
-    s_eval = np.clip(s_eval, 0.0, s_end)
-    # b and lambda span many orders of magnitude: control them relatively
-    atol = [1e-300, 1e-300, 1e-16 * lambda0**2 * min(s_end, 1.0 / b0**2)]
-    sol = solve_ivp(
-        _rhs, (0.0, s_end), (b0, lambda0, 0.0), method="RK45",
-        rtol=RTOL, atol=atol,
-        dense_output=False, t_eval=s_eval,
-        events=[b_vanishes, lam_underflow], max_step=np.inf,
-    )
-    if not sol.success:
-        raise RuntimeError(f"reduced integration failed: {sol.message}")
-    if sol.t_events[0].size or sol.t_events[1].size:
-        raise RuntimeError("b or lambda underflowed before s_end")
-    s, (b, lam, t) = sol.t, sol.y
-    tau_end, T_alt = _estimate_blowup_time(s, b, lam)
-    tau = _stable_tau(s, lam, t, tau_end)
-    T_est = t[-1] + tau_end
-    return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau,
-                             T_est=T_est, T_est_alt=float(t[-1] + T_alt))
+    s = np.clip(s, 0.0, s_end)
+    L0 = log_binv(b0)
+    d = _d_of_s(s, L0)
+    L = L0 + d
+    decay = np.exp(-d)
+    C = lambda0**2 / (b0 * (L0 + 2.0) ** 4)
+    S0 = S_POLY(L0)
+    increment = S_POLY(np.polynomial.Polynomial([L0, 1.0])) - S0  # S(L0 + d) - S0 in powers of d
+    b = b0 * decay
+    lam = lambda0 * decay * ((L + 2.0) / (L0 + 2.0)) ** 2
+    t = C * (-np.expm1(-d) * S0 - decay * increment(d))
+    tau = C * decay * S_POLY(L)
+    T_est = C * S0
+    if not all(np.finfo(float).tiny <= v < np.inf for v in (b[-1], lam[-1], tau[-1], T_est)):
+        raise ValueError("b, lambda or T - t at s_end is not a positive normal double")
+    return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau, T_est=float(T_est),
+                             T_est_alt=float(t[-1] + _tail_integral(s[-1], lam[-1])))
 
 
-def _stable_tau(s, lam, t, tau_end):
-    """T - t at every sample without forming T - t directly.
+def _s_of_d(d, L0):
+    """s(d) = int_0^d e^(L0+x) (L0+x)/(L0+x+2) dx, the time in s to reach L0 + d."""
+    s = np.empty_like(d)
+    head = d <= HEAD
+    u = L0 + 0.5 * d[head, None] * (1.0 + GL_NODES)
+    s[head] = 0.5 * d[head] * ((np.exp(u) * u / (u + 2.0)) @ GL_WEIGHTS)
+    L = L0 + d[~head]
+    s[~head] = (np.exp(L0) * np.expm1(d[~head])
+                - 2.0 * np.exp(-2.0) * (expi(L + 2.0) - expi(L0 + 2.0)))
+    return s
 
-    Absolute t saturates at T once T - t drops below one ulp of T, so deep
-    increments are recovered from quadrature of lam^2 on the samples and
-    accumulated backward from the far end where tau is known.
-    """
-    dt = np.diff(t)
-    safe = dt > 1e-8 * np.maximum(t[1:], 1e-300)
-    if not np.all(safe) and len(s) > 3:
-        pos = s > 0
-        spl = CubicSpline(np.log(s[pos]), 2.0 * np.log(lam[pos]))
-        nodes, wts = np.polynomial.legendre.leggauss(8)
-        ls = np.log(s[pos])
-        a, bnd = ls[:-1], ls[1:]
-        half = 0.5 * (bnd - a)
-        mid = 0.5 * (bnd + a)
-        u = mid[:, None] + half[:, None] * nodes[None, :]
-        seg = half * np.einsum("ij,j->i", np.exp(spl(u) + u), wts)
-        dt_fix = np.empty_like(dt)
-        n_head = len(s) - pos.sum()  # segments touching s = 0 keep the raw diff
-        dt_fix[:n_head] = dt[:n_head]
-        dt_fix[n_head:] = seg
-        dt = np.where(safe, dt, dt_fix)
-    tau = np.empty_like(t)
-    tau[-1] = tau_end
-    tau[:-1] = tau_end + np.cumsum(dt[::-1])[::-1]
-    return tau
+
+def _d_of_s(s, L0):
+    """Invert s(d) by Newton.  s(d) is increasing and convex, and the start
+    log1p(s b0 (L0+2)/L0) lies above the root, so the iterates fall to it."""
+    d = np.log1p(s * math.exp(-L0) * (L0 + 2.0) / L0)
+    for _ in range(100):
+        L = L0 + d
+        step = (_s_of_d(d, L0) - s) / (np.exp(L) * L / (L + 2.0))
+        d = d - step
+        if np.all(np.abs(step) <= 1e-8 * np.minimum(d, 1.0)):
+            return d
+    raise RuntimeError("Newton inversion of s(d) did not converge")
 
 
 def _tail_integral(s_end, lam_end):
@@ -120,36 +111,6 @@ def _tail_integral(s_end, lam_end):
     return lam_end**2 * s_end * sum(
         math.comb(4, k) * math.factorial(k) / L**k for k in range(5)
     )
-
-
-def _estimate_blowup_time(s, b, lam):
-    """Remaining time T - t(s_end), extrapolated two ways.
-
-    The sharp estimate extends the integration far past s_end (adaptive
-    steps grow with s, so this is cheap), accumulating the increment from
-    zero to dodge absolute-t cancellation, and closes with the model tail
-    once it is negligible.  The alternative applies the tail model at s_end
-    directly; the discrepancy measures how converged the law is.
-    """
-    tail_alt = _tail_integral(s[-1], lam[-1])
-    state = (b[-1], lam[-1], 0.0)
-    s_now = s[-1]
-    window = lam[-1] ** 2 * s[-1]
-    for _ in range(60):
-        s_far = 1e4 * s_now
-        sol = solve_ivp(
-            _rhs, (s_now, s_far), state, method="RK45",
-            rtol=RTOL,
-            atol=[1e-300, 1e-300, 1e-18 * window],
-        )
-        if not sol.success:
-            return float(tail_alt), float(tail_alt)
-        state = tuple(sol.y[:, -1])
-        s_now = sol.t[-1]
-        if _tail_integral(s_now, state[1]) < 1e-6 * window or s_now > 1e250:
-            break
-    tau_end = state[2] + _tail_integral(s_now, state[1])
-    return float(tau_end), float(tail_alt)
 
 
 def b_of_s_asymptotic(s: float) -> float:

@@ -51,6 +51,16 @@ def test_invalid_command():
         with pytest.raises(ValueError, match="'gaussian-bumps', 'polynomial-decay'"):
             parse_config(f"command=verify family={family}")
     assert parse_config("command=verify family=polynomial-decay").family == "polynomial-decay"
+    # a float that parses is finite, and s_end stays where b, lambda and T - t
+    # are normal doubles; NaN in bracket_lo/hi is the "grow a bracket" marker
+    for text in ("s_end=inf", "s_end=1e300", "fit_s_end=inf", "fit_s_end=nan",
+                 "lambda0=inf", "lambda0=nan", "a_plus=inf", "a_plus=nan",
+                 "kappa_exit_factor=inf", "grid_y_max=inf", "bracket_lo=inf",
+                 "bracket_hi=-inf"):
+        with pytest.raises(ValueError, match=text.split("=")[0]):
+            parse_config(f"command=modulation {text}")
+    cfg = parse_config("command=shoot bracket_lo=nan bracket_hi=nan s_end=1e280")
+    assert np.isnan(cfg.bracket_lo) and cfg.s_end == 1e280
 
 
 def test_run_dirs_are_append_only(tmp_path):

@@ -33,25 +33,43 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
-def _references(node: ast.AST) -> set:
-    """Names a node reads: identifiers, attributes, imported names and the
-    dotted parts of string constants (patch targets such as "Class.method")."""
-    out = set()
+def _references(node: ast.AST) -> tuple:
+    """(bare, qualified) names a node reads.  Bare names are identifiers,
+    which another module's code resolves in its own namespace.  Qualified
+    names reach a definition from anywhere: attributes, imported names and
+    the dotted parts of string constants (patch targets such as
+    "Class.method")."""
+    bare, qualified = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            bare.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            qualified.add(sub.attr)
         elif isinstance(sub, ast.alias):
-            out.update(sub.name.split("."))
+            qualified.update(sub.name.split("."))
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.update(sub.value.split("."))
-    return out
+            qualified.update(sub.value.split("."))
+    return bare, qualified
+
+
+def _bound_names(node: ast.stmt) -> list:
+    """Names a top-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
 def test_no_unread_definitions():
-    # each top-level function or class of the package is read somewhere
-    # other than in its own definition
+    # each top-level function, class or assigned name of the package is read
+    # somewhere other than in its own definition: by name in its own module,
+    # by attribute, import or string anywhere
     parts = []  # (path, top-level statement, the names it reads)
     for root in READERS:
         for path in sorted(root.glob("*.py")):
@@ -59,11 +77,12 @@ def test_no_unread_definitions():
             parts += [(path, node, _references(node)) for node in tree.body]
     unread = []
     for path, node, _ in parts:
-        if path.parent != SRC or not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if path.parent != SRC:
             continue
-        if not any(node.name in refs for _, other, refs in parts if other is not node):
-            unread.append(f"{path.name}:{node.lineno}: {node.name}")
+        for name in _bound_names(node):
+            if not any(name in qualified or (where == path and name in bare)
+                       for where, other, (bare, qualified) in parts if other is not node):
+                unread.append(f"{path.name}:{node.lineno}: {name}")
     assert not unread, "defined but never read:\n" + "\n".join(unread)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from blowlab import modulation
 
@@ -16,6 +17,31 @@ def test_states_and_guards():
         modulation.integrate_reduced(-0.01, 1.0, 10.0)
     with pytest.raises(ValueError):
         modulation.integrate_reduced(0.01, 1.0, -1.0)
+    for lambda0, s_end in ((1.0, np.inf), (1.0, np.nan), (1.0, 1e300),
+                           (np.inf, 1e6), (np.nan, 1e6)):
+        with pytest.raises(ValueError, match="s_end"):
+            modulation.integrate_reduced(0.01, lambda0, s_end)
+    # T - t ~ lambda0^2 |log b|^4 b underflows at s_end
+    with pytest.raises(ValueError, match="normal double"):
+        modulation.integrate_reduced(0.01, 1e-150, 1e30)
+
+
+@pytest.mark.parametrize("b0, lambda0, s_end", [
+    (1e-9, 2.0, 100.0), (1e-2, 1.0, 1e6), (1e-3, 1.0, 1e30), (0.05, 1.0, 1e30)])
+def test_closed_form_matches_a_high_order_solve(b0, lambda0, s_end):
+    # (1e-9, 2, 100) keeps d = log(b0/b) near 1e-7: both the Ei difference
+    # in s(d) and T - (T - t) cancel there, while T ~ 4.4e9 and t <= 400
+    def rhs(_s, state):
+        b, lam, _t = state
+        return (-b * b * (1.0 + 2.0 / np.log(1.0 / b)), -b * lam, lam * lam)
+
+    tr = modulation.integrate_reduced(b0, lambda0, s_end)
+    ref = solve_ivp(rhs, (0.0, s_end), (b0, lambda0, 0.0), method="DOP853",
+                    rtol=1e-13, atol=(1e-300, 1e-300, 1e-30), t_eval=tr.s)
+    assert ref.success and np.array_equal(ref.t, tr.s)
+    for got, want in zip((tr.b, tr.lam, tr.t), ref.y):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(tr.t + tr.tau - tr.T_est)) <= 1e-13 * tr.T_est
 
 
 def test_monotonicity_and_positivity(reference_trajectory):
