@@ -136,6 +136,8 @@ def _cmd_simulate(config: RunConfig, run_dir):
         "termination": traj.termination,
         "steps": traj.steps,
         "lambda_decay": float(config.lambda0 / np.nanmin(traj.series("lam"))),
+        "step_rejects": traj.step_rejects,
+        "decompose_lost_step": traj.decompose_lost_step,
     }
     ok = traj.termination != "solver_failure"
     return ok, traj.classification.value, files, metrics

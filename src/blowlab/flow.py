@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from . import radial
 from .profiles import (
@@ -147,6 +146,8 @@ class FlowTrajectory:
     classification: RunClass | None
     final_state: FlowState
     steps: int
+    step_rejects: int = 0  # step_flow rejects over the run
+    decompose_lost_step: int | None = None  # step whose decomposition failed
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(c, name) for c in self.checkpoints])
@@ -181,30 +182,42 @@ def _u_eval(r: np.ndarray, u: np.ndarray):
     return evaluate
 
 
-def _imex_substep(grid, u, dt):
-    """Solve (I - dt Delta) u_new = u + dt u^3, Dirichlet u_new = u at r_max.
+def _implicit_system(grid, dt):
+    """Diagonals of I - dt Delta with an identity last row (Dirichlet
+    u_new = u at r_max), so the boundary value u[-1] is kept bit for bit by
+    every step."""
+    dl, d, du = radial.neg_laplacian_diagonals(grid, dt)
+    d += 1.0
+    return dl, d, du
 
-    The last band row is the identity, so the boundary value u[-1] is kept
-    bit for bit by every step.
-    """
-    rhs = u + dt * u**3
+
+def _substep(system, u, u3, dt):
+    """Solve (I - dt Delta) u_new = u + dt u^3 on the given system."""
+    rhs = u + dt * u3
     rhs[-1] = u[-1]
-    banded = radial.neg_laplacian_bands(grid, dt)
-    banded[1] += 1.0
-    return solve_banded((1, 1), banded, rhs)
+    try:
+        return radial.tridiagonal_solve(*system, rhs)
+    except np.linalg.LinAlgError:
+        raise RuntimeError("implicit system is singular; solver failure")
 
 
 def step_flow(grid: radial.RadialGrid, u: np.ndarray, dt: float, rtol: float,
               atol: float):
     """One accepted IMEX step with step-doubling control.
 
-    Returns (u_new, dt_taken, dt_next, n_rejects).
+    Returns (u_new, dt_taken, dt_next, n_rejects).  A non-finite u raises
+    RuntimeError at once; a non-finite trial step counts as a reject.
     """
+    scale = atol + rtol * np.max(np.abs(u))
+    if not np.isfinite(scale):
+        raise RuntimeError("non-finite state; solver failure")
+    u3 = u**3
     rejects = 0
     while True:
-        full = _imex_substep(grid, u, dt)
-        half = _imex_substep(grid, _imex_substep(grid, u, 0.5 * dt), 0.5 * dt)
-        scale = atol + rtol * np.max(np.abs(u))
+        full = _substep(_implicit_system(grid, dt), u, u3, dt)
+        half_system = _implicit_system(grid, 0.5 * dt)
+        mid = _substep(half_system, u, u3, 0.5 * dt)
+        half = _substep(half_system, mid, mid**3, 0.5 * dt)
         err = float(np.max(np.abs(half - full))) / scale
         if not np.isfinite(err):
             err = 1e6
@@ -418,6 +431,8 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
     checkpoints = []
     termination = "budget"
     decomp_lost = False
+    lost_step = None
+    rejects = 0
     kappa = 0.0
 
     step = 0
@@ -425,10 +440,12 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
         step += 1
         dt = min(dt, DS_CAP * lam**2)
         try:
-            u, dt_taken, dt, _ = step_flow(grid, u, dt, params.rtol_step, ATOL_STEP)
+            u, dt_taken, dt, n_rejects = step_flow(grid, u, dt, params.rtol_step,
+                                                   ATOL_STEP)
         except RuntimeError:
             termination = "solver_failure"
             break
+        rejects += n_rejects
         t += dt_taken
         umax = float(np.max(np.abs(u)))
         if not np.isfinite(umax) or umax > params.u_cap:
@@ -441,6 +458,7 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
                 lam, b, dd = decompose(cache, grid.nodes, u, (lam, b))
             except RuntimeError:
                 decomp_lost = True
+                lost_step = step
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
 
         if not decomp_lost:
@@ -473,6 +491,7 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
     traj = FlowTrajectory(
         params=params, checkpoints=checkpoints, termination=termination,
         classification=None, final_state=FlowState(grid=grid, u=u), steps=step,
+        step_rejects=rejects, decompose_lost_step=lost_step,
     )
     traj.classification = classify(traj)
     return traj

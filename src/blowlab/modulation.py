@@ -58,8 +58,11 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
         raise ValueError("need 0 < b0 < 1")
     if not (0.0 < lambda0 < np.inf and 0.0 < s_end <= S_MAX):
         raise ValueError(f"need finite lambda0 > 0 and 0 < s_end <= {S_MAX:g}")
+    # the log-spaced part starts at max(1e-8, 1e-8 s_end), or 8 decades
+    # below s_end once s_end <= 1e-8, so that it starts below s_end
+    lo = max(s_end * 1e-8, 1e-8) if s_end > 1e-8 else s_end * 1e-8
     s = np.unique(np.concatenate([
-        [0.0], np.logspace(np.log10(max(s_end * 1e-8, 1e-8)), np.log10(s_end), n_samples - 1)
+        [0.0], np.logspace(np.log10(lo), np.log10(s_end), n_samples - 1)
     ]))
     s = np.clip(s, 0.0, s_end)
     L0 = log_binv(b0)

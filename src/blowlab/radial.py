@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv as _gtsv
 
 
 # ---------------------------------------------------------------------------
@@ -256,35 +256,54 @@ def cutoff_laplacian(scale: float, y):
 
 
 def _stencil_coeffs(grid: RadialGrid):
-    """Cached interior stencil factors for the flux form of the Laplacian."""
+    """Cached unscaled stencil factors of -Delta: exp(h), exp(-h), their sum,
+    the interior 1/(y^2 h^2) and the first row's regularity factor
+    8/(y1^2 - y0^2)."""
     key = "H_stencil"
     if key not in grid.cache:
         h = grid.h
         y = grid.nodes
         ep, em = np.exp(h), np.exp(-h)
-        inv = 1.0 / (y**2 * h * h)
-        grid.cache[key] = (ep, em, inv)
+        inv = 1.0 / (y[1:-1] ** 2 * h * h)
+        grid.cache[key] = (ep, em, ep + em, inv, 8.0 / (y[1] ** 2 - y[0] ** 2))
     return grid.cache[key]
 
 
-def neg_laplacian_bands(grid: RadialGrid, scale: float = 1.0) -> np.ndarray:
-    """scale * (-Delta) as a tridiagonal matrix in solve_banded (1, 1) storage.
+def neg_laplacian_diagonals(grid: RadialGrid, scale: float = 1.0):
+    """scale * (-Delta) as a tridiagonal matrix: the (sub, main, super)
+    diagonals (dl, d, du) that tridiagonal_solve takes.
 
     Interior rows are the flux stencil of apply_H; the first row is its
     even-extension regularity rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2).
     The last row is zero: the caller sets the outer boundary condition.
     """
-    ep, em, inv = _stencil_coeffs(grid)
-    y = grid.nodes
-    c = scale * inv[1:-1]
-    bands = np.zeros((3, grid.n))
-    bands[0, 2:] = -c * ep
-    bands[1, 1:-1] = c * (ep + em)
-    bands[2, :-2] = -c * em
-    c0 = scale * (8.0 / (y[1] ** 2 - y[0] ** 2))
-    bands[0, 1] = -c0
-    bands[1, 0] = c0
-    return bands
+    ep, em, epm, inv, reg = _stencil_coeffs(grid)
+    c = scale * inv
+    c0 = scale * reg
+    dl = np.empty(grid.n - 1)
+    np.multiply(c, -em, out=dl[:-1])
+    dl[-1] = 0.0
+    d = np.empty(grid.n)
+    d[0] = c0
+    np.multiply(c, epm, out=d[1:-1])
+    d[-1] = 0.0
+    du = np.empty(grid.n - 1)
+    du[0] = -c0
+    np.multiply(c, -ep, out=du[1:])
+    return dl, d, du
+
+
+def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
+    """x with (dl, d, du) x = rhs, by LAPACK gtsv (Gaussian elimination with
+    partial pivoting), the routine solve_banded calls for (1, 1) bands, so
+    the bits are the same; skipping its input checks and band copies is
+    most of the saving.  The inputs are left unchanged.  Raises LinAlgError
+    when the system is exactly singular.
+    """
+    x, info = _gtsv(dl, d, du, rhs)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    return x
 
 
 def apply_H(f: RadialFunction) -> RadialFunction:
@@ -294,15 +313,15 @@ def apply_H(f: RadialFunction) -> RadialFunction:
     log variable (exactly symmetric against the quadrature weights away from
     the ends).  The first node encodes radial regularity f'(0) = 0 through
     the even-extension parabola rule, the last node a one-sided stencil.
-    All rows but the last are those of neg_laplacian_bands minus V, summed
+    All rows but the last are those of neg_laplacian_diagonals minus V, summed
     as flux differences because the H^2-weighted norms see this roundoff.
     """
     grid = f.grid
     y, v = grid.nodes, f.values
-    ep, em, inv = _stencil_coeffs(grid)
+    ep, em, _, inv, _ = _stencil_coeffs(grid)
     V = potential(y)
     out = np.empty_like(v)
-    out[1:-1] = -inv[1:-1] * (
+    out[1:-1] = -inv * (
         ep * (v[2:] - v[1:-1]) - em * (v[1:-1] - v[:-2])
     )
     # ghost node / even extension: Delta f(y0) = 8 (f1 - f0)/(y1^2 - y0^2)
@@ -432,15 +451,15 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     if "unstable_mode" in grid.cache:
         return grid.cache["unstable_mode"]
     # H with a Dirichlet last row
-    banded = neg_laplacian_bands(grid)
-    banded[1] -= potential(grid.nodes)
-    banded[1, -1] = 1.0
+    dl, d, du = neg_laplacian_diagonals(grid)
+    d -= potential(grid.nodes)
+    d[-1] = 1.0
     w = grid.weights
 
     def matvec(x):
-        out = banded[1] * x
-        out[:-1] += banded[0][1:] * x[1:]
-        out[1:] += banded[2][:-1] * x[:-1]
+        out = d * x
+        out[:-1] += du * x[1:]
+        out[1:] += dl * x[:-1]
         return out
 
     x = np.exp(-grid.nodes)
@@ -450,11 +469,10 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     best = np.inf
     stale = 0
     for it in range(EIG_MAX_ITER):
-        shifted = banded.copy()
-        shifted[1] -= sigma
-        shifted[1, -1] = 1.0  # keep Dirichlet row intact
+        shifted = d - sigma
+        shifted[-1] = 1.0  # keep Dirichlet row intact
         try:
-            x_new = solve_banded((1, 1), shifted, x)
+            x_new = tridiagonal_solve(dl, shifted, du, x)
         except np.linalg.LinAlgError:
             sigma *= 1.0 + 1e-8
             continue

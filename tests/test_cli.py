@@ -147,6 +147,20 @@ def test_simulate_command(tmp_path):
                       "res_phi,res_hphi,decomposed")
 
 
+def test_simulate_manifest_reports_rejects_and_the_lost_decomposition(tmp_path):
+    # b0 = 0.01 loses its decomposition at step 27; step_flow rejects 4
+    # trial steps, all within steps 55-58
+    cfg = parse_config("command=simulate b0=0.01 kappa_exit_factor=2e4 max_steps=60")
+    runs = [cli.run(cfg, out_override=str(tmp_path))["metrics"] for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0]["decompose_lost_step"] == 27
+    assert runs[0]["step_rejects"] == 4
+    short = cli.run(parse_config(
+        "command=simulate b0=0.01 kappa_exit_factor=2e4 max_steps=20"),
+        out_override=str(tmp_path))["metrics"]
+    assert short["decompose_lost_step"] is None and short["step_rejects"] == 0
+
+
 def test_json_outputs_follow_the_schema(tmp_path):
     # every JSON a command writes carries the keys that schema.py declares
     configs = ("command=modulation b0=0.01 s_end=1e3 fit_s_end=1e8",

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from blowlab import flow, radial
 from blowlab.flow import FlowParams, RunClass
@@ -90,6 +91,114 @@ def test_step_keeps_the_boundary_value():
         assert u_new[-1] == u[-1]
         u = u_new
     assert u[-1] == boundary
+
+
+def _banded_step(grid, u, dt, rtol, atol):
+    """Reference step: each substep solves I + dt(-Delta) through
+    solve_banded on (1, 1) band storage, the form step_flow replaced."""
+    def bands(scale):
+        h, y = grid.h, grid.nodes
+        ep, em = np.exp(h), np.exp(-h)
+        c = scale * (1.0 / (y**2 * h * h))[1:-1]
+        out = np.zeros((3, grid.n))
+        out[0, 2:] = -c * ep
+        out[1, 1:-1] = c * (ep + em)
+        out[2, :-2] = -c * em
+        c0 = scale * (8.0 / (y[1] ** 2 - y[0] ** 2))
+        out[0, 1] = -c0
+        out[1, 0] = c0
+        return out
+
+    def substep(v, dt):
+        rhs = v + dt * v**3
+        rhs[-1] = v[-1]
+        banded = bands(dt)
+        banded[1] += 1.0
+        return solve_banded((1, 1), banded, rhs)
+
+    rejects = 0
+    while True:
+        full = substep(u, dt)
+        half = substep(substep(u, 0.5 * dt), 0.5 * dt)
+        err = float(np.max(np.abs(half - full))) / (atol + rtol * np.max(np.abs(u)))
+        if not np.isfinite(err):
+            err = 1e6
+        if err <= 1.0:
+            factor = min(2.0, max(0.3, 0.9 / np.sqrt(max(err, 1e-12))))
+            return half, dt, dt * factor, rejects
+        rejects += 1
+        dt *= max(0.1, 0.9 / np.sqrt(err))
+
+
+def test_step_flow_matches_the_banded_solve_bit_for_bit(cache):
+    st = flow.init_data(cache, 0.01, 0.0, 1.0)
+    g2 = flow._flow_grid(0.01, 50.0, 100)
+    u2 = radial.q_soliton(g2.nodes / 0.5) / 0.5 + 0.1 * np.exp(-(g2.nodes**2))
+    total_rejects = 0
+    for grid, u0, dt0 in ((st.grid, st.u, flow.DS_INIT), (g2, u2, 1e-2)):
+        u = v = u0
+        dt_u = dt_v = dt0
+        for _ in range(500):
+            u, taken_u, dt_u, rej_u = flow.step_flow(grid, u, dt_u, 1e-5, 1e-9)
+            v, taken_v, dt_v, rej_v = _banded_step(grid, v, dt_v, 1e-5, 1e-9)
+            assert np.array_equal(u, v)
+            assert (taken_u, dt_u, rej_u) == (taken_v, dt_v, rej_v)
+            total_rejects += rej_u
+    assert total_rejects > 0  # the reject path is compared too
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_flow_rejects_a_non_finite_state_at_once(monkeypatch, bad):
+    g = flow._flow_grid(0.01, 50.0, 100)
+    u = radial.q_soliton(g.nodes / 0.5) / 0.5
+    u[100] = bad
+    calls = []
+    monkeypatch.setattr(radial, "tridiagonal_solve",
+                        lambda *a: calls.append(1) or np.zeros(g.n))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+    assert not calls
+
+
+def test_step_flow_counts_a_non_finite_substep_as_a_reject(monkeypatch):
+    g = flow._flow_grid(0.01, 50.0, 100)
+    u = radial.q_soliton(g.nodes / 0.5) / 0.5
+    expected = flow.step_flow(g, u, 1e-4 * 0.1, 1e-5, 1e-9)
+    solve = radial.tridiagonal_solve
+    calls = []
+
+    def nan_first(*args):
+        calls.append(1)
+        x = solve(*args)
+        return np.full_like(x, np.nan) if len(calls) == 1 else x
+
+    monkeypatch.setattr(radial, "tridiagonal_solve", nan_first)
+    u_new, taken, dt_next, rejects = flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+    # err = 1e6 shrinks dt by the floor factor 0.1
+    assert rejects == 1 and taken == 1e-4 * 0.1
+    assert np.array_equal(u_new, expected[0]) and dt_next == expected[2]
+
+
+def test_overflowing_state_ends_in_a_solver_failure():
+    # u^3 overflows at any dt: every trial step is non-finite
+    g = flow._flow_grid(0.01, 50.0, 100)
+    u = radial.q_soliton(g.nodes / 0.5) / 0.5
+    u[100] = 1e110
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="collapsed"):
+            flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+
+
+def test_singular_implicit_system_ends_the_run_classified(params, cache, monkeypatch):
+    g = flow._flow_grid(0.01, 50.0, 100)
+    u = radial.q_soliton(g.nodes / 0.5) / 0.5
+    # gtsv reports an exactly zero pivot with info > 0
+    monkeypatch.setattr(radial, "_gtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
+    with pytest.raises(RuntimeError, match="singular"):
+        flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+    traj = flow.simulate(flow.replace(params, max_steps=5), cache=cache)
+    assert traj.termination == "solver_failure" and traj.steps == 1
+    assert traj.classification is RunClass.GridExhausted
 
 
 def test_energy_of_the_bubble():

@@ -44,6 +44,19 @@ def test_closed_form_matches_a_high_order_solve(b0, lambda0, s_end):
     assert np.max(np.abs(tr.t + tr.tau - tr.T_est)) <= 1e-13 * tr.T_est
 
 
+def test_tiny_s_end_keeps_every_sample():
+    # the log-spaced part starts 8 decades below s_end once s_end <= 1e-8
+    for s_end in (1e-9, 1e-8, 1e-12):
+        tr = modulation.integrate_reduced(0.01, 1.0, s_end)
+        assert tr.s.size == 600 and tr.s[0] == 0.0
+        assert np.all(np.diff(tr.s) > 0) and tr.s[-1] == pytest.approx(s_end, rel=1e-14)
+    # above 1e-8 the samples keep their bytes
+    for s_end in (1.1e-8, 1e-3, 10.0, 1e6, 1e30):
+        old = np.clip(np.unique(np.concatenate([[0.0], np.logspace(
+            np.log10(max(s_end * 1e-8, 1e-8)), np.log10(s_end), 599)])), 0.0, s_end)
+        assert np.array_equal(modulation.integrate_reduced(0.01, 1.0, s_end).s, old)
+
+
 def test_monotonicity_and_positivity(reference_trajectory):
     tr = reference_trajectory
     assert np.all(np.diff(tr.b) < 0)

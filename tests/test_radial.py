@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 from scipy.special import gammainc
 
 from blowlab import flow, radial
@@ -204,18 +205,18 @@ def test_apply_H_on_the_bubble(grid, fine_grid):
 
 
 def test_neg_laplacian_bands_match_apply_H(grid):
-    # one -Delta for the profile grid and the flow grid: the banded rows and
-    # the flux form of apply_H differ only by their order of summation
+    # one -Delta for the profile grid and the flow grid: the tridiagonal
+    # rows and the flux form of apply_H differ only by their summation order
     flow_grid = flow._flow_grid(0.02, 300.0, 120)
     for g in (grid, flow_grid):
         y = g.nodes
         f = (1.0 + y**2) * np.exp(-(y**2) / 50.0)
-        bands = radial.neg_laplacian_bands(g)
-        bf = bands[1] * f
-        bf[:-1] += bands[0][1:] * f[1:]
-        bf[1:] += bands[2][:-1] * f[:-1]
+        dl, d, du = radial.neg_laplacian_diagonals(g)
+        bf = d * f
+        bf[:-1] += du * f[1:]
+        bf[1:] += dl * f[:-1]
         ref = radial.apply_H(g.function(f)).values + radial.potential(y) * f
-        _, _, inv = radial._stencil_coeffs(g)
+        inv = 1.0 / (y**2 * g.h * g.h)
         bound = 16.0 * np.finfo(float).eps * inv * np.max(np.abs(f))
         assert np.all(np.abs(bf - ref)[:-1] <= bound[:-1])
     # the flow grid's weights integrate the measure r^3 dr exactly too
@@ -278,3 +279,78 @@ def test_unstable_mode(grid, fine_grid, eigenpair):
     assert abs(radial.inner(psi_fine, lq_fine)) < 0.5 * ortho
     assert abs(psi.values[-1]) < 1e-8 * np.max(np.abs(psi.values))
     assert psi.values[0] > 0
+
+
+def _banded_unstable_mode(grid):
+    """Reference: unstable_mode's shifted inverse iteration with each solve
+    through solve_banded on (1, 1) band storage, the form it replaced."""
+    h, y = grid.h, grid.nodes
+    ep, em = np.exp(h), np.exp(-h)
+    c = (1.0 / (y**2 * h * h))[1:-1]
+    banded = np.zeros((3, grid.n))
+    banded[0, 2:] = -c * ep
+    banded[1, 1:-1] = c * (ep + em)
+    banded[2, :-2] = -c * em
+    c0 = 8.0 / (y[1] ** 2 - y[0] ** 2)
+    banded[0, 1] = -c0
+    banded[1, 0] = c0
+    banded[1] -= radial.potential(y)
+    banded[1, -1] = 1.0
+    w = grid.weights
+
+    def matvec(x):
+        out = banded[1] * x
+        out[:-1] += banded[0][1:] * x[1:]
+        out[1:] += banded[2][:-1] * x[:-1]
+        return out
+
+    x = np.exp(-y)
+    x /= np.sqrt(np.dot(w, x * x))
+    sigma, best, stale = radial.EIG_SHIFT, np.inf, 0
+    for it in range(radial.EIG_MAX_ITER):
+        shifted = banded.copy()
+        shifted[1] -= sigma
+        shifted[1, -1] = 1.0
+        x_new = solve_banded((1, 1), shifted, x)
+        x_new[-1] = 0.0
+        x = x_new / np.sqrt(np.dot(w, x_new * x_new))
+        ax = matvec(x)
+        mu = np.dot(w, x * ax)
+        res = np.sqrt(np.dot(w, (ax - mu * x) ** 2))
+        if it >= 8:
+            sigma = mu
+        if res <= radial.EIG_TOL * max(abs(mu), 1.0):
+            break
+        if res < best * 0.9:
+            best, stale = res, 0
+        else:
+            stale += 1
+            if stale >= 4 and res <= 1e-7 * max(abs(mu), 1.0):
+                break
+    return float(-mu), (-x if x[0] < 0 else x)
+
+
+def test_unstable_mode_matches_the_banded_solve_bit_for_bit():
+    grid = flow.ProfileCache(flow.FlowParams()).grid
+    zeta, psi = _banded_unstable_mode(grid)
+    pair = radial.unstable_mode(grid)
+    assert pair.zeta == zeta
+    assert np.array_equal(pair.psi.values, psi)
+
+
+def test_unstable_mode_retries_a_singular_shift(grid, eigenpair, monkeypatch):
+    # gtsv's info > 0 (an exactly zero pivot) nudges the shift and retries
+    gtsv = radial._gtsv
+    calls = []
+
+    def singular_once(*args):
+        calls.append(1)
+        out = gtsv(*args)
+        return out[:4] + (1,) if len(calls) == 1 else out
+
+    monkeypatch.setattr(radial, "_gtsv", singular_once)
+    fresh = radial.make_grid(grid.y_min, grid.y_max, grid.n)
+    pair = radial.unstable_mode(fresh)
+    assert len(calls) > 1
+    assert abs(pair.zeta - eigenpair.zeta) <= 1e-9 * eigenpair.zeta
+    assert np.max(np.abs(pair.psi.values - eigenpair.psi.values)) < 1e-6
