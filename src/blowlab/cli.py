@@ -98,15 +98,6 @@ def _cmd_profile(config: RunConfig, run_dir):
     return bool(ok), "swept", files, metrics
 
 
-def _flow_params(config: RunConfig) -> flow.FlowParams:
-    return flow.FlowParams(
-        b0=config.b0, lambda0=config.lambda0, a_plus=config.a_plus,
-        M=config.M, kappa_exit_factor=config.kappa_exit_factor,
-        nodes_per_decade=config.nodes_per_decade, max_steps=config.max_steps,
-        rtol_step=config.rtol_step,
-    )
-
-
 def _write_run_series(traj, run_dir):
     cps = traj.checkpoints
     write_csv(run_dir / "checkpoints.csv", schema.CHECKPOINT_CSV, (
@@ -128,8 +119,7 @@ def _write_run_series(traj, run_dir):
 
 
 def _cmd_simulate(config: RunConfig, run_dir):
-    params = _flow_params(config)
-    traj = flow.simulate(params)
+    traj = flow.simulate(config)
     files = _write_run_series(traj, run_dir)
     metrics = {
         "classification": traj.classification.value,
@@ -144,13 +134,12 @@ def _cmd_simulate(config: RunConfig, run_dir):
 
 
 def _cmd_shoot(config: RunConfig, run_dir):
-    params = _flow_params(config)
-    cache = flow.ProfileCache(params)
+    cache = flow.ProfileCache(config)
     if np.isnan(config.bracket_lo) or np.isnan(config.bracket_hi):
-        a_lo, a_hi = flow.find_bracket(params, cache=cache)
+        a_lo, a_hi = flow.find_bracket(config, cache=cache)
     else:
         a_lo, a_hi = config.bracket_lo, config.bracket_hi
-    result = flow.shoot(a_lo, a_hi, config.budget, params, cache=cache)
+    result = flow.shoot(a_lo, a_hi, config.budget, config, cache=cache)
     write_csv(run_dir / "history.csv", schema.SHOOT_HISTORY_CSV,
               ((k, lo, hi) for k, (lo, hi) in enumerate(result.history)))
     files = ["history.csv"] + _write_run_series(result.best, run_dir)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .inequalities import C4_FAMILIES
+from .inequalities import FAMILIES
 from .modulation import S_MAX
+from .profiles import B_STAR_DEFAULT, M_DEFAULT
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
-B_WINDOW = (0.0, 0.05)
 NAN_MEANS_UNSET = ("bracket_lo", "bracket_hi")  # NaN: shoot grows its own bracket
 
 
@@ -29,7 +29,7 @@ class RunConfig:
     # shared numerics
     b0: float = 0.01
     lambda0: float = 1.0
-    M: float = 50.0
+    M: float = M_DEFAULT
     grid_y_min: float = 1e-4
     grid_y_max: float = 4000.0
     grid_n: int = 4096
@@ -59,9 +59,9 @@ class RunConfig:
             if isinstance(f.default, float) and not (
                     math.isfinite(v) or (f.name in NAN_MEANS_UNSET and math.isnan(v))):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
-        _window("b0", self.b0, B_WINDOW)
+        _b_window("b0", self.b0)
         for b in self.b_sweep:
-            _window("b_sweep", b, B_WINDOW)
+            _b_window("b_sweep", b)
         _require(self.lambda0 > 0, "lambda0 must be positive")
         _require(10.0 <= self.M <= 2000.0, f"M must lie in [10, 2000], got {self.M}")
         _require(0 < self.grid_y_min < self.grid_y_max,
@@ -76,9 +76,8 @@ class RunConfig:
         _require(1 <= self.max_steps <= 10_000_000, "max_steps out of range")
         _require(1e-12 <= self.rtol_step <= 1e-2, "rtol_step out of range")
         _require(self.samples >= 50, "samples must be >= 50")
-        _require(self.family in C4_FAMILIES,
-                 f"family must be one of {C4_FAMILIES}, the C^4 sample families "
-                 f"verify runs, got {self.family!r}")
+        _require(self.family in FAMILIES,
+                 f"family must be one of {FAMILIES}, got {self.family!r}")
         _require(self.seed >= 0, "seed must be nonnegative")
         return self
 
@@ -106,11 +105,11 @@ def _require(cond: bool, message: str):
         raise ValueError(message)
 
 
-def _window(name, value, window):
-    lo, hi = window
-    if not lo < value <= hi:
+def _b_window(name, b):
+    # the profiles are built for 0 < b < B_STAR_DEFAULT only
+    if not 0.0 < b < B_STAR_DEFAULT:
         raise ValueError(
-            f"{name}={value!r} outside the admissible window ({lo}, {hi}]")
+            f"{name}={b!r} outside the admissible window (0, {B_STAR_DEFAULT})")
 
 
 _CASTS = {

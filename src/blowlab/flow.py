@@ -20,9 +20,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import radial
+from .config import RunConfig
 from .profiles import (
     B_STAR_DEFAULT,
-    M_DEFAULT,
     assemble_profiles,
     direction_phi,
     log_binv,
@@ -42,6 +42,8 @@ B_FLOOR = 2.5e-4  # smallest b the profile grid must resolve
 ATOL_STEP = 1e-9
 DS_INIT = 1e-3
 DS_CAP = 0.5
+U3_MAX = np.cbrt(np.finfo(float).max)  # u^3 is finite exactly for |u| below this
+U_CAP = 1e12  # a run whose max|u| exceeds this ends as an overflow
 # decomposition
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 16
@@ -65,22 +67,6 @@ class RunClass(enum.Enum):
 _EXIT_SIGN = {RunClass.ExitUnstableMinus: -1, RunClass.ExitUnstablePlus: +1}
 
 
-@dataclass(frozen=True)
-class FlowParams:
-    b0: float = 0.01
-    lambda0: float = 1.0
-    a_plus: float = 0.0
-    M: float = M_DEFAULT
-    nodes_per_decade: int = 120
-    rtol_step: float = 1e-5
-    max_steps: int = 200_000
-    u_cap: float = 1e12
-    kappa_exit_factor: float = 2.0
-
-    def a_plus_window(self) -> float:
-        return admissible_window(self.b0, 2.0)
-
-
 def admissible_window(b: float, factor: float) -> float:
     """factor times the admissible unstable amplitude b^2.5/|log b|."""
     return factor * b**2.5 / log_binv(b)
@@ -89,7 +75,7 @@ def admissible_window(b: float, factor: float) -> float:
 class ProfileCache:
     """Shared immutable profile-side machinery for one parameter set."""
 
-    def __init__(self, params: FlowParams):
+    def __init__(self, params: RunConfig):
         self.params = params
         _, b1_floor = zone_radii(B_FLOOR)
         y_max = max(4.2 * b1_floor, 40.0 * params.M)
@@ -140,7 +126,7 @@ class Checkpoint:
 
 @dataclass
 class FlowTrajectory:
-    params: FlowParams
+    params: RunConfig
     checkpoints: list
     termination: str
     classification: RunClass | None
@@ -205,12 +191,14 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, dt: float, rtol: float,
               atol: float):
     """One accepted IMEX step with step-doubling control.
 
-    Returns (u_new, dt_taken, dt_next, n_rejects).  A non-finite u raises
-    RuntimeError at once; a non-finite trial step counts as a reject.
+    Returns (u_new, dt_taken, dt_next, n_rejects).  A u whose cube is not
+    finite (a non-finite u included) raises RuntimeError at once; a
+    non-finite trial step counts as a reject.
     """
-    scale = atol + rtol * np.max(np.abs(u))
-    if not np.isfinite(scale):
-        raise RuntimeError("non-finite state; solver failure")
+    u_max = np.max(np.abs(u))
+    if not u_max < U3_MAX:
+        raise RuntimeError("non-finite or overflowing u^3; solver failure")
+    scale = atol + rtol * u_max
     u3 = u**3
     rejects = 0
     while True:
@@ -419,7 +407,7 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
     return FlowState(grid=grid, u=vals / lambda0)
 
 
-def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTrajectory:
+def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajectory:
     cache = cache or ProfileCache(params)
     state = init_data(cache, params.b0, params.a_plus, params.lambda0)
     grid, u = state.grid, state.u
@@ -448,7 +436,7 @@ def simulate(params: FlowParams, cache: ProfileCache | None = None) -> FlowTraje
         rejects += n_rejects
         t += dt_taken
         umax = float(np.max(np.abs(u)))
-        if not np.isfinite(umax) or umax > params.u_cap:
+        if not np.isfinite(umax) or umax > U_CAP:
             termination = "overflow"
             break
 
@@ -520,7 +508,7 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd)
     )
 
 
-def _remesh(params: FlowParams, grid: radial.RadialGrid, u, lam):
+def _remesh(params: RunConfig, grid: radial.RadialGrid, u, lam):
     """Rebuild the grid in the self-similar variable once lambda halves."""
     new = _flow_grid(Y_MIN_FLOW * lam, grid.y_max, params.nodes_per_decade)
     return new, _u_eval(grid.nodes, u)(new.nodes)
@@ -632,14 +620,14 @@ def _exit_sign(traj: FlowTrajectory) -> int:
     return _EXIT_SIGN.get(traj.classification, 0)
 
 
-def _probe(params: FlowParams, cache: ProfileCache, a: float) -> FlowTrajectory:
+def _probe(params: RunConfig, cache: ProfileCache, a: float) -> FlowTrajectory:
     """One shooting run at amplitude a, with the window warning silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return simulate(replace(params, a_plus=a), cache=cache)
 
 
-def find_bracket(params: FlowParams, cache: ProfileCache | None = None):
+def find_bracket(params: RunConfig, cache: ProfileCache | None = None):
     """Grow a symmetric amplitude bracket until the exits have opposite signs.
 
     The admissible window of the continuous problem is far smaller than the
@@ -648,8 +636,9 @@ def find_bracket(params: FlowParams, cache: ProfileCache | None = None):
     workable bracket typically sits several orders above the window.
     """
     cache = cache or ProfileCache(params)
-    a = params.a_plus_window()
-    while a <= BRACKET_MAX_FACTOR * params.a_plus_window():
+    window = admissible_window(params.b0, 2.0)
+    a = window
+    while a <= BRACKET_MAX_FACTOR * window:
         lo, hi = _probe(params, cache, -a), _probe(params, cache, +a)
         if _exit_sign(lo) * _exit_sign(hi) == -1:
             return -a, a
@@ -657,7 +646,7 @@ def find_bracket(params: FlowParams, cache: ProfileCache | None = None):
     raise RuntimeError("no opposite-sign bracket found within the cap")
 
 
-def shoot(a_lo: float, a_hi: float, budget: int, params: FlowParams,
+def shoot(a_lo: float, a_hi: float, budget: int, params: RunConfig,
           cache: ProfileCache | None = None) -> ShootingResult:
     """Bisect the unstable amplitude between opposite-sign exits."""
     cache = cache or ProfileCache(params)

@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import radial
-from .profiles import build_T1, direction_phi, log_binv
+from .profiles import M_DEFAULT, build_T1, direction_phi, log_binv
 
-# the sample families smooth enough (C^4) for every suite `verify` runs
-C4_FAMILIES = ("gaussian-bumps", "polynomial-decay")
+# the sample families: smooth (C^4 at least) for every suite `verify` runs
+FAMILIES = ("gaussian-bumps", "polynomial-decay")
 SAMPLER_SUPPORT = 40.0  # radius scale of the samples; a grid reaches 2.5 times it
 GRID_Y_MIN = 1e-3
 HARDY_R = 100.0  # outer radius of the second and third Hardy controls
@@ -49,18 +48,14 @@ class InequalityReport:
 
 
 class TestFunctionSampler:
-    """Seeded generator of C^2 radial test functions with f'(0) = 0.
+    """Seeded generator of smooth radial test functions with f'(0) = 0.
 
-    families: C4_FAMILIES, 'gaussian-bumps' and 'polynomial-decay', are
-    smooth closed forms carrying exact first and second derivatives;
-    'random-spline' is a random cubic spline flattened by the smooth compact
-    cutoff (C^2 only, so it is excluded from fourth-order suites).
+    families: FAMILIES, 'gaussian-bumps' and 'polynomial-decay', both smooth
+    closed forms carrying exact first and second derivatives.
     """
 
-    FAMILIES = C4_FAMILIES + ("random-spline",)
-
     def __init__(self, seed: int = 0, family: str = "gaussian-bumps"):
-        if family not in self.FAMILIES:
+        if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         self.family = family
         self._rng = np.random.default_rng(seed)
@@ -91,33 +86,19 @@ class TestFunctionSampler:
                 fp += a * gp
                 fpp += a * gpp
             return f, fp, fpp
-        if self.family == "polynomial-decay":
-            s = rng.uniform(1.0, 0.3 * SAMPLER_SUPPORT)
-            coef = rng.uniform(-1.0, 1.0, size=4)
-            u = (y / s) ** 2
-            up = 2.0 * y / s**2
-            e = np.exp(-u)
-            p = coef[0] + u * (coef[1] + u * (coef[2] + u * coef[3]))
-            dp = coef[1] + u * (2.0 * coef[2] + 3.0 * coef[3] * u)
-            d2p = 2.0 * coef[2] + 6.0 * coef[3] * u
-            f = p * e
-            fp = e * up * (dp - p)
-            fpp = e * ((2.0 / s**2) * (dp - p) + up**2 * (d2p - 2.0 * dp + p))
-            return f, fp, fpp
-        # random spline times the smooth cutoff
-        knots = np.linspace(0.0, SAMPLER_SUPPORT, 12)
-        vals = rng.uniform(-1.0, 1.0, size=knots.size)
-        vals[-2:] = 0.0
-        spl = CubicSpline(knots, vals, bc_type=((1, 0.0), (1, 0.0)))
-        yc = np.minimum(y, SAMPLER_SUPPORT)
-        chi = radial.cutoff(SAMPLER_SUPPORT / 2.5, y)
-        chi_p = radial.cutoff(SAMPLER_SUPPORT / 2.5, y, 1)
-        chi_pp = radial.cutoff(SAMPLER_SUPPORT / 2.5, y, 2)
-        f0, f1, f2 = spl(yc), spl(yc, 1), spl(yc, 2)
-        f1[y > SAMPLER_SUPPORT] = 0.0
-        f2[y > SAMPLER_SUPPORT] = 0.0
-        return (f0 * chi, f1 * chi + f0 * chi_p,
-                f2 * chi + 2.0 * f1 * chi_p + f0 * chi_pp)
+        # the other family, polynomial-decay
+        s = rng.uniform(1.0, 0.3 * SAMPLER_SUPPORT)
+        coef = rng.uniform(-1.0, 1.0, size=4)
+        u = (y / s) ** 2
+        up = 2.0 * y / s**2
+        e = np.exp(-u)
+        p = coef[0] + u * (coef[1] + u * (coef[2] + u * coef[3]))
+        dp = coef[1] + u * (2.0 * coef[2] + 3.0 * coef[3] * u)
+        d2p = 2.0 * coef[2] + 6.0 * coef[3] * u
+        f = p * e
+        fp = e * up * (dp - p)
+        fpp = e * ((2.0 / s**2) * (dp - p) + up**2 * (d2p - 2.0 * dp + p))
+        return f, fp, fpp
 
 
 def _log_weight(y):
@@ -218,7 +199,7 @@ def _h_ratio(grid, u):
     return num / max(np.dot(w, hu**2), 1e-300)
 
 
-def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = 50.0,
+def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT,
                        grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Fitted constant of the second-order coercivity under (u, Phi_M) = 0."""
     grid = grid or default_grid()
@@ -263,12 +244,10 @@ def _double_project(grid, phi, v):
     return v - a * phi.Phi_M.values - bcoef * phi.H_Phi_M.values
 
 
-def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = 50.0,
+def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT,
                         grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Fitted constant of the fourth-order coercivity under the double
     orthogonality (u, Phi_M) = (Hu, Phi_M) = 0."""
-    if sampler.family not in C4_FAMILIES:
-        raise ValueError("fourth-order suite needs a C^4 sample family")
     grid = grid or default_grid()
     phi = direction_phi(M, grid)
     worst = 0.0

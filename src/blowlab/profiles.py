@@ -126,7 +126,6 @@ class ProfileSet:
     T1: RadialFunction
     T2: RadialFunction
     T3: RadialFunction
-    Q_b: RadialFunction
     Q_b_tilde: RadialFunction
     zeta_b: RadialFunction
     alpha: np.ndarray
@@ -174,7 +173,6 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
     pset = ProfileSet(
         b=float(b), B0=B0, B1=B1, grid=grid, c_b=c_b, d_b=d_b,
         T1=t1, T2=t2, T3=t3,
-        Q_b=grid.function(Q + alpha),
         Q_b_tilde=grid.function(Q + a_t),
         zeta_b=grid.function(a_t - a_h),
         alpha=alpha, alpha_prime=alpha_p, sigma2=sigma2, sigma3=sigma3,

@@ -59,7 +59,7 @@ import numpy as np
 import pytest
 
 from blowlab import cli, flow, inequalities as ineq, modulation, profiles, radial
-from blowlab.config import parse_config
+from blowlab.config import RunConfig, parse_config
 
 from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, l2_window,
                       radiation_mass_exact, radiation_scaled_asymptotic)
@@ -248,15 +248,17 @@ def test_criterion_6_reduced_law():
 @pytest.fixture(scope="module")
 def desk_scale_shot():
     """Criterion-7 runs: the stated bracket, then a widened demonstration."""
-    params = flow.FlowParams(b0=0.01, kappa_exit_factor=2.0)
+    params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2.0,
+                       max_steps=200_000)
     cache = flow.ProfileCache(params)
-    w = params.a_plus_window()
+    w = flow.admissible_window(params.b0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lo = flow.simulate(flow.replace(params, a_plus=-w), cache=cache)
         hi = flow.simulate(flow.replace(params, a_plus=+w), cache=cache)
     literal_bracket = (lo.classification, hi.classification)
-    demo_params = flow.FlowParams(b0=0.01, kappa_exit_factor=2e4, max_steps=12000)
+    demo_params = RunConfig(command="shoot", b0=0.01, kappa_exit_factor=2e4,
+                            max_steps=12000)
     bracket = flow.find_bracket(demo_params, cache=cache)
     result = flow.shoot(bracket[0], bracket[1], 40, demo_params, cache=cache)
     return literal_bracket, bracket, result
@@ -292,7 +294,7 @@ def test_criterion_7_desk_scale_simulation(desk_scale_shot):
 
 
 def test_criterion_8_orthogonal_decomposition():
-    params = flow.FlowParams(b0=1e-3, nodes_per_decade=100)
+    params = RunConfig(command="simulate", b0=1e-3, nodes_per_decade=100)
     cache = flow.ProfileCache(params)
     from scipy.interpolate import CubicSpline
 

@@ -19,8 +19,17 @@ def test_minimal_config_gets_defaults():
 
 
 def test_window_rejection_names_the_window():
-    with pytest.raises(ValueError, match=r"\(0.0, 0.05\]"):
+    with pytest.raises(ValueError, match=r"\(0, 0.05\)"):
         parse_config("command=modulation\nb0 = 0.2")
+
+
+def test_b_star_itself_is_rejected_at_parse_time():
+    # the profiles exist for 0 < b < B_STAR_DEFAULT only, so b = 0.05 fails
+    # before a run directory is made
+    with pytest.raises(ValueError, match=r"b0=0.05 outside"):
+        parse_config("command=simulate b0=0.05")
+    with pytest.raises(ValueError, match=r"b_sweep=0.05 outside"):
+        parse_config("command=profile b_sweep=0.05")
 
 
 def test_unknown_key_rejected_with_path():

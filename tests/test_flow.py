@@ -8,13 +8,14 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from blowlab import flow, radial
-from blowlab.flow import FlowParams, RunClass
+from blowlab.config import RunConfig
+from blowlab.flow import RunClass
 
 
 @pytest.fixture(scope="module")
 def params():
-    return FlowParams(b0=1e-3, nodes_per_decade=100, kappa_exit_factor=1e5,
-                      max_steps=4000)
+    return RunConfig(command="simulate", b0=1e-3, nodes_per_decade=100,
+                     kappa_exit_factor=1e5, max_steps=4000)
 
 
 @pytest.fixture(scope="module")
@@ -179,14 +180,20 @@ def test_step_flow_counts_a_non_finite_substep_as_a_reject(monkeypatch):
     assert np.array_equal(u_new, expected[0]) and dt_next == expected[2]
 
 
-def test_overflowing_state_ends_in_a_solver_failure():
-    # u^3 overflows at any dt: every trial step is non-finite
+def test_overflowing_state_ends_in_a_solver_failure(monkeypatch):
+    # u^3 overflows at any dt: the step fails before any trial solve
     g = flow._flow_grid(0.01, 50.0, 100)
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
     u[100] = 1e110
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="collapsed"):
+    solve = radial.tridiagonal_solve
+    calls = []
+    monkeypatch.setattr(radial, "tridiagonal_solve",
+                        lambda *a: calls.append(1) or solve(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and without an overflow warning
+        with pytest.raises(RuntimeError, match="overflowing"):
             flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+    assert not calls
 
 
 def test_singular_implicit_system_ends_the_run_classified(params, cache, monkeypatch):
@@ -383,9 +390,10 @@ def test_dissipation_run(params, cache):
         assert traj.checkpoints[-1].E < flow.E_OF_Q
 
 
-def test_blowup_on_the_focusing_side(params, cache):
+def test_blowup_on_the_focusing_side(params, cache, monkeypatch):
+    monkeypatch.setattr(flow, "U_CAP", 1e4)
     p = flow.replace(params, a_plus=+3e-3, kappa_exit_factor=1e9,
-                     max_steps=40000, u_cap=1e4)
+                     max_steps=40000)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = flow.simulate(p, cache=cache)
@@ -424,7 +432,7 @@ def test_asymptotic_profile_of_stationary_state():
     g = flow._flow_grid(0.02, 2000.0, 120)
     u = radial.q_soliton(g.nodes / lam) / lam
     traj = flow.FlowTrajectory(
-        params=FlowParams(), checkpoints=[
+        params=RunConfig(command="simulate"), checkpoints=[
             flow.Checkpoint(step=0, t=0.0, s=0.0, lam=lam, b=1e-3, kappa=0.0,
                             E=flow.E_OF_Q, E1=0, E2=0, E4=0, E2_hat=0,
                             u_max=1.0, res_phi=0, res_hphi=0)],

@@ -1,9 +1,11 @@
 """Static hygiene of the package sources, checked with the standard library."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import blowlab
+from blowlab.config import RunConfig
 
 SRC = Path(blowlab.__file__).resolve().parent
 # every place a definition in the package may be read from
@@ -84,6 +86,19 @@ def test_no_unread_definitions():
                        for where, other, (bare, qualified) in parts if other is not node):
                 unread.append(f"{path.name}:{node.lineno}: {name}")
     assert not unread, "defined but never read:\n" + "\n".join(unread)
+
+
+def test_every_setting_is_read():
+    # a RunConfig field that no program module reads is a setting that does
+    # nothing; config.py itself only declares, validates and serializes
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f.name for f in fields(RunConfig) if f.name not in read]
+    assert not unread, "settings no program module reads: " + ", ".join(unread)
 
 
 # Defaulted parameters that may keep a default no call sets, each with its reason.

@@ -109,7 +109,8 @@ def test_assemble_profiles_invariants(grid):
     y = grid.nodes
     inner = y <= pset.B1
     outer = y >= 2.0 * pset.B1
-    assert np.array_equal(pset.Q_b_tilde.values[inner], pset.Q_b.values[inner])
+    assert np.array_equal(pset.Q_b_tilde.values[inner],
+                          radial.q_soliton(y[inner]) + pset.alpha[inner])
     assert np.array_equal(pset.Q_b_tilde.values[outer], radial.q_soliton(y[outer]))
     # the radiation is the correction between the two localization radii
     shell = radial.cutoff(pset.B1, y) - radial.cutoff(pset.B0, y)

@@ -7,6 +7,7 @@ from scipy.linalg import solve_banded
 from scipy.special import gammainc
 
 from blowlab import flow, radial
+from blowlab.config import RunConfig
 
 from conftest import l2_window
 
@@ -331,7 +332,7 @@ def _banded_unstable_mode(grid):
 
 
 def test_unstable_mode_matches_the_banded_solve_bit_for_bit():
-    grid = flow.ProfileCache(flow.FlowParams()).grid
+    grid = flow.ProfileCache(RunConfig(command="simulate")).grid
     zeta, psi = _banded_unstable_mode(grid)
     pair = radial.unstable_mode(grid)
     assert pair.zeta == zeta
