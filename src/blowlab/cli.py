@@ -54,7 +54,7 @@ def _cmd_modulation(config: RunConfig, run_dir):
     fit = modulation.fit_blowup_law(deep)
     payload = {
         "kappa": fit.kappa, "exponent": fit.exponent, "residual": fit.residual,
-        "T_est": fit.T_est, "T_est_alt": fit.T_est_alt,
+        "T_est": fit.T_est,
         "window_lo": fit.window[0], "window_hi": fit.window[1],
     }
     write_json(run_dir / "fit.json", payload)
@@ -128,6 +128,8 @@ def _cmd_simulate(config: RunConfig, run_dir):
         "lambda_decay": float(config.lambda0 / np.nanmin(traj.series("lam"))),
         "step_rejects": traj.step_rejects,
         "decompose_lost_step": traj.decompose_lost_step,
+        "newton_iterations": traj.newton_iterations,
+        "jacobian_builds": traj.jacobian_builds,
     }
     ok = traj.termination != "solver_failure"
     return ok, traj.classification.value, files, metrics

@@ -134,6 +134,8 @@ class FlowTrajectory:
     steps: int
     step_rejects: int = 0  # step_flow rejects over the run
     decompose_lost_step: int | None = None  # step whose decomposition failed
+    newton_iterations: int = 0  # decompose iterations over its successful calls
+    jacobian_builds: int = 0  # fresh Newton Jacobians over the run
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(c, name) for c in self.checkpoints])
@@ -270,13 +272,23 @@ def _kappa(cache: ProfileCache, field: np.ndarray, b: float, n_covered: int):
     return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi.values[:n]))
 
 
-def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
+def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
+              J: np.ndarray | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
-    The field F_lam is evaluated once per lambda.  Returns (lam, b,
-    diagnostics dict), whose "field" covers the pairing and psi windows at
-    the returned lambda.  Raises RuntimeError when the Newton iteration
-    leaves the soliton tube.
+    The field F_lam is evaluated once per lambda.  Given a Jacobian `J`
+    carried from a nearby state (the previous step of a trajectory), the
+    first update uses it as a chord.  If the line search rejects every
+    step along the carried J, it is refreshed at the current point and the
+    update retried; every later update uses a fresh `_jacobian`.  So the
+    soliton tube is declared lost only by an update along a fresh Jacobian,
+    as without `J`.
+
+    Returns (lam, b, diagnostics dict), whose "field" covers the pairing and
+    psi windows at the returned lambda, "jacobian" is the Jacobian last
+    used (to carry to the next call) and "jacobian_builds" counts the
+    fresh ones.  Raises RuntimeError when the Newton iteration leaves the
+    soliton tube.
     """
     lam, b = seed
     u_eval = _u_eval(r, u)
@@ -285,10 +297,10 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
     s1, s2 = _pairing_scales(cache, field)
     r1, r2 = _pairings(cache, field, b)
     merit = (r1 / s1) ** 2 + (r2 / s2) ** 2
-    for it in range(1, NEWTON_MAX + 1):
-        if abs(r1) <= NEWTON_TOL * s1 and abs(r2) <= NEWTON_TOL * s2:
-            break
-        J = _jacobian(cache, u_eval, lam, b)
+
+    def update(J):
+        """Damped step along J^-1 (r1, r2): the accepted (lam, b, field, r1,
+        r2, merit), or None when the line search rejects every alpha."""
         try:
             dlam, db = np.linalg.solve(J, [r1, r2])
         except np.linalg.LinAlgError:
@@ -296,7 +308,6 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
         dlam = np.clip(dlam, -0.2 * lam, 0.2 * lam)
         db = np.clip(db, -0.5 * b, 0.5 * b)
         # damped update: the pairing surface is strongly curved in lambda
-        moved = False
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             lam_t, b_t = lam - alpha * dlam, b - alpha * db
             if not (lam_t > 0 and 0 < b_t < B_STAR_DEFAULT):
@@ -305,21 +316,34 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple):
             r1_t, r2_t = _pairings(cache, field_t, b_t)
             merit_t = (r1_t / s1) ** 2 + (r2_t / s2) ** 2
             if merit_t < merit * (1.0 - 1e-4 * alpha) or merit_t < NEWTON_TOL**2:
-                lam, b, field = lam_t, b_t, field_t
-                r1, r2, merit = r1_t, r2_t, merit_t
-                moved = True
-                break
-        if not moved:
+                return lam_t, b_t, field_t, r1_t, r2_t, merit_t
+        return None
+
+    carried = J is not None
+    builds = 0
+    for it in range(1, NEWTON_MAX + 1):
+        if abs(r1) <= NEWTON_TOL * s1 and abs(r2) <= NEWTON_TOL * s2:
+            break
+        trial = update(J) if carried else None
+        if trial is None:  # no carried J, or no descent along it
+            J = _jacobian(cache, u_eval, lam, b)
+            builds += 1
+            trial = update(J)
+        carried = False
+        if trial is None:
             # stalled at the evaluation-noise floor of the pairings
             if abs(r1) <= 1e3 * NEWTON_TOL * s1 and abs(r2) <= 1e3 * NEWTON_TOL * s2:
                 break
             raise RuntimeError("decomposition left the soliton tube")
+        lam, b, field, r1, r2, merit = trial
     else:
         raise RuntimeError("decomposition Newton did not converge")
     diag = {
         "res_phi": abs(r1) / s1,
         "res_hphi": abs(r2) / s2,
         "iterations": it,
+        "jacobian": J,
+        "jacobian_builds": builds,
         "u_eval": u_eval,
         "field": field,
     }
@@ -337,6 +361,10 @@ def _jacobian(cache: ProfileCache, u_eval, lam: float, b: float):
     step.  The lambda-column stays centred: the pairing surface is strongly
     curved in lambda, and one-sided it added Newton iterations while
     saving no profile build.
+
+    Along a trajectory `decompose` reuses this matrix as a chord for the
+    next call's first update, and calls here again (one profile build)
+    only when that update finds no descent or a second update is needed.
     """
     dl = 1e-6 * lam
     db = 1e-7 * max(b, 1e-4)
@@ -407,8 +435,37 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
     return FlowState(grid=grid, u=vals / lambda0)
 
 
+def _extrapolated_seed(history: list, dt: float, lam: float, b: float) -> tuple:
+    """(lam, b) extrapolated linearly in t a step dt past the last two
+    decomposed states, `history` = [(lam, b, dt that reached it)] * 2.  The
+    last state (lam, b) itself without two states, or when the extrapolation
+    leaves lam > 0, 0 < b < b*."""
+    if len(history) < 2:
+        return lam, b
+    (lam_prev, b_prev, _), (_, _, dt_last) = history
+    ratio = dt / dt_last
+    lam_s, b_s = lam + ratio * (lam - lam_prev), b + ratio * (b - b_prev)
+    if lam_s > 0 and 0 < b_s < B_STAR_DEFAULT:
+        return lam_s, b_s
+    return lam, b
+
+
 def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajectory:
-    cache = cache or ProfileCache(params)
+    """One PDE run from `init_data`, decomposed after every accepted step.
+
+    A given `cache` must have been built for the same `M` and
+    `nodes_per_decade` as `params`, or ValueError is raised.  The Newton
+    Jacobian and the seed history live in this call only, so runs sharing
+    a cache do not depend on each other.
+    """
+    if cache is None:
+        cache = ProfileCache(params)
+    elif (cache.params.M, cache.params.nodes_per_decade) != (
+            params.M, params.nodes_per_decade):
+        raise ValueError(
+            f"cache built for M={cache.params.M:g}, nodes_per_decade="
+            f"{cache.params.nodes_per_decade}; the run has M={params.M:g}, "
+            f"nodes_per_decade={params.nodes_per_decade}")
     state = init_data(cache, params.b0, params.a_plus, params.lambda0)
     grid, u = state.grid, state.u
     lam, b = params.lambda0, params.b0
@@ -421,6 +478,9 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
     decomp_lost = False
     lost_step = None
     rejects = 0
+    iterations = jacobians = 0
+    jac = None  # the last decomposition's Jacobian, carried to the next
+    history = []  # decomposed (lam, b, dt that reached it), the last two
     kappa = 0.0
 
     step = 0
@@ -442,11 +502,17 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
 
         lam_old = lam
         if not decomp_lost:
+            seed = _extrapolated_seed(history, dt_taken, lam, b)
             try:
-                lam, b, dd = decompose(cache, grid.nodes, u, (lam, b))
+                lam, b, dd = decompose(cache, grid.nodes, u, seed, jac)
             except RuntimeError:
                 decomp_lost = True
                 lost_step = step
+            else:
+                jac = dd["jacobian"]
+                iterations += dd["iterations"]
+                jacobians += dd["jacobian_builds"]
+                history = history[-1:] + [(lam, b, dt_taken)]
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
 
         if not decomp_lost:
@@ -480,6 +546,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
         params=params, checkpoints=checkpoints, termination=termination,
         classification=None, final_state=FlowState(grid=grid, u=u), steps=step,
         step_rejects=rejects, decompose_lost_step=lost_step,
+        newton_iterations=iterations, jacobian_builds=jacobians,
     )
     traj.classification = classify(traj)
     return traj

@@ -48,7 +48,6 @@ class ReducedTrajectory:
     t: np.ndarray
     tau: np.ndarray  # T_est - t = C e^-d S(L), formed directly so deep values keep precision
     T_est: float
-    T_est_alt: float
 
 
 def integrate_reduced(b0: float, lambda0: float, s_end: float,
@@ -79,8 +78,7 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     T_est = C * S0
     if not all(np.finfo(float).tiny <= v < np.inf for v in (b[-1], lam[-1], tau[-1], T_est)):
         raise ValueError("b, lambda or T - t at s_end is not a positive normal double")
-    return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau, T_est=float(T_est),
-                             T_est_alt=float(t[-1] + _tail_integral(s[-1], lam[-1])))
+    return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau, T_est=float(T_est))
 
 
 def _s_of_d(d, L0):
@@ -108,14 +106,6 @@ def _d_of_s(s, L0):
     raise RuntimeError("Newton inversion of s(d) did not converge")
 
 
-def _tail_integral(s_end, lam_end):
-    """Model tail int_s^inf lam^2 ds for lam ~ C (log s)^2 / s."""
-    L = np.log(s_end)
-    return lam_end**2 * s_end * sum(
-        math.comb(4, k) * math.factorial(k) / L**k for k in range(5)
-    )
-
-
 def b_of_s_asymptotic(s: float) -> float:
     """Two-term reference law b(s) = 1/s - 2/(s log s)."""
     s = float(s)
@@ -130,7 +120,6 @@ class BlowupFit:
     exponent: float
     residual: float
     T_est: float
-    T_est_alt: float
     window: tuple
 
 
@@ -154,6 +143,5 @@ def fit_blowup_law(traj: ReducedTrajectory) -> BlowupFit:
         exponent=float(slope),
         residual=resid,
         T_est=traj.T_est,
-        T_est_alt=traj.T_est_alt,
         window=(float(t[mask][0]), float(t[mask][-1])),
     )

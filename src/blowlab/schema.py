@@ -8,8 +8,7 @@ the byte-identity guarantee; everything else listed here is covered by it.
 
 TRAJECTORY_CSV = ("s", "t", "b", "lambda")
 
-FIT_JSON = ("kappa", "exponent", "residual", "T_est", "T_est_alt",
-            "window_lo", "window_hi")
+FIT_JSON = ("kappa", "exponent", "residual", "T_est", "window_lo", "window_hi")
 
 # The scaled columns keep their historical normalizations.  ratio_w8 =
 # norm_w8/b^6 is not a constant: the inner-zone residual is b^2 c_b T1, so it

@@ -98,7 +98,7 @@ def test_modulation_outputs_and_manifest(tmp_path):
     header = open(os.path.join(run_dir, "trajectory.csv"), "rb").readline()
     assert header == b"s,t,b,lambda\r\n"
     fit = json.load(open(os.path.join(run_dir, "fit.json")))
-    assert set(fit) == {"kappa", "exponent", "residual", "T_est", "T_est_alt",
+    assert set(fit) == {"kappa", "exponent", "residual", "T_est",
                         "window_lo", "window_hi"}
 
 
@@ -168,6 +168,39 @@ def test_simulate_manifest_reports_rejects_and_the_lost_decomposition(tmp_path):
         "command=simulate b0=0.01 kappa_exit_factor=2e4 max_steps=20"),
         out_override=str(tmp_path))["metrics"]
     assert short["decompose_lost_step"] is None and short["step_rejects"] == 0
+
+
+def test_simulate_manifest_counts_the_newton_work(tmp_path):
+    # the carried Jacobian is refreshed only where a chord update is not
+    # enough: 3 fresh Jacobians over these 40 decompositions, where a fresh
+    # one per Newton update made 77
+    cfg = parse_config("command=simulate b0=3e-3 kappa_exit_factor=2e4 max_steps=40")
+    runs = [cli.run(cfg, out_override=str(tmp_path)) for _ in range(2)]
+    metrics = [m["metrics"] for m in runs]
+    assert metrics[0] == metrics[1]
+    m = metrics[0]
+    assert m["steps"] == 40 and m["decompose_lost_step"] is None
+    assert m["newton_iterations"] >= m["steps"]  # every call checks its residual once
+    assert 0 < m["jacobian_builds"] < m["steps"]
+    # and the CSVs stay byte-identical run to run
+    csvs = [f for f in runs[0]["files"] if f.endswith(".csv")]
+    match, _, _ = filecmp.cmpfiles(runs[0]["run_dir"], runs[1]["run_dir"], csvs,
+                                   shallow=False)
+    assert match == csvs
+
+
+def test_shoot_command_runs_on_the_cache_built_from_its_config(tmp_path):
+    # its three probes share that cache, each carrying its own Newton
+    # Jacobian and seed, so a rerun gives the same bytes
+    cfg = parse_config(
+        "command=shoot b0=0.001 kappa_exit_factor=1e5 max_steps=4000 "
+        "nodes_per_decade=100 bracket_lo=-6e-4 bracket_hi=6e-4 budget=1")
+    m1, m2 = (cli.run(cfg, out_override=str(tmp_path)) for _ in range(2))
+    assert m1["ok"] and m1["metrics"]["iterations"] == 1
+    csvs = [f for f in m1["files"] if f.endswith(".csv")]
+    assert {"history.csv", "checkpoints.csv"} <= set(csvs)
+    match, _, _ = filecmp.cmpfiles(m1["run_dir"], m2["run_dir"], csvs, shallow=False)
+    assert match == csvs
 
 
 def test_json_outputs_follow_the_schema(tmp_path):

@@ -308,11 +308,102 @@ def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
     assert len(misses) - 1 <= 2 * (iterations - 1)
 
 
-def test_decompose_signals_tube_loss(cache):
+@pytest.fixture(scope="module")
+def carried_jacobian(cache):
+    """The Jacobian a decomposition at (0.7, 1e-3) hands to the next call."""
+    r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
+    _, _, dd = flow.decompose(cache, r, u, (0.7, 1e-3))
+    assert dd["jacobian_builds"] >= 1
+    return dd["jacobian"]
+
+
+def _converged_alike(got, want):
+    # the root is fixed only to the residual tolerance NEWTON_TOL, through
+    # the Jacobian's conditioning
+    (lam, b, dd), (lam_ref, b_ref, _) = got, want
+    assert dd["res_phi"] < 1e3 * flow.NEWTON_TOL and dd["res_hphi"] < 1e3 * flow.NEWTON_TOL
+    assert abs(lam - lam_ref) <= 1e-9 * lam_ref
+    assert abs(b - b_ref) <= 1e-9 * b_ref
+
+
+def test_decompose_with_a_carried_jacobian_reaches_the_fresh_root(cache, carried_jacobian):
+    # the chord from a nearby state converges to the fresh-Jacobian root and
+    # saves a Jacobian build
+    r, u = synthetic_state(cache, 0.7 * 1.002, 1.003e-3, delta=1e-5)
+    seed = (0.7 * 1.001, 1.002e-3)
+    fresh = flow.decompose(cache, r, u, seed)
+    chord = flow.decompose(cache, r, u, seed, J=carried_jacobian)
+    _converged_alike(chord, fresh)
+    assert chord[2]["jacobian_builds"] < fresh[2]["jacobian_builds"]
+
+
+def test_decompose_refreshes_a_wrong_carried_jacobian(cache, carried_jacobian, monkeypatch):
+    # with its b-column negated, the carried J points b the wrong way: the
+    # line search rejects every alpha, J is refreshed at the seed itself and
+    # the update retried
+    r, u = synthetic_state(cache, 0.7 * 1.002, 1.003e-3, delta=1e-5)
+    seed = (0.7 * 1.002, 1.1e-3)
+    fresh = flow.decompose(cache, r, u, seed)
+    wrong = carried_jacobian * np.array([1.0, -1.0])
+    points = []
+    original = flow._jacobian
+    monkeypatch.setattr(flow, "_jacobian",
+                        lambda c, ev, lam, b: points.append((lam, b)) or original(c, ev, lam, b))
+    refreshed = flow.decompose(cache, r, u, seed, J=wrong)
+    _converged_alike(refreshed, fresh)
+    assert points[0] == seed
+    assert refreshed[2]["jacobian_builds"] == len(points)
+
+
+def test_decompose_signals_tube_loss(cache, carried_jacobian):
     r = flow._flow_grid(0.01, 500.0, 100).nodes
     u = 0.3 * np.exp(-(r**2))  # nowhere near the soliton family
     with pytest.raises(RuntimeError):
         flow.decompose(cache, r, u, (1.0, 1e-3))
+    # a carried Jacobian does not hide the loss: only a fresh one declares it
+    with pytest.raises(RuntimeError):
+        flow.decompose(cache, r, u, (1.0, 1e-3), J=carried_jacobian)
+
+
+def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
+    # the carried Jacobian and the seed extrapolated in t leave one build
+    # for the seed's b and one for the line-search trial; with a fresh
+    # Jacobian per update and the last (lam, b) as seed it was about 3.9
+    params = RunConfig(command="simulate", b0=3e-3, kappa_exit_factor=2e4, max_steps=40)
+    cache = flow.ProfileCache(params)
+    misses, calls = [], []
+    assemble, decompose = flow.assemble_profiles, flow.decompose
+
+    def counting(b, grid, *args, **kwargs):
+        lru = grid.cache.get("profile_sets", {})
+        if not any(key[0] == float(b) for key in lru):
+            misses.append(b)
+        return assemble(b, grid, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "assemble_profiles", counting)
+    monkeypatch.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
+    traj = flow.simulate(params, cache=cache)
+    assert traj.steps == len(calls) == 40 and traj.decompose_lost_step is None
+    assert len(misses) / len(calls) <= 2.25
+
+
+def test_simulate_rejects_a_cache_built_for_other_settings():
+    # the pairing direction Phi_M and the first flow grid come from the
+    # cache, the remeshed grids from the run's own settings
+    cache = flow.ProfileCache(RunConfig(b0=0.01))
+    params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4,
+                       nodes_per_decade=60, M=20, max_steps=3)
+    for run in (lambda: flow.simulate(params, cache=cache),
+                lambda: flow.find_bracket(params, cache=cache),
+                lambda: flow.shoot(-1e-4, 1e-4, 1, params, cache=cache)):
+        with pytest.raises(ValueError, match="cache built for"):
+            run()
+    matching = flow.replace(params, M=cache.params.M,
+                            nodes_per_decade=cache.params.nodes_per_decade)
+    for other in (dict(M=20), dict(nodes_per_decade=60)):
+        with pytest.raises(ValueError, match="cache built for"):
+            flow.simulate(flow.replace(matching, **other), cache=cache)
+    assert flow.simulate(matching, cache=cache).steps == 3
 
 
 def test_init_data_window_warning(cache):

@@ -108,11 +108,6 @@ def test_integrated_b_matches_two_term_law(reference_trajectory):
     assert np.max(scaled) < 2.0  # remainder order, bounded
 
 
-def test_blowup_time_estimates_agree(reference_trajectory):
-    tr = reference_trajectory
-    assert abs(tr.T_est - tr.T_est_alt) / tr.T_est < 1e-3
-
-
 def test_fit_recovers_synthetic_model():
     T0 = 1.0
     u = np.logspace(-9, -0.4, 4000)
@@ -120,7 +115,7 @@ def test_fit_recovers_synthetic_model():
     lam = (T0 - t) / np.log(T0 - t) ** 2
     tr = modulation.ReducedTrajectory(
         s=np.zeros_like(t), b=np.ones_like(t), lam=lam, t=t,
-        tau=T0 - t, T_est=T0, T_est_alt=T0)
+        tau=T0 - t, T_est=T0)
     fit = modulation.fit_blowup_law(tr)
     assert abs(fit.exponent - 1.0) < 1e-10
     assert fit.residual < 1e-10
