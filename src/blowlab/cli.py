@@ -75,7 +75,7 @@ def _cmd_profile(config: RunConfig, run_dir):
     files = ["summary.csv"]
     ok = True
     for b in config.b_sweep:
-        rep = profiles.error_Psi(b, "tilde", grid, M=config.M)
+        rep = profiles.error_Psi(b, grid, M=config.M)
         # error_Psi left this b's profile set in the grid's LRU
         pset = profiles.assemble_profiles(b, grid)
         c_b, d_b = pset.c_b, pset.d_b
@@ -87,7 +87,7 @@ def _cmd_profile(config: RunConfig, run_dir):
         ))
         name = f"error-report-b{b:g}.json"
         write_json(run_dir / name, {
-            "variant": rep.variant, "b": rep.b, "norm_H": rep.norm_H,
+            "variant": "tilde", "b": rep.b, "norm_H": rep.norm_H,
             "norm_w8": rep.norm_w8, "norm_H2": rep.norm_H2,
             "flux_ratio": rep.flux_ratio,
         })

@@ -18,6 +18,9 @@ from .profiles import B_STAR_DEFAULT, M_DEFAULT
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
+B_FLOOR = 2.5e-4  # smallest b the flow's profile grid must resolve
+B_FLOOR_EXIT = 1.05 * B_FLOOR  # a flow run ends `b_floor` once b falls to this
+
 NAN_MEANS_UNSET = ("bracket_lo", "bracket_hi")  # NaN: shoot grows its own bracket
 
 
@@ -60,6 +63,9 @@ class RunConfig:
                     math.isfinite(v) or (f.name in NAN_MEANS_UNSET and math.isnan(v))):
                 raise ValueError(f"{f.name} must be finite, got {v!r}")
         _b_window("b0", self.b0)
+        _require(self.command not in ("simulate", "shoot") or self.b0 > B_FLOOR_EXIT,
+                 f"{self.command} needs b0 above the flow's b floor "
+                 f"{B_FLOOR_EXIT:g}, got {self.b0!r}")
         for b in self.b_sweep:
             _b_window("b_sweep", b)
         _require(self.lambda0 > 0, "lambda0 must be positive")

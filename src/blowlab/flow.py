@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import radial
-from .config import RunConfig
+from .config import B_FLOOR, B_FLOOR_EXIT, RunConfig
 from .profiles import (
     B_STAR_DEFAULT,
     assemble_profiles,
@@ -37,7 +37,6 @@ R_MAX_FACTOR = 20.0  # times lambda0 * B1(b0)
 # profile grid
 PROFILE_Y_MIN = 1e-4
 PROFILE_N = 3072
-B_FLOOR = 2.5e-4  # smallest b the profile grid must resolve
 # stepping
 ATOL_STEP = 1e-9
 DS_INIT = 1e-3
@@ -130,7 +129,6 @@ class FlowTrajectory:
     checkpoints: list
     termination: str
     classification: RunClass | None
-    final_state: FlowState
     steps: int
     step_rejects: int = 0  # step_flow rejects over the run
     decompose_lost_step: int | None = None  # step whose decomposition failed
@@ -525,7 +523,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
             if lam <= params.lambda0 / LAMBDA_DECAY_TARGET:
                 termination = "tracked"
                 break
-            if b <= 1.05 * B_FLOOR:
+            if b <= B_FLOOR_EXIT:
                 termination = "b_floor"
                 break
 
@@ -544,7 +542,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
                                         decomp_lost, None))
     traj = FlowTrajectory(
         params=params, checkpoints=checkpoints, termination=termination,
-        classification=None, final_state=FlowState(grid=grid, u=u), steps=step,
+        classification=None, steps=step,
         step_rejects=rejects, decompose_lost_step=lost_step,
         newton_iterations=iterations, jacobian_builds=jacobians,
     )
@@ -752,24 +750,3 @@ def shoot(a_lo: float, a_hi: float, budget: int, params: RunConfig,
     return ShootingResult(bracket=(a_lo, a_hi), iterations=it, best=best,
                           history=history)
 
-
-def asymptotic_profile(traj: FlowTrajectory, r_cut: float | None = None):
-    """Estimate of the left-over radiation u* = u(t_end) - Q_at-final-scale.
-
-    Returns (r, u_star, laplacian_sq_integral) restricted to r >= r_cut.
-    """
-    st = traj.final_state
-    lam_end = traj.series("lam")[-1]
-    b_end = traj.series("b")[-1]
-    if r_cut is None:
-        _, b1 = zone_radii(b_end if np.isfinite(b_end) else traj.params.b0)
-        r_cut = 2.0 * lam_end * b1
-    r, u = st.r, st.u
-    mask = r >= r_cut
-    u_star = u[mask] - radial.q_soliton(r[mask] / lam_end) / lam_end
-    rr = r[mask]
-    t = np.log(rr)
-    du = np.gradient(u_star, t)
-    d2u = np.gradient(du, t)
-    lap = (d2u + 2.0 * du) / rr**2
-    return rr, u_star, float(np.dot(st.grid.weights[mask], lap**2))

@@ -40,7 +40,7 @@ from .radial import (
 
 B_STAR_DEFAULT = 0.05
 M_DEFAULT = 50.0
-DB_REL = 1e-3  # relative step of the tilde/hat residuals' centred b-difference
+DB_REL = 1e-3  # relative step of the residual's centred b-difference
 _PROFILE_CACHE_SIZE = 24
 
 
@@ -69,7 +69,7 @@ def _t1_parts(grid: RadialGrid):
     key = "T1_parts"
     if key not in grid.cache:
         rhs = grid.function(-zero_modes(grid)[0])
-        grid.cache[key] = solve_H_with_derivative(rhs, 0.0, check=False)
+        grid.cache[key] = solve_H_with_derivative(rhs)
     return grid.cache[key]
 
 
@@ -97,7 +97,7 @@ def radiation_sigma(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT):
     denom = float(np.dot(grid.weights, chi * lq * lq))
     c_b = 64.0 / denom
     d_b = c_b * float(np.dot(grid.weights, chi * lq * gm))
-    core = solve_H(grid.function(c_b * chi * lq), 0.0, check=False)
+    core = solve_H(grid.function(c_b * chi * lq))
     tail = d_b * (1.0 - cutoff(3.0 * B0, y)) * lq
     return grid.function(core.values + tail), c_b, d_b
 
@@ -157,12 +157,12 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
 
     # order b^2: the radiation absorbs the O(1) tail of -y T1'
     sigma2 = -sigma.values - y * T1p + 3.0 * Q * T1 * T1
-    t2, t2p = solve_H_with_derivative(grid.function(sigma2), 0.0, check=False)
+    t2, t2p = solve_H_with_derivative(grid.function(sigma2))
     T2, T2p = t2.values, t2p.values
 
     # order b^3: no further radiation is needed
     sigma3 = T2 - y * T2p + 6.0 * Q * T1 * T2 + T1**3
-    t3, t3p = solve_H_with_derivative(grid.function(sigma3), 0.0, check=False)
+    t3, t3p = solve_H_with_derivative(grid.function(sigma3))
     T3, T3p = t3.values, t3p.values
 
     alpha = b * T1 + b * b * T2 + b**3 * T3
@@ -190,31 +190,26 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
 
 @dataclass(frozen=True)
 class ErrorReport:
-    variant: str
     b: float
-    Psi: RadialFunction
     norm_H: float
     norm_w8: float
     norm_H2: float
     flux_ratio: float
 
 
-def _psi_values(pset: ProfileSet, variant: str) -> np.ndarray:
-    """Residual of the profile ansatz under b_s = -b^2, lambda_s/lambda = -b.
+def _psi_values(pset: ProfileSet) -> np.ndarray:
+    """Residual Psi_tilde of the chi_{B1}-localized profile under b_s = -b^2,
+    lambda_s/lambda = -b.
 
-    raw variant: -b^2 (T1 + 2 b T2) + b Lambda Q_b - Delta Q_b - Q_b^3 (the
-    intrinsic b-dependence of T2, T3 is dropped, matching the definition of
-    the unlocalized residual).  tilde/hat variants replace the explicit
-    -b^2 d/db sum by a centered finite difference of the full localized
-    profile, which picks up the cutoff and radiation b-derivatives.
-
-    The O(1) pieces are cancelled algebraically before evaluation: with
-    alpha the profile correction and H alpha known exactly from the defining
-    equations, b Lambda Q_b - Delta Q_b - Q_b^3 collapses to
-    b Lambda alpha + b^2 Sigma2 + b^3 Sigma3 - 3 Q alpha^2 - alpha^3 (plus
-    cutoff commutators for the localized variants).  Assembling the small
-    remainder directly keeps the roundoff floor proportional to the local
-    residual, which the fourth-order weighted norms require.
+    The -b^2 d/db term is a centered finite difference of the localized
+    correction chi_{B1} alpha, which picks up the cutoff and radiation
+    b-derivatives.  The O(1) pieces are cancelled algebraically before
+    evaluation: with alpha the profile correction and H alpha known exactly
+    from the defining equations, b Lambda Q_b - Delta Q_b - Q_b^3 collapses
+    to b Lambda alpha + b^2 Sigma2 + b^3 Sigma3 - 3 Q alpha^2 - alpha^3 plus
+    the cutoff commutators.  Assembling the small remainder directly keeps
+    the roundoff floor proportional to the local residual, which the
+    fourth-order weighted norms require.
     """
     grid = pset.grid
     y = grid.nodes
@@ -223,26 +218,16 @@ def _psi_values(pset: ProfileSet, variant: str) -> np.ndarray:
     alpha, alpha_p = pset.alpha, pset.alpha_prime
     order23 = b * b * pset.sigma2 + b**3 * pset.sigma3
     lam_alpha = alpha + y * alpha_p
-    if variant == "raw":
-        return (
-            b * lam_alpha + order23
-            - 3.0 * Q * alpha**2 - alpha**3
-            - b * b * (pset.T1.values + 2.0 * b * pset.T2.values)
-        )
-    scale = pset.B1 if variant == "tilde" else pset.B0
-    chi = cutoff(scale, y)
-    chi_p = cutoff(scale, y, 1)
-    lap_chi = cutoff_laplacian(scale, y)
+    chi = cutoff(pset.B1, y)
+    chi_p = cutoff(pset.B1, y, 1)
+    lap_chi = cutoff_laplacian(pset.B1, y)
     loc_alpha = chi * alpha
     db = DB_REL * b
     lo = assemble_profiles(b - db, grid, need_localized=False)
     hi = assemble_profiles(b + db, grid, need_localized=False)
-    scale_lo, scale_hi = (
-        (lo.B1, hi.B1) if variant == "tilde" else (lo.B0, hi.B0)
-    )
     dloc_db = (
-        cutoff(scale_hi, y) * hi.alpha
-        - cutoff(scale_lo, y) * lo.alpha
+        cutoff(hi.B1, y) * hi.alpha
+        - cutoff(lo.B1, y) * lo.alpha
     ) / (2.0 * db)
     return (
         b * (1.0 - chi) * zero_modes(grid)[0]
@@ -257,15 +242,14 @@ def _psi_values(pset: ProfileSet, variant: str) -> np.ndarray:
     )
 
 
-def error_Psi(b: float, variant: str, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
-    """Weighted norms of the profile residual on y <= 2 B1, plus the flux."""
-    if variant not in ("raw", "tilde", "hat"):
-        raise ValueError(f"unknown profile variant {variant!r}")
+def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
+    """Weighted norms of the residual Psi_tilde on y <= 2 B1, plus the flux
+    (H Psi_tilde, Phi_M) / (Lambda Q, Phi_M)."""
     pset = assemble_profiles(b, grid)
     if grid.y_max < 2.0 * pset.B1:
         raise ValueError("grid y_max below 2*B1; residual zone not covered")
     y = grid.nodes
-    psi = grid.function(_psi_values(pset, variant))
+    psi = grid.function(_psi_values(pset))
     h_psi = apply_H(psi)
     h2_psi = apply_H(h_psi)
     mask = y <= 2.0 * pset.B1
@@ -275,15 +259,8 @@ def error_Psi(b: float, variant: str, grid: RadialGrid, M: float = M_DEFAULT) ->
     norm_H2 = float(np.dot(w, h2_psi.values**2))
     phi = direction_phi(M, grid)
     flux = inner(h_psi, phi.Phi_M) / phi.pair_lambda_q
-    return ErrorReport(
-        variant=variant, b=float(b), Psi=psi,
-        norm_H=norm_H, norm_w8=norm_w8, norm_H2=norm_H2, flux_ratio=float(flux),
-    )
-
-
-def flux_ratio(b: float, M: float, grid: RadialGrid) -> float:
-    """(H Psi_tilde, Phi_M) / (Lambda Q, Phi_M) by quadrature."""
-    return error_Psi(b, "tilde", grid, M=M).flux_ratio
+    return ErrorReport(b=float(b), norm_H=norm_H, norm_w8=norm_w8, norm_H2=norm_H2,
+                       flux_ratio=float(flux))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +273,6 @@ class DirectionPhi:
     Phi_M: RadialFunction
     H_Phi_M: RadialFunction
     pair_lambda_q: float
-    pair_T1: float
     norm_sq: float
 
 
@@ -328,7 +304,6 @@ def direction_phi(M: float, grid: RadialGrid) -> DirectionPhi:
         Phi_M=phi,
         H_Phi_M=h_phi,
         pair_lambda_q=float(np.dot(grid.weights, phi_vals * lambda_q(y))),
-        pair_T1=float(np.dot(grid.weights, phi_vals * t1.values)),
         norm_sq=radial_integral(grid.function(phi_vals**2)),
     )
     cache[M] = direction

@@ -379,48 +379,30 @@ def zero_modes(grid: RadialGrid):
     return grid.cache[key]
 
 
-def solve_H(rhs: RadialFunction, c: float = 0.0, check: bool = True):
+def solve_H(rhs: RadialFunction):
     """Solve H u = rhs by variation of parameters, smooth at the origin.
 
-    u = Gamma int_0^y rhs LambdaQ - LambdaQ int_0^y rhs Gamma + c LambdaQ,
-    with the inner integrals accumulated by the grid quadrature and an
-    analytic head on (0, y_min].  Returns u; solve_H_with_derivative exposes
-    u' built from the same integrals with the closed-form derivatives.
+    u = Gamma int_0^y rhs LambdaQ - LambdaQ int_0^y rhs Gamma, the solution
+    that vanishes at the origin, with the inner integrals accumulated by the
+    grid quadrature and an analytic head on (0, y_min].
+    The rhs must be integrable against Gamma ~ 1/(2y^2) at the origin.
+    Returns u; solve_H_with_derivative exposes u' built from the same
+    integrals with the closed-form derivatives.
     """
-    u, _ = solve_H_with_derivative(rhs, c, check=check)
+    u, _ = solve_H_with_derivative(rhs)
     return u
 
 
-def solve_H_with_derivative(rhs: RadialFunction, c: float = 0.0, check: bool = True):
+def solve_H_with_derivative(rhs: RadialFunction):
     grid = rhs.grid
     f = rhs.values
-    if check:
-        _reject_non_integrable(grid, f)
     lq, lqp, gm, gmp = zero_modes(grid)
     head_lq, head_g = _series_heads(grid, float(f[0]))
     i1 = cumulative_integral(grid, f * lq, head=head_lq)
     i2 = cumulative_integral(grid, f * gm, head=head_g)
-    u = gm * i1 - lq * i2 + c * lq
-    up = gmp * i1 - lqp * i2 + c * lqp
+    u = gm * i1 - lq * i2
+    up = gmp * i1 - lqp * i2
     return RadialFunction(grid, u), RadialFunction(grid, up)
-
-
-def _reject_non_integrable(grid: RadialGrid, f: np.ndarray):
-    """Crude detector for rhs too singular at the origin for the Gamma integral."""
-    y = grid.nodes
-    fmax = float(np.max(np.abs(f)))
-    if fmax == 0.0:
-        return
-    f0, f1 = abs(float(f[0])), abs(float(f[1]))
-    if f0 * y[0] ** 2 <= 1e-12 * fmax:
-        return
-    if f1 > 0:
-        p = np.log(f0 / f1) / np.log(y[1] / y[0])
-        if p >= 1.9:
-            raise ValueError(
-                "rhs grows at least like y^-2 toward the origin; the inner "
-                "integral against Gamma diverges under refinement"
-            )
 
 
 # ---------------------------------------------------------------------------

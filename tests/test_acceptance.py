@@ -159,7 +159,7 @@ SWEEP4 = (3e-3, 1e-3, 3e-4)
 
 @pytest.fixture(scope="module")
 def sweep_reports(grid):
-    return {b: profiles.error_Psi(b, "tilde", grid, M=50.0) for b in SWEEP4}
+    return {b: profiles.error_Psi(b, grid, M=50.0) for b in SWEEP4}
 
 
 def test_criterion_4_residual_scalings(grid, sweep_reports):
@@ -199,7 +199,7 @@ def test_criterion_5_flux(sweep_reports, deep_grid):
     identity = {}
     vals = {}
     for b in (6.25e-6, 1e-6) + DEEP_B5:
-        flux = profiles.flux_ratio(b, 50.0, deep_grid)
+        flux = profiles.error_Psi(b, deep_grid, M=50.0).flux_ratio
         c_b = profiles.radiation_sigma(b, deep_grid)[1]
         identity[b] = flux / (-c_b * b**2)
         vals[b] = flux * profiles.log_binv(b) / b**2

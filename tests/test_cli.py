@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blowlab import cli, schema
-from blowlab.config import RunConfig, parse_config
+from blowlab.config import B_FLOOR_EXIT, RunConfig, parse_config
 
 
 def test_minimal_config_gets_defaults():
@@ -30,6 +30,19 @@ def test_b_star_itself_is_rejected_at_parse_time():
         parse_config("command=simulate b0=0.05")
     with pytest.raises(ValueError, match=r"b_sweep=0.05 outside"):
         parse_config("command=profile b_sweep=0.05")
+
+
+def test_flow_b0_at_the_b_floor_is_rejected_at_parse_time(tmp_path):
+    # the flow's profile grid resolves b down to B_FLOOR and a run ends
+    # `b_floor` at B_FLOOR_EXIT, so a flow b0 at or below it cannot run
+    for command in ("simulate", "shoot"):
+        for b0 in (1e-4, B_FLOOR_EXIT):
+            with pytest.raises(ValueError, match=r"above the flow's b floor"):
+                parse_config(f"command={command} b0={b0!r}")
+    for command in ("modulation", "verify"):
+        assert parse_config(f"command={command} b0=1e-4").b0 == 1e-4
+    cfg = parse_config("command=simulate b0=2.7e-4 max_steps=1")
+    assert cli.run(cfg, out_override=str(tmp_path))["ok"]
 
 
 def test_unknown_key_rejected_with_path():

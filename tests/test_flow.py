@@ -66,6 +66,25 @@ def test_stationary_bubble_drift(cache):
     assert drift2 < 0.35 * drift  # second-order in the mesh
 
 
+def test_step_flow_fixed_step_time_order():
+    # rtol = 1e30 accepts every trial step, so dt stays fixed; the accepted
+    # solution (two half steps) converges at first order in dt
+    g = flow._flow_grid(0.01, 50.0, 100)
+    u0 = radial.q_soliton(g.nodes) + 0.05 * np.exp(-(g.nodes**2))
+
+    def run(n):
+        u, dt = u0, 0.05 / n
+        for _ in range(n):
+            u, taken, _, _ = flow.step_flow(g, u, dt, 1e30, flow.ATOL_STEP)
+            assert taken == dt
+        return u
+
+    ref = run(6400)
+    errs = np.array([np.max(np.abs(run(n) - ref)) for n in (25, 50, 100, 200)])
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all((0.9 <= orders) & (orders <= 1.1)), orders
+
+
 def test_small_data_dissipates():
     g = flow._flow_grid(0.01, 50.0, 100)
     u = 0.01 * np.exp(-(g.nodes**2))
@@ -516,22 +535,6 @@ def test_lyapunov_series_fields(unstable_runs):
     assert set(table) >= {"t", "E4_over_lam6", "E2hat_over_lam2"}
     if "C2_fit" in table:
         assert np.isfinite(table["C2_fit"]) or np.isnan(table["C2_fit"])
-
-
-def test_asymptotic_profile_of_stationary_state():
-    lam = 1.0
-    g = flow._flow_grid(0.02, 2000.0, 120)
-    u = radial.q_soliton(g.nodes / lam) / lam
-    traj = flow.FlowTrajectory(
-        params=RunConfig(command="simulate"), checkpoints=[
-            flow.Checkpoint(step=0, t=0.0, s=0.0, lam=lam, b=1e-3, kappa=0.0,
-                            E=flow.E_OF_Q, E1=0, E2=0, E4=0, E2_hat=0,
-                            u_max=1.0, res_phi=0, res_hphi=0)],
-        termination="budget", classification=None,
-        final_state=flow.FlowState(grid=g, u=u), steps=0)
-    rr, u_star, lap2 = flow.asymptotic_profile(traj, r_cut=10.0)
-    assert np.max(np.abs(u_star)) < 1e-14
-    assert lap2 < 1e-20
 
 
 def test_remesh_preserves_the_solution(params):

@@ -8,8 +8,10 @@ import blowlab
 from blowlab.config import RunConfig
 
 SRC = Path(blowlab.__file__).resolve().parent
+# the program: the package and the benchmark harness that drives it
+PROGRAM = (SRC, SRC.parent.parent / "perfbench")
 # every place a definition in the package may be read from
-READERS = (SRC, Path(__file__).resolve().parent, SRC.parent.parent / "perfbench")
+READERS = PROGRAM + (Path(__file__).resolve().parent,)
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -68,24 +70,55 @@ def _bound_names(node: ast.stmt) -> list:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def test_no_unread_definitions():
-    # each top-level function, class or assigned name of the package is read
-    # somewhere other than in its own definition: by name in its own module,
-    # by attribute, import or string anywhere
+def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
+    """(file name, line, name) of each name that a top-level statement of
+    one of `kinds` in the package defines and that nothing in `readers`
+    reads other than its own definition: by name in its own module, by
+    attribute, import or string anywhere."""
     parts = []  # (path, top-level statement, the names it reads)
-    for root in READERS:
+    for root in readers:
         for path in sorted(root.glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             parts += [(path, node, _references(node)) for node in tree.body]
     unread = []
     for path, node, _ in parts:
-        if path.parent != SRC:
+        if path.parent != SRC or not isinstance(node, kinds):
             continue
         for name in _bound_names(node):
             if not any(name in qualified or (where == path and name in bare)
                        for where, other, (bare, qualified) in parts if other is not node):
-                unread.append(f"{path.name}:{node.lineno}: {name}")
-    assert not unread, "defined but never read:\n" + "\n".join(unread)
+                unread.append((path.name, node.lineno, name))
+    return unread
+
+
+def test_no_unread_definitions():
+    # each top-level function, class or assigned name of the package is read
+    # somewhere, tests included
+    unread = _unread_definitions(READERS)
+    assert not unread, "defined but never read:\n" + "\n".join(
+        f"{f}:{line}: {name}" for f, line, name in unread)
+
+
+# Top-level functions and classes that only tests read, each with its reason.
+TEST_ONLY_ALLOWED = {
+    # criterion 9 asserts with it that the coercivity ratio of the
+    # unprojected near-kernel direction dwarfs the projected suite's
+    "coercivity_H_adversarial",
+    # test_integrated_b_matches_two_term_law compares the program's closed
+    # form against this independent two-term expansion
+    "b_of_s_asymptotic",
+}
+
+
+def test_program_reads_every_function_and_class():
+    # a function or class that only its own tests call is code no command
+    # runs; every allowed exception must still be one
+    unread = _unread_definitions(PROGRAM, (ast.FunctionDef, ast.ClassDef))
+    test_only = [f"{f}:{line}: {name}" for f, line, name in unread
+                 if name not in TEST_ONLY_ALLOWED]
+    assert not test_only, "read by tests alone:\n" + "\n".join(test_only)
+    stale = TEST_ONLY_ALLOWED - {name for _, _, name in unread}
+    assert not stale, f"read by the program, drop from TEST_ONLY_ALLOWED: {sorted(stale)}"
 
 
 def test_every_setting_is_read():

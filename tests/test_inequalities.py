@@ -106,12 +106,6 @@ def test_coercivity_H2_stability(sgrid, refined):
     assert all(r.details["projection_residual"] < 1e-11 for r in reps)
 
 
-def test_kernel_spike_demonstrates_orthogonality():
-    raw, projected = ineq.coercivity_H2_kernel_spike()
-    assert raw > 10.0 * projected
-    assert raw > 10.0  # near-kernel direction: tiny H^2 content
-
-
 def test_ratio_scale_invariance(sgrid):
     sampler = ineq.TestFunctionSampler(seed=5)
     v, _, _ = sampler.sample(sgrid)

@@ -158,27 +158,12 @@ def test_zeta_b_norm_sweep(grid):
 
 def test_error_report_masks_and_variants(grid):
     b = 1e-3
-    rep = profiles.error_Psi(b, "tilde", grid)
+    rep = profiles.error_Psi(b, grid)
     assert rep.norm_H > 0 and rep.norm_w8 > 0 and rep.norm_H2 > 0
     assert np.isfinite(rep.flux_ratio)
-    for variant in ("raw", "hat"):
-        r = profiles.error_Psi(b, variant, grid)
-        assert np.isfinite([r.norm_H, r.norm_w8, r.norm_H2]).all()
-    with pytest.raises(ValueError):
-        profiles.error_Psi(1e-3, "nope", grid)
     small = radial.make_grid(1e-4, 100.0, 512)
     with pytest.raises(ValueError):
-        profiles.error_Psi(1e-3, "tilde", small)
-
-
-def test_hat_residual_support(grid):
-    b = 1e-3
-    rep = profiles.error_Psi(b, "hat", grid)
-    h_psi = radial.apply_H(rep.Psi).values
-    y = grid.nodes
-    b0, b1 = profiles.zone_radii(b)
-    outside = (y > 2.2 * b0) & (y <= 2.0 * b1)
-    assert np.max(np.abs(h_psi[outside])) < 1e-10 * np.max(np.abs(h_psi))
+        profiles.error_Psi(1e-3, small)
 
 
 def test_residual_norms_sweep_and_slope(grid):
@@ -190,7 +175,7 @@ def test_residual_norms_sweep_and_slope(grid):
     """
     rows = {}
     for b in SWEEP:
-        rep = profiles.error_Psi(b, "tilde", grid)
+        rep = profiles.error_Psi(b, grid)
         lb = profiles.log_binv(b)
         rows[b] = (rep.norm_H / (b**4 * lb**2), rep.norm_w8 / b**6,
                    rep.norm_H2 * lb**2 / b**6)
@@ -205,8 +190,8 @@ def test_residual_norms_sweep_and_slope(grid):
 
 
 def test_residual_norms_grid_converged(grid, fine_grid):
-    a = profiles.error_Psi(1e-3, "tilde", grid)
-    b = profiles.error_Psi(1e-3, "tilde", fine_grid)
+    a = profiles.error_Psi(1e-3, grid)
+    b = profiles.error_Psi(1e-3, fine_grid)
     assert abs(a.norm_H / b.norm_H - 1.0) < 0.02
     assert abs(a.norm_H2 / b.norm_H2 - 1.0) < 0.1
 
@@ -216,7 +201,8 @@ def test_direction_phi(grid):
         phi = profiles.direction_phi(m, grid)
         t1 = profiles.build_T1(grid)
         scale = np.sqrt(phi.norm_sq) * l2_window(grid, t1.values, 2 * m)
-        assert abs(phi.pair_T1) < 1e-10 * scale
+        pair_t1 = float(np.dot(grid.weights, phi.Phi_M.values * t1.values))
+        assert abs(pair_t1) < 1e-10 * scale
         y = grid.nodes
         assert np.all(phi.Phi_M.values[y > 2.0 * m] == 0.0)
         assert phi.norm_sq / np.log(m) < 150.0
@@ -236,7 +222,7 @@ def test_flux_ratio_values(grid):
     """
     vals = {}
     for b in (3e-3, 1e-3, 3e-4):
-        vals[b] = profiles.flux_ratio(b, 50.0, grid) * profiles.log_binv(b) / b**2
+        vals[b] = profiles.error_Psi(b, grid, M=50.0).flux_ratio * profiles.log_binv(b) / b**2
         assert vals[b] < 0  # strictly negative leading term
     assert abs(vals[3e-3] + 6.06) < 0.3
     assert abs(vals[1e-3] + 3.68) < 0.2

@@ -243,21 +243,11 @@ def test_solve_H_roundtrip(grid, fine_grid):
     for g in (grid, fine_grid):
         y = g.nodes
         rhs = g.function(np.exp(-np.minimum(y, 30.0) ** 2))
-        u = radial.solve_H(rhs, 0.0)
+        u = radial.solve_H(rhs)
         back = radial.apply_H(u)
         errs.append(l2_window(g, back.values - rhs.values))
     assert errs[0] < 1e-4
     assert np.log2(errs[0] / errs[1]) > 1.7
-
-
-def test_solve_H_homogeneous_is_the_resonance(grid):
-    u = radial.solve_H(grid.function(np.zeros(grid.n)), 1.0)
-    assert np.max(np.abs(u.values - radial.lambda_q(grid.nodes))) < 1e-12
-
-
-def test_solve_H_rejects_non_integrable_rhs(grid):
-    with pytest.raises(ValueError):
-        radial.solve_H(grid.function(1.0 / grid.nodes**2))
 
 
 def test_unstable_mode(grid, fine_grid, eigenpair):
