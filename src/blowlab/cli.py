@@ -136,12 +136,7 @@ def _cmd_simulate(config: RunConfig, run_dir):
 
 
 def _cmd_shoot(config: RunConfig, run_dir):
-    cache = flow.ProfileCache(config)
-    if np.isnan(config.bracket_lo) or np.isnan(config.bracket_hi):
-        a_lo, a_hi = flow.find_bracket(config, cache=cache)
-    else:
-        a_lo, a_hi = config.bracket_lo, config.bracket_hi
-    result = flow.shoot(a_lo, a_hi, config.budget, config, cache=cache)
+    result = flow.shoot(config)
     write_csv(run_dir / "history.csv", schema.SHOOT_HISTORY_CSV,
               ((k, lo, hi) for k, (lo, hi) in enumerate(result.history)))
     files = ["history.csv"] + _write_run_series(result.best, run_dir)

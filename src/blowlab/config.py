@@ -87,17 +87,6 @@ class RunConfig:
         _require(self.seed >= 0, "seed must be nonnegative")
         return self
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):

@@ -6,8 +6,9 @@ reaction, step-doubling error control, and remeshing in the self-similar
 variable when the bubble scale halves.  Every accepted step re-decomposes
 the solution as u = (Q_loc(b) + eps)_lambda through the two orthogonality
 pairings against the localized direction Phi_M, tracks the unstable-mode
-amplitude kappa = (eps, psi), and the shooting driver bisects the initial
-amplitude a+ on the sign of the recorded exit.
+amplitude kappa = (eps, psi).  The shooting driver `shoot` bisects the
+initial amplitude a+ on the sign of the recorded exit, between the run
+config's bracket or one it grows itself.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from scipy.interpolate import CubicSpline
 from . import radial
 from .config import B_FLOOR, B_FLOOR_EXIT, RunConfig
 from .profiles import (
-    B_STAR_DEFAULT,
     assemble_profiles,
     direction_phi,
     log_binv,
+    resolves,
     zone_radii,
 )
 
@@ -72,10 +73,10 @@ def admissible_window(b: float, factor: float) -> float:
 
 
 class ProfileCache:
-    """Shared immutable profile-side machinery for one parameter set."""
+    """Shared immutable profile-side machinery for one pairing radius M."""
 
     def __init__(self, params: RunConfig):
-        self.params = params
+        self.M = params.M
         _, b1_floor = zone_radii(B_FLOOR)
         y_max = max(4.2 * b1_floor, 40.0 * params.M)
         self.grid = radial.make_grid(PROFILE_Y_MIN, y_max, PROFILE_N)
@@ -286,9 +287,12 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
     psi windows at the returned lambda, "jacobian" is the Jacobian last
     used (to carry to the next call) and "jacobian_builds" counts the
     fresh ones.  Raises RuntimeError when the Newton iteration leaves the
-    soliton tube.
+    soliton tube: a seed b the profile grid does not resolve, or no
+    admissible descent step.
     """
     lam, b = seed
+    if not resolves(cache.grid, b):
+        raise RuntimeError(f"decomposition seed b={b:g} outside the profile grid's range")
     u_eval = _u_eval(r, u)
     n = max(cache.pair_n, cache.psi_n)
     field = _field(cache, u_eval, lam, n)
@@ -308,7 +312,7 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
         # damped update: the pairing surface is strongly curved in lambda
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             lam_t, b_t = lam - alpha * dlam, b - alpha * db
-            if not (lam_t > 0 and 0 < b_t < B_STAR_DEFAULT):
+            if not (lam_t > 0 and resolves(cache.grid, b_t)):
                 continue
             field_t = _field(cache, u_eval, lam_t, n)
             r1_t, r2_t = _pairings(cache, field_t, b_t)
@@ -413,8 +417,10 @@ def flow_energy(grid: radial.RadialGrid, u: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
-    """(Q_loc(b0) + a+ psi) at scale lambda0 sampled on the flow grid."""
+def init_data(cache: ProfileCache, params: RunConfig):
+    """(Q_loc(b0) + a+ psi) at scale lambda0, sampled on a flow grid of the
+    run's nodes_per_decade."""
+    b0, a_plus, lambda0 = params.b0, params.a_plus, params.lambda0
     window = admissible_window(b0, 2.0)
     if abs(a_plus) > 10.0 * window:
         warnings.warn(
@@ -422,7 +428,7 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
             f"window {window:g}", stacklevel=2)
     _, b1 = zone_radii(b0)
     r_max = R_MAX_FACTOR * lambda0 * b1
-    grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, cache.params.nodes_per_decade)
+    grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, params.nodes_per_decade)
     y = grid.nodes / lambda0
     qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b0))
     psi = CubicSpline(np.log(cache.grid.nodes), cache.eig.psi.values)
@@ -433,17 +439,18 @@ def init_data(cache: ProfileCache, b0: float, a_plus: float, lambda0: float):
     return FlowState(grid=grid, u=vals / lambda0)
 
 
-def _extrapolated_seed(history: list, dt: float, lam: float, b: float) -> tuple:
+def _extrapolated_seed(grid: radial.RadialGrid, history: list, dt: float, lam: float,
+                       b: float) -> tuple:
     """(lam, b) extrapolated linearly in t a step dt past the last two
     decomposed states, `history` = [(lam, b, dt that reached it)] * 2.  The
     last state (lam, b) itself without two states, or when the extrapolation
-    leaves lam > 0, 0 < b < b*."""
+    leaves lam > 0 or a b the profile grid resolves."""
     if len(history) < 2:
         return lam, b
     (lam_prev, b_prev, _), (_, _, dt_last) = history
     ratio = dt / dt_last
     lam_s, b_s = lam + ratio * (lam - lam_prev), b + ratio * (b - b_prev)
-    if lam_s > 0 and 0 < b_s < B_STAR_DEFAULT:
+    if lam_s > 0 and resolves(grid, b_s):
         return lam_s, b_s
     return lam, b
 
@@ -451,20 +458,15 @@ def _extrapolated_seed(history: list, dt: float, lam: float, b: float) -> tuple:
 def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajectory:
     """One PDE run from `init_data`, decomposed after every accepted step.
 
-    A given `cache` must have been built for the same `M` and
-    `nodes_per_decade` as `params`, or ValueError is raised.  The Newton
-    Jacobian and the seed history live in this call only, so runs sharing
-    a cache do not depend on each other.
+    A given `cache` must have been built for the same `M` as `params`, or
+    ValueError is raised.  The Newton Jacobian and the seed history live in
+    this call only, so runs sharing a cache do not depend on each other.
     """
     if cache is None:
         cache = ProfileCache(params)
-    elif (cache.params.M, cache.params.nodes_per_decade) != (
-            params.M, params.nodes_per_decade):
-        raise ValueError(
-            f"cache built for M={cache.params.M:g}, nodes_per_decade="
-            f"{cache.params.nodes_per_decade}; the run has M={params.M:g}, "
-            f"nodes_per_decade={params.nodes_per_decade}")
-    state = init_data(cache, params.b0, params.a_plus, params.lambda0)
+    elif cache.M != params.M:
+        raise ValueError(f"cache built for M={cache.M:g}; the run has M={params.M:g}")
+    state = init_data(cache, params)
     grid, u = state.grid, state.u
     lam, b = params.lambda0, params.b0
     dt = DS_INIT * lam**2
@@ -500,7 +502,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
 
         lam_old = lam
         if not decomp_lost:
-            seed = _extrapolated_seed(history, dt_taken, lam, b)
+            seed = _extrapolated_seed(cache.grid, history, dt_taken, lam, b)
             try:
                 lam, b, dd = decompose(cache, grid.nodes, u, seed, jac)
             except RuntimeError:
@@ -692,37 +694,40 @@ def _probe(params: RunConfig, cache: ProfileCache, a: float) -> FlowTrajectory:
         return simulate(replace(params, a_plus=a), cache=cache)
 
 
-def find_bracket(params: RunConfig, cache: ProfileCache | None = None):
-    """Grow a symmetric amplitude bracket until the exits have opposite signs.
+def shoot(params: RunConfig, cache: ProfileCache | None = None) -> ShootingResult:
+    """Bisect the unstable amplitude `params.budget` times between
+    opposite-sign exits.
 
+    The bracket is (`params.bracket_lo`, `params.bracket_hi`), whose runs
+    must exit on opposite sides, or ValueError is raised.  When either is
+    NaN, a symmetric bracket is grown from the admissible window until its
+    exits have opposite signs, and the two runs that closed it are its ends.
     The admissible window of the continuous problem is far smaller than the
-    actual unstable threshold at moderate b (the profile residual forces the
-    unstable mode at a rate that scales with the radiation constant), so a
-    workable bracket typically sits several orders above the window.
+    actual unstable threshold at moderate b (the profile residual forces
+    the unstable mode at a rate that scales with the radiation constant),
+    so a workable bracket typically sits several orders above the window.
     """
     cache = cache or ProfileCache(params)
-    window = admissible_window(params.b0, 2.0)
-    a = window
-    while a <= BRACKET_MAX_FACTOR * window:
-        lo, hi = _probe(params, cache, -a), _probe(params, cache, +a)
-        if _exit_sign(lo) * _exit_sign(hi) == -1:
-            return -a, a
-        a *= BRACKET_GROW
-    raise RuntimeError("no opposite-sign bracket found within the cap")
-
-
-def shoot(a_lo: float, a_hi: float, budget: int, params: RunConfig,
-          cache: ProfileCache | None = None) -> ShootingResult:
-    """Bisect the unstable amplitude between opposite-sign exits."""
-    cache = cache or ProfileCache(params)
-    lo_traj, hi_traj = _probe(params, cache, a_lo), _probe(params, cache, a_hi)
-    if _exit_sign(lo_traj) * _exit_sign(hi_traj) != -1:
-        raise ValueError(
-            f"bracket endpoints classify as {lo_traj.classification} / "
-            f"{hi_traj.classification}; need opposite unstable exits")
+    if np.isnan(params.bracket_lo) or np.isnan(params.bracket_hi):
+        window = admissible_window(params.b0, 2.0)
+        a = window
+        while a <= BRACKET_MAX_FACTOR * window:
+            lo_traj, hi_traj = _probe(params, cache, -a), _probe(params, cache, +a)
+            if _exit_sign(lo_traj) * _exit_sign(hi_traj) == -1:
+                break
+            a *= BRACKET_GROW
+        else:
+            raise RuntimeError("no opposite-sign bracket found within the cap")
+    else:
+        lo_traj = _probe(params, cache, params.bracket_lo)
+        hi_traj = _probe(params, cache, params.bracket_hi)
+        if _exit_sign(lo_traj) * _exit_sign(hi_traj) != -1:
+            raise ValueError(
+                f"bracket endpoints classify as {lo_traj.classification} / "
+                f"{hi_traj.classification}; need opposite unstable exits")
     if _exit_sign(lo_traj) > 0:
-        a_lo, a_hi = a_hi, a_lo
         lo_traj, hi_traj = hi_traj, lo_traj
+    a_lo, a_hi = lo_traj.params.a_plus, hi_traj.params.a_plus
 
     def depth(tr):
         return tr.params.lambda0 / np.nanmin(tr.series("lam"))
@@ -730,7 +735,7 @@ def shoot(a_lo: float, a_hi: float, budget: int, params: RunConfig,
     best = max([lo_traj, hi_traj], key=depth)
     history = [(a_lo, a_hi)]
     it = 0
-    for it in range(1, budget + 1):
+    for it in range(1, params.budget + 1):
         mid = 0.5 * (a_lo + a_hi)
         if mid in (a_lo, a_hi):
             break  # bracket at floating point resolution

@@ -55,6 +55,12 @@ def zone_radii(b: float) -> tuple[float, float]:
     return rb, log_binv(b) * rb
 
 
+def resolves(grid: RadialGrid, b: float) -> bool:
+    """Whether `grid` carries the localized profiles at b: 0 < b < b* and
+    4 B1(b) <= y_max."""
+    return 0.0 < b < B_STAR_DEFAULT and 4.0 * zone_radii(b)[1] <= grid.y_max
+
+
 # ---------------------------------------------------------------------------
 # first-order profile, cached per grid
 # ---------------------------------------------------------------------------
@@ -143,11 +149,10 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
         cache.move_to_end(key)
         return cache[key]
 
+    if need_localized and not resolves(grid, b):
+        raise ValueError(f"grid y_max={grid.y_max:g} does not resolve b={b:g}; "
+                         f"need 0 < b < {B_STAR_DEFAULT} and 4*B1(b) <= y_max")
     B0, B1 = zone_radii(b)
-    if need_localized and grid.y_max < 4.0 * B1:
-        raise ValueError(
-            f"grid y_max={grid.y_max:g} too small; need >= 4*B1 = {4 * B1:g}"
-        )
     y = grid.nodes
     Q = q_soliton(y)
 

@@ -258,10 +258,9 @@ def desk_scale_shot():
         hi = flow.simulate(flow.replace(params, a_plus=+w), cache=cache)
     literal_bracket = (lo.classification, hi.classification)
     demo_params = RunConfig(command="shoot", b0=0.01, kappa_exit_factor=2e4,
-                            max_steps=12000)
-    bracket = flow.find_bracket(demo_params, cache=cache)
-    result = flow.shoot(bracket[0], bracket[1], 40, demo_params, cache=cache)
-    return literal_bracket, bracket, result
+                            max_steps=12000, budget=40)
+    result = flow.shoot(demo_params, cache=cache)  # grows its own bracket
+    return literal_bracket, result.history[0], result
 
 
 def test_criterion_7_desk_scale_simulation(desk_scale_shot):

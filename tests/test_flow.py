@@ -24,9 +24,8 @@ def cache(params):
 
 
 def synthetic_state(cache, lam, b, delta=0.0, shape=None):
-    p = cache.params
     r = flow._flow_grid(flow.Y_MIN_FLOW * lam, 30.0 * lam * flow.zone_radii(b)[1],
-                        p.nodes_per_decade).nodes
+                        100).nodes
     y = r / lam
     qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b))
     inside = y <= cache.grid.y_max
@@ -150,8 +149,8 @@ def _banded_step(grid, u, dt, rtol, atol):
         dt *= max(0.1, 0.9 / np.sqrt(err))
 
 
-def test_step_flow_matches_the_banded_solve_bit_for_bit(cache):
-    st = flow.init_data(cache, 0.01, 0.0, 1.0)
+def test_step_flow_matches_the_banded_solve_bit_for_bit(params, cache):
+    st = flow.init_data(cache, flow.replace(params, b0=0.01))
     g2 = flow._flow_grid(0.01, 50.0, 100)
     u2 = radial.q_soliton(g2.nodes / 0.5) / 0.5 + 0.1 * np.exp(-(g2.nodes**2))
     total_rejects = 0
@@ -384,6 +383,22 @@ def test_decompose_signals_tube_loss(cache, carried_jacobian):
         flow.decompose(cache, r, u, (1.0, 1e-3), J=carried_jacobian)
 
 
+def test_decompose_below_the_profile_grids_b_is_a_tube_loss(cache):
+    # the profile grid resolves b only while 4 B1(b) <= y_max (b down to
+    # about 2.3e-4 here); a seed or a line-search trial below that is a lost
+    # decomposition, which simulate classifies, never the grid's ValueError
+    assert flow.resolves(cache.grid, flow.B_FLOOR)
+    assert not flow.resolves(cache.grid, 1.5e-4)
+    assert not any(flow.resolves(cache.grid, b) for b in (-1e-3, 0.0, 0.05))
+    r = flow._flow_grid(0.01, 500.0, 100).nodes
+    u = 0.3 * np.exp(-(r**2))
+    # the first update halves b to 1.5e-4, which the grid cannot resolve
+    with pytest.raises(RuntimeError, match="left the soliton tube"):
+        flow.decompose(cache, r, u, (1.0, 3e-4))
+    with pytest.raises(RuntimeError, match="outside the profile grid"):
+        flow.decompose(cache, r, u, (1.0, 1.5e-4))
+
+
 def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     # the carried Jacobian and the seed extrapolated in t leave one build
     # for the seed's b and one for the line-search trial; with a fresh
@@ -407,35 +422,44 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
 
 
 def test_simulate_rejects_a_cache_built_for_other_settings():
-    # the pairing direction Phi_M and the first flow grid come from the
-    # cache, the remeshed grids from the run's own settings
+    # the pairing direction Phi_M and its windows come from the cache
+    cache = flow.ProfileCache(RunConfig(b0=0.01))
+    params = RunConfig(command="shoot", b0=0.01, kappa_exit_factor=2e4, M=20,
+                       max_steps=3, bracket_lo=-1e-4, bracket_hi=1e-4, budget=1)
+    for run in (flow.simulate, flow.shoot):
+        with pytest.raises(ValueError, match="cache built for M=50"):
+            run(params, cache=cache)
+    assert flow.simulate(flow.replace(params, M=cache.M), cache=cache).steps == 3
+
+
+def test_a_cache_serves_runs_of_any_nodes_per_decade(monkeypatch):
+    # every flow grid, the first one included, takes the run's density
     cache = flow.ProfileCache(RunConfig(b0=0.01))
     params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4,
-                       nodes_per_decade=60, M=20, max_steps=3)
-    for run in (lambda: flow.simulate(params, cache=cache),
-                lambda: flow.find_bracket(params, cache=cache),
-                lambda: flow.shoot(-1e-4, 1e-4, 1, params, cache=cache)):
-        with pytest.raises(ValueError, match="cache built for"):
-            run()
-    matching = flow.replace(params, M=cache.params.M,
-                            nodes_per_decade=cache.params.nodes_per_decade)
-    for other in (dict(M=20), dict(nodes_per_decade=60)):
-        with pytest.raises(ValueError, match="cache built for"):
-            flow.simulate(flow.replace(matching, **other), cache=cache)
-    assert flow.simulate(matching, cache=cache).steps == 3
+                       nodes_per_decade=60, max_steps=3)
+    own = flow.simulate(params)  # on a cache built for the run itself
+    grids = []
+    step_flow = flow.step_flow
+    monkeypatch.setattr(flow, "step_flow",
+                        lambda grid, *a: grids.append(grid.n) or step_flow(grid, *a))
+    traj = flow.simulate(params, cache=cache)
+    st = flow.init_data(cache, params)
+    dense = flow.init_data(cache, flow.replace(params, nodes_per_decade=120))
+    assert grids == [st.grid.n] * 3 and st.grid.n < dense.grid.n
+    assert traj.checkpoints == own.checkpoints
 
 
-def test_init_data_window_warning(cache):
+def test_init_data_window_warning(params, cache):
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        flow.init_data(cache, 1e-3, 0.0, 1.0)
+        flow.init_data(cache, params)
         assert not captured
-        flow.init_data(cache, 1e-3, 1e-3, 1.0)  # far beyond 10x the window
+        flow.init_data(cache, flow.replace(params, a_plus=1e-3))  # far beyond 10x the window
         assert any("window" in str(w.message) for w in captured)
 
 
 def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
-    st = flow.init_data(cache, params.b0, 0.0, 1.0)
+    st = flow.init_data(cache, params)
     lam, b, dd = flow.decompose(cache, st.r, st.u, (1.0, params.b0))
     n = flow._covered(cache, lam, st.r[-1])
     # kappa vanishes up to the pairing tolerance times its scale
@@ -514,13 +538,15 @@ def test_blowup_on_the_focusing_side(params, cache, monkeypatch):
 
 
 def test_shoot_requires_bracket(params, cache):
+    same_side = flow.replace(params, bracket_lo=1e-5, bracket_hi=2e-5, budget=5)
     with pytest.raises(ValueError):
-        flow.shoot(1e-5, 2e-5, 5, params, cache=cache)  # same side twice
+        flow.shoot(same_side, cache=cache)
 
 
 def test_shoot_bisection_mechanics(params, cache):
     a = 6e-4
-    res = flow.shoot(-a, a, 8, params, cache=cache)
+    res = flow.shoot(flow.replace(params, bracket_lo=-a, bracket_hi=a, budget=8),
+                     cache=cache)
     width = res.bracket[1] - res.bracket[0]
     assert width <= 2.0 * a * 2.0**-8 + 1e-15
     assert res.iterations == 8
@@ -528,6 +554,39 @@ def test_shoot_bisection_mechanics(params, cache):
     his = [hi for _, hi in res.history]
     assert all(np.diff(los) >= 0) and all(np.diff(his) <= 0)
     assert res.best.steps > 0
+
+
+def test_shoot_grows_its_bracket_without_rerunning_its_ends(monkeypatch):
+    # the perfbench `shoot` config with a NaN bracket: 7 growth pairs, the
+    # last of which (+-4^6 windows) closes the bracket, then 1 bisection.
+    # Its result is the one shoot gives from that bracket passed explicitly
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4,
+                       max_steps=3000, budget=1)
+    cache = flow.ProfileCache(params)
+    amplitudes = []
+    simulate = flow.simulate
+    monkeypatch.setattr(flow, "simulate", lambda p, cache: amplitudes.append(p.a_plus)
+                        or simulate(p, cache=cache))
+    grown = flow.shoot(params, cache=cache)
+    w = flow.admissible_window(params.b0, 2.0)
+    growth = [sign * w * flow.BRACKET_GROW**k for k in range(7) for sign in (-1, +1)]
+    a = growth[-1]
+    assert amplitudes == growth + [0.0] and len(amplitudes) == 15
+    assert grown.history[0] == (-a, a) and a == 6.95153980321595e-4
+    given = flow.shoot(flow.replace(params, bracket_lo=-a, bracket_hi=a), cache=cache)
+    assert len(amplitudes) == 18
+    assert (grown.history, grown.bracket, grown.iterations) == (
+        given.history, given.bracket, given.iterations)
+    assert grown.best.params.a_plus == given.best.params.a_plus
+    assert grown.best.checkpoints == given.best.checkpoints
+
+
+def test_shoot_gives_up_growing_at_the_cap(params, cache, monkeypatch):
+    # one growth pair fits under a cap of one window; runs that end by
+    # budget have no exit sign, so no bracket closes
+    monkeypatch.setattr(flow, "BRACKET_MAX_FACTOR", 1.0)
+    with pytest.raises(RuntimeError, match="within the cap"):
+        flow.shoot(flow.replace(params, max_steps=1), cache=cache)
 
 
 def test_lyapunov_series_fields(unstable_runs):

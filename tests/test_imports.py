@@ -74,7 +74,9 @@ def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
     """(file name, line, name) of each name that a top-level statement of
     one of `kinds` in the package defines and that nothing in `readers`
     reads other than its own definition: by name in its own module, by
-    attribute, import or string anywhere."""
+    attribute, import or string anywhere.  Likewise each method and
+    property of such a class (dunders aside), named "Class.member", that
+    nothing outside its own body reads by attribute or string."""
     parts = []  # (path, top-level statement, the names it reads)
     for root in readers:
         for path in sorted(root.glob("*.py")):
@@ -88,18 +90,29 @@ def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
             if not any(name in qualified or (where == path and name in bare)
                        for where, other, (bare, qualified) in parts if other is not node):
                 unread.append((path.name, node.lineno, name))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+                continue
+            # the class's own reads, its member's body aside
+            own = [_references(sub) for sub in node.body + node.bases + node.decorator_list
+                   if sub is not member]
+            if not any(member.name in qualified for _, qualified in
+                       own + [refs for _, other, refs in parts if other is not node]):
+                unread.append((path.name, member.lineno, f"{node.name}.{member.name}"))
     return unread
 
 
 def test_no_unread_definitions():
-    # each top-level function, class or assigned name of the package is read
-    # somewhere, tests included
+    # each top-level function, class, method or assigned name of the
+    # package is read somewhere, tests included
     unread = _unread_definitions(READERS)
     assert not unread, "defined but never read:\n" + "\n".join(
         f"{f}:{line}: {name}" for f, line, name in unread)
 
 
-# Top-level functions and classes that only tests read, each with its reason.
+# Functions, classes and members that only tests read, each with its reason.
 TEST_ONLY_ALLOWED = {
     # criterion 9 asserts with it that the coercivity ratio of the
     # unprojected near-kernel direction dwarfs the projected suite's
@@ -111,8 +124,8 @@ TEST_ONLY_ALLOWED = {
 
 
 def test_program_reads_every_function_and_class():
-    # a function or class that only its own tests call is code no command
-    # runs; every allowed exception must still be one
+    # a function, class, method or property that only its own tests call
+    # is code no command runs; every allowed exception must still be one
     unread = _unread_definitions(PROGRAM, (ast.FunctionDef, ast.ClassDef))
     test_only = [f"{f}:{line}: {name}" for f, line, name in unread
                  if name not in TEST_ONLY_ALLOWED]
