@@ -88,12 +88,6 @@ class ProfileCache:
         psi_cut = max(60.0, 40.0 / np.sqrt(self.eig.zeta))
         self.psi_n = int(np.count_nonzero(y <= psi_cut))
 
-    def profile_set(self, b: float):
-        return assemble_profiles(b, self.grid)
-
-    def qtilde_values(self, b: float) -> np.ndarray:
-        return self.profile_set(b).Q_b_tilde.values
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -231,7 +225,7 @@ def _field(cache: ProfileCache, u_eval, lam: float, n: int) -> np.ndarray:
 
 def _epsilon(cache: ProfileCache, field: np.ndarray, b: float) -> np.ndarray:
     """eps = F_lam - Q~_b on the prefix of the profile grid that `field` covers."""
-    return field - cache.qtilde_values(b)[:field.size]
+    return field - assemble_profiles(b, cache.grid).Q_b_tilde[:field.size]
 
 
 def _pairings(cache: ProfileCache, field: np.ndarray, b: float):
@@ -239,8 +233,8 @@ def _pairings(cache: ProfileCache, field: np.ndarray, b: float):
     n = cache.pair_n
     w = cache.grid.weights[:n]
     eps = _epsilon(cache, field[:n], b)
-    return (float(np.dot(w, eps * cache.phi.Phi_M.values[:n])),
-            float(np.dot(w, eps * cache.phi.H_Phi_M.values[:n])))
+    return (float(np.dot(w, eps * cache.phi.Phi_M[:n])),
+            float(np.dot(w, eps * cache.phi.H_Phi_M[:n])))
 
 
 def _pairing_scales(cache: ProfileCache, field: np.ndarray):
@@ -248,9 +242,10 @@ def _pairing_scales(cache: ProfileCache, field: np.ndarray):
     field over the pairing window, which is scale free and stays meaningful
     when eps vanishes identically."""
     n = cache.pair_n
-    f = field[:n]
-    norm = float(np.sqrt(np.dot(cache.grid.weights[:n], f * f)))
-    return np.sqrt(cache.phi.norm_sq) * norm, radial.norm2(cache.phi.H_Phi_M) * norm
+    w, f, h_phi = cache.grid.weights, field[:n], cache.phi.H_Phi_M
+    norm = float(np.sqrt(np.dot(w[:n], f * f)))
+    return (np.sqrt(cache.phi.norm_sq) * norm,
+            float(np.sqrt(np.dot(w, h_phi * h_phi))) * norm)
 
 
 def _covered(cache: ProfileCache, lam: float, r_max: float) -> int:
@@ -268,7 +263,7 @@ def _kappa(cache: ProfileCache, field: np.ndarray, b: float, n_covered: int):
     if n > n_covered:
         return None
     eps = _epsilon(cache, field[:n], b)
-    return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi.values[:n]))
+    return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi[:n]))
 
 
 def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
@@ -372,7 +367,7 @@ def _jacobian(cache: ProfileCache, u_eval, lam: float, b: float):
     db = 1e-7 * max(b, 1e-4)
     r1p, r2p = _pairings(cache, _field(cache, u_eval, lam + dl, cache.pair_n), b)
     r1m, r2m = _pairings(cache, _field(cache, u_eval, lam - dl, cache.pair_n), b)
-    c1, c2 = _pairings(cache, cache.qtilde_values(b), b + db)
+    c1, c2 = _pairings(cache, assemble_profiles(b, cache.grid).Q_b_tilde, b + db)
     return np.array([
         [(r1p - r1m) / (2 * dl), c1 / db],
         [(r2p - r2m) / (2 * dl), c2 / db],
@@ -388,27 +383,23 @@ def flow_energies(cache: ProfileCache, field: np.ndarray, b: float):
     n = field.size
     eps = np.zeros(g.n)
     eps[:n] = _epsilon(cache, field, b)
-    f = g.function(eps)
-    he = radial.apply_H(f)
-    h2e = radial.apply_H(he)
+    he = radial.apply_H(g, eps)
+    h2e = radial.apply_H(g, he)
     # keep stencil noise at the coverage edge out
     keep = n if n == g.n else max(n - 6, 0)
     w = g.weights * (np.arange(g.n) < keep)
-    t = np.log(g.nodes)
-    dy = np.gradient(eps, t) / g.nodes
+    _, dy = radial.log_gradient(g, eps)
     e1 = float(np.dot(w, dy * dy))
-    e2 = float(np.dot(w, he.values**2))
-    e4 = float(np.dot(w, h2e.values**2))
-    zeta = cache.profile_set(b).zeta_b.values
-    he_hat = radial.apply_H(g.function(eps + zeta))
-    e2_hat = float(np.dot(w, he_hat.values**2))
+    e2 = float(np.dot(w, he**2))
+    e4 = float(np.dot(w, h2e**2))
+    he_hat = radial.apply_H(g, eps + assemble_profiles(b, g).zeta_b)
+    e2_hat = float(np.dot(w, he_hat**2))
     return e1, e2, e4, e2_hat
 
 
 def flow_energy(grid: radial.RadialGrid, u: np.ndarray) -> float:
     """Dissipated energy 1/2 int |grad u|^2 - 1/4 int u^4 (r^3 dr measure)."""
-    r = grid.nodes
-    du = np.gradient(u, np.log(r)) / r
+    _, du = radial.log_gradient(grid, u)
     return float(np.dot(grid.weights, 0.5 * du * du - 0.25 * u**4))
 
 
@@ -430,8 +421,9 @@ def init_data(cache: ProfileCache, params: RunConfig):
     r_max = R_MAX_FACTOR * lambda0 * b1
     grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, params.nodes_per_decade)
     y = grid.nodes / lambda0
-    qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b0))
-    psi = CubicSpline(np.log(cache.grid.nodes), cache.eig.psi.values)
+    t = cache.grid.t
+    qt = CubicSpline(t, assemble_profiles(b0, cache.grid).Q_b_tilde)
+    psi = CubicSpline(t, cache.eig.psi)
     inside = y <= cache.grid.y_max
     vals = np.empty_like(y)
     vals[inside] = qt(np.log(y[inside])) + a_plus * psi(np.log(y[inside]))

@@ -108,9 +108,8 @@ def _log_weight(y):
 
 def _grid_derivatives(grid, v):
     """First and second derivative on the log grid (for fitted-ratio checks)."""
-    t = np.log(grid.nodes)
-    vt = np.gradient(v, t)
-    return vt / grid.nodes, (np.gradient(vt, t) - vt) / grid.nodes**2
+    vt, vp = radial.log_gradient(grid, v)
+    return vp, (radial.log_gradient(grid, vt)[0] - vt) / grid.nodes**2
 
 
 def default_grid(n: int = 4096) -> radial.RadialGrid:
@@ -168,18 +167,18 @@ def subpositivity_suite(sampler: TestFunctionSampler, n: int,
                         grid: radial.RadialGrid | None = None) -> InequalityReport:
     """(Hu, u) >= -C (u, psi)^2 with the fitted constant C = zeta/(psi,psi)."""
     grid = grid or default_grid()
+    w = grid.weights
     pair = radial.unstable_mode(grid)
-    c_fit = pair.zeta / radial.inner(pair.psi, pair.psi)
+    c_fit = pair.zeta / float(np.dot(w, pair.psi * pair.psi))
     worst = -np.inf
     violated = 0
     tol = 1e-8
     for _ in range(n):
         v, _, _ = sampler.sample(grid)
-        f = grid.function(v)
-        quad = radial.inner(radial.apply_H(f), f)
-        proj = radial.inner(f, pair.psi)
-        norm2 = radial.inner(f, f)
-        margin = (quad + c_fit * proj**2) / max(norm2, 1e-300)
+        quad = float(np.dot(w, radial.apply_H(grid, v) * v))
+        proj = float(np.dot(w, v * pair.psi))
+        v_sq = float(np.dot(w, v * v))
+        margin = (quad + c_fit * proj**2) / max(v_sq, 1e-300)
         worst = max(worst, -margin)
         if margin < -tol:
             violated += 1
@@ -194,7 +193,7 @@ def _h_ratio(grid, u):
     """Second-order coercivity ratio for one sample array."""
     y, w = grid.nodes, grid.weights
     up, upp = _grid_derivatives(grid, u)
-    hu = radial.apply_H(grid.function(u)).values
+    hu = radial.apply_H(grid, u)
     num = (np.dot(w, upp**2) + np.dot(w, up**2 / y**2)
            + np.dot(w, u**2 / (y**4 * _log_weight(y) ** 2)))
     return num / max(np.dot(w, hu**2), 1e-300)
@@ -204,15 +203,15 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAUL
                        grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Fitted constant of the second-order coercivity under (u, Phi_M) = 0."""
     grid = grid or default_grid()
-    phi = direction_phi(M, grid)
-    phi_n2 = radial.inner(phi.Phi_M, phi.Phi_M)
+    w = grid.weights
+    phi = direction_phi(M, grid).Phi_M
+    phi_n2 = float(np.dot(w, phi * phi))
     worst = 0.0
     ratios = []
     for _ in range(n):
-        v, vp, vpp = sampler.sample(grid)
-        f = grid.function(v)
-        c = radial.inner(f, phi.Phi_M) / phi_n2
-        ratio = _h_ratio(grid, v - c * phi.Phi_M.values)
+        v, _, _ = sampler.sample(grid)
+        c = float(np.dot(w, v * phi)) / phi_n2
+        ratio = _h_ratio(grid, v - c * phi)
         ratios.append(ratio)
         worst = max(worst, ratio)
     return InequalityReport(
@@ -231,18 +230,18 @@ def coercivity_H_adversarial(grid: radial.RadialGrid | None = None) -> float:
 
 def _double_project(grid, phi, v):
     """Subtract the span of {Phi_M, H Phi_M} to enforce both pairings."""
-    f = grid.function(v)
-    hv = radial.apply_H(f)
-    g11 = radial.inner(phi.Phi_M, phi.Phi_M)
-    g12 = radial.inner(phi.H_Phi_M, phi.Phi_M)
-    g22 = radial.inner(phi.H_Phi_M, phi.H_Phi_M)
-    rhs = np.array([radial.inner(f, phi.Phi_M), radial.inner(hv, phi.Phi_M)])
+    w, p, hp = grid.weights, phi.Phi_M, phi.H_Phi_M
+    hv = radial.apply_H(grid, v)
+    g11 = float(np.dot(w, p * p))
+    g12 = float(np.dot(w, hp * p))
+    g22 = float(np.dot(w, hp * hp))
+    rhs = np.array([float(np.dot(w, v * p)), float(np.dot(w, hv * p))])
     gram = np.array([[g11, g12], [g12, g22]])
     try:
         a, bcoef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         raise RuntimeError("projection Gram matrix is degenerate")
-    return v - a * phi.Phi_M.values - bcoef * phi.H_Phi_M.values
+    return v - a * p - bcoef * hp
 
 
 def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT,
@@ -250,7 +249,10 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
     """Fitted constant of the fourth-order coercivity under the double
     orthogonality (u, Phi_M) = (Hu, Phi_M) = 0."""
     grid = grid or default_grid()
+    w = grid.weights
     phi = direction_phi(M, grid)
+    p = phi.Phi_M
+    p_norm = float(np.sqrt(np.dot(w, p * p)))
     worst = 0.0
     ratios = []
     resid = 0.0
@@ -260,13 +262,8 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
         ratio = _h2_ratio(grid, u)
         ratios.append(ratio)
         worst = max(worst, ratio)
-        f = grid.function(u)
-        un = radial.norm2(f)
-        resid = max(
-            resid,
-            abs(radial.inner(f, phi.Phi_M))
-            / (radial.norm2(phi.Phi_M) * max(un, 1e-300)),
-        )
+        un = float(np.sqrt(np.dot(w, u * u)))
+        resid = max(resid, abs(float(np.dot(w, u * p))) / (p_norm * max(un, 1e-300)))
     return InequalityReport(
         name="coercivity_H2", samples=n, worst_ratio=float(worst),
         violated=not np.isfinite(worst), tolerance=np.inf,
@@ -278,38 +275,37 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
 def _h2_ratio(grid, u):
     """Full fourth-order coercivity ratio for one sample array."""
     y, w = grid.nodes, grid.weights
-    f = grid.function(u)
-    hu = radial.apply_H(f)
-    h2u = radial.apply_H(hu)
+    hu = radial.apply_H(grid, u)
+    h2u = radial.apply_H(grid, hu)
     up, upp = _grid_derivatives(grid, u)
-    hup, hupp = _grid_derivatives(grid, hu.values)
+    hup, hupp = _grid_derivatives(grid, hu)
     num = (
-        np.dot(w, hu.values**2 / (y**4 * _log_weight(y) ** 2))
+        np.dot(w, hu**2 / (y**4 * _log_weight(y) ** 2))
         + np.dot(w, hup**2 / (y**2 * _log_weight(y) ** 2))
         + np.dot(w, hupp**2 / _log_weight(y) ** 2)
         + np.dot(w, u**2 / (y**4 * (1 + y**4) * _log_weight(y) ** 2))
         + np.dot(w, up**2 / (y**6 * _log_weight(y) ** 2))
         + np.dot(w, upp**2 / (y**4 * _log_weight(y) ** 2))
     )
-    return num / max(np.dot(w, h2u.values**2), 1e-300)
+    return num / max(np.dot(w, h2u**2), 1e-300)
 
 
-def interpolation_spotcheck(epsilon: radial.RadialFunction, E2: float, E4: float,
-                            b: float | None = None) -> InequalityReport:
-    """Left sides of the bootstrap interpolation bounds against E2 and E4.
-
-    Ratios are logged, not asserted; with b supplied the sup-norm bounds are
-    also scaled by their b-powers.
+def interpolation_spotcheck(grid: radial.RadialGrid, eps: np.ndarray,
+                            b: float) -> InequalityReport:
+    """Left sides of the bootstrap interpolation bounds against
+    E2 = |H eps|^2 and E4 = |H^2 eps|^2, and the sup-norm bound scaled by
+    its b-power.  Ratios are logged, not asserted.
     """
-    grid = epsilon.grid
     y, w = grid.nodes, grid.weights
-    eps = epsilon.values
-    he = radial.apply_H(epsilon)
+    he = radial.apply_H(grid, eps)
+    h2e = radial.apply_H(grid, he)
+    E2 = float(np.dot(w, he * he))
+    E4 = float(np.dot(w, h2e * h2e))
     ep, epp = _grid_derivatives(grid, eps)
-    hep, hepp = _grid_derivatives(grid, he.values)
+    hep, hepp = _grid_derivatives(grid, he)
     lw2 = 1.0 + np.log(y) ** 2
     lhs_e4 = (
-        np.dot(w, he.values**2 / (y**4 * lw2))
+        np.dot(w, he**2 / (y**4 * lw2))
         + np.dot(w, hep**2 / (y**2 * lw2))
         + np.dot(w, hepp**2 / lw2)
         + np.dot(w, eps**2 / (y**4 * (1 + y**4) * lw2))
@@ -323,10 +319,8 @@ def interpolation_spotcheck(epsilon: radial.RadialFunction, E2: float, E4: float
         "estun_over_E4": float(lhs_e4 / E4) if E4 > 0 else np.inf,
         "estunbis_over_E2": float(lhs_e2 / E2) if E2 > 0 else np.inf,
         "supnorm_tail": sup_tail,
+        "supnorm_over_b3logC": sup_tail / (b**3 * log_binv(b) ** 2),
     }
-    if b is not None:
-        lb = log_binv(b)
-        details["supnorm_over_b3logC"] = sup_tail / (b**3 * lb**2)
     zero_input = float(np.max(np.abs(eps))) == 0.0
     worst = 0.0 if zero_input else details["estun_over_E4"]
     return InequalityReport(

@@ -23,17 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import (
-    RadialFunction,
     RadialGrid,
     apply_H,
     cutoff,
     cutoff_laplacian,
-    inner,
     lambda_q,
     lambda_q_prime,
     q_soliton,
-    radial_integral,
-    solve_H,
     solve_H_with_derivative,
     zero_modes,
 )
@@ -66,16 +62,11 @@ def resolves(grid: RadialGrid, b: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def build_T1(grid: RadialGrid) -> RadialFunction:
-    """T1 solving H T1 + Lambda Q = 0, vanishing at the origin."""
-    return _t1_parts(grid)[0]
-
-
 def _t1_parts(grid: RadialGrid):
+    """(T1, T1') with H T1 + Lambda Q = 0 and T1 vanishing at the origin."""
     key = "T1_parts"
     if key not in grid.cache:
-        rhs = grid.function(-zero_modes(grid)[0])
-        grid.cache[key] = solve_H_with_derivative(rhs)
+        grid.cache[key] = solve_H_with_derivative(grid, -zero_modes(grid)[0])
     return grid.cache[key]
 
 
@@ -103,9 +94,9 @@ def radiation_sigma(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT):
     denom = float(np.dot(grid.weights, chi * lq * lq))
     c_b = 64.0 / denom
     d_b = c_b * float(np.dot(grid.weights, chi * lq * gm))
-    core = solve_H(grid.function(c_b * chi * lq))
+    core = solve_H_with_derivative(grid, c_b * chi * lq)[0]
     tail = d_b * (1.0 - cutoff(3.0 * B0, y)) * lq
-    return grid.function(core.values + tail), c_b, d_b
+    return core + tail, c_b, d_b
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +111,7 @@ class ProfileSet:
     alpha = b T1 + b^2 T2 + b^3 T3 is the profile correction, alpha_prime its
     derivative from the closed forms of the variation-of-parameters inverse
     (never from grid differencing), and sigma2, sigma3 the exact right-hand
-    sides H T2 = sigma2, H T3 = sigma3; all four are arrays on grid.nodes.
+    sides H T2 = sigma2, H T3 = sigma3.  Every array is on grid.nodes.
     """
 
     b: float
@@ -129,11 +120,10 @@ class ProfileSet:
     grid: RadialGrid
     c_b: float
     d_b: float
-    T1: RadialFunction
-    T2: RadialFunction
-    T3: RadialFunction
-    Q_b_tilde: RadialFunction
-    zeta_b: RadialFunction
+    T2: np.ndarray
+    T3: np.ndarray
+    Q_b_tilde: np.ndarray
+    zeta_b: np.ndarray
     alpha: np.ndarray
     alpha_prime: np.ndarray
     sigma2: np.ndarray
@@ -156,19 +146,16 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
     y = grid.nodes
     Q = q_soliton(y)
 
-    t1, t1p = _t1_parts(grid)
-    T1, T1p = t1.values, t1p.values
+    T1, T1p = _t1_parts(grid)
     sigma, c_b, d_b = radiation_sigma(b, grid, b_star)
 
     # order b^2: the radiation absorbs the O(1) tail of -y T1'
-    sigma2 = -sigma.values - y * T1p + 3.0 * Q * T1 * T1
-    t2, t2p = solve_H_with_derivative(grid.function(sigma2))
-    T2, T2p = t2.values, t2p.values
+    sigma2 = -sigma - y * T1p + 3.0 * Q * T1 * T1
+    T2, T2p = solve_H_with_derivative(grid, sigma2)
 
     # order b^3: no further radiation is needed
     sigma3 = T2 - y * T2p + 6.0 * Q * T1 * T2 + T1**3
-    t3, t3p = solve_H_with_derivative(grid.function(sigma3))
-    T3, T3p = t3.values, t3p.values
+    T3, T3p = solve_H_with_derivative(grid, sigma3)
 
     alpha = b * T1 + b * b * T2 + b**3 * T3
     alpha_p = b * T1p + b * b * T2p + b**3 * T3p
@@ -177,9 +164,7 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
 
     pset = ProfileSet(
         b=float(b), B0=B0, B1=B1, grid=grid, c_b=c_b, d_b=d_b,
-        T1=t1, T2=t2, T3=t3,
-        Q_b_tilde=grid.function(Q + a_t),
-        zeta_b=grid.function(a_t - a_h),
+        T2=T2, T3=T3, Q_b_tilde=Q + a_t, zeta_b=a_t - a_h,
         alpha=alpha, alpha_prime=alpha_p, sigma2=sigma2, sigma3=sigma3,
     )
     cache[key] = pset
@@ -254,16 +239,16 @@ def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
     if grid.y_max < 2.0 * pset.B1:
         raise ValueError("grid y_max below 2*B1; residual zone not covered")
     y = grid.nodes
-    psi = grid.function(_psi_values(pset))
-    h_psi = apply_H(psi)
-    h2_psi = apply_H(h_psi)
+    psi = _psi_values(pset)
+    h_psi = apply_H(grid, psi)
+    h2_psi = apply_H(grid, h_psi)
     mask = y <= 2.0 * pset.B1
     w = grid.weights * mask
-    norm_H = float(np.dot(w, h_psi.values**2))
-    norm_w8 = float(np.dot(w, psi.values**2 / (1.0 + y**8)))
-    norm_H2 = float(np.dot(w, h2_psi.values**2))
+    norm_H = float(np.dot(w, h_psi**2))
+    norm_w8 = float(np.dot(w, psi**2 / (1.0 + y**8)))
+    norm_H2 = float(np.dot(w, h2_psi**2))
     phi = direction_phi(M, grid)
-    flux = inner(h_psi, phi.Phi_M) / phi.pair_lambda_q
+    flux = float(np.dot(grid.weights, h_psi * phi.Phi_M)) / phi.pair_lambda_q
     return ErrorReport(b=float(b), norm_H=norm_H, norm_w8=norm_w8, norm_H2=norm_H2,
                        flux_ratio=float(flux))
 
@@ -275,8 +260,8 @@ def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
 
 @dataclass(frozen=True)
 class DirectionPhi:
-    Phi_M: RadialFunction
-    H_Phi_M: RadialFunction
+    Phi_M: np.ndarray
+    H_Phi_M: np.ndarray
     pair_lambda_q: float
     norm_sq: float
 
@@ -294,22 +279,20 @@ def direction_phi(M: float, grid: RadialGrid) -> DirectionPhi:
     if grid.y_max < 2.0 * M:
         raise ValueError("grid must cover 2*M for the localized direction")
     y = grid.nodes
-    t1 = build_T1(grid)
+    t1 = _t1_parts(grid)[0]
     s = cutoff(M, y) * lambda_q(y)
     hs = h_of_cutoff_lambda_q(M, y)
-    denom = float(np.dot(grid.weights, hs * t1.values))
-    numer = float(np.dot(grid.weights, s * t1.values))
+    denom = float(np.dot(grid.weights, hs * t1))
+    numer = float(np.dot(grid.weights, s * t1))
     if abs(denom) < 1e-12 * max(abs(numer), 1.0):
         raise ValueError(f"degenerate localization radius M={M}")
     c_M = numer / denom
-    phi_vals = s - c_M * hs
-    phi = grid.function(phi_vals)
-    h_phi = grid.function(hs - c_M * apply_H(grid.function(hs)).values)
+    phi = s - c_M * hs
     direction = DirectionPhi(
         Phi_M=phi,
-        H_Phi_M=h_phi,
-        pair_lambda_q=float(np.dot(grid.weights, phi_vals * lambda_q(y))),
-        norm_sq=radial_integral(grid.function(phi_vals**2)),
+        H_Phi_M=hs - c_M * apply_H(grid, hs),
+        pair_lambda_q=float(np.dot(grid.weights, phi * lambda_q(y))),
+        norm_sq=float(np.dot(grid.weights, phi**2)),
     )
     cache[M] = direction
     return direction

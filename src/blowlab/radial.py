@@ -6,6 +6,8 @@ and its quadrature, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
 its scaling family, the linearized operator H = -Delta - 3Q^2 together with
 its two explicit zero modes (Lambda Q and the growing solution Gamma), the
 variation-of-parameters inverse of H, and the unique negative eigenmode.
+A function on a grid is the float array of its values on grid.nodes, and
+the one pairing is grid.weights . (f g).
 
 All closed forms are evaluated directly, never by differencing another
 quantity: the pair (Lambda Q, Gamma) satisfies the exact Wronskian
@@ -61,13 +63,15 @@ class RadialGrid:
         return float(self.nodes[0])
 
     @cached_property
-    def h(self) -> float:
-        """Uniform step in t = log y, computed once per grid."""
-        t = np.log(self.nodes)
-        return float((t[-1] - t[0]) / (len(t) - 1))
+    def t(self) -> np.ndarray:
+        """t = log y at the nodes, computed once per grid."""
+        return np.log(self.nodes)
 
-    def function(self, values) -> "RadialFunction":
-        return RadialFunction(self, np.asarray(values, dtype=float))
+    @cached_property
+    def h(self) -> float:
+        """Uniform step in t = log y."""
+        t = self.t
+        return float((t[-1] - t[0]) / (len(t) - 1))
 
     @classmethod
     def on_nodes(cls, nodes: np.ndarray) -> "RadialGrid":
@@ -105,42 +109,6 @@ def _panel_moments(y: np.ndarray):
     g[small] = 0.5 + a[small] / 3.0 + a[small] ** 2 / 8.0
     m1 = y4[:-1] * h * g
     return m0, m1
-
-
-@dataclass(frozen=True)
-class RadialFunction:
-    """Sampled radial function; pairings require the identical grid."""
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.nodes.shape:
-            raise ValueError("values do not match grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", v)
-
-    def _check(self, other: "RadialFunction"):
-        if other.grid is not self.grid and not np.array_equal(
-            other.grid.nodes, self.grid.nodes
-        ):
-            raise ValueError("operands live on different grids")
-
-
-def radial_integral(f: RadialFunction) -> float:
-    """Quadrature approximation of int f y^3 dy over [y_min, y_max]."""
-    return float(np.dot(f.grid.weights, f.values))
-
-
-def inner(f: RadialFunction, g: RadialFunction) -> float:
-    f._check(g)
-    return float(np.dot(f.grid.weights, f.values * g.values))
-
-
-def norm2(f: RadialFunction) -> float:
-    return float(np.sqrt(max(inner(f, f), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +274,24 @@ def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
     return x
 
 
-def apply_H(f: RadialFunction) -> RadialFunction:
-    """Discrete H f = -(f'' + 3 f'/y) - V f.
+def log_gradient(grid: RadialGrid, v: np.ndarray):
+    """(dv/dt, dv/dy) with t = log y: second-order central differences in t,
+    one-sided at the ends, and dv/dy = (dv/dt)/y."""
+    vt = np.gradient(v, grid.t)
+    return vt, vt / grid.nodes
 
-    Interior nodes use the conservative flux stencil of -(y^3 f')'/y^3 in the
+
+def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
+    """Discrete H v = -(v'' + 3 v'/y) - V v.
+
+    Interior nodes use the conservative flux stencil of -(y^3 v')'/y^3 in the
     log variable (exactly symmetric against the quadrature weights away from
-    the ends).  The first node encodes radial regularity f'(0) = 0 through
+    the ends).  The first node encodes radial regularity v'(0) = 0 through
     the even-extension parabola rule, the last node a one-sided stencil.
     All rows but the last are those of neg_laplacian_diagonals minus V, summed
     as flux differences because the H^2-weighted norms see this roundoff.
     """
-    grid = f.grid
-    y, v = grid.nodes, f.values
+    y = grid.nodes
     ep, em, _, inv, _ = _stencil_coeffs(grid)
     V = potential(y)
     out = np.empty_like(v)
@@ -330,7 +304,7 @@ def apply_H(f: RadialFunction) -> RadialFunction:
     ftt = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
     ft = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     out[-1] = -(ftt + 2.0 * ft) / y[-1] ** 2
-    return RadialFunction(grid, out - V * v)
+    return out - V * v
 
 
 def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0.0) -> np.ndarray:
@@ -353,7 +327,8 @@ def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0
 
 
 def _series_heads(grid: RadialGrid, f0: float):
-    """Analytic (0, y_min] contributions to the two inner integrals of solve_H.
+    """Analytic (0, y_min] contributions to the two inner integrals of
+    solve_H_with_derivative.
 
     Uses Lambda Q = 1 - 3y^2/8 + O(y^4) and
     Gamma = 1/(2y^2) + GAMMA_LOG_COEFF log y + GAMMA_CONST0 + O(y^2 log y),
@@ -379,30 +354,22 @@ def zero_modes(grid: RadialGrid):
     return grid.cache[key]
 
 
-def solve_H(rhs: RadialFunction):
-    """Solve H u = rhs by variation of parameters, smooth at the origin.
+def solve_H_with_derivative(grid: RadialGrid, f: np.ndarray):
+    """(u, u') with H u = f by variation of parameters, smooth at the origin.
 
-    u = Gamma int_0^y rhs LambdaQ - LambdaQ int_0^y rhs Gamma, the solution
+    u = Gamma int_0^y f LambdaQ - LambdaQ int_0^y f Gamma, the solution
     that vanishes at the origin, with the inner integrals accumulated by the
-    grid quadrature and an analytic head on (0, y_min].
-    The rhs must be integrable against Gamma ~ 1/(2y^2) at the origin.
-    Returns u; solve_H_with_derivative exposes u' built from the same
-    integrals with the closed-form derivatives.
+    grid quadrature and an analytic head on (0, y_min]; u' is built from the
+    same integrals with the closed-form derivatives.  f must be integrable
+    against Gamma ~ 1/(2y^2) at the origin.
     """
-    u, _ = solve_H_with_derivative(rhs)
-    return u
-
-
-def solve_H_with_derivative(rhs: RadialFunction):
-    grid = rhs.grid
-    f = rhs.values
     lq, lqp, gm, gmp = zero_modes(grid)
     head_lq, head_g = _series_heads(grid, float(f[0]))
     i1 = cumulative_integral(grid, f * lq, head=head_lq)
     i2 = cumulative_integral(grid, f * gm, head=head_g)
     u = gm * i1 - lq * i2
     up = gmp * i1 - lqp * i2
-    return RadialFunction(grid, u), RadialFunction(grid, up)
+    return u, up
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +386,7 @@ EIG_MAX_ITER = 400
 @dataclass(frozen=True)
 class Eigenpair:
     zeta: float
-    psi: RadialFunction
+    psi: np.ndarray
 
 
 def unstable_mode(grid: RadialGrid) -> Eigenpair:
@@ -485,7 +452,6 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
         )
     if x[0] < 0:
         x = -x
-    psi = RadialFunction(grid, x)
-    pair = Eigenpair(zeta=float(-mu), psi=psi)
+    pair = Eigenpair(zeta=float(-mu), psi=x)
     grid.cache["unstable_mode"] = pair
     return pair

@@ -82,7 +82,7 @@ def test_criterion_1_static_identities(grid, fine_grid):
     ):
         errs = []
         for g in (grid, fine_grid):
-            res = radial.apply_H(g.function(build(g.nodes))).values - target(g.nodes)
+            res = radial.apply_H(g, build(g.nodes)) - target(g.nodes)
             errs.append(l2_window(g, res))
         orders[name] = np.log2(errs[0] / errs[1])
     y = np.logspace(-3, 3, 100)
@@ -100,9 +100,9 @@ def test_criterion_1_static_identities(grid, fine_grid):
 
 
 def test_criterion_2_T1_asymptote(grid):
-    t1 = profiles.build_T1(grid)
+    t1 = profiles._t1_parts(grid)[0]
     i = np.searchsorted(grid.nodes, 1e3)
-    y, t1_y = grid.nodes[i], t1.values[i]
+    y, t1_y = grid.nodes[i], t1[i]
     ratio = t1_y / (-4.0 * (np.log(y) - T1_FAR_CONSTANT))
     ok = 0.98 <= ratio <= 1.02
     msg = report(2, ok, f"T1(1e3)/(-4(log y - c_inf)) = {ratio:.4f} (window "
@@ -127,7 +127,7 @@ def test_criterion_3_radiation_constants(grid, deep_grid):
     exact = {}
     plateaus_ok = True
     for b, g in [(b, grid) for b in (1e-2, 1e-3, 1e-4)] + [(b, deep_grid) for b in DEEP_B3]:
-        t1 = profiles.build_T1(g)
+        t1 = profiles._t1_parts(g)[0]
         y = g.nodes
         sigma, c_b, _ = profiles.radiation_sigma(b, g)
         lb = profiles.log_binv(b)
@@ -136,9 +136,8 @@ def test_criterion_3_radiation_constants(grid, deep_grid):
         b0 = b**-0.5
         inner = y <= b0 / 4.0
         outer = y >= 6.0 * b0
-        inner_dev = np.max(np.abs(sigma.values[inner] + c_b * t1.values[inner]))
-        outer_dev = np.max(np.abs(
-            sigma.values[outer] - 64.0 * radial.gamma_growing(y[outer])))
+        inner_dev = np.max(np.abs(sigma[inner] + c_b * t1[inner]))
+        outer_dev = np.max(np.abs(sigma[outer] - 64.0 * radial.gamma_growing(y[outer])))
         plateaus_ok &= inner_dev < 1e-9 and outer_dev < 1e-7
     exact_dev = max(abs(scaled[b] / exact[b] - 1.0) for b in scaled)
     window_ok = all(0.85 <= scaled[b] <= 1.15 for b in DEEP_B3)
@@ -163,7 +162,7 @@ def sweep_reports(grid):
 
 
 def test_criterion_4_residual_scalings(grid, sweep_reports):
-    t1 = profiles.build_T1(grid).values
+    t1 = profiles._t1_parts(grid)[0]
     t1_w8 = float(np.dot(grid.weights, t1**2 / (1.0 + grid.nodes**8)))
     ratios = {"H": [], "w8": [], "H2": []}
     for b in SWEEP4:
@@ -297,7 +296,7 @@ def test_criterion_8_orthogonal_decomposition():
     cache = flow.ProfileCache(params)
     from scipy.interpolate import CubicSpline
 
-    qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(1e-3))
+    qt = CubicSpline(cache.grid.t, profiles.assemble_profiles(1e-3, cache.grid).Q_b_tilde)
     worst_err = 0.0
     worst_res = 0.0
     for lam_true, delta in ((0.7, 1e-5), (0.7, 1e-4), (1.3, 1e-4)):

@@ -231,12 +231,18 @@ def test_json_outputs_follow_the_schema(tmp_path):
                 assert keys >= set(schema.SUITE_JSON)
 
 
-def test_cli_main_exit_codes(tmp_path):
+def test_cli_main_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("command=modulation b0=0.01 s_end=1e3 fit_s_end=1e8\n")
     rc = cli.main([str(cfg_path), "--out", str(tmp_path / "runs")])
     assert rc == 0
+    # a config the parser rejects or a missing file is an error, not a
+    # failed invariant: status 2 and one line on stderr, no traceback
     bad = tmp_path / "bad.cfg"
-    bad.write_text("command=modulation b0=0.5\n")
-    with pytest.raises(ValueError):
-        cli.main([str(bad)])
+    capsys.readouterr()
+    for text in ("command=modulation b0=0.5\n", "command=simulate b0=1e-4\n"):
+        bad.write_text(text)
+        assert cli.main([str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main([str(tmp_path / "missing.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

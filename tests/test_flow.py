@@ -27,7 +27,7 @@ def synthetic_state(cache, lam, b, delta=0.0, shape=None):
     r = flow._flow_grid(flow.Y_MIN_FLOW * lam, 30.0 * lam * flow.zone_radii(b)[1],
                         100).nodes
     y = r / lam
-    qt = CubicSpline(np.log(cache.grid.nodes), cache.qtilde_values(b))
+    qt = CubicSpline(cache.grid.t, flow.assemble_profiles(b, cache.grid).Q_b_tilde)
     inside = y <= cache.grid.y_max
     vals = np.where(inside, qt(np.log(np.minimum(y, cache.grid.y_max))),
                     radial.q_soliton(y))
@@ -472,9 +472,8 @@ def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     # unmeasurable from a sampled flow state
     assert e4 < 5e3
     # the hat-energy is dominated by the genuine radiation term
-    pset = cache.profile_set(b)
-    hz = radial.apply_H(pset.zeta_b)
-    assert abs(e2h / radial.inner(hz, hz) - 1.0) < 0.05
+    hz = radial.apply_H(cache.grid, flow.assemble_profiles(b, cache.grid).zeta_b)
+    assert abs(e2h / np.dot(cache.grid.weights, hz * hz) - 1.0) < 0.05
 
 
 # ---------------------------------------------------------------------------

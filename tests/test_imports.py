@@ -74,9 +74,11 @@ def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
     """(file name, line, name) of each name that a top-level statement of
     one of `kinds` in the package defines and that nothing in `readers`
     reads other than its own definition: by name in its own module, by
-    attribute, import or string anywhere.  Likewise each method and
-    property of such a class (dunders aside), named "Class.member", that
-    nothing outside its own body reads by attribute or string."""
+    attribute, import or string anywhere.  Likewise each member of such a
+    class that is one of `kinds`, named "Class.member": a method or
+    property (dunders aside) that nothing outside its own body reads, and
+    an annotated field that nothing outside the class reads, by attribute
+    or string."""
     parts = []  # (path, top-level statement, the names it reads)
     for root in readers:
         for path in sorted(root.glob("*.py")):
@@ -93,19 +95,25 @@ def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
         if not isinstance(node, ast.ClassDef):
             continue
         for member in node.body:
-            if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+            if not isinstance(member, kinds):
                 continue
-            # the class's own reads, its member's body aside
-            own = [_references(sub) for sub in node.body + node.bases + node.decorator_list
-                   if sub is not member]
-            if not any(member.name in qualified for _, qualified in
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                name = member.name
+                # the class's own reads, its member's body aside
+                own = [_references(sub) for sub in node.body + node.bases
+                       + node.decorator_list if sub is not member]
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                name, own = member.target.id, []
+            else:
+                continue
+            if not any(name in qualified for _, qualified in
                        own + [refs for _, other, refs in parts if other is not node]):
-                unread.append((path.name, member.lineno, f"{node.name}.{member.name}"))
+                unread.append((path.name, member.lineno, f"{node.name}.{name}"))
     return unread
 
 
 def test_no_unread_definitions():
-    # each top-level function, class, method or assigned name of the
+    # each top-level function, class, method, field or assigned name of the
     # package is read somewhere, tests included
     unread = _unread_definitions(READERS)
     assert not unread, "defined but never read:\n" + "\n".join(

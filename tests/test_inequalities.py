@@ -65,20 +65,19 @@ def test_subpositivity(sgrid):
     assert rep.details["violations"] == 0
     # saturation along the eigen-direction
     pair = radial.unstable_mode(sgrid)
-    quad = radial.inner(radial.apply_H(pair.psi), pair.psi)
+    quad = np.dot(sgrid.weights, radial.apply_H(sgrid, pair.psi) * pair.psi)
     assert abs(quad + pair.zeta) < 1e-6
 
 
 def test_subpositivity_projected_orthogonal(sgrid):
     pair = radial.unstable_mode(sgrid)
     sampler = ineq.TestFunctionSampler(seed=9)
+    w = sgrid.weights
     for _ in range(25):
         v, _, _ = sampler.sample(sgrid)
-        f = sgrid.function(v)
-        c = radial.inner(f, pair.psi)
-        u = sgrid.function(v - c * pair.psi.values)
-        quad = radial.inner(radial.apply_H(u), u)
-        assert quad >= -1e-8 * radial.inner(u, u)
+        u = v - np.dot(w, v * pair.psi) * pair.psi
+        quad = np.dot(w, radial.apply_H(sgrid, u) * u)
+        assert quad >= -1e-8 * np.dot(w, u * u)
 
 
 def test_coercivity_H_stability_and_adversary(sgrid, refined):
@@ -113,20 +112,15 @@ def test_ratio_scale_invariance(sgrid):
 
 
 def test_interpolation_spotcheck_zero_input(sgrid):
-    eps = sgrid.function(np.zeros(sgrid.n))
-    rep = ineq.interpolation_spotcheck(eps, 1.0, 1.0)
+    rep = ineq.interpolation_spotcheck(sgrid, np.zeros(sgrid.n), b=1e-3)
     assert rep.worst_ratio == 0.0
     assert rep.details["supnorm_tail"] == 0.0
 
 
 def test_interpolation_spotcheck_scales(sgrid):
     y = sgrid.nodes
-    eps = sgrid.function(1e-4 * y**2 * np.exp(-(y**2)))
-    he = radial.apply_H(eps)
-    h2e = radial.apply_H(he)
-    e2 = radial.inner(he, he)
-    e4 = radial.inner(h2e, h2e)
-    rep = ineq.interpolation_spotcheck(eps, e2, e4, b=1e-3)
+    eps = 1e-4 * y**2 * np.exp(-(y**2))
+    rep = ineq.interpolation_spotcheck(sgrid, eps, b=1e-3)
     assert np.isfinite(rep.details["estun_over_E4"])
     assert np.isfinite(rep.details["estunbis_over_E2"])
     assert rep.details["supnorm_over_b3logC"] > 0

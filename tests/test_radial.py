@@ -19,7 +19,7 @@ from conftest import l2_window
 
 def test_weight_rule_integrates_the_measure_exactly():
     g = radial.make_grid(1e-4, 1e4, 4096)
-    total = radial.radial_integral(g.function(np.ones(g.n)))
+    total = np.sum(g.weights)
     assert abs(total / (1e16 / 4.0) - 1.0) < 1e-10
 
 
@@ -43,14 +43,14 @@ def test_refinement_is_second_order():
     errs = []
     for n in (1024, 2048):
         g = radial.make_grid(1e-3, 100.0, n)
-        val = radial.radial_integral(g.function(np.exp(-g.nodes)))
+        val = np.dot(g.weights, np.exp(-g.nodes))
         errs.append(abs(val - exact))
     assert errs[0] / errs[1] > 3.9
 
 
 def test_quadrature_stable_on_smooth_decaying_integrand(grid, fine_grid):
     def q4(g):
-        return radial.radial_integral(g.function(radial.q_soliton(g.nodes) ** 4))
+        return np.dot(g.weights, radial.q_soliton(g.nodes) ** 4)
 
     a, b = q4(grid), q4(fine_grid)
     assert abs(a - b) / abs(b) < 1e-3
@@ -61,19 +61,8 @@ def test_localized_resonance_mass_vs_logarithm(grid):
     # deficit: the constant -141.2 - transition makes it ~27% low at M=1e3
     y = grid.nodes
     m = 1e3
-    val = radial.radial_integral(
-        grid.function(radial.cutoff(m, y) * radial.lambda_q(y) ** 2))
+    val = np.dot(grid.weights, radial.cutoff(m, y) * radial.lambda_q(y) ** 2)
     assert 0.70 < val / (64.0 * np.log(m)) < 0.76
-
-
-def test_radial_function_guards(grid):
-    with pytest.raises(ValueError):
-        grid.function(np.full(grid.n, np.nan))
-    other = radial.make_grid(1e-4, 4e3, 2048)
-    f = grid.function(np.ones(grid.n))
-    g = other.function(np.ones(other.n))
-    with pytest.raises(ValueError):
-        radial.inner(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +173,24 @@ def test_cutoff_of_a_scalar_is_a_scalar():
 # ---------------------------------------------------------------------------
 
 
+def test_log_gradient_is_second_order():
+    # Q'(y) = -(y/4)/(1 + y^2/8)^2; the interior error quarters per halving
+    errs = []
+    for n in (1024, 2048, 4096):
+        g = radial.make_grid(1e-3, 100.0, n)
+        y = g.nodes
+        _, dq = radial.log_gradient(g, radial.q_soliton(y))
+        exact = -(y / 4.0) / (1.0 + y**2 / 8.0) ** 2
+        errs.append(np.max(np.abs(dq - exact)[1:-1]))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all((orders >= 1.8) & (orders <= 2.2))
+
+
 def test_apply_H_annihilates_the_resonance(grid, fine_grid):
     errs = []
     for g in (grid, fine_grid):
-        res = radial.apply_H(g.function(radial.lambda_q(g.nodes)))
-        errs.append(l2_window(g, res.values) / l2_window(g, radial.lambda_q(g.nodes)))
+        res = radial.apply_H(g, radial.lambda_q(g.nodes))
+        errs.append(l2_window(g, res) / l2_window(g, radial.lambda_q(g.nodes)))
     assert errs[0] < 5e-6
     order = np.log2(errs[0] / errs[1])
     assert order > 1.8
@@ -197,12 +199,12 @@ def test_apply_H_annihilates_the_resonance(grid, fine_grid):
 def test_apply_H_on_the_bubble(grid, fine_grid):
     errs = []
     for g in (grid, fine_grid):
-        hq = radial.apply_H(g.function(radial.q_soliton(g.nodes)))
+        hq = radial.apply_H(g, radial.q_soliton(g.nodes))
         target = -2.0 * radial.q_soliton(g.nodes) ** 3
-        errs.append(l2_window(g, hq.values - target))
+        errs.append(l2_window(g, hq - target))
     assert np.log2(errs[0] / errs[1]) > 1.8
-    zero = radial.apply_H(grid.function(np.zeros(grid.n)))
-    assert np.all(zero.values == 0.0)
+    zero = radial.apply_H(grid, np.zeros(grid.n))
+    assert np.all(zero == 0.0)
 
 
 def test_neg_laplacian_bands_match_apply_H(grid):
@@ -216,12 +218,12 @@ def test_neg_laplacian_bands_match_apply_H(grid):
         bf = d * f
         bf[:-1] += du * f[1:]
         bf[1:] += dl * f[:-1]
-        ref = radial.apply_H(g.function(f)).values + radial.potential(y) * f
+        ref = radial.apply_H(g, f) + radial.potential(y) * f
         inv = 1.0 / (y**2 * g.h * g.h)
         bound = 16.0 * np.finfo(float).eps * inv * np.max(np.abs(f))
         assert np.all(np.abs(bf - ref)[:-1] <= bound[:-1])
     # the flow grid's weights integrate the measure r^3 dr exactly too
-    total = radial.radial_integral(flow_grid.function(np.ones(flow_grid.n)))
+    total = np.sum(flow_grid.weights)
     exact = (flow_grid.y_max**4 - flow_grid.y_min**4) / 4.0
     assert abs(total / exact - 1.0) < 1e-10
 
@@ -230,11 +232,10 @@ def test_apply_H_is_symmetric(grid):
     y = grid.nodes
     f = np.exp(-((y - 3.0) ** 2)) * y**2
     g_ = np.exp(-((y - 5.0) ** 2))
-    hf = radial.apply_H(grid.function(f))
-    hg = radial.apply_H(grid.function(g_))
-    lhs = radial.inner(hf, grid.function(g_))
-    rhs = radial.inner(grid.function(f), hg)
-    scale = radial.norm2(grid.function(f)) * radial.norm2(grid.function(g_))
+    w = grid.weights
+    lhs = np.dot(w, radial.apply_H(grid, f) * g_)
+    rhs = np.dot(w, f * radial.apply_H(grid, g_))
+    scale = np.sqrt(np.dot(w, f * f) * np.dot(w, g_ * g_))
     assert abs(lhs - rhs) <= 1e-8 * scale
 
 
@@ -242,10 +243,9 @@ def test_solve_H_roundtrip(grid, fine_grid):
     errs = []
     for g in (grid, fine_grid):
         y = g.nodes
-        rhs = g.function(np.exp(-np.minimum(y, 30.0) ** 2))
-        u = radial.solve_H(rhs)
-        back = radial.apply_H(u)
-        errs.append(l2_window(g, back.values - rhs.values))
+        rhs = np.exp(-np.minimum(y, 30.0) ** 2)
+        u, _ = radial.solve_H_with_derivative(g, rhs)
+        errs.append(l2_window(g, radial.apply_H(g, u) - rhs))
     assert errs[0] < 1e-4
     assert np.log2(errs[0] / errs[1]) > 1.7
 
@@ -259,17 +259,17 @@ def test_unstable_mode(grid, fine_grid, eigenpair):
     # frozen reference value for this operator (derived; two-grid stable)
     assert abs(zeta - 0.58608) < 2e-4
     # residual, normalization, orthogonality, decay, sign
-    res = radial.apply_H(psi).values + zeta * psi.values
+    res = radial.apply_H(grid, psi) + zeta * psi
     assert np.sqrt(np.dot(grid.weights, res**2)) / zeta < 1e-5
-    assert abs(radial.inner(psi, psi) - 1.0) < 1e-12
-    lq = grid.function(radial.lambda_q(grid.nodes))
-    ortho = abs(radial.inner(psi, lq))
-    assert ortho < 1e-6 * radial.norm2(psi) * l2_window(grid, lq.values)
+    assert abs(np.dot(grid.weights, psi * psi) - 1.0) < 1e-12
+    lq = radial.lambda_q(grid.nodes)
+    ortho = abs(np.dot(grid.weights, psi * lq))
+    assert ortho < 1e-6 * np.sqrt(np.dot(grid.weights, psi * psi)) * l2_window(grid, lq)
     psi_fine = radial.unstable_mode(fine_grid).psi
-    lq_fine = fine_grid.function(radial.lambda_q(fine_grid.nodes))
-    assert abs(radial.inner(psi_fine, lq_fine)) < 0.5 * ortho
-    assert abs(psi.values[-1]) < 1e-8 * np.max(np.abs(psi.values))
-    assert psi.values[0] > 0
+    lq_fine = radial.lambda_q(fine_grid.nodes)
+    assert abs(np.dot(fine_grid.weights, psi_fine * lq_fine)) < 0.5 * ortho
+    assert abs(psi[-1]) < 1e-8 * np.max(np.abs(psi))
+    assert psi[0] > 0
 
 
 def _banded_unstable_mode(grid):
@@ -326,7 +326,7 @@ def test_unstable_mode_matches_the_banded_solve_bit_for_bit():
     zeta, psi = _banded_unstable_mode(grid)
     pair = radial.unstable_mode(grid)
     assert pair.zeta == zeta
-    assert np.array_equal(pair.psi.values, psi)
+    assert np.array_equal(pair.psi, psi)
 
 
 def test_unstable_mode_retries_a_singular_shift(grid, eigenpair, monkeypatch):
@@ -344,4 +344,4 @@ def test_unstable_mode_retries_a_singular_shift(grid, eigenpair, monkeypatch):
     pair = radial.unstable_mode(fresh)
     assert len(calls) > 1
     assert abs(pair.zeta - eigenpair.zeta) <= 1e-9 * eigenpair.zeta
-    assert np.max(np.abs(pair.psi.values - eigenpair.psi.values)) < 1e-6
+    assert np.max(np.abs(pair.psi - eigenpair.psi)) < 1e-6
