@@ -76,9 +76,8 @@ def _cmd_profile(config: RunConfig, run_dir):
     files = ["summary.csv"]
     ok = True
     for b in config.b_sweep:
+        pset = profiles.assemble_profiles(b, grid)  # error_Psi rereads it
         rep = profiles.error_Psi(b, grid, M=config.M)
-        # error_Psi left this b's profile set in the grid's LRU
-        pset = profiles.assemble_profiles(b, grid)
         c_b, d_b = pset.c_b, pset.d_b
         lb = profiles.log_binv(b)
         rows.append((

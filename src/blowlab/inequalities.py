@@ -232,11 +232,9 @@ def _double_project(grid, phi, v):
     """Subtract the span of {Phi_M, H Phi_M} to enforce both pairings."""
     w, p, hp = grid.weights, phi.Phi_M, phi.H_Phi_M
     hv = radial.apply_H(grid, v)
-    g11 = float(np.dot(w, p * p))
     g12 = float(np.dot(w, hp * p))
-    g22 = float(np.dot(w, hp * hp))
     rhs = np.array([float(np.dot(w, v * p)), float(np.dot(w, hv * p))])
-    gram = np.array([[g11, g12], [g12, g22]])
+    gram = np.array([[phi.norm_sq, g12], [g12, phi.H_norm_sq]])
     try:
         a, bcoef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:

@@ -17,7 +17,6 @@ Sigma_3 = T2 - y T2' + 6 Q T1 T2 + T1^3).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from .radial import (
 B_STAR_DEFAULT = 0.05
 M_DEFAULT = 50.0
 DB_REL = 1e-3  # relative step of the residual's centred b-difference
-_PROFILE_CACHE_SIZE = 24
 
 
 def log_binv(b: float) -> float:
@@ -117,7 +115,6 @@ class ProfileSet:
     b: float
     B0: float
     B1: float
-    grid: RadialGrid
     c_b: float
     d_b: float
     T2: np.ndarray
@@ -130,18 +127,26 @@ class ProfileSet:
     sigma3: np.ndarray
 
 
-def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT,
-                      need_localized: bool = True) -> ProfileSet:
-    """Build the profile bundle at one value of b (LRU-cached per grid)."""
-    cache: OrderedDict = grid.cache.setdefault("profile_sets", OrderedDict())
-    key = (float(b), b_star)
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
+def assemble_profiles(b: float, grid: RadialGrid,
+                      b_star: float = B_STAR_DEFAULT) -> ProfileSet:
+    """The profile bundle at one value of b.
 
-    if need_localized and not resolves(grid, b):
+    The grid keeps the last set it built: every reader rereads the set of
+    the b it used just before, or builds a new one."""
+    key = (float(b), b_star)
+    memo = grid.cache.get("profile_sets")
+    if memo is not None and key in memo:
+        return memo[key]
+    if not resolves(grid, b):
         raise ValueError(f"grid y_max={grid.y_max:g} does not resolve b={b:g}; "
                          f"need 0 < b < {B_STAR_DEFAULT} and 4*B1(b) <= y_max")
+    pset = _build_profiles(b, grid, b_star)
+    grid.cache["profile_sets"] = {key: pset}
+    return pset
+
+
+def _build_profiles(b: float, grid: RadialGrid, b_star: float) -> ProfileSet:
+    """The profile bundle at b, built afresh and kept nowhere."""
     B0, B1 = zone_radii(b)
     y = grid.nodes
     Q = q_soliton(y)
@@ -162,15 +167,11 @@ def assemble_profiles(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT
     a_t = cutoff(B1, y) * alpha
     a_h = cutoff(B0, y) * alpha
 
-    pset = ProfileSet(
-        b=float(b), B0=B0, B1=B1, grid=grid, c_b=c_b, d_b=d_b,
+    return ProfileSet(
+        b=float(b), B0=B0, B1=B1, c_b=c_b, d_b=d_b,
         T2=T2, T3=T3, Q_b_tilde=Q + a_t, zeta_b=a_t - a_h,
         alpha=alpha, alpha_prime=alpha_p, sigma2=sigma2, sigma3=sigma3,
     )
-    cache[key] = pset
-    while len(cache) > _PROFILE_CACHE_SIZE:
-        cache.popitem(last=False)
-    return pset
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ class ErrorReport:
     flux_ratio: float
 
 
-def _psi_values(pset: ProfileSet) -> np.ndarray:
+def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
     """Residual Psi_tilde of the chi_{B1}-localized profile under b_s = -b^2,
     lambda_s/lambda = -b.
 
@@ -201,7 +202,6 @@ def _psi_values(pset: ProfileSet) -> np.ndarray:
     the roundoff floor proportional to the local residual, which the
     fourth-order weighted norms require.
     """
-    grid = pset.grid
     y = grid.nodes
     b = pset.b
     Q = q_soliton(y)
@@ -213,8 +213,8 @@ def _psi_values(pset: ProfileSet) -> np.ndarray:
     lap_chi = cutoff_laplacian(pset.B1, y)
     loc_alpha = chi * alpha
     db = DB_REL * b
-    lo = assemble_profiles(b - db, grid, need_localized=False)
-    hi = assemble_profiles(b + db, grid, need_localized=False)
+    lo = _build_profiles(b - db, grid, B_STAR_DEFAULT)
+    hi = _build_profiles(b + db, grid, B_STAR_DEFAULT)
     dloc_db = (
         cutoff(hi.B1, y) * hi.alpha
         - cutoff(lo.B1, y) * lo.alpha
@@ -236,10 +236,8 @@ def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
     """Weighted norms of the residual Psi_tilde on y <= 2 B1, plus the flux
     (H Psi_tilde, Phi_M) / (Lambda Q, Phi_M)."""
     pset = assemble_profiles(b, grid)
-    if grid.y_max < 2.0 * pset.B1:
-        raise ValueError("grid y_max below 2*B1; residual zone not covered")
     y = grid.nodes
-    psi = _psi_values(pset)
+    psi = _psi_values(pset, grid)
     h_psi = apply_H(grid, psi)
     h2_psi = apply_H(grid, h_psi)
     mask = y <= 2.0 * pset.B1
@@ -264,6 +262,7 @@ class DirectionPhi:
     H_Phi_M: np.ndarray
     pair_lambda_q: float
     norm_sq: float
+    H_norm_sq: float
 
 
 def h_of_cutoff_lambda_q(M: float, y: np.ndarray) -> np.ndarray:
@@ -288,11 +287,13 @@ def direction_phi(M: float, grid: RadialGrid) -> DirectionPhi:
         raise ValueError(f"degenerate localization radius M={M}")
     c_M = numer / denom
     phi = s - c_M * hs
+    h_phi = hs - c_M * apply_H(grid, hs)
     direction = DirectionPhi(
         Phi_M=phi,
-        H_Phi_M=hs - c_M * apply_H(grid, hs),
+        H_Phi_M=h_phi,
         pair_lambda_q=float(np.dot(grid.weights, phi * lambda_q(y))),
         norm_sq=float(np.dot(grid.weights, phi**2)),
+        H_norm_sq=float(np.dot(grid.weights, h_phi * h_phi)),
     )
     cache[M] = direction
     return direction

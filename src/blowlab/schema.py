@@ -4,6 +4,10 @@ Every CSV is RFC 4180 (CRLF, comma separated, '.' decimal) with values
 written in shortest round-trip double precision, so identical configs
 reproduce identical bytes.  Manifests carry timestamps and are exempt from
 the byte-identity guarantee; everything else listed here is covered by it.
+JSON is strict RFC 8259, which has no NaN or Infinity: a float with no
+finite value is written null, which means "no bound" for a suite's
+`tolerance` and "unset" for `bracket_lo`/`bracket_hi` in a manifest's
+config snapshot.
 """
 
 TRAJECTORY_CSV = ("s", "t", "b", "lambda")

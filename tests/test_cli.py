@@ -208,8 +208,17 @@ def test_shoot_command_runs_on_the_cache_built_from_its_config(tmp_path):
     assert match == csvs
 
 
+def _strict_json(path):
+    """Parse `path` as RFC 8259 JSON, which has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON constant {token}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 def test_json_outputs_follow_the_schema(tmp_path):
-    # every JSON a command writes carries the keys that schema.py declares
+    # every JSON a command writes is strict and carries the keys that
+    # schema.py declares; a float with no finite value is null
     configs = ("command=modulation b0=0.01 s_end=1e3 fit_s_end=1e8",
                "command=profile b_sweep=3e-3",
                "command=verify samples=60 seed=2")
@@ -219,9 +228,12 @@ def test_json_outputs_follow_the_schema(tmp_path):
         assert set(m) == set(schema.MANIFEST_JSON)
         names = m["files"] + ["manifest.json"]
         for fname in (f for f in names if f.endswith(".json")):
-            keys = set(json.load(open(os.path.join(run_dir, fname))))
+            payload = _strict_json(os.path.join(run_dir, fname))
+            keys = set(payload)
             if fname == "manifest.json":
                 assert keys == set(schema.MANIFEST_JSON)
+                config = payload["config"]
+                assert config["bracket_lo"] is None and config["bracket_hi"] is None
             elif fname == "fit.json":
                 assert keys == set(schema.FIT_JSON)
             elif fname.startswith("error-report-"):
@@ -229,6 +241,10 @@ def test_json_outputs_follow_the_schema(tmp_path):
             else:
                 assert fname.startswith("suite-"), fname
                 assert keys >= set(schema.SUITE_JSON)
+                # the fitted-constant suites set no bound
+                unbounded = payload["name"] in ("coercivity_H", "coercivity_H2",
+                                                "interpolation")
+                assert (payload["tolerance"] is None) == unbounded
 
 
 def test_cli_main_exit_codes(tmp_path, capsys):

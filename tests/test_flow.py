@@ -307,14 +307,14 @@ def test_jacobian_b_column_matches_centred_difference(cache, b):
 
 def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
     # each Newton update builds Q~ at b + db for the Jacobian and at most
-    # one line-search trial; Q~ at the current b is already in the LRU
+    # one line-search trial; Q~ at the current b is in the set the grid built last
     r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
     misses = []
     original = flow.assemble_profiles
 
     def counting(b, grid, *args, **kwargs):
-        lru = grid.cache.get("profile_sets", {})
-        if not any(key[0] == float(b) for key in lru):
+        memo = grid.cache.get("profile_sets", {})
+        if not any(key[0] == float(b) for key in memo):
             misses.append(b)
         return original(b, grid, *args, **kwargs)
 
@@ -409,8 +409,8 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     assemble, decompose = flow.assemble_profiles, flow.decompose
 
     def counting(b, grid, *args, **kwargs):
-        lru = grid.cache.get("profile_sets", {})
-        if not any(key[0] == float(b) for key in lru):
+        memo = grid.cache.get("profile_sets", {})
+        if not any(key[0] == float(b) for key in memo):
             misses.append(b)
         return assemble(b, grid, *args, **kwargs)
 
@@ -590,9 +590,7 @@ def test_shoot_gives_up_growing_at_the_cap(params, cache, monkeypatch):
 
 def test_lyapunov_series_fields(unstable_runs):
     table = flow.lyapunov_series(unstable_runs[+1])
-    assert set(table) >= {"t", "E4_over_lam6", "E2hat_over_lam2"}
-    if "C2_fit" in table:
-        assert np.isfinite(table["C2_fit"]) or np.isnan(table["C2_fit"])
+    assert set(table) == {"t", "E4_over_lam6", "E2hat_over_lam2"}
 
 
 def test_remesh_preserves_the_solution(params):

@@ -158,7 +158,7 @@ def test_every_setting_is_read():
 # Defaulted parameters that may keep a default no call sets, each with its reason.
 UNSET_DEFAULTS_ALLOWED = {
     # perfbench/spans.py reads this default with inspect.signature to key
-    # its profile-LRU hit probe, so the signature keeps it
+    # its hit probe on the grid's profile memo, so the signature keeps it
     ("assemble_profiles", "b_star"),
 }
 

@@ -1,5 +1,8 @@
 """Profile construction, radiation, localized bundles, and the residual."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -86,7 +89,7 @@ def test_T2_T3_defining_equations_and_bounds(grid, fine_grid):
         errs = []
         for g in (grid, fine_grid):
             pset = profiles.assemble_profiles(b, g)
-            tk = getattr(profiles.assemble_profiles(b, g, need_localized=False), name)
+            tk = getattr(pset, name)
             res = radial.apply_H(g, tk) - getattr(pset, key)
             errs.append(l2_window(g, res))
         assert np.log2(errs[0] / errs[1]) > 1.5
@@ -233,3 +236,24 @@ def test_profile_cache_reuse(grid):
     a = profiles.assemble_profiles(1e-3, grid)
     b = profiles.assemble_profiles(1e-3, grid)
     assert a is b
+
+
+def test_error_Psi_leaves_only_its_own_set_in_the_memo():
+    # the residual's b +- db probes are built outside the memo
+    g = radial.make_grid(1e-4, 4e3, 1024)
+    profiles.error_Psi(1e-3, g)
+    assert list(g.cache["profile_sets"]) == [(1e-3, profiles.B_STAR_DEFAULT)]
+
+
+def test_a_finished_grid_needs_no_cyclic_collector():
+    # a profile set holds no reference back to its grid, so dropping the
+    # grid frees it and its memo by reference counting alone
+    g = radial.make_grid(1e-4, 4e3, 1024)
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        profiles.error_Psi(1e-3, g)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
