@@ -68,8 +68,8 @@ def _cmd_modulation(config: RunConfig, run_dir):
 
 
 def _cmd_profile(config: RunConfig, run_dir):
-    # the grid reaches 4 B1 of the smallest b, which the localized profiles need
-    y_max = max([config.grid_y_max]
+    # the grid reaches 2M for Phi_M, and 4 B1 of the smallest b for its profiles
+    y_max = max([config.grid_y_max, 2.0 * config.M]
                 + [4.0 * profiles.zone_radii(b)[1] for b in config.b_sweep])
     grid = radial.make_grid(config.grid_y_min, y_max, config.grid_n)
     rows = []
@@ -152,7 +152,7 @@ def _cmd_shoot(config: RunConfig, run_dir):
 
 
 def _cmd_verify(config: RunConfig, run_dir):
-    grid = inequalities.default_grid()
+    grid = inequalities.default_grid(M=config.M)
     files = []
     reports = []
 

@@ -87,6 +87,8 @@ class ProfileCache:
         self.pair_n = int(np.count_nonzero(y <= 2.2 * params.M))
         psi_cut = max(60.0, 40.0 / np.sqrt(self.eig.zeta))
         self.psi_n = int(np.count_nonzero(y <= psi_cut))
+        # the largest y the decomposition reads
+        self.reach = float(y[max(self.pair_n, self.psi_n) - 1])
 
 
 @dataclass(frozen=True)
@@ -253,15 +255,9 @@ def _covered(cache: ProfileCache, lam: float, r_max: float) -> int:
     return int(np.count_nonzero(cache.grid.nodes <= 0.95 * r_max / lam))
 
 
-def _kappa(cache: ProfileCache, field: np.ndarray, b: float, n_covered: int):
-    """Unstable-mode amplitude kappa = (eps, psi) over the psi window.
-
-    None when the flow grid does not cover the whole window; the caller then
-    keeps the last kappa.
-    """
+def _kappa(cache: ProfileCache, field: np.ndarray, b: float) -> float:
+    """Unstable-mode amplitude kappa = (eps, psi) over the psi window."""
     n = cache.psi_n
-    if n > n_covered:
-        return None
     eps = _epsilon(cache, field[:n], b)
     return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi[:n]))
 
@@ -278,16 +274,23 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
     soliton tube is declared lost only by an update along a fresh Jacobian,
     as without `J`.
 
+    u is read only where the flow grid holds it, on y <= 0.95 r_max/lam,
+    which must contain the pairing and psi windows (y <= `cache.reach`).
+
     Returns (lam, b, diagnostics dict), whose "field" covers the pairing and
     psi windows at the returned lambda, "jacobian" is the Jacobian last
     used (to carry to the next call) and "jacobian_builds" counts the
     fresh ones.  Raises RuntimeError when the Newton iteration leaves the
-    soliton tube: a seed b the profile grid does not resolve, or no
-    admissible descent step.
+    soliton tube: a seed b the profile grid does not resolve, a seed lambda
+    whose windows leave the flow grid, or no admissible descent step.
     """
     lam, b = seed
+    r_cap = 0.95 * r[-1]  # u is read on r <= r_cap
     if not resolves(cache.grid, b):
         raise RuntimeError(f"decomposition seed b={b:g} outside the profile grid's range")
+    if cache.reach > r_cap / lam:
+        raise RuntimeError(f"decomposition window y <= {cache.reach:g} leaves the flow "
+                           f"grid at lambda={lam:g}")
     u_eval = _u_eval(r, u)
     n = max(cache.pair_n, cache.psi_n)
     field = _field(cache, u_eval, lam, n)
@@ -307,7 +310,8 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
         # damped update: the pairing surface is strongly curved in lambda
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             lam_t, b_t = lam - alpha * dlam, b - alpha * db
-            if not (lam_t > 0 and resolves(cache.grid, b_t)):
+            if not (lam_t > 0 and cache.reach <= r_cap / lam_t
+                    and resolves(cache.grid, b_t)):
                 continue
             field_t = _field(cache, u_eval, lam_t, n)
             r1_t, r2_t = _pairings(cache, field_t, b_t)
@@ -418,7 +422,8 @@ def init_data(cache: ProfileCache, params: RunConfig):
             f"unstable amplitude {a_plus:g} exceeds 10x the admissible "
             f"window {window:g}", stacklevel=2)
     _, b1 = zone_radii(b0)
-    r_max = R_MAX_FACTOR * lambda0 * b1
+    # holds the decomposition's windows while lambda stays below (0.95/0.9) lambda0
+    r_max = max(R_MAX_FACTOR * lambda0 * b1, lambda0 * cache.reach / 0.9)
     grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, params.nodes_per_decade)
     y = grid.nodes / lambda0
     t = cache.grid.t
@@ -508,8 +513,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
 
         if not decomp_lost:
-            k = _kappa(cache, dd["field"], b, _covered(cache, lam, grid.y_max))
-            kappa = kappa if k is None else k
+            kappa = _kappa(cache, dd["field"], b)
             window = admissible_window(b, params.kappa_exit_factor)
             if abs(kappa) > window:
                 termination = "exit_plus" if kappa > 0 else "exit_minus"
@@ -549,13 +553,11 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd)
         e1 = e2 = e4 = e2h = np.nan
         res1 = res2 = np.nan
     else:
-        # one evaluation over the covered prefix and the whole pairing window
+        # one evaluation over the covered prefix, which holds both windows
         u_eval = dd["u_eval"] if dd else _u_eval(grid.nodes, u)
-        n = _covered(cache, lam, grid.y_max)
-        field = _field(cache, u_eval, lam, max(n, cache.pair_n))
-        e1, e2, e4, e2h = flow_energies(cache, field[:n], b)
-        k = _kappa(cache, field, b, n)
-        kappa = kappa if k is None else k
+        field = _field(cache, u_eval, lam, _covered(cache, lam, grid.y_max))
+        e1, e2, e4, e2h = flow_energies(cache, field, b)
+        kappa = _kappa(cache, field, b)
         r1, r2 = _pairings(cache, field, b)
         s1, s2 = _pairing_scales(cache, field)
         res1, res2 = abs(r1) / s1, abs(r2) / s2

@@ -112,11 +112,12 @@ def _grid_derivatives(grid, v):
     return vp, (radial.log_gradient(grid, vt)[0] - vt) / grid.nodes**2
 
 
-def default_grid(n: int = 4096) -> radial.RadialGrid:
-    """Suite grid; the inner cutoff stays at 1e-3 because fourth-order
-    stencils near the origin amplify one ulp of an O(1) sample by
-    (h^2 y^2)^-2, and no inequality mass lives below that radius."""
-    return radial.make_grid(GRID_Y_MIN, GRID_Y_MAX, n)
+def default_grid(n: int = 4096, M: float = M_DEFAULT) -> radial.RadialGrid:
+    """Suite grid out to at least 2M, the support of Phi_M; the inner cutoff
+    stays at 1e-3 because fourth-order stencils near the origin amplify one
+    ulp of an O(1) sample by (h^2 y^2)^-2, and no inequality mass lives
+    below it."""
+    return radial.make_grid(GRID_Y_MIN, max(GRID_Y_MAX, 2.0 * M), n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +203,15 @@ def _h_ratio(grid, u):
 def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT,
                        grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Fitted constant of the second-order coercivity under (u, Phi_M) = 0."""
-    grid = grid or default_grid()
+    grid = grid or default_grid(M=M)
     w = grid.weights
-    phi = direction_phi(M, grid).Phi_M
-    phi_n2 = float(np.dot(w, phi * phi))
+    direction = direction_phi(M, grid)
+    phi = direction.Phi_M
     worst = 0.0
     ratios = []
     for _ in range(n):
         v, _, _ = sampler.sample(grid)
-        c = float(np.dot(w, v * phi)) / phi_n2
+        c = float(np.dot(w, v * phi)) / direction.norm_sq
         ratio = _h_ratio(grid, v - c * phi)
         ratios.append(ratio)
         worst = max(worst, ratio)
@@ -232,9 +233,8 @@ def _double_project(grid, phi, v):
     """Subtract the span of {Phi_M, H Phi_M} to enforce both pairings."""
     w, p, hp = grid.weights, phi.Phi_M, phi.H_Phi_M
     hv = radial.apply_H(grid, v)
-    g12 = float(np.dot(w, hp * p))
     rhs = np.array([float(np.dot(w, v * p)), float(np.dot(w, hv * p))])
-    gram = np.array([[phi.norm_sq, g12], [g12, phi.H_norm_sq]])
+    gram = np.array([[phi.norm_sq, phi.pair_H], [phi.pair_H, phi.H_norm_sq]])
     try:
         a, bcoef = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
@@ -246,11 +246,11 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
                         grid: radial.RadialGrid | None = None) -> InequalityReport:
     """Fitted constant of the fourth-order coercivity under the double
     orthogonality (u, Phi_M) = (Hu, Phi_M) = 0."""
-    grid = grid or default_grid()
+    grid = grid or default_grid(M=M)
     w = grid.weights
     phi = direction_phi(M, grid)
     p = phi.Phi_M
-    p_norm = float(np.sqrt(np.dot(w, p * p)))
+    p_norm = float(np.sqrt(phi.norm_sq))
     worst = 0.0
     ratios = []
     resid = 0.0

@@ -73,7 +73,7 @@ def _t1_parts(grid: RadialGrid):
 # ---------------------------------------------------------------------------
 
 
-def radiation_sigma(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT):
+def radiation_sigma(b: float, grid: RadialGrid):
     """Radiation (Sigma_b, c_b, d_b).
 
     c_b = 64 / int chi_{B0/4} (Lambda Q)^2 normalizes the far field to 64
@@ -81,8 +81,6 @@ def radiation_sigma(b: float, grid: RadialGrid, b_star: float = B_STAR_DEFAULT):
     holds exactly beyond 6 B0.  On the inner plateau y <= B0/4 the formula
     reproduces -c_b T1 exactly.
     """
-    if not (0.0 < b < b_star):
-        raise ValueError(f"b must lie in (0, {b_star}), got {b}")
     B0, _ = zone_radii(b)
     if grid.y_max < 6.0 * B0:
         raise ValueError("grid must cover 6*B0 for the radiation")
@@ -140,19 +138,19 @@ def assemble_profiles(b: float, grid: RadialGrid,
     if not resolves(grid, b):
         raise ValueError(f"grid y_max={grid.y_max:g} does not resolve b={b:g}; "
                          f"need 0 < b < {B_STAR_DEFAULT} and 4*B1(b) <= y_max")
-    pset = _build_profiles(b, grid, b_star)
+    pset = _build_profiles(b, grid)
     grid.cache["profile_sets"] = {key: pset}
     return pset
 
 
-def _build_profiles(b: float, grid: RadialGrid, b_star: float) -> ProfileSet:
+def _build_profiles(b: float, grid: RadialGrid) -> ProfileSet:
     """The profile bundle at b, built afresh and kept nowhere."""
     B0, B1 = zone_radii(b)
     y = grid.nodes
     Q = q_soliton(y)
 
     T1, T1p = _t1_parts(grid)
-    sigma, c_b, d_b = radiation_sigma(b, grid, b_star)
+    sigma, c_b, d_b = radiation_sigma(b, grid)
 
     # order b^2: the radiation absorbs the O(1) tail of -y T1'
     sigma2 = -sigma - y * T1p + 3.0 * Q * T1 * T1
@@ -213,8 +211,8 @@ def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
     lap_chi = cutoff_laplacian(pset.B1, y)
     loc_alpha = chi * alpha
     db = DB_REL * b
-    lo = _build_profiles(b - db, grid, B_STAR_DEFAULT)
-    hi = _build_profiles(b + db, grid, B_STAR_DEFAULT)
+    lo = _build_profiles(b - db, grid)
+    hi = _build_profiles(b + db, grid)
     dloc_db = (
         cutoff(hi.B1, y) * hi.alpha
         - cutoff(lo.B1, y) * lo.alpha
@@ -263,6 +261,7 @@ class DirectionPhi:
     pair_lambda_q: float
     norm_sq: float
     H_norm_sq: float
+    pair_H: float  # (H Phi_M, Phi_M)
 
 
 def h_of_cutoff_lambda_q(M: float, y: np.ndarray) -> np.ndarray:
@@ -294,6 +293,7 @@ def direction_phi(M: float, grid: RadialGrid) -> DirectionPhi:
         pair_lambda_q=float(np.dot(grid.weights, phi * lambda_q(y))),
         norm_sq=float(np.dot(grid.weights, phi**2)),
         H_norm_sq=float(np.dot(grid.weights, h_phi * h_phi)),
+        pair_H=float(np.dot(grid.weights, h_phi * phi)),
     )
     cache[M] = direction
     return direction

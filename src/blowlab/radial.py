@@ -397,8 +397,6 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     deflation is needed.  psi is normalized to int psi^2 y^3 dy = 1 with
     psi(y_min) > 0.
     """
-    if "unstable_mode" in grid.cache:
-        return grid.cache["unstable_mode"]
     # H with a Dirichlet last row
     dl, d, du = neg_laplacian_diagonals(grid)
     d -= potential(grid.nodes)
@@ -452,6 +450,4 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
         )
     if x[0] < 0:
         x = -x
-    pair = Eigenpair(zeta=float(-mu), psi=x)
-    grid.cache["unstable_mode"] = pair
-    return pair
+    return Eigenpair(zeta=float(-mu), psi=x)

@@ -149,6 +149,20 @@ def test_profile_command_sizes_its_grid(tmp_path):
     assert np.isfinite([float(v) for v in rows[1].split(",")]).all()
 
 
+@pytest.mark.parametrize("text", [
+    # error_Psi's centred b-difference probes b + 1e-3 b = 0.05000996 > b*
+    "command=profile b_sweep=0.04996",
+    # Phi_M needs a grid reaching 2M: beyond the suite grid's 400 ...
+    "command=verify M=250 samples=50",
+    # ... and beyond grid_y_max and 4 B1(0.04) = 64
+    "command=profile grid_y_max=100 M=100 b_sweep=0.04",
+])
+def test_every_config_that_parses_runs(tmp_path, text):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text + "\n")
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "runs")]) == 0
+
+
 def test_simulate_command(tmp_path):
     cfg = parse_config(
         "command=simulate b0=0.001 kappa_exit_factor=1e5 max_steps=800 "

@@ -285,7 +285,7 @@ def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
     assert dd["iterations"] >= 2
     assert len(radii) == len(set(radii))
     evaluations = len(radii)
-    kappa = flow._kappa(cache, dd["field"], b, flow._covered(cache, lam, r[-1]))
+    kappa = flow._kappa(cache, dd["field"], b)
     assert kappa is not None and len(radii) == evaluations
 
 
@@ -399,6 +399,31 @@ def test_decompose_below_the_profile_grids_b_is_a_tube_loss(cache):
         flow.decompose(cache, r, u, (1.0, 1.5e-4))
 
 
+def test_decompose_reads_u_only_where_the_flow_grid_holds_it(cache):
+    # the pairing and psi windows reach y = cache.reach; a flow grid whose
+    # 0.95 r_max falls short of lam * reach is a lost decomposition, not a
+    # spline extrapolated past r_max
+    lam, b = 0.7, 1e-3
+    r, u = synthetic_state(cache, lam, b, delta=1e-5)
+    assert abs(flow.decompose(cache, r, u, (lam, b))[0] / lam - 1.0) < 1e-3
+    keep = r <= 0.9 * lam * cache.reach
+    with pytest.raises(RuntimeError, match="leaves the flow grid"):
+        flow.decompose(cache, r[keep], u[keep], (lam, b))
+
+
+def test_the_first_flow_grid_holds_the_decomposition_windows():
+    # at M = 150 the pairing window reaches y = 329, beyond 0.95 r_max for
+    # r_max = 20 B1(0.049) = 272: there the pairings read a spline
+    # extrapolated past r_max, and one step moved lambda to 0.952
+    params = RunConfig(command="simulate", b0=0.049, M=150.0, max_steps=1)
+    cache = flow.ProfileCache(params)
+    st = flow.init_data(cache, params)
+    assert flow._covered(cache, 1.0, st.r[-1]) >= max(cache.pair_n, cache.psi_n)
+    traj = flow.simulate(params, cache=cache)
+    assert traj.decompose_lost_step is None
+    assert abs(traj.checkpoints[0].lam - 1.0) < 1e-3
+
+
 def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     # the carried Jacobian and the seed extrapolated in t leave one build
     # for the seed's b and one for the line-search trial; with a fresh
@@ -463,7 +488,7 @@ def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     lam, b, dd = flow.decompose(cache, st.r, st.u, (1.0, params.b0))
     n = flow._covered(cache, lam, st.r[-1])
     # kappa vanishes up to the pairing tolerance times its scale
-    assert abs(flow._kappa(cache, dd["field"], b, n)) < 5e-9
+    assert abs(flow._kappa(cache, dd["field"], b)) < 5e-9
     field = flow._field(cache, dd["u_eval"], lam, n)
     e1, e2, e4, e2h = flow.flow_energies(cache, field, b)
     assert e2 < 1e-6  # interpolation floor of the second-order energy

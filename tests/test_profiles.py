@@ -78,7 +78,7 @@ def test_radiation_constants_and_plateaus(grid):
 
 def test_radiation_rejects_bad_b(grid):
     with pytest.raises(ValueError):
-        profiles.radiation_sigma(0.2, grid)
+        profiles.assemble_profiles(0.2, grid)  # b beyond b*
     with pytest.raises(ValueError):
         profiles.radiation_sigma(1e-9, grid)  # 6*B0 beyond the grid
 
