@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, fields
 
 from .inequalities import FAMILIES
-from .modulation import S_MAX
+from .modulation import FIT_MIN_DECAY, S_MAX, integrate_reduced
 from .profiles import B_STAR_DEFAULT, M_DEFAULT
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
+B_MIN = 1e-50  # smallest b anywhere: b**6, which the profile summary divides by, is 1e-300
 B_FLOOR = 2.5e-4  # smallest b the flow's profile grid must resolve
 B_FLOOR_EXIT = 1.05 * B_FLOOR  # a flow run ends `b_floor` once b falls to this
 
@@ -85,6 +86,14 @@ class RunConfig:
         _require(self.family in FAMILIES,
                  f"family must be one of {FAMILIES}, got {self.family!r}")
         _require(self.seed >= 0, "seed must be nonnegative")
+        if self.command == "modulation":
+            # both closed-form runs end on normal doubles, and the deep one
+            # decays lambda as much as the blow-up fit needs
+            integrate_reduced(self.b0, self.lambda0, self.s_end, n_samples=3)
+            deep = integrate_reduced(self.b0, self.lambda0, self.fit_s_end, n_samples=3)
+            decay = self.lambda0 / deep.lam[-1]
+            _require(decay >= FIT_MIN_DECAY, f"fit_s_end={self.fit_s_end!r} decays "
+                     f"lambda {decay:.3g}-fold; the blow-up fit needs {FIT_MIN_DECAY:g}-fold")
         return self
 
     def to_dict(self) -> dict:
@@ -105,6 +114,7 @@ def _b_window(name, b):
     if not 0.0 < b < B_STAR_DEFAULT:
         raise ValueError(
             f"{name}={b!r} outside the admissible window (0, {B_STAR_DEFAULT})")
+    _require(b >= B_MIN, f"{name}={b!r} is below the smallest b, {B_MIN:g}")
 
 
 _CASTS = {

@@ -143,7 +143,7 @@ class FlowTrajectory:
 
 def _flow_grid(r_min: float, r_max: float, nodes_per_decade: int) -> radial.RadialGrid:
     n = max(int(np.ceil(nodes_per_decade * np.log10(r_max / r_min))) + 1, 64)
-    return radial.RadialGrid.on_nodes(np.exp(np.linspace(np.log(r_min), np.log(r_max), n)))
+    return radial.make_grid(r_min, r_max, n)
 
 
 def _u_eval(r: np.ndarray, u: np.ndarray):

@@ -35,6 +35,7 @@ from .profiles import log_binv
 
 S_MAX = 1e280  # largest s_end: b ~ 1/s, and lam, T - t for lambda0 ~ 1, stay normal doubles
 FIT_DECADES = 1.0  # fit_blowup_law's window: the final decades of lam decay
+FIT_MIN_DECAY = 100.0  # fit_blowup_law's trajectory decays lam at least this much
 HEAD = 1.0  # s(d) by quadrature for d <= HEAD, where the Ei difference cancels
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 S_POLY = np.polynomial.Polynomial([92.0, 92.0, 42.0, 10.0, 1.0])
@@ -50,6 +51,7 @@ class ReducedTrajectory:
     T_est: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed C or T fails the guard
 def integrate_reduced(b0: float, lambda0: float, s_end: float,
                       n_samples: int = 600) -> ReducedTrajectory:
     """Evaluate the exact solution of the reduced system on log-spaced s."""
@@ -68,7 +70,7 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     d = _d_of_s(s, L0)
     L = L0 + d
     decay = np.exp(-d)
-    C = lambda0**2 / (b0 * (L0 + 2.0) ** 4)
+    C = np.float64(lambda0) ** 2 / (b0 * (L0 + 2.0) ** 4)
     S0 = S_POLY(L0)
     increment = S_POLY(np.polynomial.Polynomial([L0, 1.0])) - S0  # S(L0 + d) - S0 in powers of d
     b = b0 * decay
@@ -77,7 +79,7 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     tau = C * decay * S_POLY(L)
     T_est = C * S0
     if not all(np.finfo(float).tiny <= v < np.inf for v in (b[-1], lam[-1], tau[-1], T_est)):
-        raise ValueError("b, lambda or T - t at s_end is not a positive normal double")
+        raise ValueError(f"b, lambda or T - t at s_end={s_end:g} is not a positive normal double")
     return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau, T_est=float(T_est))
 
 
@@ -131,8 +133,8 @@ def fit_blowup_law(traj: ReducedTrajectory) -> BlowupFit:
     """
     lam, t, tau = traj.lam, traj.t, traj.tau
     span = lam[0] / lam[-1]
-    if span < 100.0:
-        raise ValueError("trajectory spans fewer than 2 decades of lam decay")
+    if span < FIT_MIN_DECAY:
+        raise ValueError(f"trajectory decays lam {span:.3g}-fold, below {FIT_MIN_DECAY:g}")
     mask = (lam <= lam[-1] * 10.0**FIT_DECADES) & (tau > 0)
     x = np.log(tau[mask]) - 2.0 * np.log(np.abs(np.log(tau[mask])))
     z = np.log(lam[mask])

@@ -30,7 +30,6 @@ from .radial import (
     lambda_q_prime,
     q_soliton,
     solve_H_with_derivative,
-    zero_modes,
 )
 
 B_STAR_DEFAULT = 0.05
@@ -64,7 +63,7 @@ def _t1_parts(grid: RadialGrid):
     """(T1, T1') with H T1 + Lambda Q = 0 and T1 vanishing at the origin."""
     key = "T1_parts"
     if key not in grid.cache:
-        grid.cache[key] = solve_H_with_derivative(grid, -zero_modes(grid)[0])
+        grid.cache[key] = solve_H_with_derivative(grid, -grid.zero_modes[0])
     return grid.cache[key]
 
 
@@ -85,7 +84,7 @@ def radiation_sigma(b: float, grid: RadialGrid):
     if grid.y_max < 6.0 * B0:
         raise ValueError("grid must cover 6*B0 for the radiation")
     y = grid.nodes
-    lq, _, gm, _ = zero_modes(grid)
+    lq, _, gm, _ = grid.zero_modes
     chi = cutoff(B0 / 4.0, y)
     denom = float(np.dot(grid.weights, chi * lq * lq))
     c_b = 64.0 / denom
@@ -218,7 +217,7 @@ def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
         - cutoff(lo.B1, y) * lo.alpha
     ) / (2.0 * db)
     return (
-        b * (1.0 - chi) * zero_modes(grid)[0]
+        b * (1.0 - chi) * grid.zero_modes[0]
         + b * chi * lam_alpha
         + b * y * chi_p * alpha
         + chi * order23

@@ -1,8 +1,10 @@
 """Static objects of the radial problem.
 
 Everything here lives on the half line y > 0 carrying the measure y^3 dy of
-radial functions in four dimensions.  The module provides the log-graded grid
-and its quadrature, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
+radial functions in four dimensions.  The module provides the log-graded grid,
+which make_grid builds for the profiles and the flow alike and which carries
+its quadrature, its -Delta stencil and the zero modes on its nodes as
+attributes, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
 its scaling family, the linearized operator H = -Delta - 3Q^2 together with
 its two explicit zero modes (Lambda Q and the growing solution Gamma), the
 variation-of-parameters inverse of H, and the unique negative eigenmode.
@@ -30,29 +32,22 @@ from scipy.linalg.lapack import dgtsv as _gtsv
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Log-graded grid on (0, y_max] with weights realizing int f y^3 dy.
+    """Log-graded grid on [y_min, y_max] with weights realizing int f y^3 dy.
 
     Nodes are uniform in t = log y.  The weights integrate the piecewise
     linear-in-t interpolant of f against the exact panel moments of e^{4t},
     so f == 1 integrates to (y_max^4 - y_min^4)/4 exactly and smooth
-    integrands converge at O(h^2) under refinement.  The profile grid
-    (make_grid) and the flow grid of the PDE share this one construction,
-    its weights and its stencil of -Delta.
+    integrands converge at O(h^2) under refinement.  make_grid builds every
+    grid, the profile grid and the flow grid of the PDE alike.  What the
+    nodes alone determine is an attribute: the panel increments, the stencil
+    factors of -Delta and the zero modes.  `cache` holds the profile
+    module's memos.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    y_max: float
+    panels: tuple  # (m0 - m1, m1): each panel's weights on its left and right node
     cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        y = self.nodes
-        if y.ndim != 1 or len(y) < 2:
-            raise ValueError("grid needs at least two nodes")
-        if y[0] <= 0 or np.any(np.diff(y) <= 0):
-            raise ValueError("nodes must be strictly increasing and positive")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
 
     @property
     def n(self) -> int:
@@ -61,6 +56,10 @@ class RadialGrid:
     @property
     def y_min(self) -> float:
         return float(self.nodes[0])
+
+    @property
+    def y_max(self) -> float:
+        return float(self.nodes[-1])
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -73,26 +72,39 @@ class RadialGrid:
         t = self.t
         return float((t[-1] - t[0]) / (len(t) - 1))
 
-    @classmethod
-    def on_nodes(cls, nodes: np.ndarray) -> "RadialGrid":
-        """Grid on the given log-uniform nodes, with the panel-moment weights."""
-        m0, m1 = _panel_moments(nodes)
-        w = np.zeros(len(nodes))
-        w[:-1] += m0 - m1
-        w[1:] += m1
-        return cls(nodes=nodes, weights=w, y_max=float(nodes[-1]))
+    @cached_property
+    def stencil(self) -> tuple:
+        """Unscaled stencil factors of -Delta: exp(h), exp(-h), their sum,
+        the interior 1/(y^2 h^2) and the first row's regularity factor
+        8/(y1^2 - y0^2)."""
+        h, y = self.h, self.nodes
+        ep, em = np.exp(h), np.exp(-h)
+        return ep, em, ep + em, 1.0 / (y[1:-1] ** 2 * h * h), 8.0 / (y[1] ** 2 - y[0] ** 2)
+
+    @cached_property
+    def zero_modes(self) -> tuple:
+        """Closed forms (Lambda Q, Lambda Q', Gamma, Gamma') on the nodes."""
+        y = self.nodes
+        return lambda_q(y), lambda_q_prime(y), gamma_growing(y), gamma_growing_prime(y)
 
 
 def make_grid(y_min: float, y_max: float, n: int) -> RadialGrid:
-    """Build the log-graded grid; density increases toward the origin."""
+    """The log-graded grid of n nodes from y_min to y_max, both ends exactly
+    as given; density increases toward the origin."""
     if not (0 < y_min < y_max):
         raise ValueError(f"need 0 < y_min < y_max, got ({y_min}, {y_max})")
     if n < 64:
         raise ValueError(f"need n >= 64, got {n}")
-    t = np.linspace(np.log(y_min), np.log(y_max), n)
-    y = np.exp(t)
+    y = np.exp(np.linspace(np.log(y_min), np.log(y_max), n))
     y[0], y[-1] = y_min, y_max
-    return RadialGrid.on_nodes(y)
+    if np.any(np.diff(y) <= 0):
+        raise ValueError("nodes must be strictly increasing")
+    m0, m1 = _panel_moments(y)
+    left = m0 - m1
+    w = np.zeros(n)
+    w[:-1] += left
+    w[1:] += m1
+    return RadialGrid(nodes=y, weights=w, panels=(left, m1))
 
 
 def _panel_moments(y: np.ndarray):
@@ -223,20 +235,6 @@ def cutoff_laplacian(scale: float, y):
 # ---------------------------------------------------------------------------
 
 
-def _stencil_coeffs(grid: RadialGrid):
-    """Cached unscaled stencil factors of -Delta: exp(h), exp(-h), their sum,
-    the interior 1/(y^2 h^2) and the first row's regularity factor
-    8/(y1^2 - y0^2)."""
-    key = "H_stencil"
-    if key not in grid.cache:
-        h = grid.h
-        y = grid.nodes
-        ep, em = np.exp(h), np.exp(-h)
-        inv = 1.0 / (y[1:-1] ** 2 * h * h)
-        grid.cache[key] = (ep, em, ep + em, inv, 8.0 / (y[1] ** 2 - y[0] ** 2))
-    return grid.cache[key]
-
-
 def neg_laplacian_diagonals(grid: RadialGrid, scale: float = 1.0):
     """scale * (-Delta) as a tridiagonal matrix: the (sub, main, super)
     diagonals (dl, d, du) that tridiagonal_solve takes.
@@ -245,7 +243,7 @@ def neg_laplacian_diagonals(grid: RadialGrid, scale: float = 1.0):
     even-extension regularity rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2).
     The last row is zero: the caller sets the outer boundary condition.
     """
-    ep, em, epm, inv, reg = _stencil_coeffs(grid)
+    ep, em, epm, inv, reg = grid.stencil
     c = scale * inv
     c0 = scale * reg
     dl = np.empty(grid.n - 1)
@@ -292,7 +290,7 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     as flux differences because the H^2-weighted norms see this roundoff.
     """
     y = grid.nodes
-    ep, em, _, inv, _ = _stencil_coeffs(grid)
+    ep, em, _, inv, _ = grid.stencil
     V = potential(y)
     out = np.empty_like(v)
     out[1:-1] = -inv * (
@@ -315,11 +313,8 @@ def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0
     cumulative sum survives fourth-order differencing of the profiles it
     feeds and would dominate the H^2-weighted residual norms.
     """
-    key = "panel_moments"
-    if key not in grid.cache:
-        grid.cache[key] = _panel_moments(grid.nodes)
-    m0, m1 = grid.cache[key]
-    inc = (m0 - m1) * integrand[:-1] + m1 * integrand[1:]
+    left, right = grid.panels
+    inc = left * integrand[:-1] + right * integrand[1:]
     out = np.empty(grid.n)
     out[0] = head
     out[1:] = np.cumsum(inc.astype(np.longdouble)) + head
@@ -344,16 +339,6 @@ def _series_heads(grid: RadialGrid, f0: float):
     return head_lq, head_g
 
 
-def zero_modes(grid: RadialGrid):
-    """Cached closed forms (Lambda Q, Lambda Q', Gamma, Gamma') on the nodes."""
-    key = "zero_modes"
-    if key not in grid.cache:
-        y = grid.nodes
-        grid.cache[key] = (lambda_q(y), lambda_q_prime(y),
-                           gamma_growing(y), gamma_growing_prime(y))
-    return grid.cache[key]
-
-
 def solve_H_with_derivative(grid: RadialGrid, f: np.ndarray):
     """(u, u') with H u = f by variation of parameters, smooth at the origin.
 
@@ -363,7 +348,7 @@ def solve_H_with_derivative(grid: RadialGrid, f: np.ndarray):
     same integrals with the closed-form derivatives.  f must be integrable
     against Gamma ~ 1/(2y^2) at the origin.
     """
-    lq, lqp, gm, gmp = zero_modes(grid)
+    lq, lqp, gm, gmp = grid.zero_modes
     head_lq, head_g = _series_heads(grid, float(f[0]))
     i1 = cumulative_integral(grid, f * lq, head=head_lq)
     i2 = cumulative_integral(grid, f * gm, head=head_g)

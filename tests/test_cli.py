@@ -75,6 +75,16 @@ def test_invalid_command():
             parse_config(f"command=modulation {text}")
     cfg = parse_config("command=shoot bracket_lo=nan bracket_hi=nan s_end=1e280")
     assert np.isnan(cfg.bracket_lo) and cfg.s_end == 1e280
+    # every b has one lower bound, and a modulation config's two closed-form
+    # runs end on normal doubles, the deep one with the fit's 100-fold decay
+    for text, match in (("command=verify b0=1e-300", r"smallest b, 1e-50"),
+                        ("command=profile b_sweep=1e-54", r"smallest b, 1e-50"),
+                        ("command=modulation fit_s_end=1e4", r"fit_s_end=.*100-fold"),
+                        ("command=modulation b0=1e-28", r"fit_s_end=.*100-fold"),
+                        ("command=modulation lambda0=1e200", "normal double"),
+                        ("command=modulation lambda0=1e-200", "normal double")):
+        with pytest.raises(ValueError, match=match):
+            parse_config(text)
 
 
 def test_run_dirs_are_append_only(tmp_path):
@@ -156,6 +166,13 @@ def test_profile_command_sizes_its_grid(tmp_path):
     "command=verify M=250 samples=50",
     # ... and beyond grid_y_max and 4 B1(0.04) = 64
     "command=profile grid_y_max=100 M=100 b_sweep=0.04",
+    # the smallest b, and the modulation configs at the edges of what parses
+    "command=profile b_sweep=1e-50",
+    "command=verify b0=1e-50 samples=50",
+    "command=modulation fit_s_end=1e5",
+    "command=modulation b0=1e-27",
+    "command=modulation lambda0=1.3e-143",
+    "command=modulation lambda0=1.09e153",
 ])
 def test_every_config_that_parses_runs(tmp_path, text):
     cfg_path = tmp_path / "run.cfg"

@@ -618,6 +618,23 @@ def test_lyapunov_series_fields(unstable_runs):
     assert set(table) == {"t", "E4_over_lam6", "E2hat_over_lam2"}
 
 
+def test_flow_grid_ends_on_the_requested_radii():
+    # make_grid pins both ends; exp(log x) alone misses most x by a few ulps
+    for x in np.random.default_rng(0).uniform(100.0, 1000.0, 1000):
+        nodes = flow._flow_grid(0.02 * x / 500.0, x, 120).nodes
+        assert nodes[0] == 0.02 * x / 500.0 and nodes[-1] == x
+
+
+def test_remesh_keeps_the_dirichlet_radius(params):
+    r_max = 921.0340371976184  # march's r_max, whose exp(log r_max) is an ulp above
+    grid = flow._flow_grid(0.02, r_max, 120)
+    u = radial.q_soliton(grid.nodes)
+    assert grid.y_max == r_max
+    for lam in (0.5, 0.25, 0.125):
+        grid, u = flow._remesh(params, grid, u, lam)
+        assert grid.y_max == r_max
+
+
 def test_remesh_preserves_the_solution(params):
     g = flow._flow_grid(0.02, 100.0, 120)
     r = g.nodes

@@ -38,6 +38,18 @@ def test_grid_invariants():
     assert np.diff(g.nodes)[0] < np.diff(g.nodes)[-1]
 
 
+def test_radial_writes_nothing_into_the_grid_cache():
+    # what the nodes alone determine is a grid attribute: grid.cache holds
+    # only the profile module's memos
+    g = radial.make_grid(1e-4, 4000.0, 1024)
+    f = np.exp(-g.nodes)
+    radial.solve_H_with_derivative(g, f)
+    radial.apply_H(g, f)
+    radial.neg_laplacian_diagonals(g)
+    radial.cumulative_integral(g, f)
+    assert g.cache == {}
+
+
 def test_refinement_is_second_order():
     exact = 6.0 * (gammainc(4, 100.0) - gammainc(4, 1e-3))
     errs = []
