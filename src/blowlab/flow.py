@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import radial
 from .config import B_FLOOR, B_FLOOR_EXIT, RunConfig
@@ -149,7 +148,7 @@ def _flow_grid(r_min: float, r_max: float, nodes_per_decade: int) -> radial.Radi
 def _u_eval(r: np.ndarray, u: np.ndarray):
     """Evaluator for u at arbitrary radius, with an even-parabola extension
     below the first node (radial regularity u'(0) = 0)."""
-    spl = CubicSpline(np.log(r), u)
+    spl = radial.CubicSpline(np.log(r), u)
     r0, r1 = r[0], r[1]
     c2 = (u[1] - u[0]) / (r1**2 - r0**2)
     u00 = u[0] - c2 * r0**2
@@ -427,8 +426,8 @@ def init_data(cache: ProfileCache, params: RunConfig):
     grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, params.nodes_per_decade)
     y = grid.nodes / lambda0
     t = cache.grid.t
-    qt = CubicSpline(t, assemble_profiles(b0, cache.grid).Q_b_tilde)
-    psi = CubicSpline(t, cache.eig.psi)
+    qt = radial.CubicSpline(t, assemble_profiles(b0, cache.grid).Q_b_tilde)
+    psi = radial.CubicSpline(t, cache.eig.psi)
     inside = y <= cache.grid.y_max
     vals = np.empty_like(y)
     vals[inside] = qt(np.log(y[inside])) + a_plus * psi(np.log(y[inside]))

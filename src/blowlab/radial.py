@@ -7,9 +7,10 @@ its quadrature, its -Delta stencil and the zero modes on its nodes as
 attributes, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
 its scaling family, the linearized operator H = -Delta - 3Q^2 together with
 its two explicit zero modes (Lambda Q and the growing solution Gamma), the
-variation-of-parameters inverse of H, and the unique negative eigenmode.
-A function on a grid is the float array of its values on grid.nodes, and
-the one pairing is grid.weights . (f g).
+variation-of-parameters inverse of H, the unique negative eigenmode, and
+the not-a-knot cubic spline the flow samples its fields with.  A function
+on a grid is the float array of its values on grid.nodes, and the one
+pairing is grid.weights . (f g).
 
 All closed forms are evaluated directly, never by differencing another
 quantity: the pair (Lambda Q, Gamma) satisfies the exact Wronskian
@@ -270,6 +271,62 @@ def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError("singular tridiagonal system")
     return x
+
+
+class CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing with at
+    least four knots, extrapolating the end cubics beyond [x[0], x[-1]].
+
+    It repeats the arithmetic of scipy's CubicSpline (1.17) bit for bit: the
+    knot slopes solve the same tridiagonal system by the same gtsv, and a
+    query q in [x[i], x[i+1]) (the last interval closed on the right) is
+    the power sum ((c3 + c2 z) + c1 z^2) + c0 z^3 of z = q - x[i] that
+    PPoly evaluates.  Queries must be free of NaN.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = x.size
+        if n < 4:
+            raise ValueError(f"need at least 4 knots, got {n}")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d = np.empty(n)
+        d[0], d[-1] = dx[1], dx[-2]
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        du = np.empty(n - 1)
+        du[0] = x[2] - x[0]
+        du[1:] = dx[:-1]
+        dl = np.empty(n - 1)
+        dl[:-1] = dx[1:]
+        dl[-1] = x[-1] - x[-3]
+        rhs = np.empty(n)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] = ((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]
+        s = tridiagonal_solve(dl, d, du, rhs)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.coeffs = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1].copy())
+        self.inv_step = (n - 1) / (x[-1] - x[0])
+        # interval bounds: the end intervals reach out to -inf and +inf
+        self.bounds = np.concatenate(([-np.inf], x[1:-1], [np.inf]))
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        x, bounds, last = self.x, self.bounds, self.x.size - 2
+        # the interval under a uniform knot spacing (clipped at 0 first, the
+        # cast to int is the floor), then checked against the knots
+        f = (q - x[0]) * self.inv_step
+        np.maximum(f, 0, out=f)
+        np.minimum(f, last, out=f)
+        i = f.astype(np.intp)
+        off = (q < np.take(bounds, i)) | (q >= np.take(bounds, i + 1))
+        if off.any():
+            i[off] = np.minimum(np.searchsorted(bounds, q[off], side="right") - 1, last)
+        z = q - np.take(x, i)
+        c0, c1, c2, c3 = (np.take(c, i) for c in self.coeffs)
+        zz = z * z
+        return ((c3 + c2 * z) + c1 * zz) + c0 * (zz * z)
 
 
 def log_gradient(grid: RadialGrid, v: np.ndarray):

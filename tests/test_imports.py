@@ -1,6 +1,9 @@
 """Static hygiene of the package sources, checked with the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -220,3 +223,12 @@ def test_no_unset_defaults():
                    for name, n_pos, kw in calls):
             unset.append(f"{fname}:{line}: {func}({param})")
     assert not unset, "defaulted parameters no call sets:\n" + "\n".join(unset)
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # scipy.interpolate pulls in scipy.optimize, about 0.3 s of every start
+    code = "import sys, blowlab.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         check=True)
+    assert out.stdout.strip() == "False"

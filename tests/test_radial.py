@@ -357,3 +357,55 @@ def test_unstable_mode_retries_a_singular_shift(grid, eigenpair, monkeypatch):
     assert len(calls) > 1
     assert abs(pair.zeta - eigenpair.zeta) <= 1e-9 * eigenpair.zeta
     assert np.max(np.abs(pair.psi - eigenpair.psi)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# cubic spline
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_cubic_spline_matches_scipy_bit_for_bit():
+    # on a flow grid's log nodes, at the queries a decomposition makes, at
+    # every knot and mid-panel, and beyond both ends
+    from scipy.interpolate import CubicSpline
+
+    params = RunConfig(command="simulate")
+    cache = flow.ProfileCache(params)
+    u = flow.init_data(cache, params).u
+    x = np.log(flow.init_data(cache, params).grid.nodes)
+    ours, theirs = radial.CubicSpline(x, u), CubicSpline(x, u)
+    rng = np.random.default_rng(7)
+    queries = [np.log(lam * cache.grid.nodes[:cache.pair_n])
+               for lam in np.exp(rng.uniform(np.log(0.3), np.log(1.5), 20))]
+    queries.append(np.concatenate([x, x[:-1] + 0.5 * np.diff(x),
+                                   [x[0] - 1.0, x[-1] + 1.0, -np.inf]]))
+    with np.errstate(invalid="ignore"):  # -inf gives NaN in both
+        for q in queries:
+            assert _same_bits(ours(q), theirs(q))
+    # the profile-grid splines init_data builds
+    for values in (flow.assemble_profiles(params.b0, cache.grid).Q_b_tilde, cache.eig.psi):
+        q = np.log(rng.uniform(0.02, cache.grid.y_max, 500))
+        assert _same_bits(radial.CubicSpline(cache.grid.t, values)(q),
+                          CubicSpline(cache.grid.t, values)(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
+def test_cubic_spline_matches_scipy_on_uneven_knots(n, seed):
+    # knots far from uniform send queries through the searched-interval path
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(1e-3, 2.0, n))
+    y = rng.normal(size=n)
+    q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)
+    assert _same_bits(radial.CubicSpline(x, y)(q), CubicSpline(x, y)(q))
+
+
+def test_cubic_spline_needs_four_knots():
+    with pytest.raises(ValueError, match="4 knots"):
+        radial.CubicSpline(np.arange(3.0), np.zeros(3))
