@@ -22,13 +22,28 @@ from . import schema
 
 
 def run(config: RunConfig, out_override: str | None = None) -> dict:
-    """Execute one command and write its artifacts; returns the manifest."""
+    """Execute one command and write its artifacts; returns the manifest.
+
+    A command that raises still leaves a manifest in its run directory,
+    with ok false, termination "error: <message>" and the files it wrote,
+    before the exception propagates."""
     config.validate()
     root = output_root(config.out, out_override)
     run_dir = new_run_dir(root, config.command)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     handler = _HANDLERS[config.command]
-    ok, termination, files, metrics = handler(config, run_dir)
+    try:
+        ok, termination, files, metrics = handler(config, run_dir)
+    except Exception as exc:
+        written = [p.name for p in run_dir.iterdir() if p.is_file()]
+        _write_manifest(run_dir, config, started, False, f"error: {exc}", written, {})
+        raise
+    manifest = _write_manifest(run_dir, config, started, ok, termination, files, metrics)
+    manifest["run_dir"] = str(run_dir)
+    return manifest
+
+
+def _write_manifest(run_dir, config, started, ok, termination, files, metrics) -> dict:
     manifest = {
         "artifact": "blowlab",
         "version": __version__,
@@ -42,7 +57,6 @@ def run(config: RunConfig, out_override: str | None = None) -> dict:
         "metrics": metrics,
     }
     write_json(run_dir / "manifest.json", manifest)
-    manifest["run_dir"] = str(run_dir)
     return manifest
 
 
@@ -130,6 +144,7 @@ def _cmd_simulate(config: RunConfig, run_dir):
         "decompose_lost_step": traj.decompose_lost_step,
         "newton_iterations": traj.newton_iterations,
         "jacobian_builds": traj.jacobian_builds,
+        "profile_builds": traj.profile_builds,
     }
     ok = traj.termination != "solver_failure"
     return ok, traj.classification.value, files, metrics

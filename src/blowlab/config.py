@@ -10,6 +10,7 @@ documented window so a config that parses is a config that can run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .inequalities import FAMILIES
@@ -86,6 +87,18 @@ class RunConfig:
         _require(self.family in FAMILIES,
                  f"family must be one of {FAMILIES}, got {self.family!r}")
         _require(self.seed >= 0, "seed must be nonnegative")
+        if self.command in ("simulate", "shoot"):
+            from .flow import first_state_scales  # flow imports this module
+
+            # the first flow state is representable: the grid's weights
+            # take r^4 and its stencil 1/r^2, the first step is dt, and the
+            # energy takes u^4 of the bubble's peak Q(0)/lambda0
+            r_min, (r_lo, r_hi), dt = first_state_scales(self)
+            _require(_normal(r_min, 2) and _normal(r_lo, 4) and _normal(r_hi, 4)
+                     and _normal(dt, 1) and _normal(1.0 / self.lambda0, 4),
+                     f"lambda0={self.lambda0!r} puts the first flow state off normal "
+                     f"doubles: r_min^2, r_max^4, dt and lambda0^-4 must be normal, "
+                     f"with r_min={r_min:g}, r_max in [{r_lo:g}, {r_hi:g}], dt={dt:g}")
         if self.command == "modulation":
             # both closed-form runs end on normal doubles, and the deep one
             # decays lambda as much as the blow-up fit needs
@@ -107,6 +120,15 @@ class RunConfig:
 def _require(cond: bool, message: str):
     if not cond:
         raise ValueError(message)
+
+
+def _normal(x: float, power: int) -> bool:
+    """Whether x**power is a normal double."""
+    try:
+        v = x**power
+    except OverflowError:
+        return False
+    return sys.float_info.min <= abs(v) <= sys.float_info.max
 
 
 def _b_window(name, b):

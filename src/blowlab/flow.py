@@ -46,6 +46,10 @@ U_CAP = 1e12  # a run whose max|u| exceeds this ends as an overflow
 # decomposition
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 16
+# a run's profile memo: the exact builds it keeps, and the relative bound on
+# the pairings of its quadratic's cubic remainder
+MEMO_BUILDS = 4
+MEMO_TOL = 0.1 * NEWTON_TOL
 # bracket search: grow from the admissible window up to this multiple of it
 BRACKET_GROW = 4.0
 BRACKET_MAX_FACTOR = 1e7
@@ -71,14 +75,35 @@ def admissible_window(b: float, factor: float) -> float:
     return factor * b**2.5 / log_binv(b)
 
 
+def _profile_y_max(M: float) -> float:
+    """Last node of the profile grid: 4.2 B1 at the b floor, and 40 M."""
+    return max(4.2 * zone_radii(B_FLOOR)[1], 40.0 * M)
+
+
+def _flow_r_max(lambda0: float, b0: float, reach: float) -> float:
+    """Outer radius of a run's flow grid, R_MAX_FACTOR lambda0 B1(b0) or
+    more: it holds the decomposition's windows y <= reach while lambda
+    stays below (0.95/0.9) lambda0."""
+    return max(R_MAX_FACTOR * lambda0 * zone_radii(b0)[1], lambda0 * reach / 0.9)
+
+
+def first_state_scales(params: RunConfig) -> tuple:
+    """(r_min, (r_lo, r_hi), dt) of a run's first flow state, with no profile
+    cache built: the flow grid's first node, bounds r_lo <= r_max <= r_hi
+    on its last (r_hi takes the profile grid's last node for the
+    decomposition's reach), and the first time step."""
+    lambda0, b0 = params.lambda0, params.b0
+    r_hi = _flow_r_max(lambda0, b0, _profile_y_max(params.M))
+    r_lo = R_MAX_FACTOR * lambda0 * zone_radii(b0)[1]
+    return Y_MIN_FLOW * lambda0, (r_lo, r_hi), DS_INIT * (lambda0 * lambda0)
+
+
 class ProfileCache:
     """Shared immutable profile-side machinery for one pairing radius M."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
-        _, b1_floor = zone_radii(B_FLOOR)
-        y_max = max(4.2 * b1_floor, 40.0 * params.M)
-        self.grid = radial.make_grid(PROFILE_Y_MIN, y_max, PROFILE_N)
+        self.grid = radial.make_grid(PROFILE_Y_MIN, _profile_y_max(params.M), PROFILE_N)
         self.phi = direction_phi(params.M, self.grid)
         self.eig = radial.unstable_mode(self.grid)
         # the pairing and psi windows are prefixes of the profile grid
@@ -88,6 +113,83 @@ class ProfileCache:
         self.psi_n = int(np.count_nonzero(y <= psi_cut))
         # the largest y the decomposition reads
         self.reach = float(y[max(self.pair_n, self.psi_n) - 1])
+
+    def q_b(self, b: float) -> np.ndarray:
+        """Q~_b on the profile grid, built exactly."""
+        return assemble_profiles(b, self.grid).Q_b_tilde
+
+
+class ProfileMemo:
+    """One run's view of a ProfileCache that serves Q~_b mostly without
+    building it.
+
+    It keeps the last MEMO_BUILDS exact Q~_b, each on the decomposition's
+    prefix of the profile grid (the pairing and psi windows).  Any other b
+    is served by the quadratic through the last three builds, b1, b2, b3,
+    in Newton form, when the cubic term through the fourth,
+    f[b1, .., b4] (b - b1)(b - b2)(b - b3), pairs against w Phi_M and
+    w H Phi_M over the pairing window and against w psi over the psi window
+    to at most MEMO_TOL times that pairing's scale |v| |Q~|.  Otherwise
+    Q~_b is built exactly (through the cache) and pushed, and the divided
+    differences are recomputed.  Along a run b moves by about 1e-4 of itself
+    per step, so most requests are served.
+
+    A memo belongs to one run: what it serves depends on the builds before,
+    so a memo shared between runs would make each depend on the others.
+    It reads the same grid, direction and windows as its cache.
+    """
+
+    def __init__(self, cache: ProfileCache):
+        self.cache = cache
+        self.grid, self.phi, self.eig = cache.grid, cache.phi, cache.eig
+        self.pair_n, self.psi_n, self.reach = cache.pair_n, cache.psi_n, cache.reach
+        self.n = max(self.pair_n, self.psi_n)
+        w = self.grid.weights
+        # the gate's pairings: (w v over its window, |v| over that window)
+        self.gates = []
+        for v, m in ((self.phi.Phi_M, self.pair_n), (self.phi.H_Phi_M, self.pair_n),
+                     (self.eig.psi, self.psi_n)):
+            wv = w[:m] * v[:m]
+            self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
+        self.bs = []  # exact builds, newest first
+        self.qs = []
+        self.builds = 0
+        self.newton = None  # (f[b1, b2], f[b1, b2, b3]) once MEMO_BUILDS are kept
+        self.radius = 0.0  # largest |(b - b1)(b - b2)(b - b3)| the gate passes
+
+    def q_b(self, b: float) -> np.ndarray:
+        """Q~_b on the decomposition prefix: kept, served or built."""
+        if b in self.bs:
+            return self.qs[self.bs.index(b)]
+        if self.newton is not None:
+            b1, b2, b3 = self.bs[:3]
+            if abs((b - b1) * (b - b2) * (b - b3)) <= self.radius:
+                d12, d123 = self.newton
+                return self.qs[0] + (b - b1) * (d12 + (b - b2) * d123)
+        return self._push(b)
+
+    def _push(self, b: float) -> np.ndarray:
+        q = self.cache.q_b(b)[:self.n]
+        self.builds += 1
+        self.bs = [b] + self.bs[:MEMO_BUILDS - 1]
+        self.qs = [q] + self.qs[:MEMO_BUILDS - 1]
+        if len(self.bs) == MEMO_BUILDS:
+            (b1, b2, b3, b4), (q1, q2, q3, q4) = self.bs, self.qs
+            d12, d23 = (q1 - q2) / (b1 - b2), (q2 - q3) / (b2 - b3)
+            d34 = (q3 - q4) / (b3 - b4)
+            d123, d234 = (d12 - d23) / (b1 - b3), (d23 - d34) / (b2 - b4)
+            d1234 = (d123 - d234) / (b1 - b4)
+            self.newton = (d12, d123)
+            w = self.grid.weights
+            radius = np.inf
+            for wv, v_norm in self.gates:
+                m = wv.size
+                cubic = abs(float(np.dot(wv, d1234[:m])))
+                scale = v_norm * float(np.sqrt(np.dot(w[:m], q1[:m] * q1[:m])))
+                if cubic > 0.0:
+                    radius = min(radius, MEMO_TOL * scale / cubic)
+            self.radius = radius
+        return q
 
 
 @dataclass(frozen=True)
@@ -130,6 +232,7 @@ class FlowTrajectory:
     decompose_lost_step: int | None = None  # step whose decomposition failed
     newton_iterations: int = 0  # decompose iterations over its successful calls
     jacobian_builds: int = 0  # fresh Newton Jacobians over the run
+    profile_builds: int = 0  # exact Q~_b builds decompose asked for over the run
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(c, name) for c in self.checkpoints])
@@ -219,17 +322,18 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, dt: float, rtol: float,
 # ---------------------------------------------------------------------------
 
 
-def _field(cache: ProfileCache, u_eval, lam: float, n: int) -> np.ndarray:
+def _field(cache: ProfileCache | ProfileMemo, u_eval, lam: float, n: int) -> np.ndarray:
     """F_lam = lam u(lam y) on the first n nodes of the profile grid."""
     return lam * u_eval(lam * cache.grid.nodes[:n])
 
 
-def _epsilon(cache: ProfileCache, field: np.ndarray, b: float) -> np.ndarray:
-    """eps = F_lam - Q~_b on the prefix of the profile grid that `field` covers."""
-    return field - assemble_profiles(b, cache.grid).Q_b_tilde[:field.size]
+def _epsilon(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float) -> np.ndarray:
+    """eps = F_lam - Q~_b on the prefix of the profile grid that `field`
+    covers, with Q~_b from a ProfileCache (exact) or a ProfileMemo."""
+    return field - cache.q_b(b)[:field.size]
 
 
-def _pairings(cache: ProfileCache, field: np.ndarray, b: float):
+def _pairings(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float):
     """(eps, Phi_M) and (eps, H Phi_M) over the pairing window."""
     n = cache.pair_n
     w = cache.grid.weights[:n]
@@ -238,7 +342,7 @@ def _pairings(cache: ProfileCache, field: np.ndarray, b: float):
             float(np.dot(w, eps * cache.phi.H_Phi_M[:n])))
 
 
-def _pairing_scales(cache: ProfileCache, field: np.ndarray):
+def _pairing_scales(cache: ProfileCache | ProfileMemo, field: np.ndarray):
     """Scales of the two pairings: |Phi_M| and |H Phi_M| times the norm of the
     field over the pairing window, which is scale free and stays meaningful
     when eps vanishes identically."""
@@ -254,7 +358,7 @@ def _covered(cache: ProfileCache, lam: float, r_max: float) -> int:
     return int(np.count_nonzero(cache.grid.nodes <= 0.95 * r_max / lam))
 
 
-def _kappa(cache: ProfileCache, field: np.ndarray, b: float) -> float:
+def _kappa(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float) -> float:
     """Unstable-mode amplitude kappa = (eps, psi) over the psi window."""
     n = cache.psi_n
     eps = _epsilon(cache, field[:n], b)
@@ -262,12 +366,14 @@ def _kappa(cache: ProfileCache, field: np.ndarray, b: float) -> float:
 
 
 def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
-              J: np.ndarray | None = None):
+              J: np.ndarray | None = None, memo: ProfileMemo | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
-    The field F_lam is evaluated once per lambda.  Given a Jacobian `J`
-    carried from a nearby state (the previous step of a trajectory), the
-    first update uses it as a chord.  If the line search rejects every
+    Q~_b comes from the run's `memo` when one is given (it serves most b
+    without a build, see ProfileMemo), else it is built exactly through
+    `cache`.  The field F_lam is evaluated once per lambda.  Given a
+    Jacobian `J` carried from a nearby state (the previous step of a
+    trajectory), the first update uses it as a chord.  If the line search rejects every
     step along the carried J, it is refreshed at the current point and the
     update retried; every later update uses a fresh `_jacobian`.  So the
     soliton tube is declared lost only by an update along a fresh Jacobian,
@@ -284,6 +390,8 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
     whose windows leave the flow grid, or no admissible descent step.
     """
     lam, b = seed
+    if memo is not None:
+        cache = memo
     r_cap = 0.95 * r[-1]  # u is read on r <= r_cap
     if not resolves(cache.grid, b):
         raise RuntimeError(f"decomposition seed b={b:g} outside the profile grid's range")
@@ -350,17 +458,19 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
     return lam, b, diag
 
 
-def _jacobian(cache: ProfileCache, u_eval, lam: float, b: float):
-    """Finite-difference Jacobian of the pairings at (lam, b).
+def _jacobian(cache: ProfileCache | ProfileMemo, u_eval, lam: float, b: float):
+    """Finite-difference Jacobian of the pairings at (lam, b), with Q~_b
+    from a ProfileCache or a run's ProfileMemo, as in `decompose`.
 
     The pairings depend on b only through -Q~_b, so the b-column is field
     free: the one-sided difference -(Q~_{b+db} - Q~_b, Phi_M)/db (and the
     same against H Phi_M), formed as the pairings of the field Q~_b at
-    b + db.  Q~_b is in the set the grid built last, so the column costs
-    one profile build.  Being first order, it takes a tenth of the centred
-    step.  The lambda-column stays centred: the pairing surface is strongly
-    curved in lambda, and one-sided it added Newton iterations while
-    saving no profile build.
+    b + db.  Q~_b is the one the current point just read, so the column
+    costs at most one profile build, and none when a memo serves b + db.
+    Being first order, it takes a tenth of the centred step.  The
+    lambda-column stays centred: the pairing surface is strongly curved in
+    lambda, and one-sided it added Newton iterations while saving no
+    profile build.
 
     Along a trajectory `decompose` reuses this matrix as a chord for the
     next call's first update, and calls here again (one profile build)
@@ -370,7 +480,7 @@ def _jacobian(cache: ProfileCache, u_eval, lam: float, b: float):
     db = 1e-7 * max(b, 1e-4)
     r1p, r2p = _pairings(cache, _field(cache, u_eval, lam + dl, cache.pair_n), b)
     r1m, r2m = _pairings(cache, _field(cache, u_eval, lam - dl, cache.pair_n), b)
-    c1, c2 = _pairings(cache, assemble_profiles(b, cache.grid).Q_b_tilde, b + db)
+    c1, c2 = _pairings(cache, cache.q_b(b), b + db)
     return np.array([
         [(r1p - r1m) / (2 * dl), c1 / db],
         [(r2p - r2m) / (2 * dl), c2 / db],
@@ -420,9 +530,7 @@ def init_data(cache: ProfileCache, params: RunConfig):
         warnings.warn(
             f"unstable amplitude {a_plus:g} exceeds 10x the admissible "
             f"window {window:g}", stacklevel=2)
-    _, b1 = zone_radii(b0)
-    # holds the decomposition's windows while lambda stays below (0.95/0.9) lambda0
-    r_max = max(R_MAX_FACTOR * lambda0 * b1, lambda0 * cache.reach / 0.9)
+    r_max = _flow_r_max(lambda0, b0, cache.reach)
     grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, params.nodes_per_decade)
     y = grid.nodes / lambda0
     t = cache.grid.t
@@ -451,12 +559,17 @@ def _extrapolated_seed(grid: radial.RadialGrid, history: list, dt: float, lam: f
     return lam, b
 
 
-def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajectory:
+def simulate(params: RunConfig, cache: ProfileCache | None = None,
+             stop_at_loss: bool = False) -> FlowTrajectory:
     """One PDE run from `init_data`, decomposed after every accepted step.
 
+    Once the decomposition is lost the run keeps stepping without it, or,
+    with `stop_at_loss`, ends at that step as `decomposition_lost`.
+
     A given `cache` must have been built for the same `M` as `params`, or
-    ValueError is raised.  The Newton Jacobian and the seed history live in
-    this call only, so runs sharing a cache do not depend on each other.
+    ValueError is raised.  The Newton Jacobian, the seed history and the
+    profile memo live in this call only, so runs sharing a cache do not
+    depend on each other.
     """
     if cache is None:
         cache = ProfileCache(params)
@@ -477,6 +590,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
     iterations = jacobians = 0
     jac = None  # the last decomposition's Jacobian, carried to the next
     history = []  # decomposed (lam, b, dt that reached it), the last two
+    memo = ProfileMemo(cache)  # Q~_b for the decompositions of this run
     kappa = 0.0
 
     step = 0
@@ -500,7 +614,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
         if not decomp_lost:
             seed = _extrapolated_seed(cache.grid, history, dt_taken, lam, b)
             try:
-                lam, b, dd = decompose(cache, grid.nodes, u, seed, jac)
+                lam, b, dd = decompose(cache, grid.nodes, u, seed, jac, memo)
             except RuntimeError:
                 decomp_lost = True
                 lost_step = step
@@ -510,9 +624,12 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
                 jacobians += dd["jacobian_builds"]
                 history = history[-1:] + [(lam, b, dt_taken)]
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
+        if decomp_lost and stop_at_loss:
+            termination = "decomposition_lost"
+            break
 
         if not decomp_lost:
-            kappa = _kappa(cache, dd["field"], b)
+            kappa = _kappa(memo, dd["field"], b)
             window = admissible_window(b, params.kappa_exit_factor)
             if abs(kappa) > window:
                 termination = "exit_plus" if kappa > 0 else "exit_minus"
@@ -542,6 +659,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None) -> FlowTrajec
         classification=None, steps=step,
         step_rejects=rejects, decompose_lost_step=lost_step,
         newton_iterations=iterations, jacobian_builds=jacobians,
+        profile_builds=memo.builds,
     )
     traj.classification = classify(traj)
     return traj
@@ -663,10 +781,14 @@ def _exit_sign(traj: FlowTrajectory) -> int:
 
 
 def _probe(params: RunConfig, cache: ProfileCache, a: float) -> FlowTrajectory:
-    """One shooting run at amplitude a, with the window warning silenced."""
+    """One shooting run at amplitude a, with the window warning silenced.
+
+    It ends where its decomposition is lost: after that it can no longer
+    exit, and its last kappa and smallest lambda, which are all `shoot`
+    reads of a run that does not exit, stay frozen."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return simulate(replace(params, a_plus=a), cache=cache)
+        return simulate(replace(params, a_plus=a), cache=cache, stop_at_loss=True)
 
 
 def shoot(params: RunConfig, cache: ProfileCache | None = None) -> ShootingResult:

@@ -45,6 +45,26 @@ def test_flow_b0_at_the_b_floor_is_rejected_at_parse_time(tmp_path):
     assert cli.run(cfg, out_override=str(tmp_path))["ok"]
 
 
+# the flow's lambda0 window at b0 = 0.01, M = 50: lambda0^-4 stays normal
+# down to LAMBDA0_LO, and the flow grid's r_max^4 (bounded with the profile
+# grid's last node, 2203.16, over 0.9) up to LAMBDA0_HI
+LAMBDA0_LO = 8.636168555094447e-78
+LAMBDA0_HI = 4.73015620804168e+73
+
+
+def test_flow_lambda0_off_normal_doubles_is_rejected_at_parse_time():
+    # lambda0 = 1e200 overflowed the first dt, and 1e-200 underflowed the
+    # flow grid, before the run could classify anything
+    for command in ("simulate", "shoot"):
+        for lam in (1e200, 1e-200, np.nextafter(LAMBDA0_LO, 0.0),
+                    np.nextafter(LAMBDA0_HI, np.inf)):
+            with pytest.raises(ValueError, match=r"lambda0=.* normal doubles"):
+                parse_config(f"command={command} lambda0={float(lam)!r}")
+        for lam in (LAMBDA0_LO, LAMBDA0_HI):
+            assert parse_config(f"command={command} lambda0={lam!r}").lambda0 == lam
+    assert parse_config("command=modulation lambda0=1e100").lambda0 == 1e100
+
+
 def test_unknown_key_rejected_with_path():
     with pytest.raises(ValueError, match="whatever"):
         parse_config("command=modulation\nwhatever = 3")
@@ -218,6 +238,7 @@ def test_simulate_manifest_counts_the_newton_work(tmp_path):
     assert m["steps"] == 40 and m["decompose_lost_step"] is None
     assert m["newton_iterations"] >= m["steps"]  # every call checks its residual once
     assert 0 < m["jacobian_builds"] < m["steps"]
+    assert 0 < m["profile_builds"] < m["steps"]  # the run's memo serves most Q~_b
     # and the CSVs stay byte-identical run to run
     csvs = [f for f in runs[0]["files"] if f.endswith(".csv")]
     match, _, _ = filecmp.cmpfiles(runs[0]["run_dir"], runs[1]["run_dir"], csvs,
@@ -237,6 +258,29 @@ def test_shoot_command_runs_on_the_cache_built_from_its_config(tmp_path):
     assert {"history.csv", "checkpoints.csv"} <= set(csvs)
     match, _, _ = filecmp.cmpfiles(m1["run_dir"], m2["run_dir"], csvs, shallow=False)
     assert match == csvs
+
+
+def test_a_command_that_raises_leaves_a_manifest(tmp_path, monkeypatch, capsys):
+    # the run directory says what happened, and main still exits 2
+    def failing(config, run_dir):
+        (run_dir / "partial.csv").write_text("x\r\n")
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "modulation", failing)
+    cfg = parse_config("command=modulation")
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.run(cfg, out_override=str(tmp_path / "runs"))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("command=modulation\n")
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    run_dirs = sorted((tmp_path / "runs").iterdir())
+    assert len(run_dirs) == 2
+    for run_dir in run_dirs:
+        manifest = _strict_json(run_dir / "manifest.json")
+        assert set(manifest) == set(schema.MANIFEST_JSON)
+        assert manifest["ok"] is False and manifest["termination"] == "error: boom"
+        assert manifest["files"] == ["partial.csv"] and manifest["metrics"] == {}
 
 
 def _strict_json(path):

@@ -7,7 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from blowlab import flow, radial
+from blowlab import flow, profiles, radial
 from blowlab.config import RunConfig
 from blowlab.flow import RunClass
 
@@ -217,8 +217,12 @@ def test_overflowing_state_ends_in_a_solver_failure(monkeypatch):
 def test_singular_implicit_system_ends_the_run_classified(params, cache, monkeypatch):
     g = flow._flow_grid(0.01, 50.0, 100)
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
-    # gtsv reports an exactly zero pivot with info > 0
-    monkeypatch.setattr(radial, "_gtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
+    # gtsv reports an exactly zero pivot with info > 0 for the implicit
+    # step's systems, whose last row is the identity; the splines' slope
+    # systems, which gtsv solves too, are left alone
+    gtsv = radial._gtsv
+    monkeypatch.setattr(radial, "_gtsv", lambda dl, d, du, b: (
+        (dl, d, du, b, 1) if d[-1] == 1.0 and dl[-1] == 0.0 else gtsv(dl, d, du, b)))
     with pytest.raises(RuntimeError, match="singular"):
         flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
     traj = flow.simulate(flow.replace(params, max_steps=5), cache=cache)
@@ -446,6 +450,86 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     assert len(misses) / len(calls) <= 2.25
 
 
+@pytest.fixture(scope="module")
+def memo_run():
+    """The shoot workload's + probe (b0 = 3e-3, 51 steps), with every Q~_b
+    its memo served (not kept) and the number of decompose calls."""
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
+    cache = flow.ProfileCache(params)
+    served, calls = [], []
+    q_b, decompose = flow.ProfileMemo.q_b, flow.decompose
+
+    def recording(memo, b):
+        kept = b in memo.bs
+        builds = memo.builds
+        q = q_b(memo, b)
+        if not kept and memo.builds == builds:
+            served.append((b, q, memo))
+        return q
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(flow.ProfileMemo, "q_b", recording)
+    mp.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
+    try:
+        traj = flow._probe(params, cache, 6.95153980321595e-4)
+    finally:
+        mp.undo()
+    return cache, traj, served, len(calls)
+
+
+def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
+    # b moves by about 6e-5 of itself per step here, so the quadratic through
+    # the last three builds serves most calls: 24 builds for 51 calls, where
+    # exact builds made about 2 per call
+    _, traj, served, calls = memo_run
+    assert traj.termination == "exit_plus" and traj.steps == calls == 51
+    assert 0 < traj.profile_builds < calls
+    assert len(served) > calls
+
+
+def test_memo_serves_q_b_within_its_gate(memo_run):
+    # a served Q~_b meets a fresh build to about MEMO_TOL of each pairing's
+    # scale.  The gate bounds the cubic term through the fourth build, an
+    # estimate of the quadratic's remainder: the worst served b here lies
+    # 1.8e-4 of itself past the newest build, with the fourth build 1.5e-5
+    # from the third, and its error is 1.27 MEMO_TOL for a 0.92 estimate
+    cache, _, served, _ = memo_run
+    w = cache.grid.weights
+    worst = 0.0
+    for b, q, memo in served[::4]:
+        exact = profiles._build_profiles(b, cache.grid).Q_b_tilde[:q.size]
+        for wv, v_norm in memo.gates:
+            m = wv.size
+            scale = v_norm * np.sqrt(np.dot(w[:m], exact[:m] ** 2))
+            worst = max(worst, abs(np.dot(wv, q[:m] - exact[:m])) / scale)
+    assert worst <= 2.0 * flow.MEMO_TOL < flow.NEWTON_TOL
+
+
+def test_live_checkpoints_meet_the_newton_tolerance(memo_run):
+    # the checkpoints build Q~_b exactly, so their residuals check the
+    # memo's roots against the exact profile
+    _, traj, _, _ = memo_run
+    live = [c for c in traj.checkpoints if c.decomposed]
+    assert len(live) == len(traj.checkpoints) >= 4
+    assert max(max(c.res_phi, c.res_hphi) for c in live) <= flow.NEWTON_TOL
+
+
+def test_probe_ends_at_its_lost_decomposition():
+    # b0 = 0.01 loses its decomposition at step 27; a shooting probe stops
+    # there with the last kappa and smallest lambda of a run that steps on
+    params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=60)
+    cache = flow.ProfileCache(params)
+    full = flow.simulate(params, cache=cache)
+    probe = flow._probe(params, cache, params.a_plus)
+    assert full.termination == "budget" and full.steps == 60
+    assert probe.termination == "decomposition_lost"
+    assert probe.steps == probe.decompose_lost_step == full.decompose_lost_step == 27
+    assert probe.classification is full.classification is RunClass.GridExhausted
+    assert probe.series("kappa")[-1] == full.series("kappa")[-1]
+    assert np.nanmin(probe.series("lam")) == np.nanmin(full.series("lam"))
+    assert probe.checkpoints[:-1] == full.checkpoints[:len(probe.checkpoints) - 1]
+
+
 def test_simulate_rejects_a_cache_built_for_other_settings():
     # the pairing direction Phi_M and its windows come from the cache
     cache = flow.ProfileCache(RunConfig(b0=0.01))
@@ -589,8 +673,8 @@ def test_shoot_grows_its_bracket_without_rerunning_its_ends(monkeypatch):
     cache = flow.ProfileCache(params)
     amplitudes = []
     simulate = flow.simulate
-    monkeypatch.setattr(flow, "simulate", lambda p, cache: amplitudes.append(p.a_plus)
-                        or simulate(p, cache=cache))
+    monkeypatch.setattr(flow, "simulate", lambda p, cache, **kw: amplitudes.append(p.a_plus)
+                        or simulate(p, cache=cache, **kw))
     grown = flow.shoot(params, cache=cache)
     w = flow.admissible_window(params.b0, 2.0)
     growth = [sign * w * flow.BRACKET_GROW**k for k in range(7) for sign in (-1, +1)]
