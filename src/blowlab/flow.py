@@ -5,10 +5,12 @@ grid with an implicit tridiagonal diffusion solve and explicit cubic
 reaction, step-doubling error control, and remeshing in the self-similar
 variable when the bubble scale halves.  Every accepted step re-decomposes
 the solution as u = (Q_loc(b) + eps)_lambda through the two orthogonality
-pairings against the localized direction Phi_M, tracks the unstable-mode
+pairings against the localized direction Phi_M, with Q_loc(b) read from the
+run's memo of its last exact profile builds, and tracks the unstable-mode
 amplitude kappa = (eps, psi).  The shooting driver `shoot` bisects the
 initial amplitude a+ on the sign of the recorded exit, between the run
-config's bracket or one it grows itself.
+config's bracket or one it grows itself; each probe ends where its
+decomposition is lost.
 """
 
 from __future__ import annotations

@@ -431,7 +431,8 @@ def test_the_first_flow_grid_holds_the_decomposition_windows():
 def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     # the carried Jacobian and the seed extrapolated in t leave one build
     # for the seed's b and one for the line-search trial; with a fresh
-    # Jacobian per update and the last (lam, b) as seed it was about 3.9
+    # Jacobian per update and the last (lam, b) as seed it was about 3.9.
+    # The run's profile memo now serves most of those (see below)
     params = RunConfig(command="simulate", b0=3e-3, kappa_exit_factor=2e4, max_steps=40)
     cache = flow.ProfileCache(params)
     misses, calls = [], []
