@@ -48,10 +48,10 @@ U_CAP = 1e12  # a run whose max|u| exceeds this ends as an overflow
 # decomposition
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 16
-# a run's profile memo: the exact builds it keeps, and the relative bound on
-# the pairings of its quadratic's cubic remainder
-MEMO_BUILDS = 4
+# a run's profile memo: the bound on a served Q~_b's pairings relative to
+# their scales, and the largest sum of |Lagrange weights| it serves at
 MEMO_TOL = 0.1 * NEWTON_TOL
+MEMO_LEBESGUE = 16.0
 # bracket search: grow from the admissible window up to this multiple of it
 BRACKET_GROW = 4.0
 BRACKET_MAX_FACTOR = 1e7
@@ -125,16 +125,23 @@ class ProfileMemo:
     """One run's view of a ProfileCache that serves Q~_b mostly without
     building it.
 
-    It keeps the last MEMO_BUILDS exact Q~_b, each on the decomposition's
-    prefix of the profile grid (the pairing and psi windows).  Any other b
-    is served by the quadratic through the last three builds, b1, b2, b3,
-    in Newton form, when the cubic term through the fourth,
-    f[b1, .., b4] (b - b1)(b - b2)(b - b3), pairs against w Phi_M and
+    It keeps the last four exact Q~_b, each on the decomposition's prefix of
+    the profile grid (the pairing and psi windows).  Any other b is served
+    by the quadratic through the newest three, b1, b2, b3, in Newton form,
+    when two conditions hold.  The cubic term through the fourth,
+    E = f[b1, .., b4] (b - b1)(b - b2)(b - b3), pairs against w Phi_M and
     w H Phi_M over the pairing window and against w psi over the psi window
-    to at most MEMO_TOL times that pairing's scale |v| |Q~|.  Otherwise
-    Q~_b is built exactly (through the cache) and pushed, and the divided
-    differences are recomputed.  Along a run b moves by about 1e-4 of itself
-    per step, so most requests are served.
+    to at most MEMO_TOL / 2 times that pairing's scale |v| |Q~|.  And the
+    Lebesgue sum at b of the cubic through all four, sum_i |l_i(b)|, is at
+    most MEMO_LEBESGUE.  A served Q~_b misses the exact one by -E, plus the
+    builds' roundoff times at most that sum, plus the quartic remainder, so
+    the second condition keeps the last two within the other half of
+    MEMO_TOL: without it, builds that cluster next to a far b (as the first
+    Jacobian's b + db does beside b) magnify their roundoff into E, which
+    then underestimates the error.  Otherwise Q~_b is built exactly
+    (through the cache) and pushed, and the divided differences are
+    recomputed.  Along a run b moves by about 1e-4 of itself per step, so
+    most requests are served.
 
     A memo belongs to one run: what it serves depends on the builds before,
     so a memo shared between runs would make each depend on the others.
@@ -153,35 +160,41 @@ class ProfileMemo:
                      (self.eig.psi, self.psi_n)):
             wv = w[:m] * v[:m]
             self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
-        self.bs = []  # exact builds, newest first
+        self.bs = []  # exact builds, newest first, at most four
         self.qs = []
         self.builds = 0
-        self.newton = None  # (f[b1, b2], f[b1, b2, b3]) once MEMO_BUILDS are kept
+        self.newton = None  # (f[b1, b2], f[b1, b2, b3]) once four are kept
         self.radius = 0.0  # largest |(b - b1)(b - b2)(b - b3)| the gate passes
+        self.nodes = None  # prod_{j != i} (b_i - b_j), the cubic's denominators
 
     def q_b(self, b: float) -> np.ndarray:
         """Q~_b on the decomposition prefix: kept, served or built."""
         if b in self.bs:
             return self.qs[self.bs.index(b)]
         if self.newton is not None:
-            b1, b2, b3 = self.bs[:3]
-            if abs((b - b1) * (b - b2) * (b - b3)) <= self.radius:
+            d = [b - bi for bi in self.bs]
+            cubic = d[0] * d[1] * d[2]
+            if (abs(cubic) <= self.radius and
+                    sum(abs(cubic * d[3] / (di * ni)) for di, ni in zip(d, self.nodes))
+                    <= MEMO_LEBESGUE):
                 d12, d123 = self.newton
-                return self.qs[0] + (b - b1) * (d12 + (b - b2) * d123)
+                return self.qs[0] + d[0] * (d12 + d[1] * d123)
         return self._push(b)
 
     def _push(self, b: float) -> np.ndarray:
         q = self.cache.q_b(b)[:self.n]
         self.builds += 1
-        self.bs = [b] + self.bs[:MEMO_BUILDS - 1]
-        self.qs = [q] + self.qs[:MEMO_BUILDS - 1]
-        if len(self.bs) == MEMO_BUILDS:
+        self.bs = [b] + self.bs[:3]
+        self.qs = [q] + self.qs[:3]
+        if len(self.bs) == 4:
             (b1, b2, b3, b4), (q1, q2, q3, q4) = self.bs, self.qs
             d12, d23 = (q1 - q2) / (b1 - b2), (q2 - q3) / (b2 - b3)
             d34 = (q3 - q4) / (b3 - b4)
             d123, d234 = (d12 - d23) / (b1 - b3), (d23 - d34) / (b2 - b4)
             d1234 = (d123 - d234) / (b1 - b4)
             self.newton = (d12, d123)
+            self.nodes = [float(np.prod([bi - bj for bj in self.bs if bj != bi]))
+                          for bi in self.bs]
             w = self.grid.weights
             radius = np.inf
             for wv, v_norm in self.gates:
@@ -189,7 +202,7 @@ class ProfileMemo:
                 cubic = abs(float(np.dot(wv, d1234[:m])))
                 scale = v_norm * float(np.sqrt(np.dot(w[:m], q1[:m] * q1[:m])))
                 if cubic > 0.0:
-                    radius = min(radius, MEMO_TOL * scale / cubic)
+                    radius = min(radius, 0.5 * MEMO_TOL * scale / cubic)
             self.radius = radius
         return q
 
@@ -367,19 +380,18 @@ def _kappa(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float) -> fl
     return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi[:n]))
 
 
-def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
-              J: np.ndarray | None = None, memo: ProfileMemo | None = None):
+def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
+              seed: tuple, J: np.ndarray | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
-    Q~_b comes from the run's `memo` when one is given (it serves most b
-    without a build, see ProfileMemo), else it is built exactly through
-    `cache`.  The field F_lam is evaluated once per lambda.  Given a
-    Jacobian `J` carried from a nearby state (the previous step of a
-    trajectory), the first update uses it as a chord.  If the line search rejects every
-    step along the carried J, it is refreshed at the current point and the
-    update retried; every later update uses a fresh `_jacobian`.  So the
-    soliton tube is declared lost only by an update along a fresh Jacobian,
-    as without `J`.
+    Q~_b comes from `cache`: built exactly by a ProfileCache, or mostly
+    served without a build by a run's ProfileMemo.  The field F_lam is
+    evaluated once per lambda.  Given a Jacobian `J` carried from a nearby
+    state (the previous step of a trajectory), the first update uses it as
+    a chord.  If the line search rejects every step along the carried J, it
+    is refreshed at the current point and the update retried; every later
+    update uses a fresh `_jacobian`.  So the soliton tube is declared lost
+    only by an update along a fresh Jacobian, as without `J`.
 
     u is read only where the flow grid holds it, on y <= 0.95 r_max/lam,
     which must contain the pairing and psi windows (y <= `cache.reach`).
@@ -392,8 +404,6 @@ def decompose(cache: ProfileCache, r: np.ndarray, u: np.ndarray, seed: tuple,
     whose windows leave the flow grid, or no admissible descent step.
     """
     lam, b = seed
-    if memo is not None:
-        cache = memo
     r_cap = 0.95 * r[-1]  # u is read on r <= r_cap
     if not resolves(cache.grid, b):
         raise RuntimeError(f"decomposition seed b={b:g} outside the profile grid's range")
@@ -616,7 +626,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         if not decomp_lost:
             seed = _extrapolated_seed(cache.grid, history, dt_taken, lam, b)
             try:
-                lam, b, dd = decompose(cache, grid.nodes, u, seed, jac, memo)
+                lam, b, dd = decompose(memo, grid.nodes, u, seed, jac)
             except RuntimeError:
                 decomp_lost = True
                 lost_step = step

@@ -261,9 +261,11 @@ def test_shoot_command_runs_on_the_cache_built_from_its_config(tmp_path):
 
 
 def test_a_command_that_raises_leaves_a_manifest(tmp_path, monkeypatch, capsys):
-    # the run directory says what happened, and main still exits 2
+    # the run directory says what happened, and main still exits 2; the
+    # files are listed sorted, whatever order the directory lists them in
     def failing(config, run_dir):
-        (run_dir / "partial.csv").write_text("x\r\n")
+        for name in ("partial.csv", "lyapunov.csv", "history.csv"):
+            (run_dir / name).write_text("x\r\n")
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._HANDLERS, "modulation", failing)
@@ -280,7 +282,8 @@ def test_a_command_that_raises_leaves_a_manifest(tmp_path, monkeypatch, capsys):
         manifest = _strict_json(run_dir / "manifest.json")
         assert set(manifest) == set(schema.MANIFEST_JSON)
         assert manifest["ok"] is False and manifest["termination"] == "error: boom"
-        assert manifest["files"] == ["partial.csv"] and manifest["metrics"] == {}
+        assert manifest["files"] == ["history.csv", "lyapunov.csv", "partial.csv"]
+        assert manifest["metrics"] == {}
 
 
 def _strict_json(path):

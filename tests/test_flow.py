@@ -451,12 +451,9 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     assert len(misses) / len(calls) <= 2.25
 
 
-@pytest.fixture(scope="module")
-def memo_run():
-    """The shoot workload's + probe (b0 = 3e-3, 51 steps), with every Q~_b
-    its memo served (not kept) and the number of decompose calls."""
-    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
-    cache = flow.ProfileCache(params)
+def _served_by_memos(run):
+    """Run `run()` and return its result, every Q~_b a memo served (not
+    kept) with its memo, and the number of decompose calls."""
     served, calls = [], []
     q_b, decompose = flow.ProfileMemo.q_b, flow.decompose
 
@@ -472,15 +469,26 @@ def memo_run():
     mp.setattr(flow.ProfileMemo, "q_b", recording)
     mp.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
     try:
-        traj = flow._probe(params, cache, 6.95153980321595e-4)
+        result = run()
     finally:
         mp.undo()
-    return cache, traj, served, len(calls)
+    return result, served, len(calls)
+
+
+@pytest.fixture(scope="module")
+def memo_run():
+    """The shoot workload's + probe (b0 = 3e-3, 51 steps), with every Q~_b
+    its memo served and the number of decompose calls."""
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
+    cache = flow.ProfileCache(params)
+    traj, served, calls = _served_by_memos(
+        lambda: flow._probe(params, cache, 6.95153980321595e-4))
+    return cache, traj, served, calls
 
 
 def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
     # b moves by about 6e-5 of itself per step here, so the quadratic through
-    # the last three builds serves most calls: 24 builds for 51 calls, where
+    # the last three builds serves most calls: 32 builds for 51 calls, where
     # exact builds made about 2 per call
     _, traj, served, calls = memo_run
     assert traj.termination == "exit_plus" and traj.steps == calls == 51
@@ -488,22 +496,32 @@ def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
     assert len(served) > calls
 
 
-def test_memo_serves_q_b_within_its_gate(memo_run):
-    # a served Q~_b meets a fresh build to about MEMO_TOL of each pairing's
-    # scale.  The gate bounds the cubic term through the fourth build, an
-    # estimate of the quadratic's remainder: the worst served b here lies
-    # 1.8e-4 of itself past the newest build, with the fourth build 1.5e-5
-    # from the third, and its error is 1.27 MEMO_TOL for a 0.92 estimate
-    cache, _, served, _ = memo_run
+def _worst_served_error(cache, served):
+    """Largest |(v, served - fresh build)| / (|v| |fresh build|) over every
+    served Q~_b and each of its memo's gate pairings."""
     w = cache.grid.weights
     worst = 0.0
-    for b, q, memo in served[::4]:
+    for b, q, memo in served:
         exact = profiles._build_profiles(b, cache.grid).Q_b_tilde[:q.size]
         for wv, v_norm in memo.gates:
             m = wv.size
             scale = v_norm * np.sqrt(np.dot(w[:m], exact[:m] ** 2))
             worst = max(worst, abs(np.dot(wv, q[:m] - exact[:m])) / scale)
-    assert worst <= 2.0 * flow.MEMO_TOL < flow.NEWTON_TOL
+    return worst
+
+
+def test_memo_serves_q_b_within_its_gate(memo_run):
+    # every served Q~_b meets a fresh build within MEMO_TOL of each pairing's
+    # scale, at the step sizes of the shoot + probe (b0 = 3e-3) and of march
+    # (b0 = 0.01, whose builds carry far more roundoff)
+    cache, _, served, _ = memo_run
+    params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=30)
+    march_cache = flow.ProfileCache(params)
+    march, march_served, _ = _served_by_memos(
+        lambda: flow.simulate(params, cache=march_cache))
+    assert march.decompose_lost_step == 27 and len(march_served) > 27
+    assert _worst_served_error(cache, served) <= flow.MEMO_TOL
+    assert _worst_served_error(march_cache, march_served) <= flow.MEMO_TOL < flow.NEWTON_TOL
 
 
 def test_live_checkpoints_meet_the_newton_tolerance(memo_run):
