@@ -125,8 +125,9 @@ class ProfileMemo:
     """One run's view of a ProfileCache that serves Q~_b mostly without
     building it.
 
-    It keeps the last four exact Q~_b, each on the decomposition's prefix of
-    the profile grid (the pairing and psi windows).  Any other b is served
+    It keeps the last four exact Q~_b (three for a quadratic, one more to
+    estimate its remainder), each on the decomposition's prefix of the
+    profile grid (the pairing and psi windows).  Any other b is served
     by the quadratic through the newest three, b1, b2, b3, in Newton form,
     when two conditions hold.  The cubic term through the fourth,
     E = f[b1, .., b4] (b - b1)(b - b2)(b - b3), pairs against w Phi_M and
@@ -173,9 +174,9 @@ class ProfileMemo:
             return self.qs[self.bs.index(b)]
         if self.newton is not None:
             d = [b - bi for bi in self.bs]
-            cubic = d[0] * d[1] * d[2]
-            if (abs(cubic) <= self.radius and
-                    sum(abs(cubic * d[3] / (di * ni)) for di, ni in zip(d, self.nodes))
+            prod3 = d[0] * d[1] * d[2]
+            if (abs(prod3) <= self.radius and
+                    sum(abs(prod3 * d[3] / (di * ni)) for di, ni in zip(d, self.nodes))
                     <= MEMO_LEBESGUE):
                 d12, d123 = self.newton
                 return self.qs[0] + d[0] * (d12 + d[1] * d123)
