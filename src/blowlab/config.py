@@ -10,7 +10,6 @@ documented window so a config that parses is a config that can run.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 from .inequalities import FAMILIES
@@ -22,6 +21,10 @@ COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 B_MIN = 1e-50  # smallest b anywhere: b**6, which the profile summary divides by, is 1e-300
 B_FLOOR = 2.5e-4  # smallest b the flow's profile grid must resolve
 B_FLOOR_EXIT = 1.05 * B_FLOOR  # a flow run ends `b_floor` once b falls to this
+# a flow lambda0 lies in [1/LAMBDA0_MAX, LAMBDA0_MAX]: the flow runs in units
+# of lambda0, so any other is a rescaled copy of a run inside, and this keeps
+# lambda^+-6 in lyapunov.csv normal
+LAMBDA0_MAX = 1e30
 
 NAN_MEANS_UNSET = ("bracket_lo", "bracket_hi")  # NaN: shoot grows its own bracket
 
@@ -71,6 +74,10 @@ class RunConfig:
         for b in self.b_sweep:
             _b_window("b_sweep", b)
         _require(self.lambda0 > 0, "lambda0 must be positive")
+        _require(self.command not in ("simulate", "shoot")
+                 or 1.0 / LAMBDA0_MAX <= self.lambda0 <= LAMBDA0_MAX,
+                 f"{self.command} needs lambda0 in [1/{LAMBDA0_MAX:g}, {LAMBDA0_MAX:g}], "
+                 f"got lambda0={self.lambda0!r}")
         _require(10.0 <= self.M <= 2000.0, f"M must lie in [10, 2000], got {self.M}")
         _require(0 < self.grid_y_min < self.grid_y_max,
                  "grid_y_min must be positive and below grid_y_max")
@@ -87,18 +94,6 @@ class RunConfig:
         _require(self.family in FAMILIES,
                  f"family must be one of {FAMILIES}, got {self.family!r}")
         _require(self.seed >= 0, "seed must be nonnegative")
-        if self.command in ("simulate", "shoot"):
-            from .flow import first_state_scales  # flow imports this module
-
-            # the first flow state is representable: the grid's weights
-            # take r^4 and its stencil 1/r^2, the first step is dt, and the
-            # energy takes u^4 of the bubble's peak Q(0)/lambda0
-            r_min, (r_lo, r_hi), dt = first_state_scales(self)
-            _require(_normal(r_min, 2) and _normal(r_lo, 4) and _normal(r_hi, 4)
-                     and _normal(dt, 1) and _normal(1.0 / self.lambda0, 4),
-                     f"lambda0={self.lambda0!r} puts the first flow state off normal "
-                     f"doubles: r_min^2, r_max^4, dt and lambda0^-4 must be normal, "
-                     f"with r_min={r_min:g}, r_max in [{r_lo:g}, {r_hi:g}], dt={dt:g}")
         if self.command == "modulation":
             # both closed-form runs end on normal doubles, and the deep one
             # decays lambda as much as the blow-up fit needs
@@ -120,15 +115,6 @@ class RunConfig:
 def _require(cond: bool, message: str):
     if not cond:
         raise ValueError(message)
-
-
-def _normal(x: float, power: int) -> bool:
-    """Whether x**power is a normal double."""
-    try:
-        v = x**power
-    except OverflowError:
-        return False
-    return sys.float_info.min <= abs(v) <= sys.float_info.max
 
 
 def _b_window(name, b):

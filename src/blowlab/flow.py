@@ -11,6 +11,10 @@ amplitude kappa = (eps, psi).  The shooting driver `shoot` bisects the
 initial amplitude a+ on the sign of the recorded exit, between the run
 config's bracket or one it grows itself; each probe ends where its
 decomposition is lost.
+
+The equation is invariant under u -> u(t/l^2, r/l)/l, so a run is solved in
+units of its initial scale lambda0, which every length, time and amplitude
+below is in, and `simulate` rescales its checkpoints once at the end.
 """
 
 from __future__ import annotations
@@ -33,18 +37,18 @@ from .profiles import (
 
 E_OF_Q = 4.0 / 3.0  # energy of the stationary bubble, = 1/2*16/3 - 1/4*16/3
 
-# flow grid
-Y_MIN_FLOW = 0.02
-R_MAX_FACTOR = 20.0  # times lambda0 * B1(b0)
+# flow grid, in units of lambda0
+Y_MIN_FLOW = 0.02  # the first grid's first node
+R_MAX_FACTOR = 20.0  # times B1(b0), the first grid's last node at least
 # profile grid
 PROFILE_Y_MIN = 1e-4
 PROFILE_N = 3072
-# stepping
+# stepping, in units of lambda0 (u in 1/lambda0, t in lambda0^2)
 ATOL_STEP = 1e-9
 DS_INIT = 1e-3
 DS_CAP = 0.5
 U3_MAX = np.cbrt(np.finfo(float).max)  # u^3 is finite exactly for |u| below this
-U_CAP = 1e12  # a run whose max|u| exceeds this ends as an overflow
+U_CAP = 1e12  # a run whose max|u| exceeds this (in 1/lambda0) ends as an overflow
 # decomposition
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 16
@@ -77,27 +81,11 @@ def admissible_window(b: float, factor: float) -> float:
     return factor * b**2.5 / log_binv(b)
 
 
-def _profile_y_max(M: float) -> float:
-    """Last node of the profile grid: 4.2 B1 at the b floor, and 40 M."""
-    return max(4.2 * zone_radii(B_FLOOR)[1], 40.0 * M)
-
-
-def _flow_r_max(lambda0: float, b0: float, reach: float) -> float:
-    """Outer radius of a run's flow grid, R_MAX_FACTOR lambda0 B1(b0) or
-    more: it holds the decomposition's windows y <= reach while lambda
-    stays below (0.95/0.9) lambda0."""
-    return max(R_MAX_FACTOR * lambda0 * zone_radii(b0)[1], lambda0 * reach / 0.9)
-
-
-def first_state_scales(params: RunConfig) -> tuple:
-    """(r_min, (r_lo, r_hi), dt) of a run's first flow state, with no profile
-    cache built: the flow grid's first node, bounds r_lo <= r_max <= r_hi
-    on its last (r_hi takes the profile grid's last node for the
-    decomposition's reach), and the first time step."""
-    lambda0, b0 = params.lambda0, params.b0
-    r_hi = _flow_r_max(lambda0, b0, _profile_y_max(params.M))
-    r_lo = R_MAX_FACTOR * lambda0 * zone_radii(b0)[1]
-    return Y_MIN_FLOW * lambda0, (r_lo, r_hi), DS_INIT * (lambda0 * lambda0)
+def _flow_r_max(b0: float, reach: float) -> float:
+    """Outer radius of a run's flow grid in units of lambda0, R_MAX_FACTOR
+    B1(b0) or more: it holds the decomposition's windows y <= reach while
+    lambda stays below 0.95/0.9."""
+    return max(R_MAX_FACTOR * zone_radii(b0)[1], reach / 0.9)
 
 
 class ProfileCache:
@@ -105,7 +93,9 @@ class ProfileCache:
 
     def __init__(self, params: RunConfig):
         self.M = params.M
-        self.grid = radial.make_grid(PROFILE_Y_MIN, _profile_y_max(params.M), PROFILE_N)
+        # the last node is 4.2 B1 at the b floor, and 40 M
+        y_max = max(4.2 * zone_radii(B_FLOOR)[1], 40.0 * params.M)
+        self.grid = radial.make_grid(PROFILE_Y_MIN, y_max, PROFILE_N)
         self.phi = direction_phi(params.M, self.grid)
         self.eig = radial.unstable_mode(self.grid)
         # the pairing and psi windows are prefixes of the profile grid
@@ -535,17 +525,16 @@ def flow_energy(grid: radial.RadialGrid, u: np.ndarray) -> float:
 
 
 def init_data(cache: ProfileCache, params: RunConfig):
-    """(Q_loc(b0) + a+ psi) at scale lambda0, sampled on a flow grid of the
-    run's nodes_per_decade."""
-    b0, a_plus, lambda0 = params.b0, params.a_plus, params.lambda0
+    """Q_loc(b0) + a+ psi in units of lambda0 (at scale 1), sampled on a
+    flow grid of the run's nodes_per_decade."""
+    b0, a_plus = params.b0, params.a_plus
     window = admissible_window(b0, 2.0)
     if abs(a_plus) > 10.0 * window:
         warnings.warn(
             f"unstable amplitude {a_plus:g} exceeds 10x the admissible "
             f"window {window:g}", stacklevel=2)
-    r_max = _flow_r_max(lambda0, b0, cache.reach)
-    grid = _flow_grid(Y_MIN_FLOW * lambda0, r_max, params.nodes_per_decade)
-    y = grid.nodes / lambda0
+    grid = _flow_grid(Y_MIN_FLOW, _flow_r_max(b0, cache.reach), params.nodes_per_decade)
+    y = grid.nodes
     t = cache.grid.t
     qt = radial.CubicSpline(t, assemble_profiles(b0, cache.grid).Q_b_tilde)
     psi = radial.CubicSpline(t, cache.eig.psi)
@@ -553,7 +542,7 @@ def init_data(cache: ProfileCache, params: RunConfig):
     vals = np.empty_like(y)
     vals[inside] = qt(np.log(y[inside])) + a_plus * psi(np.log(y[inside]))
     vals[~inside] = radial.q_soliton(y[~inside])
-    return FlowState(grid=grid, u=vals / lambda0)
+    return FlowState(grid=grid, u=vals)
 
 
 def _extrapolated_seed(grid: radial.RadialGrid, history: list, dt: float, lam: float,
@@ -576,6 +565,9 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
              stop_at_loss: bool = False) -> FlowTrajectory:
     """One PDE run from `init_data`, decomposed after every accepted step.
 
+    It is solved in units of lambda0, from lambda = 1, and then its
+    checkpoints' t, lambda and max|u| are scaled by lambda0^2, lambda0 and
+    1/lambda0; every other column and count is scale invariant.
     Once the decomposition is lost the run keeps stepping without it, or,
     with `stop_at_loss`, ends at that step as `decomposition_lost`.
 
@@ -590,15 +582,14 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         raise ValueError(f"cache built for M={cache.M:g}; the run has M={params.M:g}")
     state = init_data(cache, params)
     grid, u = state.grid, state.u
-    lam, b = params.lambda0, params.b0
-    dt = DS_INIT * lam**2
+    lam, b = 1.0, params.b0
+    dt = DS_INIT
     t = s = 0.0
     u0_max = float(np.max(np.abs(u)))
     dd = None
     checkpoints = []
     termination = "budget"
-    decomp_lost = False
-    lost_step = None
+    lost_step = None  # the step whose decomposition failed
     rejects = 0
     iterations = jacobians = 0
     jac = None  # the last decomposition's Jacobian, carried to the next
@@ -624,12 +615,11 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
             break
 
         lam_old = lam
-        if not decomp_lost:
+        if lost_step is None:
             seed = _extrapolated_seed(cache.grid, history, dt_taken, lam, b)
             try:
                 lam, b, dd = decompose(memo, grid.nodes, u, seed, jac)
             except RuntimeError:
-                decomp_lost = True
                 lost_step = step
             else:
                 jac = dd["jacobian"]
@@ -637,17 +627,17 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
                 jacobians += dd["jacobian_builds"]
                 history = history[-1:] + [(lam, b, dt_taken)]
         s += dt_taken * 0.5 * (1.0 / lam_old**2 + 1.0 / lam**2)
-        if decomp_lost and stop_at_loss:
+        if lost_step is not None and stop_at_loss:
             termination = "decomposition_lost"
             break
 
-        if not decomp_lost:
+        if lost_step is None:
             kappa = _kappa(memo, dd["field"], b)
             window = admissible_window(b, params.kappa_exit_factor)
             if abs(kappa) > window:
                 termination = "exit_plus" if kappa > 0 else "exit_minus"
                 break
-            if lam <= params.lambda0 / LAMBDA_DECAY_TARGET:
+            if lam <= 1.0 / LAMBDA_DECAY_TARGET:
                 termination = "tracked"
                 break
             if b <= B_FLOOR_EXIT:
@@ -656,7 +646,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
         if step % CHECKPOINT_EVERY == 0 or step == 1:
             cp = _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
-                                  decomp_lost, dd)
+                                  lost_step is None, dd)
             checkpoints.append(cp)
             if cp.E < E_OF_Q and umax < u0_max / DISSIPATION_DROP:
                 termination = "dissipated"
@@ -666,7 +656,10 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
             grid, u = _remesh(params, grid, u, lam)
 
     checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
-                                        decomp_lost, None))
+                                        lost_step is None, None))
+    lambda0 = params.lambda0
+    checkpoints = [replace(c, t=c.t * (lambda0 * lambda0), lam=c.lam * lambda0,
+                           u_max=c.u_max / lambda0) for c in checkpoints]
     traj = FlowTrajectory(
         params=params, checkpoints=checkpoints, termination=termination,
         classification=None, steps=step,
@@ -678,8 +671,8 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
     return traj
 
 
-def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd):
-    if decomp_lost:
+def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomposed, dd):
+    if not decomposed:
         e1 = e2 = e4 = e2h = np.nan
         res1 = res2 = np.nan
     else:
@@ -695,7 +688,7 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomp_lost, dd)
         step=step, t=t, s=s, lam=lam, b=b, kappa=kappa,
         E=flow_energy(grid, u), E1=e1, E2=e2, E4=e4, E2_hat=e2h,
         u_max=float(np.max(np.abs(u))), res_phi=res1, res_hphi=res2,
-        decomposed=not decomp_lost,
+        decomposed=decomposed,
     )
 
 

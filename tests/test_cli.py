@@ -3,12 +3,13 @@
 import filecmp
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from blowlab import cli, schema
-from blowlab.config import B_FLOOR_EXIT, RunConfig, parse_config
+from blowlab.config import B_FLOOR_EXIT, LAMBDA0_MAX, RunConfig, parse_config
 
 
 def test_minimal_config_gets_defaults():
@@ -45,24 +46,35 @@ def test_flow_b0_at_the_b_floor_is_rejected_at_parse_time(tmp_path):
     assert cli.run(cfg, out_override=str(tmp_path))["ok"]
 
 
-# the flow's lambda0 window at b0 = 0.01, M = 50: lambda0^-4 stays normal
-# down to LAMBDA0_LO, and the flow grid's r_max^4 (bounded with the profile
-# grid's last node, 2203.16, over 0.9) up to LAMBDA0_HI
-LAMBDA0_LO = 8.636168555094447e-78
-LAMBDA0_HI = 4.73015620804168e+73
-
-
-def test_flow_lambda0_off_normal_doubles_is_rejected_at_parse_time():
-    # lambda0 = 1e200 overflowed the first dt, and 1e-200 underflowed the
-    # flow grid, before the run could classify anything
+def test_flow_lambda0_outside_its_window_is_rejected_at_parse_time():
+    # a flow run is solved in units of lambda0, so a lambda0 outside
+    # [1/LAMBDA0_MAX, LAMBDA0_MAX] would only be a rescaled copy of a run
+    # inside it; 1e200 overflowed the first dt, 1e-200 underflowed the flow
+    # grid, and the edges of the window computed from the first flow state
+    # (8.6e-78 and 4.7e73) over- or underflowed lambda^6 in lyapunov.csv
+    lo, hi = 1.0 / LAMBDA0_MAX, LAMBDA0_MAX
     for command in ("simulate", "shoot"):
-        for lam in (1e200, 1e-200, np.nextafter(LAMBDA0_LO, 0.0),
-                    np.nextafter(LAMBDA0_HI, np.inf)):
-            with pytest.raises(ValueError, match=r"lambda0=.* normal doubles"):
+        for lam in (1e200, 1e-200, 8.636168555094447e-78, 4.73015620804168e+73,
+                    np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+            with pytest.raises(ValueError, match=rf"{command} needs lambda0 in .* "
+                                                 r"got lambda0="):
                 parse_config(f"command={command} lambda0={float(lam)!r}")
-        for lam in (LAMBDA0_LO, LAMBDA0_HI):
+        for lam in (lo, hi):
             assert parse_config(f"command={command} lambda0={lam!r}").lambda0 == lam
     assert parse_config("command=modulation lambda0=1e100").lambda0 == 1e100
+
+
+@pytest.mark.parametrize("lambda0", ["1e-30", "1e30"])
+def test_flow_at_the_lambda0_edges_writes_a_finite_lyapunov_table(tmp_path, lambda0):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"command=simulate lambda0={lambda0} max_steps=2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([str(cfg_path), "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    rows = (run_dir / "lyapunov.csv").read_text().splitlines()
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert len(values) and np.isfinite(values).all()
 
 
 def test_unknown_key_rejected_with_path():

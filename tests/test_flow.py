@@ -1,6 +1,7 @@
 """PDE flow, decomposition, classification, and shooting mechanics."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -547,6 +548,52 @@ def test_probe_ends_at_its_lost_decomposition():
     assert probe.series("kappa")[-1] == full.series("kappa")[-1]
     assert np.nanmin(probe.series("lam")) == np.nanmin(full.series("lam"))
     assert probe.checkpoints[:-1] == full.checkpoints[:len(probe.checkpoints) - 1]
+
+
+# the counts a run reports, and the power of lambda0 each checkpoint column
+# carries (the others are scale invariant)
+RUN_COUNTS = ("termination", "classification", "steps", "step_rejects",
+              "decompose_lost_step", "newton_iterations", "jacobian_builds",
+              "profile_builds")
+LAMBDA0_POWER = {"t": 2, "lam": 1, "u_max": -1}
+
+
+def test_a_run_at_any_lambda0_is_the_unit_run_rescaled():
+    # u -> u(t/l^2, r/l)/l maps solutions to solutions, and a run is solved
+    # in units of lambda0: t, lambda and max|u| rescale, bit for bit at a
+    # power of two.  With an absolute step tolerance and overflow cap the
+    # run at 1e-13 ended `overflow` at step 1, and at 1e6 it lost its
+    # decomposition at step 10 instead of 27
+    params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=60)
+    cache = flow.ProfileCache(params)
+    unit = flow.simulate(params, cache=cache)
+    assert (unit.steps, unit.decompose_lost_step) == (60, 27)
+    for lambda0, rtol in ((2.0**-40, 0.0), (2.0**30, 0.0), (1e-13, 1e-15), (1e6, 1e-15)):
+        traj = flow.simulate(flow.replace(params, lambda0=lambda0), cache=cache)
+        assert [getattr(traj, k) for k in RUN_COUNTS] == [getattr(unit, k) for k in RUN_COUNTS]
+        for f in fields(flow.Checkpoint):
+            want = unit.series(f.name) * lambda0 ** LAMBDA0_POWER.get(f.name, 0)
+            np.testing.assert_allclose(traj.series(f.name), want, rtol=rtol, atol=0,
+                                       err_msg=f"{f.name} at lambda0={lambda0!r}")
+
+
+def test_shoot_at_any_lambda0_is_the_unit_shoot_rescaled():
+    # the perfbench `shoot` config; at lambda0 = 2^20 both bracket ends
+    # exited minus, and shoot raised ValueError
+    a = 6.95153980321595e-4
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000,
+                       bracket_lo=-a, bracket_hi=a, budget=1)
+    cache = flow.ProfileCache(params)
+    unit = flow.shoot(params, cache=cache)
+    lambda0 = 2.0**20
+    scaled = flow.shoot(flow.replace(params, lambda0=lambda0), cache=cache)
+    assert (scaled.history, scaled.bracket, scaled.iterations) == (
+        unit.history, unit.bracket, unit.iterations)
+    assert scaled.best.params.a_plus == unit.best.params.a_plus
+    assert [getattr(scaled.best, k) for k in RUN_COUNTS] == [getattr(unit.best, k)
+                                                              for k in RUN_COUNTS]
+    assert [flow.replace(c, t=c.t / lambda0**2, lam=c.lam / lambda0, u_max=c.u_max * lambda0)
+            for c in scaled.best.checkpoints] == unit.best.checkpoints
 
 
 def test_simulate_rejects_a_cache_built_for_other_settings():

@@ -40,6 +40,19 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
+def test_no_import_inside_a_function():
+    # an import in a function body hides a module cycle: config once
+    # imported flow inside RunConfig.validate, while flow imports config
+    nested = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not nested, "imports inside a function:\n" + "\n".join(sorted(nested))
+
+
 def _references(node: ast.AST) -> tuple:
     """(bare, qualified) names a node reads.  Bare names are identifiers,
     which another module's code resolves in its own namespace.  Qualified
