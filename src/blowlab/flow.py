@@ -535,12 +535,11 @@ def init_data(cache: ProfileCache, params: RunConfig):
             f"window {window:g}", stacklevel=2)
     grid = _flow_grid(Y_MIN_FLOW, _flow_r_max(b0, cache.reach), params.nodes_per_decade)
     y = grid.nodes
-    t = cache.grid.t
-    qt = radial.CubicSpline(t, assemble_profiles(b0, cache.grid).Q_b_tilde)
-    psi = radial.CubicSpline(t, cache.eig.psi)
+    u0 = _u_eval(cache.grid.nodes,
+                 assemble_profiles(b0, cache.grid).Q_b_tilde + a_plus * cache.eig.psi)
     inside = y <= cache.grid.y_max
     vals = np.empty_like(y)
-    vals[inside] = qt(np.log(y[inside])) + a_plus * psi(np.log(y[inside]))
+    vals[inside] = u0(y[inside])
     vals[~inside] = radial.q_soliton(y[~inside])
     return FlowState(grid=grid, u=vals)
 

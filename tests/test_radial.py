@@ -386,7 +386,7 @@ def test_cubic_spline_matches_scipy_bit_for_bit():
     with np.errstate(invalid="ignore"):  # -inf gives NaN in both
         for q in queries:
             assert _same_bits(ours(q), theirs(q))
-    # the profile-grid splines init_data builds
+    # splines on the profile grid, as init_data builds for Q~_b0 + a+ psi
     for values in (flow.assemble_profiles(params.b0, cache.grid).Q_b_tilde, cache.eig.psi):
         q = np.log(rng.uniform(0.02, cache.grid.y_max, 500))
         assert _same_bits(radial.CubicSpline(cache.grid.t, values)(q),
