@@ -49,9 +49,8 @@ def test_flow_b0_at_the_b_floor_is_rejected_at_parse_time(tmp_path):
 def test_flow_lambda0_outside_its_window_is_rejected_at_parse_time():
     # a flow run is solved in units of lambda0, so a lambda0 outside
     # [1/LAMBDA0_MAX, LAMBDA0_MAX] would only be a rescaled copy of a run
-    # inside it; 1e200 overflowed the first dt, 1e-200 underflowed the flow
-    # grid, and the edges of the window computed from the first flow state
-    # (8.6e-78 and 4.7e73) over- or underflowed lambda^6 in lyapunov.csv
+    # inside it; at 8.6e-78 and 4.7e73 lambda^6 in lyapunov.csv over- or
+    # underflows
     lo, hi = 1.0 / LAMBDA0_MAX, LAMBDA0_MAX
     for command in ("simulate", "shoot"):
         for lam in (1e200, 1e-200, 8.636168555094447e-78, 4.73015620804168e+73,
@@ -66,6 +65,7 @@ def test_flow_lambda0_outside_its_window_is_rejected_at_parse_time():
 
 @pytest.mark.parametrize("lambda0", ["1e-30", "1e30"])
 def test_flow_at_the_lambda0_edges_writes_a_finite_lyapunov_table(tmp_path, lambda0):
+    # lambda^6 and lambda^2 of lyapunov.csv stay normal, with no numpy warning
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"command=simulate lambda0={lambda0} max_steps=2\n")
     with warnings.catch_warnings():
