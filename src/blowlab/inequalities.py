@@ -12,6 +12,7 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,42 +62,49 @@ class TestFunctionSampler:
         self.family = family
         self._rng = np.random.default_rng(seed)
 
-    def sample(self, grid: radial.RadialGrid):
-        """One sample: (values, d/dy values, d2/dy2 values) on the grid."""
+    def sample(self, grid: radial.RadialGrid, derivatives: bool = False):
+        """One sample on the grid: its values, or with derivatives=True the
+        tuple (values, d/dy values, d2/dy2 values).  Both forms make the same
+        draws and evaluate the values with the same expression."""
         y = grid.nodes
         if grid.y_max < 2.5 * SAMPLER_SUPPORT:
             raise ValueError("grid too small for the sampler support window")
         rng = self._rng
         if self.family == "gaussian-bumps":
+            y2 = y**2
             f = np.zeros_like(y)
-            fp = np.zeros_like(y)
-            fpp = np.zeros_like(y)
+            if derivatives:
+                fp = np.zeros_like(y)
+                fpp = np.zeros_like(y)
             for _ in range(rng.integers(2, 5)):
                 a = rng.uniform(-1.0, 1.0)
                 c = rng.uniform(0.0, 0.5 * SAMPLER_SUPPORT)
                 # keep the ring width resolvable on a log grid: w grows with c
                 w = rng.uniform(max(1.0, 0.35 * c), max(2.0, 0.5 * c))
                 # ring bump exp(-((y^2-c^2)/w^2)^2): even in y, C-infinity
-                z = (y**2 - c**2) / w**2
+                z = (y2 - c**2) / w**2
                 g = np.exp(-(z**2))
-                gp = g * (-2.0 * z) * (2.0 * y / w**2)
-                gpp = g * ((2.0 * z * 2.0 * y / w**2) ** 2
-                           - 2.0 * (2.0 * y / w**2) ** 2
-                           - 2.0 * z * 2.0 / w**2)
                 f += a * g
-                fp += a * gp
-                fpp += a * gpp
-            return f, fp, fpp
+                if derivatives:
+                    gp = g * (-2.0 * z) * (2.0 * y / w**2)
+                    gpp = g * ((2.0 * z * 2.0 * y / w**2) ** 2
+                               - 2.0 * (2.0 * y / w**2) ** 2
+                               - 2.0 * z * 2.0 / w**2)
+                    fp += a * gp
+                    fpp += a * gpp
+            return (f, fp, fpp) if derivatives else f
         # the other family, polynomial-decay
         s = rng.uniform(1.0, 0.3 * SAMPLER_SUPPORT)
         coef = rng.uniform(-1.0, 1.0, size=4)
         u = (y / s) ** 2
-        up = 2.0 * y / s**2
         e = np.exp(-u)
         p = coef[0] + u * (coef[1] + u * (coef[2] + u * coef[3]))
+        f = p * e
+        if not derivatives:
+            return f
+        up = 2.0 * y / s**2
         dp = coef[1] + u * (2.0 * coef[2] + 3.0 * coef[3] * u)
         d2p = 2.0 * coef[2] + 6.0 * coef[3] * u
-        f = p * e
         fp = e * up * (dp - p)
         fpp = e * ((2.0 / s**2) * (dp - p) + up**2 * (d2p - 2.0 * dp + p))
         return f, fp, fpp
@@ -106,10 +114,32 @@ def _log_weight(y):
     return 1.0 + np.abs(np.log(y))
 
 
-def _grid_derivatives(grid, v):
-    """First and second derivative on the log grid (for fitted-ratio checks)."""
+def _grid_derivatives(grid, v, y2):
+    """First and second derivative on the log grid (for fitted-ratio checks);
+    y2 is grid.nodes**2."""
     vt, vp = radial.log_gradient(grid, v)
-    return vp, (radial.log_gradient(grid, vt)[0] - vt) / grid.nodes**2
+    return vp, (radial.log_gradient(grid, vt)[0] - vt) / y2
+
+
+class _Denominators(NamedTuple):
+    """The sample-free divisors of the coercivity ratios on one grid, with
+    L = _log_weight(y): y^2 and the y-powers times L^2."""
+
+    y2: np.ndarray
+    lw2: np.ndarray
+    y2_lw2: np.ndarray
+    y4_lw2: np.ndarray
+    y6_lw2: np.ndarray
+    y4_1y4_lw2: np.ndarray  # y^4 (1 + y^4) L^2
+
+
+def _denominators(grid) -> _Denominators:
+    """A suite builds these once per grid.  Each is built in the operation
+    order of the quotient it divides, so every quotient keeps its bits."""
+    y = grid.nodes
+    lw2 = _log_weight(y) ** 2
+    return _Denominators(y2=y**2, lw2=lw2, y2_lw2=y**2 * lw2, y4_lw2=y**4 * lw2,
+                         y6_lw2=y**6 * lw2, y4_1y4_lw2=y**4 * (1 + y**4) * lw2)
 
 
 def default_grid(n: int = 4096, M: float = M_DEFAULT) -> radial.RadialGrid:
@@ -134,27 +164,35 @@ def hardy_suite(sampler: TestFunctionSampler, n: int,
     grid = grid or default_grid()
     y = grid.nodes
     w = grid.weights
+    # the sample-free factors, masks and masked weights, once per suite
+    y2 = y**2
+    lw2 = _log_weight(y) ** 2
+    in_r = y <= HARDY_R
+    band = (y >= 1.0) & (y <= 2.0)
+    ring = (y >= 1.0) & (y <= HARDY_R)
+    w_in, w_band, w_ring = w[in_r], w[band], w[ring]
+    den2 = (y**4 * lw2)[in_r]
+    den3 = (y ** (4 + HARDY_GAMMA) * lw2)[ring]
+    den3p = (y ** (2 + HARDY_GAMMA) * lw2)[ring]
     worst = {"identity": 0.0, "hardy1": 0.0, "hardy2": 0.0, "hardy3": 0.0}
     for _ in range(n):
-        v, vp, vpp = sampler.sample(grid)
+        v, vp, vpp = sampler.sample(grid, derivatives=True)
+        v2, vp2 = v**2, vp**2
+        vp2_y2 = vp2 / y2
         lap = vpp + 3.0 * vp / y
         lhs_id = np.dot(w, lap**2)
-        rhs_id = np.dot(w, vpp**2) + 3.0 * np.dot(w, vp**2 / y**2)
+        pp_term = np.dot(w, vpp**2)
+        p_term = np.dot(w, vp2_y2)
+        rhs_id = pp_term + 3.0 * p_term
         scale = max(lhs_id, rhs_id, 1e-300)
         worst["identity"] = max(worst["identity"], abs(lhs_id - rhs_id) / scale)
-        worst["hardy1"] = max(
-            worst["hardy1"],
-            (np.dot(w, vpp**2) + np.dot(w, vp**2 / y**2)) / max(lhs_id, 1e-300),
-        )
-        in_r = y <= HARDY_R
-        band = (y >= 1.0) & (y <= 2.0)
-        lhs2 = np.dot(w[in_r], (v**2 / (y**4 * _log_weight(y) ** 2))[in_r])
-        rhs2 = np.dot(w[in_r], (vp**2 / y**2)[in_r]) + np.dot(w[band], (v**2)[band])
+        worst["hardy1"] = max(worst["hardy1"], (pp_term + p_term) / max(lhs_id, 1e-300))
+        band_term = np.dot(w_band, v2[band])
+        lhs2 = np.dot(w_in, v2[in_r] / den2)
+        rhs2 = np.dot(w_in, vp2_y2[in_r]) + band_term
         worst["hardy2"] = max(worst["hardy2"], lhs2 / max(rhs2, 1e-300))
-        ring = (y >= 1.0) & (y <= HARDY_R)
-        lhs3 = np.dot(w[ring], (v**2 / (y ** (4 + HARDY_GAMMA) * _log_weight(y) ** 2))[ring])
-        rhs3 = (np.dot(w[ring], (vp**2 / (y ** (2 + HARDY_GAMMA) * _log_weight(y) ** 2))[ring])
-                + np.dot(w[band], (v**2)[band]))
+        lhs3 = np.dot(w_ring, v2[ring] / den3)
+        rhs3 = np.dot(w_ring, vp2[ring] / den3p) + band_term
         worst["hardy3"] = max(worst["hardy3"], lhs3 / max(rhs3, 1e-300))
     tolerance = 1e-6
     return InequalityReport(
@@ -175,7 +213,7 @@ def subpositivity_suite(sampler: TestFunctionSampler, n: int,
     violated = 0
     tol = 1e-8
     for _ in range(n):
-        v, _, _ = sampler.sample(grid)
+        v = sampler.sample(grid)
         quad = float(np.dot(w, radial.apply_H(grid, v) * v))
         proj = float(np.dot(w, v * pair.psi))
         v_sq = float(np.dot(w, v * v))
@@ -190,13 +228,14 @@ def subpositivity_suite(sampler: TestFunctionSampler, n: int,
     )
 
 
-def _h_ratio(grid, u):
-    """Second-order coercivity ratio for one sample array."""
-    y, w = grid.nodes, grid.weights
-    up, upp = _grid_derivatives(grid, u)
+def _h_ratio(grid, u, den: _Denominators):
+    """Second-order coercivity ratio for one sample array; den is
+    _denominators(grid)."""
+    w = grid.weights
+    up, upp = _grid_derivatives(grid, u, den.y2)
     hu = radial.apply_H(grid, u)
-    num = (np.dot(w, upp**2) + np.dot(w, up**2 / y**2)
-           + np.dot(w, u**2 / (y**4 * _log_weight(y) ** 2)))
+    num = (np.dot(w, upp**2) + np.dot(w, up**2 / den.y2)
+           + np.dot(w, u**2 / den.y4_lw2))
     return num / max(np.dot(w, hu**2), 1e-300)
 
 
@@ -207,12 +246,13 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAUL
     w = grid.weights
     direction = direction_phi(M, grid)
     phi = direction.Phi_M
+    den = _denominators(grid)
     worst = 0.0
     ratios = []
     for _ in range(n):
-        v, _, _ = sampler.sample(grid)
+        v = sampler.sample(grid)
         c = float(np.dot(w, v * phi)) / direction.norm_sq
-        ratio = _h_ratio(grid, v - c * phi)
+        ratio = _h_ratio(grid, v - c * phi, den)
         ratios.append(ratio)
         worst = max(worst, ratio)
     return InequalityReport(
@@ -226,7 +266,8 @@ def coercivity_H_adversarial(grid: radial.RadialGrid | None = None) -> float:
     """Ratio for the unprojected near-kernel direction chi_10 Lambda Q."""
     grid = grid or default_grid()
     y = grid.nodes
-    return float(_h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y)))
+    return float(_h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y),
+                          _denominators(grid)))
 
 
 def _double_project(grid, phi, v):
@@ -251,13 +292,14 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
     phi = direction_phi(M, grid)
     p = phi.Phi_M
     p_norm = float(np.sqrt(phi.norm_sq))
+    den = _denominators(grid)
     worst = 0.0
     ratios = []
     resid = 0.0
     for _ in range(n):
-        v, _, _ = sampler.sample(grid)
+        v = sampler.sample(grid)
         u = _double_project(grid, phi, v)
-        ratio = _h2_ratio(grid, u)
+        ratio = _h2_ratio(grid, u, den)
         ratios.append(ratio)
         worst = max(worst, ratio)
         un = float(np.sqrt(np.dot(w, u * u)))
@@ -270,20 +312,21 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
     )
 
 
-def _h2_ratio(grid, u):
-    """Full fourth-order coercivity ratio for one sample array."""
-    y, w = grid.nodes, grid.weights
+def _h2_ratio(grid, u, den: _Denominators):
+    """Full fourth-order coercivity ratio for one sample array; den is
+    _denominators(grid)."""
+    w = grid.weights
     hu = radial.apply_H(grid, u)
     h2u = radial.apply_H(grid, hu)
-    up, upp = _grid_derivatives(grid, u)
-    hup, hupp = _grid_derivatives(grid, hu)
+    up, upp = _grid_derivatives(grid, u, den.y2)
+    hup, hupp = _grid_derivatives(grid, hu, den.y2)
     num = (
-        np.dot(w, hu**2 / (y**4 * _log_weight(y) ** 2))
-        + np.dot(w, hup**2 / (y**2 * _log_weight(y) ** 2))
-        + np.dot(w, hupp**2 / _log_weight(y) ** 2)
-        + np.dot(w, u**2 / (y**4 * (1 + y**4) * _log_weight(y) ** 2))
-        + np.dot(w, up**2 / (y**6 * _log_weight(y) ** 2))
-        + np.dot(w, upp**2 / (y**4 * _log_weight(y) ** 2))
+        np.dot(w, hu**2 / den.y4_lw2)
+        + np.dot(w, hup**2 / den.y2_lw2)
+        + np.dot(w, hupp**2 / den.lw2)
+        + np.dot(w, u**2 / den.y4_1y4_lw2)
+        + np.dot(w, up**2 / den.y6_lw2)
+        + np.dot(w, upp**2 / den.y4_lw2)
     )
     return num / max(np.dot(w, h2u**2), 1e-300)
 
@@ -299,8 +342,9 @@ def interpolation_spotcheck(grid: radial.RadialGrid, eps: np.ndarray,
     h2e = radial.apply_H(grid, he)
     E2 = float(np.dot(w, he * he))
     E4 = float(np.dot(w, h2e * h2e))
-    ep, epp = _grid_derivatives(grid, eps)
-    hep, hepp = _grid_derivatives(grid, he)
+    y2 = y**2
+    ep, epp = _grid_derivatives(grid, eps, y2)
+    hep, hepp = _grid_derivatives(grid, he, y2)
     lw2 = 1.0 + np.log(y) ** 2
     lhs_e4 = (
         np.dot(w, he**2 / (y**4 * lw2))

@@ -3,8 +3,8 @@
 Everything here lives on the half line y > 0 carrying the measure y^3 dy of
 radial functions in four dimensions.  The module provides the log-graded grid,
 which make_grid builds for the profiles and the flow alike and which carries
-its quadrature, its -Delta stencil and the zero modes on its nodes as
-attributes, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
+its quadrature, its -Delta stencil, its gradient coefficients, the potential
+and the zero modes on its nodes as attributes, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
 its scaling family, the linearized operator H = -Delta - 3Q^2 together with
 its two explicit zero modes (Lambda Q and the growing solution Gamma), the
 variation-of-parameters inverse of H, the unique negative eigenmode, and
@@ -41,8 +41,8 @@ class RadialGrid:
     integrands converge at O(h^2) under refinement.  make_grid builds every
     grid, the profile grid and the flow grid of the PDE alike.  What the
     nodes alone determine is an attribute: the panel increments, the stencil
-    factors of -Delta and the zero modes.  `cache` holds the profile
-    module's memos.
+    factors of -Delta, the gradient coefficients in t, the potential and the
+    zero modes.  `cache` holds the profile module's memos.
     """
 
     nodes: np.ndarray
@@ -87,6 +87,22 @@ class RadialGrid:
         """Closed forms (Lambda Q, Lambda Q', Gamma, Gamma') on the nodes."""
         y = self.nodes
         return lambda_q(y), lambda_q_prime(y), gamma_growing(y), gamma_growing_prime(y)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The potential V = 3Q^2 of H on the nodes."""
+        return potential(self.nodes)
+
+    @cached_property
+    def gradient_coeffs(self) -> tuple:
+        """np.gradient's non-uniform coefficients on the t nodes: the interior
+        three-point weights (a, b, c) and the first and last spacing."""
+        dx = np.diff(self.t)
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+        return a, b, c, dx[0], dx[-1]
 
 
 def make_grid(y_min: float, y_max: float, n: int) -> RadialGrid:
@@ -331,8 +347,18 @@ class CubicSpline:
 
 def log_gradient(grid: RadialGrid, v: np.ndarray):
     """(dv/dt, dv/dy) with t = log y: second-order central differences in t,
-    one-sided at the ends, and dv/dy = (dv/dt)/y."""
-    vt = np.gradient(v, grid.t)
+    one-sided at the ends, and dv/dy = (dv/dt)/y.
+
+    dv/dt is np.gradient(v, grid.t) bit for bit, numpy's non-uniform formula
+    with its coefficients taken from the grid instead of rebuilt per call
+    (np.gradient has a separate branch for exactly equal t spacings, which
+    the rounded log nodes of make_grid do not produce).
+    """
+    a, b, c, dx0, dxn = grid.gradient_coeffs
+    vt = np.empty_like(v)
+    vt[1:-1] = a * v[:-2] + b * v[1:-1] + c * v[2:]
+    vt[0] = (v[1] - v[0]) / dx0
+    vt[-1] = (v[-1] - v[-2]) / dxn
     return vt, vt / grid.nodes
 
 
@@ -348,7 +374,6 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     """
     y = grid.nodes
     ep, em, _, inv, _ = grid.stencil
-    V = potential(y)
     out = np.empty_like(v)
     out[1:-1] = -inv * (
         ep * (v[2:] - v[1:-1]) - em * (v[1:-1] - v[:-2])
@@ -359,7 +384,7 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     ftt = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
     ft = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     out[-1] = -(ftt + 2.0 * ft) / y[-1] ** 2
-    return out - V * v
+    return out - grid.V * v
 
 
 def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0.0) -> np.ndarray:
@@ -441,7 +466,7 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     """
     # H with a Dirichlet last row
     dl, d, du = neg_laplacian_diagonals(grid)
-    d -= potential(grid.nodes)
+    d -= grid.V
     d[-1] = 1.0
     w = grid.weights
 

@@ -21,7 +21,7 @@ def test_sampler_families_are_regular(sgrid):
     for family in ineq.FAMILIES:
         sampler = ineq.TestFunctionSampler(seed=2, family=family)
         for _ in range(10):
-            v, vp, vpp = sampler.sample(sgrid)
+            v, vp, vpp = sampler.sample(sgrid, derivatives=True)
             assert np.all(np.isfinite(v))
             # radial regularity: derivative vanishes toward the origin
             assert abs(vp[0]) < 1e-2 * (np.max(np.abs(v)) + 1e-30)
@@ -31,9 +31,112 @@ def test_sampler_families_are_regular(sgrid):
 
 
 def test_sampler_is_deterministic(sgrid):
-    a = ineq.TestFunctionSampler(seed=5).sample(sgrid)[0]
-    b = ineq.TestFunctionSampler(seed=5).sample(sgrid)[0]
-    assert np.array_equal(a, b)
+    for family in ineq.FAMILIES:
+        a = ineq.TestFunctionSampler(seed=5, family=family).sample(sgrid)
+        b = ineq.TestFunctionSampler(seed=5, family=family).sample(sgrid)
+        assert a.shape == sgrid.nodes.shape
+        assert np.array_equal(a, b)
+        a = ineq.TestFunctionSampler(seed=5, family=family).sample(sgrid, derivatives=True)
+        b = ineq.TestFunctionSampler(seed=5, family=family).sample(sgrid, derivatives=True)
+        assert len(a) == 3 and all(np.array_equal(p, q) for p, q in zip(a, b))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("family", ineq.FAMILIES)
+def test_values_only_sampling_keeps_the_values_and_the_draws(sgrid, family):
+    # the two forms alternate between two samplers of one seed: each sample
+    # agrees bit for bit with the other form's values, so every draw after
+    # either form is the same
+    for seed in (0, 3, 17, 2024):
+        a = ineq.TestFunctionSampler(seed=seed, family=family)
+        b = ineq.TestFunctionSampler(seed=seed, family=family)
+        for k in range(6):
+            first, second = (a, b) if k % 2 == 0 else (b, a)
+            values = first.sample(sgrid)
+            full = second.sample(sgrid, derivatives=True)
+            assert _same_bits(values, full[0]), (seed, k)
+
+
+def _log_derivatives(grid, v):
+    vt = np.gradient(v, grid.t)
+    return vt / grid.nodes, (np.gradient(vt, grid.t) - vt) / grid.nodes**2
+
+
+def _h_ratio_by_formula(grid, u):
+    # the ratio with every y-power and log weight evaluated in place
+    y, w = grid.nodes, grid.weights
+    up, upp = _log_derivatives(grid, u)
+    hu = radial.apply_H(grid, u)
+    num = (np.dot(w, upp**2) + np.dot(w, up**2 / y**2)
+           + np.dot(w, u**2 / (y**4 * ineq._log_weight(y) ** 2)))
+    return num / max(np.dot(w, hu**2), 1e-300)
+
+
+def _h2_ratio_by_formula(grid, u):
+    y, w = grid.nodes, grid.weights
+    lw = ineq._log_weight
+    hu = radial.apply_H(grid, u)
+    h2u = radial.apply_H(grid, hu)
+    up, upp = _log_derivatives(grid, u)
+    hup, hupp = _log_derivatives(grid, hu)
+    num = (
+        np.dot(w, hu**2 / (y**4 * lw(y) ** 2))
+        + np.dot(w, hup**2 / (y**2 * lw(y) ** 2))
+        + np.dot(w, hupp**2 / lw(y) ** 2)
+        + np.dot(w, u**2 / (y**4 * (1 + y**4) * lw(y) ** 2))
+        + np.dot(w, up**2 / (y**6 * lw(y) ** 2))
+        + np.dot(w, upp**2 / (y**4 * lw(y) ** 2))
+    )
+    return num / max(np.dot(w, h2u**2), 1e-300)
+
+
+def _hardy_by_formula(sampler, n, grid):
+    # one sample at a time, masks and weights rebuilt per sample
+    y, w = grid.nodes, grid.weights
+    lw = ineq._log_weight
+    gamma = ineq.HARDY_GAMMA
+    worst = {"identity": 0.0, "hardy1": 0.0, "hardy2": 0.0, "hardy3": 0.0}
+    for _ in range(n):
+        v, vp, vpp = sampler.sample(grid, derivatives=True)
+        lap = vpp + 3.0 * vp / y
+        lhs_id = np.dot(w, lap**2)
+        rhs_id = np.dot(w, vpp**2) + 3.0 * np.dot(w, vp**2 / y**2)
+        scale = max(lhs_id, rhs_id, 1e-300)
+        worst["identity"] = max(worst["identity"], abs(lhs_id - rhs_id) / scale)
+        worst["hardy1"] = max(
+            worst["hardy1"],
+            (np.dot(w, vpp**2) + np.dot(w, vp**2 / y**2)) / max(lhs_id, 1e-300))
+        in_r = y <= ineq.HARDY_R
+        band = (y >= 1.0) & (y <= 2.0)
+        lhs2 = np.dot(w[in_r], (v**2 / (y**4 * lw(y) ** 2))[in_r])
+        rhs2 = np.dot(w[in_r], (vp**2 / y**2)[in_r]) + np.dot(w[band], (v**2)[band])
+        worst["hardy2"] = max(worst["hardy2"], lhs2 / max(rhs2, 1e-300))
+        ring = (y >= 1.0) & (y <= ineq.HARDY_R)
+        lhs3 = np.dot(w[ring], (v**2 / (y ** (4 + gamma) * lw(y) ** 2))[ring])
+        rhs3 = (np.dot(w[ring], (vp**2 / (y ** (2 + gamma) * lw(y) ** 2))[ring])
+                + np.dot(w[band], (v**2)[band]))
+        worst["hardy3"] = max(worst["hardy3"], lhs3 / max(rhs3, 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("family", ineq.FAMILIES)
+def test_suite_ratios_match_their_formulas_bit_for_bit(sgrid, family):
+    # the suites build the sample-free factors once per grid, in the
+    # operation order of the quotients they enter
+    den = ineq._denominators(sgrid)
+    for seed in (0, 5):
+        sampler = ineq.TestFunctionSampler(seed=seed, family=family)
+        for _ in range(3):
+            v = sampler.sample(sgrid)
+            assert _same_bits(ineq._h_ratio(sgrid, v, den), _h_ratio_by_formula(sgrid, v))
+            assert _same_bits(ineq._h2_ratio(sgrid, v, den), _h2_ratio_by_formula(sgrid, v))
+    rep = ineq.hardy_suite(ineq.TestFunctionSampler(seed=2, family=family), 50, grid=sgrid)
+    expected = _hardy_by_formula(ineq.TestFunctionSampler(seed=2, family=family), 50, sgrid)
+    for key, value in expected.items():
+        assert _same_bits(rep.details[key], value), key
 
 
 def test_sampler_rejects_unknown_family():
@@ -74,7 +177,7 @@ def test_subpositivity_projected_orthogonal(sgrid):
     sampler = ineq.TestFunctionSampler(seed=9)
     w = sgrid.weights
     for _ in range(25):
-        v, _, _ = sampler.sample(sgrid)
+        v = sampler.sample(sgrid)
         u = v - np.dot(w, v * pair.psi) * pair.psi
         quad = np.dot(w, radial.apply_H(sgrid, u) * u)
         assert quad >= -1e-8 * np.dot(w, u * u)
@@ -107,8 +210,9 @@ def test_coercivity_H2_stability(sgrid, refined):
 
 def test_ratio_scale_invariance(sgrid):
     sampler = ineq.TestFunctionSampler(seed=5)
-    v, _, _ = sampler.sample(sgrid)
-    assert abs(ineq._h2_ratio(sgrid, v) - ineq._h2_ratio(sgrid, 2.0 * v)) < 1e-9
+    v = sampler.sample(sgrid)
+    den = ineq._denominators(sgrid)
+    assert abs(ineq._h2_ratio(sgrid, v, den) - ineq._h2_ratio(sgrid, 2.0 * v, den)) < 1e-9
 
 
 def test_interpolation_spotcheck_zero_input(sgrid):

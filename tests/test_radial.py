@@ -198,6 +198,46 @@ def test_log_gradient_is_second_order():
     assert np.all((orders >= 1.8) & (orders <= 2.2))
 
 
+def _apply_H_by_closed_form_potential(grid, v):
+    # apply_H with V evaluated from its closed form on every call
+    y = grid.nodes
+    ep, em, _, inv, _ = grid.stencil
+    V = radial.potential(y)
+    out = np.empty_like(v)
+    out[1:-1] = -inv * (
+        ep * (v[2:] - v[1:-1]) - em * (v[1:-1] - v[:-2])
+    )
+    out[0] = -8.0 * (v[1] - v[0]) / (y[1] ** 2 - y[0] ** 2)
+    h = grid.h
+    ftt = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    ft = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    out[-1] = -(ftt + 2.0 * ft) / y[-1] ** 2
+    return out - V * v
+
+
+def test_grid_kernels_match_their_reference_forms_bit_for_bit():
+    # log_gradient reads numpy's non-uniform coefficients from the grid and
+    # apply_H reads V from it: on the profile grid, a flow grid and the two
+    # suite grids both give what np.gradient and the closed form give
+    grids = [
+        flow.ProfileCache(RunConfig(command="simulate")).grid,
+        flow._flow_grid(flow.Y_MIN_FLOW, 4321.0, 120),
+        radial.make_grid(1e-3, 400.0, 4096),
+        radial.make_grid(1e-3, 400.0, 8192),
+    ]
+    rng = np.random.default_rng(11)
+    for g in grids:
+        y = g.nodes
+        for v in (radial.q_soliton(y), np.exp(-y / 7.0) * np.cos(y),
+                  rng.normal(size=g.n)):
+            vt, vy = radial.log_gradient(g, v)
+            ref = np.gradient(v, g.t)
+            assert _same_bits(vt, ref)
+            assert _same_bits(vy, ref / y)
+            assert _same_bits(radial.apply_H(g, v), _apply_H_by_closed_form_potential(g, v))
+        assert _same_bits(g.V, radial.potential(y))
+
+
 def test_apply_H_annihilates_the_resonance(grid, fine_grid):
     errs = []
     for g in (grid, fine_grid):
