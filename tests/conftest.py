@@ -23,6 +23,10 @@ def eigenpair(grid):
     return radial.unstable_mode(grid)
 
 
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
 def l2_window(grid, values, y_hi=100.0):
     mask = grid.nodes <= y_hi
     return float(np.sqrt(np.dot(grid.weights[mask], values[mask] ** 2)))

@@ -6,6 +6,8 @@ import pytest
 from blowlab import inequalities as ineq
 from blowlab import radial
 
+from conftest import same_bits
+
 
 @pytest.fixture(scope="module")
 def sgrid():
@@ -41,10 +43,6 @@ def test_sampler_is_deterministic(sgrid):
         assert len(a) == 3 and all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
-def _same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
-
-
 @pytest.mark.parametrize("family", ineq.FAMILIES)
 def test_values_only_sampling_keeps_the_values_and_the_draws(sgrid, family):
     # the two forms alternate between two samplers of one seed: each sample
@@ -57,7 +55,7 @@ def test_values_only_sampling_keeps_the_values_and_the_draws(sgrid, family):
             first, second = (a, b) if k % 2 == 0 else (b, a)
             values = first.sample(sgrid)
             full = second.sample(sgrid, derivatives=True)
-            assert _same_bits(values, full[0]), (seed, k)
+            assert same_bits(values, full[0]), (seed, k)
 
 
 def _log_derivatives(grid, v):
@@ -131,12 +129,12 @@ def test_suite_ratios_match_their_formulas_bit_for_bit(sgrid, family):
         sampler = ineq.TestFunctionSampler(seed=seed, family=family)
         for _ in range(3):
             v = sampler.sample(sgrid)
-            assert _same_bits(ineq._h_ratio(sgrid, v, den), _h_ratio_by_formula(sgrid, v))
-            assert _same_bits(ineq._h2_ratio(sgrid, v, den), _h2_ratio_by_formula(sgrid, v))
+            assert same_bits(ineq._h_ratio(sgrid, v, den), _h_ratio_by_formula(sgrid, v))
+            assert same_bits(ineq._h2_ratio(sgrid, v, den), _h2_ratio_by_formula(sgrid, v))
     rep = ineq.hardy_suite(ineq.TestFunctionSampler(seed=2, family=family), 50, grid=sgrid)
     expected = _hardy_by_formula(ineq.TestFunctionSampler(seed=2, family=family), 50, sgrid)
     for key, value in expected.items():
-        assert _same_bits(rep.details[key], value), key
+        assert same_bits(rep.details[key], value), key
 
 
 def test_sampler_rejects_unknown_family():

@@ -9,7 +9,7 @@ from scipy.special import gammainc
 from blowlab import flow, radial
 from blowlab.config import RunConfig
 
-from conftest import l2_window
+from conftest import l2_window, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +232,10 @@ def test_grid_kernels_match_their_reference_forms_bit_for_bit():
                   rng.normal(size=g.n)):
             vt, vy = radial.log_gradient(g, v)
             ref = np.gradient(v, g.t)
-            assert _same_bits(vt, ref)
-            assert _same_bits(vy, ref / y)
-            assert _same_bits(radial.apply_H(g, v), _apply_H_by_closed_form_potential(g, v))
-        assert _same_bits(g.V, radial.potential(y))
+            assert same_bits(vt, ref)
+            assert same_bits(vy, ref / y)
+            assert same_bits(radial.apply_H(g, v), _apply_H_by_closed_form_potential(g, v))
+        assert same_bits(g.V, radial.potential(y))
 
 
 def test_apply_H_annihilates_the_resonance(grid, fine_grid):
@@ -404,10 +404,6 @@ def test_unstable_mode_retries_a_singular_shift(grid, eigenpair, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
-
-
 def test_cubic_spline_matches_scipy_bit_for_bit():
     # on a flow grid's log nodes, at the queries a decomposition makes, at
     # every knot and mid-panel, and beyond both ends
@@ -425,11 +421,11 @@ def test_cubic_spline_matches_scipy_bit_for_bit():
                                    [x[0] - 1.0, x[-1] + 1.0, -np.inf]]))
     with np.errstate(invalid="ignore"):  # -inf gives NaN in both
         for q in queries:
-            assert _same_bits(ours(q), theirs(q))
+            assert same_bits(ours(q), theirs(q))
     # splines on the profile grid, as init_data builds for Q~_b0 + a+ psi
     for values in (flow.assemble_profiles(params.b0, cache.grid).Q_b_tilde, cache.eig.psi):
         q = np.log(rng.uniform(0.02, cache.grid.y_max, 500))
-        assert _same_bits(radial.CubicSpline(cache.grid.t, values)(q),
+        assert same_bits(radial.CubicSpline(cache.grid.t, values)(q),
                           CubicSpline(cache.grid.t, values)(q))
 
 
@@ -443,7 +439,7 @@ def test_cubic_spline_matches_scipy_on_uneven_knots(n, seed):
     x = np.cumsum(rng.uniform(1e-3, 2.0, n))
     y = rng.normal(size=n)
     q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)
-    assert _same_bits(radial.CubicSpline(x, y)(q), CubicSpline(x, y)(q))
+    assert same_bits(radial.CubicSpline(x, y)(q), CubicSpline(x, y)(q))
 
 
 def test_cubic_spline_needs_four_knots():
