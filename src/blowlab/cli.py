@@ -115,19 +115,19 @@ def _cmd_profile(config: RunConfig, run_dir):
 def _write_run_series(traj, run_dir):
     cps = traj.checkpoints
     write_csv(run_dir / "checkpoints.csv", schema.CHECKPOINT_CSV, (
-        (c.step, c.t, c.s, c.lam, c.b, c.kappa, c.E, c.E1, c.E2, c.E4,
-         c.E2_hat, c.u_max, c.res_phi, c.res_hphi, int(c.decomposed)) for c in cps))
+        (c.step, c.t, c.s, c.lam, c.b, c.kappa, c.E, c.E1, c.E2, c.E2_hat,
+         c.u_max, c.res_phi, c.res_hphi, int(c.decomposed)) for c in cps))
     files = ["checkpoints.csv"]
     mr = flow.modulation_residuals(traj)
     if mr["s"].size:
         write_csv(run_dir / "diagnostics.csv", schema.DIAGNOSTIC_CSV, zip(
             mr["s"], mr["b_mid"], mr["lam_res"], mr["b_res"],
-            mr["E2_ratio"], mr["E4_ratio"], mr["kappa_ratio"]))
+            mr["E2_ratio"], mr["kappa_ratio"]))
         files.append("diagnostics.csv")
     ly = flow.lyapunov_series(traj)
     if len(ly["t"]):
         write_csv(run_dir / "lyapunov.csv", schema.LYAPUNOV_CSV,
-                  zip(ly["t"], ly["E4_over_lam6"], ly["E2hat_over_lam2"]))
+                  zip(ly["t"], ly["E2hat_over_lam2"]))
         files.append("lyapunov.csv")
     return files
 

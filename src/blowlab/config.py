@@ -22,8 +22,9 @@ B_MIN = 1e-50  # smallest b anywhere: b**6, which the profile summary divides by
 B_FLOOR = 2.5e-4  # smallest b the flow's profile grid must resolve
 B_FLOOR_EXIT = 1.05 * B_FLOOR  # a flow run ends `b_floor` once b falls to this
 # a flow lambda0 lies in [1/LAMBDA0_MAX, LAMBDA0_MAX]: the flow runs in units
-# of lambda0, so any other is a rescaled copy of a run inside, and this keeps
-# lambda^+-6 in lyapunov.csv normal
+# of lambda0, so any other is a rescaled copy of a run inside.  The window
+# kept lambda^+-6 normal when lyapunov.csv divided by it; it divides by
+# lambda^2 only, and the window stays
 LAMBDA0_MAX = 1e30
 
 NAN_MEANS_UNSET = ("bracket_lo", "bracket_hi")  # NaN: shoot grows its own bracket

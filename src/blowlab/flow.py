@@ -219,7 +219,6 @@ class Checkpoint:
     E: float
     E1: float
     E2: float
-    E4: float
     E2_hat: float
     u_max: float
     res_phi: float
@@ -491,26 +490,25 @@ def _jacobian(cache: ProfileCache | ProfileMemo, u_eval, lam: float, b: float):
 
 
 def flow_energies(cache: ProfileCache, field: np.ndarray, b: float):
-    """E1, E2, E4 and the second-localization E2_hat of the error.
+    """E1, E2 and the second-localization E2_hat of the error.
 
     `field` covers a prefix of the profile grid; eps is zero beyond it.
     """
     g = cache.grid
     n = field.size
+    pset = assemble_profiles(b, g)
     eps = np.zeros(g.n)
-    eps[:n] = _epsilon(cache, field, b)
+    eps[:n] = field - pset.Q_b_tilde[:n]
     he = radial.apply_H(g, eps)
-    h2e = radial.apply_H(g, he)
     # keep stencil noise at the coverage edge out
     keep = n if n == g.n else max(n - 6, 0)
     w = g.weights * (np.arange(g.n) < keep)
     _, dy = radial.log_gradient(g, eps)
     e1 = float(np.dot(w, dy * dy))
     e2 = float(np.dot(w, he**2))
-    e4 = float(np.dot(w, h2e**2))
-    he_hat = radial.apply_H(g, eps + assemble_profiles(b, g).zeta_b)
+    he_hat = radial.apply_H(g, eps + pset.zeta_b)
     e2_hat = float(np.dot(w, he_hat**2))
-    return e1, e2, e4, e2_hat
+    return e1, e2, e2_hat
 
 
 def flow_energy(grid: radial.RadialGrid, u: np.ndarray) -> float:
@@ -672,20 +670,20 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
 def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomposed, dd):
     if not decomposed:
-        e1 = e2 = e4 = e2h = np.nan
+        e1 = e2 = e2h = np.nan
         res1 = res2 = np.nan
     else:
         # one evaluation over the covered prefix, which holds both windows
         u_eval = dd["u_eval"] if dd else _u_eval(grid.nodes, u)
         field = _field(cache, u_eval, lam, _covered(cache, lam, grid.y_max))
-        e1, e2, e4, e2h = flow_energies(cache, field, b)
+        e1, e2, e2h = flow_energies(cache, field, b)
         kappa = _kappa(cache, field, b)
         r1, r2 = _pairings(cache, field, b)
         s1, s2 = _pairing_scales(cache, field)
         res1, res2 = abs(r1) / s1, abs(r2) / s2
     return Checkpoint(
         step=step, t=t, s=s, lam=lam, b=b, kappa=kappa,
-        E=flow_energy(grid, u), E1=e1, E2=e2, E4=e4, E2_hat=e2h,
+        E=flow_energy(grid, u), E1=e1, E2=e2, E2_hat=e2h,
         u_max=float(np.max(np.abs(u))), res_phi=res1, res_hphi=res2,
         decomposed=decomposed,
     )
@@ -717,14 +715,13 @@ def classify(traj: FlowTrajectory) -> RunClass:
 
 
 def bootstrap_ratios(traj: FlowTrajectory) -> dict:
-    """The three tracked bootstrap ratios along the live checkpoints."""
+    """The two tracked bootstrap ratios along the live checkpoints."""
     live = [c for c in traj.checkpoints if c.decomposed]
     b = np.array([c.b for c in live])
     lb = np.array([log_binv(x) for x in b])
     return {
         "s": np.array([c.s for c in live]),
         "E2_ratio": np.array([c.E2 for c in live]) / (b**2 * lb**5),
-        "E4_ratio": np.array([c.E4 for c in live]) / (b**4 / lb**2),
         "kappa_ratio": np.abs([c.kappa for c in live]) * lb / b**2.5,
     }
 
@@ -758,18 +755,17 @@ def modulation_residuals(traj: FlowTrajectory) -> dict:
 
 
 def lyapunov_series(traj: FlowTrajectory) -> dict:
-    """Monitored monotone quantities E4/lam^6 and E2_hat/lam^2.
+    """Monitored monotone quantity E2_hat/lam^2.
 
-    Returns "t", "E4_over_lam6" and "E2hat_over_lam2" over the checkpoints
-    with finite energies.
+    Returns "t" and "E2hat_over_lam2" over the checkpoints with a finite
+    E2_hat.
     """
     t = traj.series("t")
     lam = traj.series("lam")
-    e4 = traj.series("E4")
     e2h = traj.series("E2_hat")
-    good = np.isfinite(e4) & np.isfinite(e2h)
-    t, lam, e4, e2h = t[good], lam[good], e4[good], e2h[good]
-    return {"t": t, "E4_over_lam6": e4 / lam**6, "E2hat_over_lam2": e2h / lam**2}
+    good = np.isfinite(e2h)
+    t, lam, e2h = t[good], lam[good], e2h[good]
+    return {"t": t, "E2hat_over_lam2": e2h / lam**2}
 
 
 @dataclass

@@ -156,12 +156,11 @@ def default_grid(n: int = 4096, M: float = M_DEFAULT) -> radial.RadialGrid:
 
 
 def hardy_suite(sampler: TestFunctionSampler, n: int,
-                grid: radial.RadialGrid | None = None) -> InequalityReport:
+                grid: radial.RadialGrid) -> InequalityReport:
     """Integration-by-parts identity for the radial bilaplacian energy plus
     the three weighted Hardy controls, as sample-wide fitted ratios."""
     if n < 50:
         raise ValueError("need at least 50 samples")
-    grid = grid or default_grid()
     y = grid.nodes
     w = grid.weights
     # the sample-free factors, masks and masked weights, once per suite
@@ -203,9 +202,8 @@ def hardy_suite(sampler: TestFunctionSampler, n: int,
 
 
 def subpositivity_suite(sampler: TestFunctionSampler, n: int,
-                        grid: radial.RadialGrid | None = None) -> InequalityReport:
+                        grid: radial.RadialGrid) -> InequalityReport:
     """(Hu, u) >= -C (u, psi)^2 with the fitted constant C = zeta/(psi,psi)."""
-    grid = grid or default_grid()
     w = grid.weights
     pair = radial.unstable_mode(grid)
     c_fit = pair.zeta / float(np.dot(w, pair.psi * pair.psi))
@@ -239,10 +237,9 @@ def _h_ratio(grid, u, den: _Denominators):
     return num / max(np.dot(w, hu**2), 1e-300)
 
 
-def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT,
-                       grid: radial.RadialGrid | None = None) -> InequalityReport:
+def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT, *,
+                       grid: radial.RadialGrid) -> InequalityReport:
     """Fitted constant of the second-order coercivity under (u, Phi_M) = 0."""
-    grid = grid or default_grid(M=M)
     w = grid.weights
     direction = direction_phi(M, grid)
     phi = direction.Phi_M
@@ -262,9 +259,8 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAUL
     )
 
 
-def coercivity_H_adversarial(grid: radial.RadialGrid | None = None) -> float:
+def coercivity_H_adversarial(grid: radial.RadialGrid) -> float:
     """Ratio for the unprojected near-kernel direction chi_10 Lambda Q."""
-    grid = grid or default_grid()
     y = grid.nodes
     return float(_h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y),
                           _denominators(grid)))
@@ -283,11 +279,10 @@ def _double_project(grid, phi, v):
     return v - a * p - bcoef * hp
 
 
-def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT,
-                        grid: radial.RadialGrid | None = None) -> InequalityReport:
+def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAULT, *,
+                        grid: radial.RadialGrid) -> InequalityReport:
     """Fitted constant of the fourth-order coercivity under the double
     orthogonality (u, Phi_M) = (Hu, Phi_M) = 0."""
-    grid = grid or default_grid(M=M)
     w = grid.weights
     phi = direction_phi(M, grid)
     p = phi.Phi_M

@@ -1,14 +1,16 @@
 """Config schema, orchestration, persistence, and determinism."""
 
+import csv
 import filecmp
 import json
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from blowlab import cli, schema
+from blowlab import cli, flow, profiles, schema
 from blowlab.config import B_FLOOR_EXIT, LAMBDA0_MAX, RunConfig, parse_config
 
 
@@ -220,8 +222,63 @@ def test_simulate_command(tmp_path):
     assert m["metrics"]["classification"] in (
         "ExitUnstableMinus", "ExitUnstablePlus", "GridExhausted")
     cps = open(os.path.join(m["run_dir"], "checkpoints.csv")).read().splitlines()
-    assert cps[0] == ("step,t,s,lambda,b,kappa,E,E1,E2,E4,E2_hat,u_max,"
+    assert cps[0] == ("step,t,s,lambda,b,kappa,E,E1,E2,E2_hat,u_max,"
                       "res_phi,res_hphi,decomposed")
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def test_checkpoints_csv_round_trips_the_checkpoints(tmp_path):
+    # b0 = 0.01 loses its decomposition at step 27, so the table holds live
+    # rows and rows with no decomposition (NaN energies, decomposed 0)
+    column = {"lam": "lambda"}
+    assert [column.get(f.name, f.name) for f in fields(flow.Checkpoint)] == \
+        list(schema.CHECKPOINT_CSV)
+    traj = flow.simulate(RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4,
+                                   max_steps=60))
+    cli._write_run_series(traj, tmp_path)
+    header, rows = _read_csv(tmp_path / "checkpoints.csv")
+    assert tuple(header) == schema.CHECKPOINT_CSV and len(rows) == len(traj.checkpoints)
+    assert {row[-1] for row in rows} == {"0", "1"}
+    for c, row in zip(traj.checkpoints, rows):
+        for f, text in zip(fields(flow.Checkpoint), row):
+            want = getattr(c, f.name)
+            if f.name in ("step", "decomposed"):
+                assert int(text) == int(want), f.name
+            else:
+                assert float(text) == want or np.isnan(want) and text == "nan", f.name
+
+
+def test_diagnostics_csv_holds_the_centred_modulation_residuals(tmp_path):
+    # this run ends exit_minus at step 76 with 5 live checkpoints (steps 1,
+    # 20, 40, 60 and the last), so its diagnostics table has 3 rows
+    cfg = parse_config("command=simulate b0=3e-3 kappa_exit_factor=2e4 max_steps=3000")
+    m = cli.run(cfg, out_override=str(tmp_path))
+    assert m["metrics"]["termination"] == "exit_minus" and m["metrics"]["steps"] == 76
+    assert "diagnostics.csv" in m["files"]
+    header, rows = _read_csv(os.path.join(m["run_dir"], "diagnostics.csv"))
+    assert tuple(header) == schema.DIAGNOSTIC_CSV and len(rows) == 3
+    diag = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)}
+    cp_header, cp_rows = _read_csv(os.path.join(m["run_dir"], "checkpoints.csv"))
+    col = {name: k for k, name in enumerate(cp_header)}
+    live = [r for r in cp_rows if r[col["decomposed"]] == "1"]
+    assert len(live) == 5
+    s, lam, b = (np.array([float(r[col[name]]) for r in live])
+                 for name in ("s", "lambda", "b"))
+    ds = s[2:] - s[:-2]
+    b_mid = b[1:-1]
+    lb = np.array([profiles.log_binv(x) for x in b_mid])
+    assert (ds > 0).all()
+    np.testing.assert_array_equal(diag["s"], s[1:-1])
+    np.testing.assert_array_equal(diag["b"], b_mid)
+    np.testing.assert_array_equal(diag["lam_residual"],
+                                  (np.log(lam[2:]) - np.log(lam[:-2])) / ds + b_mid)
+    np.testing.assert_array_equal(diag["b_residual"],
+                                  (b[2:] - b[:-2]) / ds + b_mid**2 * (1.0 + 2.0 / lb))
 
 
 def test_simulate_manifest_reports_rejects_and_the_lost_decomposition(tmp_path):

@@ -238,6 +238,23 @@ def test_no_unset_defaults():
     assert not unset, "defaulted parameters no call sets:\n" + "\n".join(unset)
 
 
+def test_no_defaults_every_call_sets():
+    # a default that every call overrides is a fallback that never runs
+    defaults, calls = [], []
+    for root in READERS:
+        for path in sorted(root.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            calls += _calls(tree)
+            if path.parent == SRC:
+                defaults += [(path.name, *d) for d in _defaulted_parameters(tree)]
+    always = [f"{fname}:{line}: {func}({param})"
+              for fname, func, param, index, line in defaults
+              if not any(name == func and param not in kw and None not in kw
+                         and (index is None or n_pos <= index)
+                         for name, n_pos, kw in calls)]
+    assert not always, "defaulted parameters every call sets:\n" + "\n".join(always)
+
+
 def test_cli_import_leaves_scipy_interpolate_out():
     # scipy.interpolate pulls in scipy.optimize, about 0.3 s of every start
     code = "import sys, blowlab.cli; print('scipy.interpolate' in sys.modules)"
