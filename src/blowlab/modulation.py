@@ -108,14 +108,6 @@ def _d_of_s(s, L0):
     raise RuntimeError("Newton inversion of s(d) did not converge")
 
 
-def b_of_s_asymptotic(s: float) -> float:
-    """Two-term reference law b(s) = 1/s - 2/(s log s)."""
-    s = float(s)
-    if s <= np.e**2:
-        raise ValueError("asymptotic law needs s > e^2")
-    return 1.0 / s - 2.0 / (s * np.log(s))
-
-
 @dataclass(frozen=True)
 class BlowupFit:
     kappa: float

@@ -67,30 +67,46 @@ def _t1_parts(grid: RadialGrid):
     return grid.cache[key]
 
 
+def _order_sources(grid: RadialGrid):
+    """The b-independent terms of a build, once per grid: (Q, y T1',
+    3 Q T1^2, 6 Q T1, T1^3), each formed in the operation order of the
+    sums Sigma_2 and Sigma_3 they enter, so every build keeps its bits."""
+    key = "order_sources"
+    if key not in grid.cache:
+        y = grid.nodes
+        Q = q_soliton(y)
+        T1, T1p = _t1_parts(grid)
+        grid.cache[key] = (Q, y * T1p, 3.0 * Q * T1 * T1, 6.0 * Q * T1, T1**3)
+    return grid.cache[key]
+
+
 # ---------------------------------------------------------------------------
 # radiation
 # ---------------------------------------------------------------------------
 
 
-def radiation_sigma(b: float, grid: RadialGrid):
-    """Radiation (Sigma_b, c_b, d_b).
+def radiation_sigma(b: float, grid: RadialGrid, n: int):
+    """Radiation (Sigma_b, c_b, d_b), with Sigma_b on the first n nodes.
 
     c_b = 64 / int chi_{B0/4} (Lambda Q)^2 normalizes the far field to 64
     Gamma; d_b cancels the Lambda Q tail so the identity Sigma_b = 64 Gamma
     holds exactly beyond 6 B0.  On the inner plateau y <= B0/4 the formula
-    reproduces -c_b T1 exactly.
+    reproduces -c_b T1 exactly.  The two pairings run over the whole grid
+    whatever n is: chi_{B0/4} vanishes from B0/2 on, but a BLAS dot over
+    a prefix may group the same terms differently, so c_b and d_b would
+    depend on n in their last bits.
     """
     B0, _ = zone_radii(b)
     if grid.y_max < 6.0 * B0:
         raise ValueError("grid must cover 6*B0 for the radiation")
-    y = grid.nodes
     lq, _, gm, _ = grid.zero_modes
-    chi = cutoff(B0 / 4.0, y)
+    chi = cutoff(B0 / 4.0, grid.nodes)
     denom = float(np.dot(grid.weights, chi * lq * lq))
     c_b = 64.0 / denom
     d_b = c_b * float(np.dot(grid.weights, chi * lq * gm))
-    core = solve_H_with_derivative(grid, c_b * chi * lq)[0]
-    tail = d_b * (1.0 - cutoff(3.0 * B0, y)) * lq
+    lq = lq[:n]
+    core = solve_H_with_derivative(grid, c_b * chi[:n] * lq)[0]
+    tail = d_b * (1.0 - cutoff(3.0 * B0, grid.nodes[:n])) * lq
     return core + tail, c_b, d_b
 
 
@@ -134,39 +150,68 @@ def assemble_profiles(b: float, grid: RadialGrid,
     memo = grid.cache.get("profile_sets")
     if memo is not None and key in memo:
         return memo[key]
-    if not resolves(grid, b):
-        raise ValueError(f"grid y_max={grid.y_max:g} does not resolve b={b:g}; "
-                         f"need 0 < b < {B_STAR_DEFAULT} and 4*B1(b) <= y_max")
+    _require_resolved(b, grid)
     pset = _build_profiles(b, grid)
     grid.cache["profile_sets"] = {key: pset}
     return pset
 
 
-def _build_profiles(b: float, grid: RadialGrid) -> ProfileSet:
-    """The profile bundle at b, built afresh and kept nowhere."""
-    B0, B1 = zone_radii(b)
-    y = grid.nodes
-    Q = q_soliton(y)
+def localized_profile(b: float, grid: RadialGrid, n: int) -> np.ndarray:
+    """Q~_b on the first n nodes of the grid, and nothing else of its set.
 
-    T1, T1p = _t1_parts(grid)
-    sigma, c_b, d_b = radiation_sigma(b, grid)
+    The set the grid keeps (see assemble_profiles) is sliced when it is at
+    b.  Otherwise the three H^-1 solves, the radiation's Sigma_b and the
+    chi_{B1} localization run on the n nodes alone.  A value at a node
+    reads only the nodes up to it and the constants c_b and d_b, so the
+    bits are those of assemble_profiles(b, grid).Q_b_tilde[:n] for any n.
+    """
+    kept = grid.cache.get("profile_sets", {}).get((float(b), B_STAR_DEFAULT))
+    if kept is not None:
+        return kept.Q_b_tilde[:n]
+    _require_resolved(b, grid)
+    return _order_sources(grid)[0][:n] + _corrections(b, grid, n)[-1]
+
+
+def _require_resolved(b: float, grid: RadialGrid) -> None:
+    if not resolves(grid, b):
+        raise ValueError(f"grid y_max={grid.y_max:g} does not resolve b={b:g}; "
+                         f"need 0 < b < {B_STAR_DEFAULT} and 4*B1(b) <= y_max")
+
+
+def _corrections(b: float, grid: RadialGrid, n: int):
+    """The order-b^2 and order-b^3 solves at b on the first n nodes, and
+    the correction they give: (c_b, d_b, sigma2, sigma3, (T2, T2'),
+    (T3, T3'), alpha, chi_{B1} alpha).  The one implementation of both
+    orders, for a whole set and a prefix alike."""
+    y = grid.nodes[:n]
+    T1 = _t1_parts(grid)[0][:n]
+    _, y_t1p, q3_t1t1, q6_t1, t1_cube = (part[:n] for part in _order_sources(grid))
+    sigma, c_b, d_b = radiation_sigma(b, grid, n)
 
     # order b^2: the radiation absorbs the O(1) tail of -y T1'
-    sigma2 = -sigma - y * T1p + 3.0 * Q * T1 * T1
+    sigma2 = -sigma - y_t1p + q3_t1t1
     T2, T2p = solve_H_with_derivative(grid, sigma2)
 
     # order b^3: no further radiation is needed
-    sigma3 = T2 - y * T2p + 6.0 * Q * T1 * T2 + T1**3
+    sigma3 = T2 - y * T2p + q6_t1 * T2 + t1_cube
     T3, T3p = solve_H_with_derivative(grid, sigma3)
 
     alpha = b * T1 + b * b * T2 + b**3 * T3
-    alpha_p = b * T1p + b * b * T2p + b**3 * T3p
-    a_t = cutoff(B1, y) * alpha
-    a_h = cutoff(B0, y) * alpha
+    return c_b, d_b, sigma2, sigma3, (T2, T2p), (T3, T3p), alpha, \
+        cutoff(zone_radii(b)[1], y) * alpha
+
+
+def _build_profiles(b: float, grid: RadialGrid) -> ProfileSet:
+    """The profile bundle at b, built afresh and kept nowhere."""
+    B0, B1 = zone_radii(b)
+    c_b, d_b, sigma2, sigma3, (T2, T2p), (T3, T3p), alpha, a_t = \
+        _corrections(b, grid, grid.n)
+    alpha_p = b * _t1_parts(grid)[1] + b * b * T2p + b**3 * T3p
+    a_h = cutoff(B0, grid.nodes) * alpha
 
     return ProfileSet(
         b=float(b), B0=B0, B1=B1, c_b=c_b, d_b=d_b,
-        T2=T2, T3=T3, Q_b_tilde=Q + a_t, zeta_b=a_t - a_h,
+        T2=T2, T3=T3, Q_b_tilde=_order_sources(grid)[0] + a_t, zeta_b=a_t - a_h,
         alpha=alpha, alpha_prime=alpha_p, sigma2=sigma2, sigma3=sigma3,
     )
 
@@ -210,12 +255,9 @@ def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
     lap_chi = cutoff_laplacian(pset.B1, y)
     loc_alpha = chi * alpha
     db = DB_REL * b
-    lo = _build_profiles(b - db, grid)
-    hi = _build_profiles(b + db, grid)
-    dloc_db = (
-        cutoff(hi.B1, y) * hi.alpha
-        - cutoff(lo.B1, y) * lo.alpha
-    ) / (2.0 * db)
+    lo = _corrections(b - db, grid, grid.n)[-1]
+    hi = _corrections(b + db, grid, grid.n)[-1]
+    dloc_db = (hi - lo) / (2.0 * db)
     return (
         b * (1.0 - chi) * grid.zero_modes[0]
         + b * chi * lam_alpha

@@ -388,16 +388,19 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
 
 
 def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0.0) -> np.ndarray:
-    """Running integral int_0^{y_i} g y^3 dy with the grid's panel rule.
+    """Running integral int_0^{y_i} g y^3 dy with the grid's panel rule, on
+    the prefix of the nodes that `integrand` covers.
 
     head supplies the analytic contribution of (0, y_min].  The sum is
     accumulated in extended precision: the white round-off of a plain
     cumulative sum survives fourth-order differencing of the profiles it
-    feeds and would dominate the H^2-weighted residual norms.
+    feeds and would dominate the H^2-weighted residual norms.  It runs
+    from the origin out, so a prefix gets the same bits as the whole grid.
     """
+    n = integrand.size
     left, right = grid.panels
-    inc = left * integrand[:-1] + right * integrand[1:]
-    out = np.empty(grid.n)
+    inc = left[:n - 1] * integrand[:-1] + right[:n - 1] * integrand[1:]
+    out = np.empty(n)
     out[0] = head
     out[1:] = np.cumsum(inc.astype(np.longdouble)) + head
     return out
@@ -428,9 +431,11 @@ def solve_H_with_derivative(grid: RadialGrid, f: np.ndarray):
     that vanishes at the origin, with the inner integrals accumulated by the
     grid quadrature and an analytic head on (0, y_min]; u' is built from the
     same integrals with the closed-form derivatives.  f must be integrable
-    against Gamma ~ 1/(2y^2) at the origin.
+    against Gamma ~ 1/(2y^2) at the origin.  u at y reads f on (0, y] only,
+    so f may cover a prefix of the nodes, and (u, u') cover the same one.
     """
-    lq, lqp, gm, gmp = grid.zero_modes
+    n = f.size
+    lq, lqp, gm, gmp = (mode[:n] for mode in grid.zero_modes)
     head_lq, head_g = _series_heads(grid, float(f[0]))
     i1 = cumulative_integral(grid, f * lq, head=head_lq)
     i2 = cumulative_integral(grid, f * gm, head=head_g)

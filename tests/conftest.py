@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowlab import radial
+from blowlab import inequalities as ineq, radial
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +71,25 @@ def radiation_scaled_asymptotic(b):
     """c_b |log b| / 2 = 32 L / (32 L + RADIATION_OFFSET), L = |log b|."""
     lb = math.log(1.0 / b)
     return 32.0 * lb / (32.0 * lb + RADIATION_OFFSET)
+
+
+# ---------------------------------------------------------------------------
+# independent references the program does not use
+# ---------------------------------------------------------------------------
+
+
+def coercivity_H_adversarial(grid):
+    """Coercivity ratio of the unprojected near-kernel direction
+    chi_10 Lambda Q, which shows that the orthogonality projection of the
+    coercivity suites is needed."""
+    y = grid.nodes
+    return float(ineq._h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y),
+                               ineq._denominators(grid)))
+
+
+def b_of_s_asymptotic(s):
+    """Two-term large-s law b(s) = 1/s - 2/(s log s) of the reduced system."""
+    s = float(s)
+    if s <= np.e**2:
+        raise ValueError("asymptotic law needs s > e^2")
+    return 1.0 / s - 2.0 / (s * np.log(s))

@@ -61,8 +61,8 @@ import pytest
 from blowlab import cli, flow, inequalities as ineq, modulation, profiles, radial
 from blowlab.config import RunConfig, parse_config
 
-from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, l2_window,
-                      radiation_mass_exact, radiation_scaled_asymptotic)
+from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, coercivity_H_adversarial,
+                      l2_window, radiation_mass_exact, radiation_scaled_asymptotic)
 
 
 def report(criterion: int, ok: bool, detail: str) -> str:
@@ -129,7 +129,7 @@ def test_criterion_3_radiation_constants(grid, deep_grid):
     for b, g in [(b, grid) for b in (1e-2, 1e-3, 1e-4)] + [(b, deep_grid) for b in DEEP_B3]:
         t1 = profiles._t1_parts(g)[0]
         y = g.nodes
-        sigma, c_b, _ = profiles.radiation_sigma(b, g)
+        sigma, c_b, _ = profiles.radiation_sigma(b, g, g.n)
         lb = profiles.log_binv(b)
         scaled[b] = c_b * lb / 2.0
         exact[b] = 32.0 * lb / radiation_mass_exact(b)
@@ -168,7 +168,7 @@ def test_criterion_4_residual_scalings(grid, sweep_reports):
     for b in SWEEP4:
         rep = sweep_reports[b]
         lb = profiles.log_binv(b)
-        c_b = profiles.radiation_sigma(b, grid)[1]
+        c_b = profiles.radiation_sigma(b, grid, grid.n)[1]
         ratios["H"].append(rep.norm_H / (b**4 * lb**2))
         ratios["w8"].append(rep.norm_w8 / (b**4 * c_b**2 * t1_w8))
         ratios["H2"].append(rep.norm_H2 * lb**2 / b**6)
@@ -199,7 +199,7 @@ def test_criterion_5_flux(sweep_reports, deep_grid):
     vals = {}
     for b in (6.25e-6, 1e-6) + DEEP_B5:
         flux = profiles.error_Psi(b, deep_grid, M=50.0).flux_ratio
-        c_b = profiles.radiation_sigma(b, deep_grid)[1]
+        c_b = profiles.radiation_sigma(b, deep_grid, deep_grid.n)[1]
         identity[b] = flux / (-c_b * b**2)
         vals[b] = flux * profiles.log_binv(b) / b**2
     identity_ok = all(abs(v - 1.0) <= 1e-3 for v in identity.values())
@@ -328,7 +328,7 @@ def test_criterion_9_inequality_suites():
         ineq.coercivity_H2_suite(ineq.TestFunctionSampler(seed=s), 100, grid=g).worst_ratio
         for s, g in ((13, sgrid), (313, sgrid), (13, refined))
     ]
-    adversarial = ineq.coercivity_H_adversarial(grid=sgrid)
+    adversarial = coercivity_H_adversarial(grid=sgrid)
     stable = (max(worsts) / min(worsts) < 1.3 and max(worsts2) / min(worsts2) < 1.3)
     ok = (sub.details["violations"] == 0
           and np.isfinite(worsts).all() and np.isfinite(worsts2).all()

@@ -9,8 +9,10 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from blowlab import flow, profiles, radial
-from blowlab.config import RunConfig
+from blowlab.config import B_FLOOR, RunConfig
 from blowlab.flow import RunClass
+
+from conftest import same_bits
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,7 @@ def test_stationary_bubble_drift(cache):
     u0 = u.copy()
     t, dt = 0.0, 1e-3 * lam**2
     while t < 1.0:
-        u, taken, dt, _ = flow.step_flow(g, u, min(dt, 1.0 - t), 1e-5, 1e-9)
+        u, taken, dt, _ = flow.step_flow(g, u, np.max(np.abs(u)), min(dt, 1.0 - t), 1e-5, 1e-9)
         t += taken
     drift = np.max(np.abs(u - u0)) / np.max(np.abs(u0))
     # pure O(h^2) quasi-steady offset at this resolution
@@ -60,7 +62,7 @@ def test_stationary_bubble_drift(cache):
     u2 = radial.q_soliton(g2.nodes / lam) / lam
     u20, t, dt = u2.copy(), 0.0, 1e-3 * lam**2
     while t < 1.0:
-        u2, taken, dt, _ = flow.step_flow(g2, u2, min(dt, 1.0 - t), 1e-5, 1e-9)
+        u2, taken, dt, _ = flow.step_flow(g2, u2, np.max(np.abs(u2)), min(dt, 1.0 - t), 1e-5, 1e-9)
         t += taken
     drift2 = np.max(np.abs(u2 - u20)) / np.max(np.abs(u20))
     assert drift2 < 0.35 * drift  # second-order in the mesh
@@ -75,7 +77,7 @@ def test_step_flow_fixed_step_time_order():
     def run(n):
         u, dt = u0, 0.05 / n
         for _ in range(n):
-            u, taken, _, _ = flow.step_flow(g, u, dt, 1e30, flow.ATOL_STEP)
+            u, taken, _, _ = flow.step_flow(g, u, np.max(np.abs(u)), dt, 1e30, flow.ATOL_STEP)
             assert taken == dt
         return u
 
@@ -92,7 +94,7 @@ def test_small_data_dissipates():
     peaks = [np.max(np.abs(u))]
     energies = [flow.flow_energy(g, u)]
     while t < 2.0:
-        u, taken, dt, _ = flow.step_flow(g, u, dt, 1e-5, 1e-12)
+        u, taken, dt, _ = flow.step_flow(g, u, np.max(np.abs(u)), dt, 1e-5, 1e-12)
         t += taken
         peaks.append(np.max(np.abs(u)))
         energies.append(flow.flow_energy(g, u))
@@ -107,7 +109,7 @@ def test_step_keeps_the_boundary_value():
     u = radial.q_soliton(g.nodes / 0.5) / 0.5 + 0.1 * np.exp(-(g.nodes**2))
     boundary, dt = u[-1], 1e-4
     for _ in range(200):
-        u_new, _, dt, _ = flow.step_flow(g, u, dt, 1e-5, 1e-9)
+        u_new, _, dt, _ = flow.step_flow(g, u, np.max(np.abs(u)), dt, 1e-5, 1e-9)
         assert u_new[-1] == u[-1]
         u = u_new
     assert u[-1] == boundary
@@ -159,11 +161,62 @@ def test_step_flow_matches_the_banded_solve_bit_for_bit(params, cache):
         u = v = u0
         dt_u = dt_v = dt0
         for _ in range(500):
-            u, taken_u, dt_u, rej_u = flow.step_flow(grid, u, dt_u, 1e-5, 1e-9)
+            u, taken_u, dt_u, rej_u = flow.step_flow(grid, u, np.max(np.abs(u)), dt_u, 1e-5, 1e-9)
             v, taken_v, dt_v, rej_v = _banded_step(grid, v, dt_v, 1e-5, 1e-9)
             assert np.array_equal(u, v)
             assert (taken_u, dt_u, rej_u) == (taken_v, dt_v, rej_v)
             total_rejects += rej_u
+    assert total_rejects > 0  # the reject path is compared too
+
+
+def _parent_step(grid, u, dt, rtol, atol):
+    """Reference step: each trial builds the dt and dt/2 systems at their
+    own scales and max|u| is taken here, the form step_flow replaced."""
+    u_max = np.max(np.abs(u))
+    if not u_max < flow.U3_MAX:
+        raise RuntimeError("non-finite or overflowing u^3; solver failure")
+    scale = atol + rtol * u_max
+    u3 = u**3
+
+    def substep(dt, v, v3):
+        dl, d, du = radial.neg_laplacian_diagonals(grid, dt)
+        d += 1.0
+        rhs = v + dt * v3
+        rhs[-1] = v[-1]
+        return radial.tridiagonal_solve(dl, d, du, rhs)
+
+    rejects = 0
+    while True:
+        full = substep(dt, u, u3)
+        mid = substep(0.5 * dt, u, u3)
+        half = substep(0.5 * dt, mid, mid**3)
+        err = float(np.max(np.abs(half - full))) / scale
+        if not np.isfinite(err):
+            err = 1e6
+        if err <= 1.0:
+            factor = min(2.0, max(0.3, 0.9 / np.sqrt(max(err, 1e-12))))
+            return half, dt, dt * factor, rejects
+        rejects += 1
+        dt *= max(0.1, 0.9 / np.sqrt(err))
+
+
+def test_step_flow_matches_the_parent_step_bit_for_bit(params, cache):
+    # 2,000 steps on the 561-node march grid (b0 = 0.01) from the step
+    # size simulate starts with, max|u| handed on from each accepted state
+    st = flow.init_data(cache, flow.replace(params, b0=0.01, nodes_per_decade=120))
+    assert st.grid.n == 561
+    u = v = st.u
+    u_max = float(np.max(np.abs(u)))
+    dt_u = dt_v = flow.DS_INIT
+    total_rejects = 0
+    for _ in range(2000):
+        u, taken_u, dt_u, rej_u = flow.step_flow(st.grid, u, u_max, dt_u, 1e-5,
+                                                 flow.ATOL_STEP)
+        u_max = float(np.max(np.abs(u)))
+        v, taken_v, dt_v, rej_v = _parent_step(st.grid, v, dt_v, 1e-5, flow.ATOL_STEP)
+        assert same_bits(u, v)
+        assert (taken_u, dt_u, rej_u) == (taken_v, dt_v, rej_v)
+        total_rejects += rej_u
     assert total_rejects > 0  # the reject path is compared too
 
 
@@ -176,14 +229,14 @@ def test_step_flow_rejects_a_non_finite_state_at_once(monkeypatch, bad):
     monkeypatch.setattr(radial, "tridiagonal_solve",
                         lambda *a: calls.append(1) or np.zeros(g.n))
     with pytest.raises(RuntimeError, match="non-finite"):
-        flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+        flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
     assert not calls
 
 
 def test_step_flow_counts_a_non_finite_substep_as_a_reject(monkeypatch):
     g = flow._flow_grid(0.01, 50.0, 100)
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
-    expected = flow.step_flow(g, u, 1e-4 * 0.1, 1e-5, 1e-9)
+    expected = flow.step_flow(g, u, np.max(np.abs(u)), 1e-4 * 0.1, 1e-5, 1e-9)
     solve = radial.tridiagonal_solve
     calls = []
 
@@ -193,7 +246,7 @@ def test_step_flow_counts_a_non_finite_substep_as_a_reject(monkeypatch):
         return np.full_like(x, np.nan) if len(calls) == 1 else x
 
     monkeypatch.setattr(radial, "tridiagonal_solve", nan_first)
-    u_new, taken, dt_next, rejects = flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+    u_new, taken, dt_next, rejects = flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
     # err = 1e6 shrinks dt by the floor factor 0.1
     assert rejects == 1 and taken == 1e-4 * 0.1
     assert np.array_equal(u_new, expected[0]) and dt_next == expected[2]
@@ -211,7 +264,7 @@ def test_overflowing_state_ends_in_a_solver_failure(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and without an overflow warning
         with pytest.raises(RuntimeError, match="overflowing"):
-            flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+            flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
     assert not calls
 
 
@@ -225,7 +278,7 @@ def test_singular_implicit_system_ends_the_run_classified(params, cache, monkeyp
     monkeypatch.setattr(radial, "_gtsv", lambda dl, d, du, b: (
         (dl, d, du, b, 1) if d[-1] == 1.0 and dl[-1] == 0.0 else gtsv(dl, d, du, b)))
     with pytest.raises(RuntimeError, match="singular"):
-        flow.step_flow(g, u, 1e-4, 1e-5, 1e-9)
+        flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
     traj = flow.simulate(flow.replace(params, max_steps=5), cache=cache)
     assert traj.termination == "solver_failure" and traj.steps == 1
     assert traj.classification is RunClass.GridExhausted
@@ -433,68 +486,88 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     # the carried Jacobian and the seed extrapolated in t leave one build
     # for the seed's b and one for the line-search trial; with a fresh
     # Jacobian per update and the last (lam, b) as seed it was about 3.9.
-    # The run's profile memo now serves most of those (see below)
+    # The run's profile memo now serves most of those (see below).  Its
+    # builds bypass assemble_profiles, so they are counted where they are
+    # made, at profiles.localized_profile
     params = RunConfig(command="simulate", b0=3e-3, kappa_exit_factor=2e4, max_steps=40)
     cache = flow.ProfileCache(params)
-    misses, calls = [], []
-    assemble, decompose = flow.assemble_profiles, flow.decompose
-
-    def counting(b, grid, *args, **kwargs):
-        memo = grid.cache.get("profile_sets", {})
-        if not any(key[0] == float(b) for key in memo):
-            misses.append(b)
-        return assemble(b, grid, *args, **kwargs)
-
-    monkeypatch.setattr(flow, "assemble_profiles", counting)
+    builds, calls = [], []
+    build, decompose = flow.localized_profile, flow.decompose
+    monkeypatch.setattr(flow, "localized_profile", lambda *a: builds.append(a[0]) or build(*a))
     monkeypatch.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
     traj = flow.simulate(params, cache=cache)
     assert traj.steps == len(calls) == 40 and traj.decompose_lost_step is None
-    assert len(misses) / len(calls) <= 2.25
+    assert traj.profile_builds == len(builds) > 0
+    assert len(builds) / len(calls) <= 2.25
 
 
 def _served_by_memos(run):
     """Run `run()` and return its result, every Q~_b a memo served (not
-    kept) with its memo, and the number of decompose calls."""
-    served, calls = [], []
-    q_b, decompose = flow.ProfileMemo.q_b, flow.decompose
+    kept) with its memo, the number of decompose calls and the number of
+    memo builds (calls of profiles.localized_profile)."""
+    served, calls, builds = [], [], []
+    q_b, decompose, build = flow.ProfileMemo.q_b, flow.decompose, flow.localized_profile
 
     def recording(memo, b):
         kept = b in memo.bs
-        builds = memo.builds
+        n_built = memo.builds
         q = q_b(memo, b)
-        if not kept and memo.builds == builds:
+        if not kept and memo.builds == n_built:
             served.append((b, q, memo))
         return q
 
     mp = pytest.MonkeyPatch()
     mp.setattr(flow.ProfileMemo, "q_b", recording)
     mp.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
+    mp.setattr(flow, "localized_profile", lambda *a: builds.append(a[0]) or build(*a))
     try:
         result = run()
     finally:
         mp.undo()
-    return result, served, len(calls)
+    return result, served, len(calls), len(builds)
 
 
 @pytest.fixture(scope="module")
 def memo_run():
     """The shoot workload's + probe (b0 = 3e-3, 51 steps), with every Q~_b
-    its memo served and the number of decompose calls."""
+    its memo served, the number of decompose calls and of memo builds."""
     params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
     cache = flow.ProfileCache(params)
-    traj, served, calls = _served_by_memos(
+    traj, served, calls, builds = _served_by_memos(
         lambda: flow._probe(params, cache, 6.95153980321595e-4))
-    return cache, traj, served, calls
+    return cache, traj, served, calls, builds
 
 
 def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
     # b moves by about 6e-5 of itself per step here, so the quadratic through
     # the last three builds serves most calls: 32 builds for 51 calls, where
-    # exact builds made about 2 per call
-    _, traj, served, calls = memo_run
+    # exact builds made about 2 per call.  The run reports the builds made
+    _, traj, served, calls, builds = memo_run
     assert traj.termination == "exit_plus" and traj.steps == calls == 51
-    assert 0 < traj.profile_builds < calls
+    assert traj.profile_builds == builds == 32
     assert len(served) > calls
+
+
+@pytest.mark.parametrize("M", [10.0, 20.0, 50.0])
+def test_memo_builds_keep_the_bits_of_the_whole_set(M):
+    # a memo build runs the solves, the radiation and the chi_{B1}
+    # localization on the decomposition prefix alone; across the flow's b
+    # window it gives the whole set's Q~_b there, bit for bit
+    cache = flow.ProfileCache(RunConfig(command="simulate", b0=3e-3, M=M))
+    for b in np.geomspace(B_FLOOR, profiles.B_STAR_DEFAULT, 12, endpoint=False):
+        assert profiles.resolves(cache.grid, b)
+        memo = flow.ProfileMemo(cache)
+        q = memo.q_b(b)
+        assert memo.builds == 1 and q.size == memo.n < cache.grid.n
+        assert same_bits(q, profiles._build_profiles(b, cache.grid).Q_b_tilde[:memo.n])
+
+
+def test_a_runs_first_memo_build_slices_the_set_init_data_left(params, cache):
+    flow.init_data(cache, params)
+    kept = profiles.assemble_profiles(params.b0, cache.grid)
+    memo = flow.ProfileMemo(cache)
+    q = memo.q_b(params.b0)
+    assert memo.builds == 1 and np.shares_memory(q, kept.Q_b_tilde)
 
 
 def _worst_served_error(cache, served):
@@ -515,10 +588,10 @@ def test_memo_serves_q_b_within_its_gate(memo_run):
     # every served Q~_b meets a fresh build within MEMO_TOL of each pairing's
     # scale, at the step sizes of the shoot + probe (b0 = 3e-3) and of march
     # (b0 = 0.01, whose builds carry far more roundoff)
-    cache, _, served, _ = memo_run
+    cache, _, served, _, _ = memo_run
     params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=30)
     march_cache = flow.ProfileCache(params)
-    march, march_served, _ = _served_by_memos(
+    march, march_served, _, _ = _served_by_memos(
         lambda: flow.simulate(params, cache=march_cache))
     assert march.decompose_lost_step == 27 and len(march_served) > 27
     assert _worst_served_error(cache, served) <= flow.MEMO_TOL
@@ -560,7 +633,7 @@ def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monk
 def test_live_checkpoints_meet_the_newton_tolerance(memo_run):
     # the checkpoints build Q~_b exactly, so their residuals check the
     # memo's roots against the exact profile
-    _, traj, _, _ = memo_run
+    _, traj, _, _, _ = memo_run
     live = [c for c in traj.checkpoints if c.decomposed]
     assert len(live) == len(traj.checkpoints) >= 4
     assert max(max(c.res_phi, c.res_hphi) for c in live) <= flow.NEWTON_TOL
@@ -805,6 +878,28 @@ def test_shoot_gives_up_growing_at_the_cap(params, cache, monkeypatch):
     monkeypatch.setattr(flow, "BRACKET_MAX_FACTOR", 1.0)
     with pytest.raises(RuntimeError, match="within the cap"):
         flow.shoot(flow.replace(params, max_steps=1), cache=cache)
+
+
+def _constructed_run(termination, lam_end):
+    """A run at lambda0 = 2 whose three live checkpoints take lambda from
+    lambda0 down to lam_end, ended by `termination`."""
+    params = RunConfig(command="simulate", b0=3e-3, lambda0=2.0, max_steps=60)
+    checkpoints = [
+        flow.Checkpoint(step=step, t=1e-3 * step, s=0.5 * step, lam=lam, b=3e-3 * lam / 2.0,
+                        kappa=1e-9, E=1.3, E1=1e-7, E2=1e-10, E2_hat=1e-10, u_max=1.0 / lam,
+                        res_phi=1e-13, res_hphi=1e-13)
+        for step, lam in ((1, 2.0), (20, 1.0), (40, lam_end))]
+    return flow.FlowTrajectory(params=params, checkpoints=checkpoints,
+                               termination=termination, classification=None, steps=40)
+
+
+@pytest.mark.parametrize("termination", ["tracked", "b_floor"])
+def test_classify_reads_the_tenfold_decay_alone(termination):
+    # a run that ends tracked or at the b floor is TypeII_tracking once
+    # lambda fell to lambda0/10, and GridExhausted when it stayed above
+    deep = flow.classify(_constructed_run(termination, 0.2))
+    shallow = flow.classify(_constructed_run(termination, 0.25))
+    assert deep is RunClass.TypeII_tracking and shallow is RunClass.GridExhausted
 
 
 def test_lyapunov_series_fields(unstable_runs):

@@ -136,26 +136,13 @@ def test_no_unread_definitions():
         f"{f}:{line}: {name}" for f, line, name in unread)
 
 
-# Functions, classes and members that only tests read, each with its reason.
-TEST_ONLY_ALLOWED = {
-    # criterion 9 asserts with it that the coercivity ratio of the
-    # unprojected near-kernel direction dwarfs the projected suite's
-    "coercivity_H_adversarial",
-    # test_integrated_b_matches_two_term_law compares the program's closed
-    # form against this independent two-term expansion
-    "b_of_s_asymptotic",
-}
-
-
 def test_program_reads_every_function_and_class():
     # a function, class, method or property that only its own tests call
-    # is code no command runs; every allowed exception must still be one
+    # is code no command runs; a reference that only tests read belongs in
+    # tests/conftest.py
     unread = _unread_definitions(PROGRAM, (ast.FunctionDef, ast.ClassDef))
-    test_only = [f"{f}:{line}: {name}" for f, line, name in unread
-                 if name not in TEST_ONLY_ALLOWED]
+    test_only = [f"{f}:{line}: {name}" for f, line, name in unread]
     assert not test_only, "read by tests alone:\n" + "\n".join(test_only)
-    stale = TEST_ONLY_ALLOWED - {name for _, _, name in unread}
-    assert not stale, f"read by the program, drop from TEST_ONLY_ALLOWED: {sorted(stale)}"
 
 
 def test_every_setting_is_read():

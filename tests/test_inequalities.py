@@ -6,7 +6,7 @@ import pytest
 from blowlab import inequalities as ineq
 from blowlab import radial
 
-from conftest import same_bits
+from conftest import coercivity_H_adversarial, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +190,7 @@ def test_coercivity_H_stability_and_adversary(sgrid, refined):
         ineq.TestFunctionSampler(seed=11), 100, grid=refined)
     worsts = [r.worst_ratio for r in reps] + [fine.worst_ratio]
     assert max(worsts) / min(worsts) < 1.3
-    adversarial = ineq.coercivity_H_adversarial(grid=sgrid)
+    adversarial = coercivity_H_adversarial(grid=sgrid)
     assert adversarial > 10.0 * max(worsts)
 
 

@@ -6,6 +6,8 @@ from scipy.integrate import solve_ivp
 
 from blowlab import modulation
 
+from conftest import b_of_s_asymptotic
+
 
 @pytest.fixture(scope="module")
 def reference_trajectory():
@@ -94,16 +96,16 @@ def test_time_map_consistency(reference_trajectory):
 
 
 def test_asymptotic_reference():
-    assert abs(modulation.b_of_s_asymptotic(1e4) - 7.829e-5) < 1e-8
-    assert modulation.b_of_s_asymptotic(1e12) < 1e-11
+    assert abs(b_of_s_asymptotic(1e4) - 7.829e-5) < 1e-8
+    assert b_of_s_asymptotic(1e12) < 1e-11
     with pytest.raises(ValueError):
-        modulation.b_of_s_asymptotic(2.0)
+        b_of_s_asymptotic(2.0)
 
 
 def test_integrated_b_matches_two_term_law(reference_trajectory):
     tr = reference_trajectory
     late = tr.s >= 1e3
-    ref = np.array([modulation.b_of_s_asymptotic(s) for s in tr.s[late]])
+    ref = np.array([b_of_s_asymptotic(s) for s in tr.s[late]])
     scaled = np.abs(tr.b[late] - ref) * tr.s[late] * np.abs(np.log(tr.s[late])) ** 1.5
     assert np.max(scaled) < 2.0  # remainder order, bounded
 

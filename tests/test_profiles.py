@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from blowlab import profiles, radial
 
 from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, l2_window,
-                      radiation_mass_exact, resonance_mass)
+                      radiation_mass_exact, resonance_mass, same_bits)
 
 SWEEP = (1e-2, 3e-3, 1e-3, 3e-4)
 
@@ -64,7 +64,7 @@ def test_radiation_constants_and_plateaus(grid):
     y = grid.nodes
     expected_c = {1e-2: 59.947, 1e-3: 2.3676, 1e-4: 0.69853}
     for b, c_ref in expected_c.items():
-        sigma, c_b, d_b = profiles.radiation_sigma(b, grid)
+        sigma, c_b, d_b = profiles.radiation_sigma(b, grid, grid.n)
         assert abs(c_b / c_ref - 1.0) < 1e-3, f"c_b drifted at b={b}"
         assert d_b < 0
         b0 = b**-0.5
@@ -80,7 +80,18 @@ def test_radiation_rejects_bad_b(grid):
     with pytest.raises(ValueError):
         profiles.assemble_profiles(0.2, grid)  # b beyond b*
     with pytest.raises(ValueError):
-        profiles.radiation_sigma(1e-9, grid)  # 6*B0 beyond the grid
+        profiles.radiation_sigma(1e-9, grid, grid.n)  # 6*B0 beyond the grid
+
+
+def test_a_prefix_build_keeps_its_bits_wherever_it_ends(grid):
+    # c_b and d_b pair over the whole grid: over a prefix that ends just past
+    # B0/2, where chi_{B0/4} ends, the BLAS dot grouped the same terms
+    # differently and c_b or d_b moved in their last bits
+    for b in (1e-2, 1e-3, 3e-4):
+        full = profiles._build_profiles(b, grid).Q_b_tilde
+        k = int(np.count_nonzero(grid.nodes < 0.5 * b**-0.5))
+        for n in (64, k - 3, k + 1, k + 5, k + 17, grid.n):
+            assert same_bits(profiles.localized_profile(b, grid, n), full[:n])
 
 
 def test_T2_T3_defining_equations_and_bounds(grid, fine_grid):
