@@ -20,6 +20,7 @@ below is in, and `simulate` rescales its checkpoints once at the end.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -265,8 +266,9 @@ def _flow_grid(r_min: float, r_max: float, nodes_per_decade: int) -> radial.Radi
 
 
 def _u_eval(r: np.ndarray, u: np.ndarray):
-    """Evaluator for u at arbitrary radius, with an even-parabola extension
-    below the first node (radial regularity u'(0) = 0)."""
+    """Evaluator for u at ascending radii, with an even-parabola extension
+    below the first node (radial regularity u'(0) = 0): the queries below
+    r[0] are a prefix."""
     spl = radial.CubicSpline(np.log(r), u)
     r0, r1 = r[0], r[1]
     c2 = (u[1] - u[0]) / (r1**2 - r0**2)
@@ -274,41 +276,25 @@ def _u_eval(r: np.ndarray, u: np.ndarray):
 
     def evaluate(rq: np.ndarray) -> np.ndarray:
         rq = np.asarray(rq, dtype=float)
+        k = rq.searchsorted(r0)
         out = np.empty_like(rq)
-        low = rq < r0
-        out[low] = u00 + c2 * rq[low] ** 2
-        out[~low] = spl(np.log(rq[~low]))
+        out[:k] = u00 + c2 * rq[:k] ** 2
+        out[k:] = spl(np.log(rq[k:]))
         return out
 
     return evaluate
-
-
-def _implicit_systems(grid, dt):
-    """Diagonals of I - dt Delta and of I - (dt/2) Delta, each with an
-    identity last row (Dirichlet u_new = u at r_max), so the boundary value
-    u[-1] is kept bit for bit by every step.  The dt/2 system halves the
-    -Delta diagonals of the dt one before the identity is added: halving is
-    exact, so its bits are those of neg_laplacian_diagonals(grid, dt/2)."""
-    dl, d, du = radial.neg_laplacian_diagonals(grid, dt)
-    half = (0.5 * dl, 0.5 * d + 1.0, 0.5 * du)
-    d += 1.0
-    return (dl, d, du), half
-
-
-def _substep(system, u, u3, dt):
-    """Solve (I - dt Delta) u_new = u + dt u^3 on the given system."""
-    rhs = u + dt * u3
-    rhs[-1] = u[-1]
-    try:
-        return radial.tridiagonal_solve(*system, rhs)
-    except np.linalg.LinAlgError:
-        raise RuntimeError("implicit system is singular; solver failure")
 
 
 def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
               rtol: float, atol: float):
     """One accepted IMEX step with step-doubling control, from u with
     u_max = max|u|, which the caller forms once per state.
+
+    A trial solves (I + h (-Delta)) v_new = v + h v^3 once from u at h = dt
+    and twice at h = dt/2.  Each system's last row is the identity
+    (Dirichlet u_new = u at r_max), so every step keeps the boundary value
+    u[-1] bit for bit.  The dt/2 rows are the dt rows halved, which is
+    exact, and each solve consumes the system and right-hand side it gets.
 
     Returns (u_new, dt_taken, dt_next, n_rejects).  A u whose cube is not
     finite (a non-finite u included) raises RuntimeError at once; a
@@ -318,20 +304,34 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
         raise RuntimeError("non-finite or overflowing u^3; solver failure")
     scale = atol + rtol * u_max
     u3 = u**3
+    rows, factors = grid.neg_laplacian
     rejects = 0
     while True:
-        full_system, half_system = _implicit_systems(grid, dt)
-        full = _substep(full_system, u, u3, dt)
-        mid = _substep(half_system, u, u3, 0.5 * dt)
-        half = _substep(half_system, mid, mid**3, 0.5 * dt)
-        err = float(np.max(np.abs(half - full))) / scale
-        if not np.isfinite(err):
+        full_rows = (dt * rows) * factors
+        half_rows = 0.5 * full_rows
+        full_rows[1] += 1.0
+        half_rows[1] += 1.0
+        try:
+            rhs = u + dt * u3
+            rhs[-1] = u[-1]
+            full = radial.tridiagonal_solve(*radial.diagonals(full_rows), rhs)
+            rhs = u + 0.5 * dt * u3
+            rhs[-1] = u[-1]
+            mid = radial.tridiagonal_solve(*radial.diagonals(half_rows.copy()), rhs)
+            rhs = mid + 0.5 * dt * mid**3
+            rhs[-1] = mid[-1]
+            half = radial.tridiagonal_solve(*radial.diagonals(half_rows), rhs)
+        except np.linalg.LinAlgError:
+            raise RuntimeError("implicit system is singular; solver failure")
+        full -= half
+        err = float(np.abs(full, out=full).max()) / scale
+        if not math.isfinite(err):
             err = 1e6
         if err <= 1.0:
-            factor = min(2.0, max(0.3, 0.9 / np.sqrt(max(err, 1e-12))))
+            factor = min(2.0, max(0.3, 0.9 / math.sqrt(max(err, 1e-12))))
             return half, dt, dt * factor, rejects
         rejects += 1
-        dt *= max(0.1, 0.9 / np.sqrt(err))
+        dt *= max(0.1, 0.9 / math.sqrt(err))
         if rejects > 60:
             raise RuntimeError("step size collapsed; solver failure")
 
@@ -620,8 +620,8 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
             break
         rejects += n_rejects
         t += dt_taken
-        umax = float(np.max(np.abs(u)))
-        if not np.isfinite(umax) or umax > U_CAP:
+        umax = float(np.abs(u).max())
+        if not math.isfinite(umax) or umax > U_CAP:
             termination = "overflow"
             break
 
@@ -656,7 +656,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
                 break
 
         if step % CHECKPOINT_EVERY == 0 or step == 1:
-            cp = _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
+            cp = _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa,
                                   lost_step is None, dd)
             checkpoints.append(cp)
             if cp.E < E_OF_Q and umax < u0_max / DISSIPATION_DROP:
@@ -667,7 +667,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
             grid, u = _remesh(params, grid, u, lam)
             umax = float(np.max(np.abs(u)))
 
-    checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa,
+    checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa,
                                         lost_step is None, None))
     lambda0 = params.lambda0
     checkpoints = [replace(c, t=c.t * (lambda0 * lambda0), lam=c.lam * lambda0,
@@ -683,7 +683,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
     return traj
 
 
-def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomposed, dd):
+def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
     if not decomposed:
         e1 = e2 = e2h = np.nan
         res1 = res2 = np.nan
@@ -699,7 +699,7 @@ def _make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomposed, dd):
     return Checkpoint(
         step=step, t=t, s=s, lam=lam, b=b, kappa=kappa,
         E=flow_energy(grid, u), E1=e1, E2=e2, E2_hat=e2h,
-        u_max=float(np.max(np.abs(u))), res_phi=res1, res_hphi=res2,
+        u_max=umax, res_phi=res1, res_hphi=res2,
         decomposed=decomposed,
     )
 

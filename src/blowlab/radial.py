@@ -41,8 +41,8 @@ class RadialGrid:
     integrands converge at O(h^2) under refinement.  make_grid builds every
     grid, the profile grid and the flow grid of the PDE alike.  What the
     nodes alone determine is an attribute: the panel increments, the stencil
-    factors of -Delta, the gradient coefficients in t, the potential and the
-    zero modes.  `cache` holds the profile module's memos.
+    factors and rows of -Delta, the gradient coefficients in t, the
+    potential and the zero modes.  `cache` holds the profile module's memos.
     """
 
     nodes: np.ndarray
@@ -81,6 +81,22 @@ class RadialGrid:
         h, y = self.h, self.nodes
         ep, em = np.exp(h), np.exp(-h)
         return ep, em, ep + em, 1.0 / (y[1:-1] ** 2 * h * h), 8.0 / (y[1] ** 2 - y[0] ** 2)
+
+    @cached_property
+    def neg_laplacian(self) -> tuple:
+        """-Delta's tridiagonal rows, unscaled, as (rows, factors): row i of
+        the matrix is rows[i] * factors[:, i] on columns i - 1, i and i + 1.
+        rows holds the first row's regularity factor and the interior
+        1/(y^2 h^2), factors (0, 1, -1) on the first row and (-exp(-h),
+        exp(h) + exp(-h), -exp(h)) inside; the last row and the entries
+        outside the matrix are zero."""
+        ep, em, epm, inv, reg = self.stencil
+        rows = np.zeros(self.n)
+        rows[0], rows[1:-1] = reg, inv
+        factors = np.zeros((3, self.n))
+        factors[:, 0] = 0.0, 1.0, -1.0
+        factors[:, 1:-1] = [[-em], [epm], [-ep]]
+        return rows, factors
 
     @cached_property
     def zero_modes(self) -> tuple:
@@ -254,36 +270,34 @@ def cutoff_laplacian(scale: float, y):
 
 def neg_laplacian_diagonals(grid: RadialGrid, scale: float = 1.0):
     """scale * (-Delta) as a tridiagonal matrix: the (sub, main, super)
-    diagonals (dl, d, du) that tridiagonal_solve takes.
+    diagonals (dl, d, du) that tridiagonal_solve takes, as views of the
+    (3, n) array (scale * rows) * factors of grid.neg_laplacian.
 
     Interior rows are the flux stencil of apply_H; the first row is its
     even-extension regularity rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2).
     The last row is zero: the caller sets the outer boundary condition.
     """
-    ep, em, epm, inv, reg = grid.stencil
-    c = scale * inv
-    c0 = scale * reg
-    dl = np.empty(grid.n - 1)
-    np.multiply(c, -em, out=dl[:-1])
-    dl[-1] = 0.0
-    d = np.empty(grid.n)
-    d[0] = c0
-    np.multiply(c, epm, out=d[1:-1])
-    d[-1] = 0.0
-    du = np.empty(grid.n - 1)
-    du[0] = -c0
-    np.multiply(c, -ep, out=du[1:])
-    return dl, d, du
+    rows, factors = grid.neg_laplacian
+    return diagonals((scale * rows) * factors)
+
+
+def diagonals(bands: np.ndarray):
+    """(dl, d, du) of a (3, n) array that holds a tridiagonal matrix row by
+    row, as grid.neg_laplacian does, each a view of `bands`."""
+    return bands[0, 1:], bands[1], bands[2, :-1]
 
 
 def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
     """x with (dl, d, du) x = rhs, by LAPACK gtsv (Gaussian elimination with
     partial pivoting), the routine solve_banded calls for (1, 1) bands, so
     the bits are the same; skipping its input checks and band copies is
-    most of the saving.  The inputs are left unchanged.  Raises LinAlgError
-    when the system is exactly singular.
+    most of the saving.  The solve consumes its inputs: gtsv overwrites all
+    four in place, without copying them, and x is rhs itself when rhs is a
+    contiguous float array.  A caller that reads one again passes a copy.
+    Raises LinAlgError when the system is exactly singular.
     """
-    x, info = _gtsv(dl, d, du, rhs)[3:]
+    # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
+    x, info = _gtsv(dl, d, du, rhs, 1, 1, 1, 1)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular tridiagonal system")
     return x
@@ -490,8 +504,8 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     for it in range(EIG_MAX_ITER):
         shifted = d - sigma
         shifted[-1] = 1.0  # keep Dirichlet row intact
-        try:
-            x_new = tridiagonal_solve(dl, shifted, du, x)
+        try:  # the solve consumes what it is given; dl, du and x are read again
+            x_new = tridiagonal_solve(dl.copy(), shifted, du.copy(), x.copy())
         except np.linalg.LinAlgError:
             sigma *= 1.0 + 1e-8
             continue

@@ -273,10 +273,12 @@ def test_singular_implicit_system_ends_the_run_classified(params, cache, monkeyp
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
     # gtsv reports an exactly zero pivot with info > 0 for the implicit
     # step's systems, whose last row is the identity; the splines' slope
-    # systems, which gtsv solves too, are left alone
+    # systems, which gtsv solves too, are left alone; `overwrite` passes on
+    # the solve's overwrite flags
     gtsv = radial._gtsv
-    monkeypatch.setattr(radial, "_gtsv", lambda dl, d, du, b: (
-        (dl, d, du, b, 1) if d[-1] == 1.0 and dl[-1] == 0.0 else gtsv(dl, d, du, b)))
+    monkeypatch.setattr(radial, "_gtsv", lambda dl, d, du, b, *overwrite: (
+        (dl, d, du, b, 1) if d[-1] == 1.0 and dl[-1] == 0.0
+        else gtsv(dl, d, du, b, *overwrite)))
     with pytest.raises(RuntimeError, match="singular"):
         flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
     traj = flow.simulate(flow.replace(params, max_steps=5), cache=cache)
@@ -319,6 +321,28 @@ def test_resonance_perturbation_moves_lambda_not_b(cache):
     lam1, b1, _ = flow.decompose(cache, r, u, (0.7, 1e-3))
     lam2, b2, _ = flow.decompose(cache, r, u2, (0.7, 1e-3))
     assert abs(lam2 - lam1) > 5.0 * abs(b2 - b1)
+
+
+def test_u_eval_reads_the_parabola_prefix_bit_for_bit():
+    # on ascending queries all below r0, across it and all above it, the
+    # sliced prefix gives what masking each query gives
+    g = flow._flow_grid(0.02, 300.0, 120)
+    r, u = g.nodes, radial.q_soliton(g.nodes / 0.5) / 0.5 + 0.1 * np.exp(-g.nodes**2)
+    spl = radial.CubicSpline(np.log(r), u)
+    c2 = (u[1] - u[0]) / (r[1] ** 2 - r[0] ** 2)
+    u00 = u[0] - c2 * r[0] ** 2
+
+    def masked(rq):
+        out = np.empty_like(rq)
+        low = rq < r[0]
+        out[low] = u00 + c2 * rq[low] ** 2
+        out[~low] = spl(np.log(rq[~low]))
+        return out
+
+    evaluate = flow._u_eval(r, u)
+    for rq in (np.geomspace(1e-4, 0.9 * r[0], 40), 0.7 * r, r[:300],
+               np.concatenate([[0.5 * r[0]], r[:3]]), np.geomspace(r[0], 290.0, 500)):
+        assert same_bits(evaluate(rq), masked(rq))
 
 
 def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
@@ -609,10 +633,10 @@ def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monk
     live = []
     make_checkpoint = flow._make_checkpoint
 
-    def record(cache, step, t, s, grid, u, lam, b, kappa, decomposed, dd):
+    def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
         if decomposed:
             live.append((grid, u, lam, b))
-        return make_checkpoint(cache, step, t, s, grid, u, lam, b, kappa, decomposed, dd)
+        return make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd)
 
     monkeypatch.setattr(flow, "_make_checkpoint", record)
     flow._probe(params, cache, 6.95153980321595e-4)

@@ -280,6 +280,40 @@ def test_neg_laplacian_bands_match_apply_H(grid):
     assert abs(total / exact - 1.0) < 1e-10
 
 
+def _neg_laplacian_by_diagonal(grid, scale):
+    # the three diagonals filled one by one from the stencil factors
+    ep, em, epm, inv, reg = grid.stencil
+    c = scale * inv
+    c0 = scale * reg
+    dl = np.empty(grid.n - 1)
+    np.multiply(c, -em, out=dl[:-1])
+    dl[-1] = 0.0
+    d = np.empty(grid.n)
+    d[0] = c0
+    np.multiply(c, epm, out=d[1:-1])
+    d[-1] = 0.0
+    du = np.empty(grid.n - 1)
+    du[0] = -c0
+    np.multiply(c, -ep, out=du[1:])
+    return dl, d, du
+
+
+def test_neg_laplacian_rows_keep_the_bits_of_each_diagonal():
+    # (scale * rows) * factors gives each diagonal's bits, and the rows at
+    # half a scale are exactly half the rows, as the step's dt/2 system reads
+    # them, on the profile grid and the 561-node march flow grid
+    cache = flow.ProfileCache(RunConfig(command="simulate"))
+    march = flow._flow_grid(flow.Y_MIN_FLOW, flow._flow_r_max(0.01, cache.reach), 120)
+    assert march.n == 561
+    for g in (cache.grid, march):
+        for scale in (1.0, 1e-13, 1e-3, 0.5):
+            diags = radial.neg_laplacian_diagonals(g, scale)
+            halved = radial.neg_laplacian_diagonals(g, 0.5 * scale)
+            for ours, ref, half in zip(diags, _neg_laplacian_by_diagonal(g, scale), halved):
+                assert same_bits(ours, ref)
+                assert same_bits(half, 0.5 * ours)
+
+
 def test_apply_H_is_symmetric(grid):
     y = grid.nodes
     f = np.exp(-((y - 3.0) ** 2)) * y**2
