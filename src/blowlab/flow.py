@@ -94,9 +94,9 @@ class ProfileCache:
     """Shared immutable profile-side machinery for one pairing radius M.
 
     Its `q_b` reads Q~_b from the whole profile set (assemble_profiles), as
-    `init_data` and `flow_energies` do; checkpoints and a `decompose` on the
-    cache use it.  A run's decompositions read Q~_b through its
-    ProfileMemo, whose builds compute Q~_b alone."""
+    `init_data` and the checkpoints do; a `decompose` on the cache uses it.
+    A run's decompositions read Q~_b through its ProfileMemo, whose builds
+    compute Q~_b alone."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
@@ -105,13 +105,20 @@ class ProfileCache:
         self.grid = radial.make_grid(PROFILE_Y_MIN, y_max, PROFILE_N)
         self.phi = direction_phi(params.M, self.grid)
         self.eig = radial.unstable_mode(self.grid)
-        # the pairing and psi windows are prefixes of the profile grid
+        # the pairing and psi windows are prefixes of the profile grid; n holds both
         y = self.grid.nodes
         self.pair_n = int(np.count_nonzero(y <= 2.2 * params.M))
         psi_cut = max(60.0, 40.0 / np.sqrt(self.eig.zeta))
         self.psi_n = int(np.count_nonzero(y <= psi_cut))
-        # the largest y the decomposition reads
-        self.reach = float(y[max(self.pair_n, self.psi_n) - 1])
+        self.n = max(self.pair_n, self.psi_n)
+        self.reach = float(y[self.n - 1])  # the largest y the decomposition reads
+        # the memo gate's pairings: (w v over its window, |v| over that window)
+        w = self.grid.weights
+        self.gates = []
+        for v, m in ((self.phi.Phi_M, self.pair_n), (self.phi.H_Phi_M, self.pair_n),
+                     (self.eig.psi, self.psi_n)):
+            wv = w[:m] * v[:m]
+            self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
 
     def q_b(self, b: float) -> np.ndarray:
         """Q~_b on the profile grid, built exactly."""
@@ -149,20 +156,14 @@ class ProfileMemo:
 
     A memo belongs to one run: what it serves depends on the builds before,
     so a memo shared between runs would make each depend on the others.
-    It reads the same grid, direction and windows as its cache.
+    It reads its cache's grid, direction, windows and gate pairings, which
+    depend on M alone and are formed once per cache.
     """
 
     def __init__(self, cache: ProfileCache):
         self.grid, self.phi, self.eig = cache.grid, cache.phi, cache.eig
-        self.pair_n, self.psi_n, self.reach = cache.pair_n, cache.psi_n, cache.reach
-        self.n = max(self.pair_n, self.psi_n)
-        w = self.grid.weights
-        # the gate's pairings: (w v over its window, |v| over that window)
-        self.gates = []
-        for v, m in ((self.phi.Phi_M, self.pair_n), (self.phi.H_Phi_M, self.pair_n),
-                     (self.eig.psi, self.psi_n)):
-            wv = w[:m] * v[:m]
-            self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
+        self.pair_n, self.psi_n, self.n = cache.pair_n, cache.psi_n, cache.n
+        self.reach, self.gates = cache.reach, cache.gates
         self.bs = []  # exact builds, newest first, at most four
         self.qs = []
         self.builds = 0
@@ -346,17 +347,11 @@ def _field(cache: ProfileCache | ProfileMemo, u_eval, lam: float, n: int) -> np.
     return lam * u_eval(lam * cache.grid.nodes[:n])
 
 
-def _epsilon(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float) -> np.ndarray:
-    """eps = F_lam - Q~_b on the prefix of the profile grid that `field`
-    covers, with Q~_b from a ProfileCache (exact) or a ProfileMemo."""
-    return field - cache.q_b(b)[:field.size]
-
-
-def _pairings(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float):
+def _pairings(cache: ProfileCache | ProfileMemo, eps: np.ndarray):
     """(eps, Phi_M) and (eps, H Phi_M) over the pairing window."""
     n = cache.pair_n
     w = cache.grid.weights[:n]
-    eps = _epsilon(cache, field[:n], b)
+    eps = eps[:n]
     return (float(np.dot(w, eps * cache.phi.Phi_M[:n])),
             float(np.dot(w, eps * cache.phi.H_Phi_M[:n])))
 
@@ -377,11 +372,10 @@ def _covered(cache: ProfileCache, lam: float, r_max: float) -> int:
     return int(np.count_nonzero(cache.grid.nodes <= 0.95 * r_max / lam))
 
 
-def _kappa(cache: ProfileCache | ProfileMemo, field: np.ndarray, b: float) -> float:
+def _kappa(cache: ProfileCache | ProfileMemo, eps: np.ndarray) -> float:
     """Unstable-mode amplitude kappa = (eps, psi) over the psi window."""
     n = cache.psi_n
-    eps = _epsilon(cache, field[:n], b)
-    return float(np.dot(cache.grid.weights[:n], eps * cache.eig.psi[:n]))
+    return float(np.dot(cache.grid.weights[:n], eps[:n] * cache.eig.psi[:n]))
 
 
 def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
@@ -389,8 +383,9 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
     Q~_b comes from `cache`: built exactly by a ProfileCache, or mostly
-    served without a build by a run's ProfileMemo.  The field F_lam is
-    evaluated once per lambda.  Given a Jacobian `J` carried from a nearby
+    served without a build by a run's ProfileMemo.  Each Newton point
+    evaluates the field F_lam and subtracts Q~_b once, into the eps its
+    pairings read.  Given a Jacobian `J` carried from a nearby
     state (the previous step of a trajectory), the first update uses it as
     a chord.  If the line search rejects every step along the carried J, it
     is refreshed at the current point and the update retried; every later
@@ -400,8 +395,8 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
     u is read only where the flow grid holds it, on y <= 0.95 r_max/lam,
     which must contain the pairing and psi windows (y <= `cache.reach`).
 
-    Returns (lam, b, diagnostics dict), whose "field" covers the pairing and
-    psi windows at the returned lambda, "jacobian" is the Jacobian last
+    Returns (lam, b, diagnostics dict), whose "eps" covers the pairing and
+    psi windows at the returned (lambda, b), "jacobian" is the Jacobian last
     used (to carry to the next call) and "jacobian_builds" counts the
     fresh ones.  Raises RuntimeError when the Newton iteration leaves the
     soliton tube: a seed b the profile grid does not resolve, a seed lambda
@@ -415,14 +410,15 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
         raise RuntimeError(f"decomposition window y <= {cache.reach:g} leaves the flow "
                            f"grid at lambda={lam:g}")
     u_eval = _u_eval(r, u)
-    n = max(cache.pair_n, cache.psi_n)
+    n = cache.n
     field = _field(cache, u_eval, lam, n)
     s1, s2 = _pairing_scales(cache, field)
-    r1, r2 = _pairings(cache, field, b)
+    eps = field - cache.q_b(b)[:n]
+    r1, r2 = _pairings(cache, eps)
     merit = (r1 / s1) ** 2 + (r2 / s2) ** 2
 
     def update(J):
-        """Damped step along J^-1 (r1, r2): the accepted (lam, b, field, r1,
+        """Damped step along J^-1 (r1, r2): the accepted (lam, b, eps, r1,
         r2, merit), or None when the line search rejects every alpha."""
         try:
             dlam, db = np.linalg.solve(J, [r1, r2])
@@ -436,11 +432,11 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
             if not (lam_t > 0 and cache.reach <= r_cap / lam_t
                     and resolves(cache.grid, b_t)):
                 continue
-            field_t = _field(cache, u_eval, lam_t, n)
-            r1_t, r2_t = _pairings(cache, field_t, b_t)
+            eps_t = _field(cache, u_eval, lam_t, n) - cache.q_b(b_t)[:n]
+            r1_t, r2_t = _pairings(cache, eps_t)
             merit_t = (r1_t / s1) ** 2 + (r2_t / s2) ** 2
             if merit_t < merit * (1.0 - 1e-4 * alpha) or merit_t < NEWTON_TOL**2:
-                return lam_t, b_t, field_t, r1_t, r2_t, merit_t
+                return lam_t, b_t, eps_t, r1_t, r2_t, merit_t
         return None
 
     carried = J is not None
@@ -459,7 +455,7 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
             if abs(r1) <= 1e3 * NEWTON_TOL * s1 and abs(r2) <= 1e3 * NEWTON_TOL * s2:
                 break
             raise RuntimeError("decomposition left the soliton tube")
-        lam, b, field, r1, r2, merit = trial
+        lam, b, eps, r1, r2, merit = trial
     else:
         raise RuntimeError("decomposition Newton did not converge")
     diag = {
@@ -469,7 +465,7 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
         "jacobian": J,
         "jacobian_builds": builds,
         "u_eval": u_eval,
-        "field": field,
+        "eps": eps,
     }
     return lam, b, diag
 
@@ -480,9 +476,10 @@ def _jacobian(cache: ProfileCache | ProfileMemo, u_eval, lam: float, b: float):
 
     The pairings depend on b only through -Q~_b, so the b-column is field
     free: the one-sided difference -(Q~_{b+db} - Q~_b, Phi_M)/db (and the
-    same against H Phi_M), formed as the pairings of the field Q~_b at
-    b + db.  Q~_b is the one the current point just read, so the column
-    costs at most one profile build, and none when a memo serves b + db.
+    same against H Phi_M), the pairings of Q~_b - Q~_{b+db}.  Q~_b, which
+    both lambda-columns subtract too, is the one the current point just
+    read, so the column costs at most one profile build, and none when a
+    memo serves b + db.
     Being first order, it takes a tenth of the centred step.  The
     lambda-column stays centred: the pairing surface is strongly curved in
     lambda, and one-sided it added Newton iterations while saving no
@@ -494,33 +491,31 @@ def _jacobian(cache: ProfileCache | ProfileMemo, u_eval, lam: float, b: float):
     """
     dl = 1e-6 * lam
     db = 1e-7 * max(b, 1e-4)
-    r1p, r2p = _pairings(cache, _field(cache, u_eval, lam + dl, cache.pair_n), b)
-    r1m, r2m = _pairings(cache, _field(cache, u_eval, lam - dl, cache.pair_n), b)
-    c1, c2 = _pairings(cache, cache.q_b(b), b + db)
+    n = cache.pair_n
+    q = cache.q_b(b)[:n]
+    r1p, r2p = _pairings(cache, _field(cache, u_eval, lam + dl, n) - q)
+    r1m, r2m = _pairings(cache, _field(cache, u_eval, lam - dl, n) - q)
+    c1, c2 = _pairings(cache, q - cache.q_b(b + db)[:n])
     return np.array([
         [(r1p - r1m) / (2 * dl), c1 / db],
         [(r2p - r2m) / (2 * dl), c2 / db],
     ])
 
 
-def flow_energies(cache: ProfileCache, field: np.ndarray, b: float):
-    """E1, E2 and the second-localization E2_hat of the error.
-
-    `field` covers a prefix of the profile grid; eps is zero beyond it.
-    """
-    g = cache.grid
-    n = field.size
-    pset = assemble_profiles(b, g)
-    eps = np.zeros(g.n)
-    eps[:n] = field - pset.Q_b_tilde[:n]
-    he = radial.apply_H(g, eps)
+def flow_energies(grid: radial.RadialGrid, eps: np.ndarray, zeta_b: np.ndarray):
+    """E1, E2 and the second-localization E2_hat of eps, with zeta_b from
+    its profile set.  `eps` covers a prefix of the profile grid; it is zero
+    beyond it."""
+    n = eps.size
+    eps = np.concatenate((eps, np.zeros(grid.n - n)))
+    he = radial.apply_H(grid, eps)
     # keep stencil noise at the coverage edge out
-    keep = n if n == g.n else max(n - 6, 0)
-    w = g.weights * (np.arange(g.n) < keep)
-    _, dy = radial.log_gradient(g, eps)
+    keep = n if n == grid.n else max(n - 6, 0)
+    w = grid.weights * (np.arange(grid.n) < keep)
+    _, dy = radial.log_gradient(grid, eps)
     e1 = float(np.dot(w, dy * dy))
     e2 = float(np.dot(w, he**2))
-    he_hat = radial.apply_H(g, eps + pset.zeta_b)
+    he_hat = radial.apply_H(grid, eps + zeta_b)
     e2_hat = float(np.dot(w, he_hat**2))
     return e1, e2, e2_hat
 
@@ -643,7 +638,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
             break
 
         if lost_step is None:
-            kappa = _kappa(memo, dd["field"], b)
+            kappa = _kappa(memo, dd["eps"])
             window = admissible_window(b, params.kappa_exit_factor)
             if abs(kappa) > window:
                 termination = "exit_plus" if kappa > 0 else "exit_minus"
@@ -688,12 +683,16 @@ def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed
         e1 = e2 = e2h = np.nan
         res1 = res2 = np.nan
     else:
-        # one evaluation over the covered prefix, which holds both windows
+        # one evaluation and one exact profile set over the covered prefix,
+        # which holds both windows
         u_eval = dd["u_eval"] if dd else _u_eval(grid.nodes, u)
-        field = _field(cache, u_eval, lam, _covered(cache, lam, grid.y_max))
-        e1, e2, e2h = flow_energies(cache, field, b)
-        kappa = _kappa(cache, field, b)
-        r1, r2 = _pairings(cache, field, b)
+        n = _covered(cache, lam, grid.y_max)
+        field = _field(cache, u_eval, lam, n)
+        pset = assemble_profiles(b, cache.grid)
+        eps = field - pset.Q_b_tilde[:n]
+        e1, e2, e2h = flow_energies(cache.grid, eps, pset.zeta_b)
+        kappa = _kappa(cache, eps)
+        r1, r2 = _pairings(cache, eps)
         s1, s2 = _pairing_scales(cache, field)
         res1, res2 = abs(r1) / s1, abs(r2) / s2
     return Checkpoint(
@@ -728,20 +727,9 @@ def classify(traj: FlowTrajectory) -> RunClass:
     return RunClass.GridExhausted
 
 
-def bootstrap_ratios(traj: FlowTrajectory) -> dict:
-    """The two tracked bootstrap ratios along the live checkpoints."""
-    live = [c for c in traj.checkpoints if c.decomposed]
-    b = np.array([c.b for c in live])
-    lb = np.array([log_binv(x) for x in b])
-    return {
-        "s": np.array([c.s for c in live]),
-        "E2_ratio": np.array([c.E2 for c in live]) / (b**2 * lb**5),
-        "kappa_ratio": np.abs([c.kappa for c in live]) * lb / b**2.5,
-    }
-
-
 def modulation_residuals(traj: FlowTrajectory) -> dict:
-    """Centered-difference residuals of the two modulation laws in s.
+    """Centered-difference residuals of the two modulation laws in s, and
+    the two tracked bootstrap ratios at the same checkpoints.
 
     Only checkpoints with a live decomposition enter; once the run leaves
     the soliton tube the frozen (lambda, b) carry no information.
@@ -762,10 +750,12 @@ def modulation_residuals(traj: FlowTrajectory) -> dict:
     b_s = (b[2:] - b[:-2])[ok] / ds[ok]
     b_mid = b[1:-1][ok]
     lb = np.array([log_binv(x) for x in b_mid])
-    out = {key: v[1:-1][ok] for key, v in bootstrap_ratios(traj).items()}
-    out.update(lam_res=dlog_lam + b_mid, b_res=b_s + b_mid**2 * (1.0 + 2.0 / lb),
-               b_mid=b_mid)
-    return out
+    e2 = np.array([c.E2 for c in live])[1:-1][ok]
+    kappa = np.array([c.kappa for c in live])[1:-1][ok]
+    return {"s": s[1:-1][ok], "lam_res": dlog_lam + b_mid,
+            "b_res": b_s + b_mid**2 * (1.0 + 2.0 / lb), "b_mid": b_mid,
+            "E2_ratio": e2 / (b_mid**2 * lb**5),
+            "kappa_ratio": np.abs(kappa) * lb / b_mid**2.5}
 
 
 def lyapunov_series(traj: FlowTrajectory) -> dict:

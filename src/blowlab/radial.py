@@ -84,19 +84,9 @@ class RadialGrid:
 
     @cached_property
     def neg_laplacian(self) -> tuple:
-        """-Delta's tridiagonal rows, unscaled, as (rows, factors): row i of
-        the matrix is rows[i] * factors[:, i] on columns i - 1, i and i + 1.
-        rows holds the first row's regularity factor and the interior
-        1/(y^2 h^2), factors (0, 1, -1) on the first row and (-exp(-h),
-        exp(h) + exp(-h), -exp(h)) inside; the last row and the entries
-        outside the matrix are zero."""
-        ep, em, epm, inv, reg = self.stencil
-        rows = np.zeros(self.n)
-        rows[0], rows[1:-1] = reg, inv
-        factors = np.zeros((3, self.n))
-        factors[:, 0] = 0.0, 1.0, -1.0
-        factors[:, 1:-1] = [[-em], [epm], [-ep]]
-        return rows, factors
+        """neg_laplacian_rows of the grid, kept for the flow step, which
+        reads them at every trial."""
+        return neg_laplacian_rows(self)
 
     @cached_property
     def zero_modes(self) -> tuple:
@@ -268,22 +258,27 @@ def cutoff_laplacian(scale: float, y):
 # ---------------------------------------------------------------------------
 
 
-def neg_laplacian_diagonals(grid: RadialGrid, scale: float = 1.0):
-    """scale * (-Delta) as a tridiagonal matrix: the (sub, main, super)
-    diagonals (dl, d, du) that tridiagonal_solve takes, as views of the
-    (3, n) array (scale * rows) * factors of grid.neg_laplacian.
-
-    Interior rows are the flux stencil of apply_H; the first row is its
-    even-extension regularity rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2).
-    The last row is zero: the caller sets the outer boundary condition.
-    """
-    rows, factors = grid.neg_laplacian
-    return diagonals((scale * rows) * factors)
+def neg_laplacian_rows(grid: RadialGrid) -> tuple:
+    """-Delta's tridiagonal rows, unscaled, as (rows, factors): row i of
+    s * (-Delta) is (s * rows[i]) * factors[:, i] on columns i - 1, i and
+    i + 1, the bits of filling each diagonal from the stencil factors.
+    rows holds the first row's regularity factor and the interior
+    1/(y^2 h^2), factors (0, 1, -1) on the first row (apply_H's
+    even-extension rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2)) and its
+    flux stencil (-exp(-h), exp(h) + exp(-h), -exp(h)) inside.  The last row
+    is zero: the caller sets the outer boundary condition."""
+    ep, em, epm, inv, reg = grid.stencil
+    rows = np.zeros(grid.n)
+    rows[0], rows[1:-1] = reg, inv
+    factors = np.zeros((3, grid.n))
+    factors[:, 0] = 0.0, 1.0, -1.0
+    factors[:, 1:-1] = [[-em], [epm], [-ep]]
+    return rows, factors
 
 
 def diagonals(bands: np.ndarray):
     """(dl, d, du) of a (3, n) array that holds a tridiagonal matrix row by
-    row, as grid.neg_laplacian does, each a view of `bands`."""
+    row, as the product of neg_laplacian_rows does, each a view of `bands`."""
     return bands[0, 1:], bands[1], bands[2, :-1]
 
 
@@ -383,7 +378,7 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     log variable (exactly symmetric against the quadrature weights away from
     the ends).  The first node encodes radial regularity v'(0) = 0 through
     the even-extension parabola rule, the last node a one-sided stencil.
-    All rows but the last are those of neg_laplacian_diagonals minus V, summed
+    All rows but the last are those of neg_laplacian_rows minus V, summed
     as flux differences because the H^2-weighted norms see this roundoff.
     """
     y = grid.nodes
@@ -483,8 +478,10 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     deflation is needed.  psi is normalized to int psi^2 y^3 dy = 1 with
     psi(y_min) > 0.
     """
-    # H with a Dirichlet last row
-    dl, d, du = neg_laplacian_diagonals(grid)
+    # H with a Dirichlet last row; the rows are not kept on the grid, which
+    # only the flow grids' steps read again
+    rows, factors = neg_laplacian_rows(grid)
+    dl, d, du = diagonals(rows * factors)
     d -= grid.V
     d[-1] = 1.0
     w = grid.weights

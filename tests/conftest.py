@@ -87,6 +87,25 @@ def coercivity_H_adversarial(grid):
                                ineq._denominators(grid)))
 
 
+def neg_laplacian_by_diagonal(grid, scale):
+    """scale * (-Delta)'s (dl, d, du) filled diagonal by diagonal from the
+    stencil factors, as tridiagonal_solve takes them; the last row is zero."""
+    ep, em, epm, inv, reg = grid.stencil
+    c = scale * inv
+    c0 = scale * reg
+    dl = np.empty(grid.n - 1)
+    np.multiply(c, -em, out=dl[:-1])
+    dl[-1] = 0.0
+    d = np.empty(grid.n)
+    d[0] = c0
+    np.multiply(c, epm, out=d[1:-1])
+    d[-1] = 0.0
+    du = np.empty(grid.n - 1)
+    du[0] = -c0
+    np.multiply(c, -ep, out=du[1:])
+    return dl, d, du
+
+
 def b_of_s_asymptotic(s):
     """Two-term large-s law b(s) = 1/s - 2/(s log s) of the reduced system."""
     s = float(s)

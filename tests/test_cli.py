@@ -279,6 +279,10 @@ def test_diagnostics_csv_holds_the_centred_modulation_residuals(tmp_path):
                                   (np.log(lam[2:]) - np.log(lam[:-2])) / ds + b_mid)
     np.testing.assert_array_equal(diag["b_residual"],
                                   (b[2:] - b[:-2]) / ds + b_mid**2 * (1.0 + 2.0 / lb))
+    e2, kappa = (np.array([float(r[col[name]]) for r in live])[1:-1]
+                 for name in ("E2", "kappa"))
+    np.testing.assert_array_equal(diag["E2_ratio"], e2 / (b_mid**2 * lb**5))
+    np.testing.assert_array_equal(diag["kappa_ratio"], np.abs(kappa) * lb / b_mid**2.5)
 
 
 def test_simulate_manifest_reports_rejects_and_the_lost_decomposition(tmp_path):

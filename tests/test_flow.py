@@ -12,7 +12,7 @@ from blowlab import flow, profiles, radial
 from blowlab.config import B_FLOOR, RunConfig
 from blowlab.flow import RunClass
 
-from conftest import same_bits
+from conftest import neg_laplacian_by_diagonal, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ def _parent_step(grid, u, dt, rtol, atol):
     u3 = u**3
 
     def substep(dt, v, v3):
-        dl, d, du = radial.neg_laplacian_diagonals(grid, dt)
+        dl, d, du = neg_laplacian_by_diagonal(grid, dt)
         d += 1.0
         rhs = v + dt * v3
         rhs[-1] = v[-1]
@@ -367,7 +367,7 @@ def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
     assert dd["iterations"] >= 2
     assert len(radii) == len(set(radii))
     evaluations = len(radii)
-    kappa = flow._kappa(cache, dd["field"], b)
+    kappa = flow._kappa(cache, dd["eps"])
     assert kappa is not None and len(radii) == evaluations
 
 
@@ -380,8 +380,8 @@ def test_jacobian_b_column_matches_centred_difference(cache, b):
     u_eval = flow._u_eval(r, u)
     field = flow._field(cache, u_eval, lam, cache.pair_n)
     db = 1e-6 * b
-    plus = np.array(flow._pairings(cache, field, b + db))
-    minus = np.array(flow._pairings(cache, field, b - db))
+    plus = np.array(flow._pairings(cache, field - cache.q_b(b + db)[:field.size]))
+    minus = np.array(flow._pairings(cache, field - cache.q_b(b - db)[:field.size]))
     centred = (plus - minus) / (2.0 * db)
     column = flow._jacobian(cache, u_eval, lam, b)[:, 1]
     assert np.all(np.abs(column - centred) <= 1e-5 * np.abs(centred))
@@ -594,6 +594,14 @@ def test_a_runs_first_memo_build_slices_the_set_init_data_left(params, cache):
     assert memo.builds == 1 and np.shares_memory(q, kept.Q_b_tilde)
 
 
+def test_memos_share_their_caches_gate_pairings(cache):
+    # the gate pairings and the decomposition prefix depend on M alone, so
+    # a cache forms them once for the memos of all its runs
+    memo = flow.ProfileMemo(cache)
+    assert memo.gates is cache.gates
+    assert memo.n == cache.n == max(cache.pair_n, cache.psi_n)
+
+
 def _worst_served_error(cache, served):
     """Largest |(v, served - fresh build)| / (|v| |fresh build|) over every
     served Q~_b and each of its memo's gate pairings."""
@@ -645,8 +653,10 @@ def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monk
         u_eval = flow._u_eval(grid.nodes, u)
 
         def energies(at):
-            field = flow._field(cache, u_eval, at, flow._covered(cache, at, grid.y_max))
-            return np.array(flow.flow_energies(cache, field, b))
+            n = flow._covered(cache, at, grid.y_max)
+            pset = flow.assemble_profiles(b, cache.grid)
+            eps = flow._field(cache, u_eval, at, n) - pset.Q_b_tilde[:n]
+            return np.array(flow.flow_energies(cache.grid, eps, pset.zeta_b))
 
         base = energies(lam)
         for shift in (1.0 - 1e-11, 1.0 + 1e-11):
@@ -661,6 +671,92 @@ def test_live_checkpoints_meet_the_newton_tolerance(memo_run):
     live = [c for c in traj.checkpoints if c.decomposed]
     assert len(live) == len(traj.checkpoints) >= 4
     assert max(max(c.res_phi, c.res_hphi) for c in live) <= flow.NEWTON_TOL
+
+
+def test_step_kappa_pairs_the_eps_of_its_decomposition(monkeypatch):
+    # the step's kappa reads the eps decompose formed at its root, with no
+    # memo request of its own; along the shoot workload's + probe it has
+    # the bits of the form that asked the memo for Q~_b again
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
+    cache = flow.ProfileCache(params)
+    decompose, kappa = flow.decompose, flow._kappa
+    roots, pairs = [], []
+
+    def decomposing(memo, r, u, seed, J):
+        lam, b, dd = decompose(memo, r, u, seed, J)
+        roots.append((memo, lam, b, dd["u_eval"]))
+        return lam, b, dd
+
+    def pairing(c, eps):
+        k = kappa(c, eps)
+        if isinstance(c, flow.ProfileMemo):
+            memo, lam, b, u_eval = roots[-1]
+            n = memo.psi_n
+            field = flow._field(memo, u_eval, lam, memo.n)[:n]
+            parent = np.dot(memo.grid.weights[:n], (field - memo.q_b(b)[:n]) * memo.eig.psi[:n])
+            pairs.append((k, float(parent)))
+        return k
+
+    monkeypatch.setattr(flow, "decompose", decomposing)
+    monkeypatch.setattr(flow, "_kappa", pairing)
+    traj = flow._probe(params, cache, 6.95153980321595e-4)
+    assert traj.termination == "exit_plus" and len(pairs) == traj.steps == 51
+    assert same_bits(*zip(*pairs))
+
+
+def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
+    """kappa, res_phi, res_hphi, E1, E2 and E2_hat of a live checkpoint as
+    formed before eps was handed on: each pairing subtracts the exact Q~_b
+    from the field over its own window, and the energies pad eps with zeros
+    to the whole profile grid."""
+    g, w = cache.grid, cache.grid.weights
+    u_eval = dd["u_eval"] if dd else flow._u_eval(grid.nodes, u)
+    n = flow._covered(cache, lam, grid.y_max)
+    field = flow._field(cache, u_eval, lam, n)
+    pset = profiles.assemble_profiles(b, g)
+    q = pset.Q_b_tilde
+
+    def paired(v, m):
+        return float(np.dot(w[:m], (field[:m] - q[:m]) * v[:m]))
+
+    s1, s2 = flow._pairing_scales(cache, field)
+    eps = np.zeros(g.n)
+    eps[:n] = field - q[:n]
+    he = radial.apply_H(g, eps)
+    keep = n if n == g.n else max(n - 6, 0)
+    wk = w * (np.arange(g.n) < keep)
+    _, dy = radial.log_gradient(g, eps)
+    he_hat = radial.apply_H(g, eps + pset.zeta_b)
+    return (paired(cache.eig.psi, cache.psi_n),
+            abs(paired(cache.phi.Phi_M, cache.pair_n)) / s1,
+            abs(paired(cache.phi.H_Phi_M, cache.pair_n)) / s2,
+            float(np.dot(wk, dy * dy)), float(np.dot(wk, he**2)),
+            float(np.dot(wk, he_hat**2)))
+
+
+@pytest.mark.parametrize("b0, a_plus, live", [(3e-3, 6.95153980321595e-4, 4), (0.01, 0.0, 2)])
+def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_plus, live):
+    # a checkpoint builds its exact profile set once and hands one eps to
+    # its pairings and energies; on the shoot workload's + probe (live at
+    # steps 1, 20, 40 and the exit at 51, which has no dd) and on a probe
+    # at march's b0 (live at steps 1 and 20, lost at 27) each column keeps
+    # its bits
+    params = RunConfig(command="shoot", b0=b0, kappa_exit_factor=2e4, max_steps=3000)
+    cache = flow.ProfileCache(params)
+    make_checkpoint, seen = flow._make_checkpoint, []
+
+    def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
+        cp = make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd)
+        if decomposed:
+            seen.append((cp, _parent_checkpoint_columns(cache, grid, u, lam, b, dd)))
+        return cp
+
+    monkeypatch.setattr(flow, "_make_checkpoint", record)
+    flow._probe(params, cache, a_plus)
+    assert len(seen) == live
+    for cp, parent in seen:
+        ours = (cp.kappa, cp.res_phi, cp.res_hphi, cp.E1, cp.E2, cp.E2_hat)
+        assert same_bits(ours, parent), f"step {cp.step}"
 
 
 def test_probe_ends_at_its_lost_decomposition():
@@ -767,12 +863,13 @@ def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     lam, b, dd = flow.decompose(cache, st.r, st.u, (1.0, params.b0))
     n = flow._covered(cache, lam, st.r[-1])
     # kappa vanishes up to the pairing tolerance times its scale
-    assert abs(flow._kappa(cache, dd["field"], b)) < 5e-9
-    field = flow._field(cache, dd["u_eval"], lam, n)
-    e1, e2, e2h = flow.flow_energies(cache, field, b)
+    assert abs(flow._kappa(cache, dd["eps"])) < 5e-9
+    pset = flow.assemble_profiles(b, cache.grid)
+    eps = flow._field(cache, dd["u_eval"], lam, n) - pset.Q_b_tilde[:n]
+    e1, e2, e2h = flow.flow_energies(cache.grid, eps, pset.zeta_b)
     assert e2 < 1e-6  # interpolation floor of the second-order energy
     # the hat-energy is dominated by the genuine radiation term
-    hz = radial.apply_H(cache.grid, flow.assemble_profiles(b, cache.grid).zeta_b)
+    hz = radial.apply_H(cache.grid, pset.zeta_b)
     assert abs(e2h / np.dot(cache.grid.weights, hz * hz) - 1.0) < 0.05
 
 
@@ -834,6 +931,25 @@ def test_blowup_on_the_focusing_side(params, cache, monkeypatch):
         traj.termination == "overflow"
     umax = traj.series("u_max")
     assert umax[-1] > 10.0 * umax[0]
+
+
+@pytest.mark.parametrize("b0, M", [(1e-3, 50.0), (3e-3, 10.0), (1e-2, 10.0)])
+def test_decomposition_focuses_at_the_flows_own_rate(b0, M):
+    # the gauge's focusing rate -dlog(lambda)/ds / b against the flow's own,
+    # dlog(max|u|)/ds / b, which no decomposition enters, between the
+    # checkpoints at steps 1 and 40 of an a+ = 0 run with the exits off.
+    # They read 0.825 against 0.794, 0.892 against 0.905 and 0.692 against
+    # 0.664 here.  Where B1(b0) falls below about 4.4 M the gauge reads
+    # lambda wrong: the shoot workload's (3e-3, 50) reads -0.104 against 0.901
+    params = RunConfig(command="simulate", b0=b0, M=M, kappa_exit_factor=1e9, max_steps=40)
+    traj = flow.simulate(params)
+    assert params.a_plus == 0.0 and traj.decompose_lost_step is None
+    first, last = (next(c for c in traj.checkpoints if c.step == k) for k in (1, 40))
+    ds = last.s - first.s
+    b_mean = 0.5 * (first.b + last.b)
+    gauge = -(np.log(last.lam) - np.log(first.lam)) / ds / b_mean
+    own = (np.log(last.u_max) - np.log(first.u_max)) / ds / b_mean
+    assert abs(gauge / own - 1.0) <= 0.1, f"gauge {gauge:.3f}, flow {own:.3f}"
 
 
 def test_shoot_requires_bracket(params, cache):

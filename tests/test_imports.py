@@ -165,6 +165,14 @@ UNSET_DEFAULTS_ALLOWED = {
     ("assemble_profiles", "b_star"),
 }
 
+# Defaulted parameters that only tests may set, each with its reason.
+PROGRAM_UNSET_DEFAULTS_ALLOWED = UNSET_DEFAULTS_ALLOWED | {
+    # tests drive the CLI through main(argv); the console script passes none
+    ("main", "argv"),
+    # tests share one ProfileCache between shoots; a command builds its own
+    ("shoot", "cache"),
+}
+
 
 def _defaulted_parameters(tree: ast.Module) -> list:
     """(function name, parameter, positional index or None, line) for every
@@ -205,35 +213,52 @@ def _calls(tree: ast.Module) -> list:
     return out
 
 
-def test_no_unset_defaults():
-    # a default that no call overrides is a constant in disguise
+def _defaults_and_calls(callers: tuple) -> tuple:
+    """The package's defaulted parameters, as (file name, function,
+    parameter, positional index or None, line), and every call in `callers`."""
     defaults, calls = [], []
-    for root in READERS:
+    for root in callers:
         for path in sorted(root.glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             calls += _calls(tree)
             if path.parent == SRC:
                 defaults += [(path.name, *d) for d in _defaulted_parameters(tree)]
-    unset = []
+    return defaults, calls
+
+
+def _unset_defaults(callers: tuple, allowed: set) -> list:
+    """Each defaulted parameter that no call in `callers` sets, outside
+    `allowed`, and each entry of `allowed` that is not such a parameter."""
+    defaults, calls = _defaults_and_calls(callers)
+    unset, excused = [], set()
     for fname, func, param, index, line in defaults:
-        if (func, param) in UNSET_DEFAULTS_ALLOWED:
+        if any(name == func and (param in kw or None in kw
+                                 or (index is not None and n_pos > index))
+               for name, n_pos, kw in calls):
             continue
-        if not any(name == func and (param in kw or None in kw
-                                     or (index is not None and n_pos > index))
-                   for name, n_pos, kw in calls):
+        if (func, param) in allowed:
+            excused.add((func, param))
+        else:
             unset.append(f"{fname}:{line}: {func}({param})")
+    return unset + [f"stale allowance: {func}({param})"
+                    for func, param in sorted(allowed - excused)]
+
+
+def test_no_unset_defaults():
+    # a default that no call overrides is a constant in disguise
+    unset = _unset_defaults(READERS, UNSET_DEFAULTS_ALLOWED)
     assert not unset, "defaulted parameters no call sets:\n" + "\n".join(unset)
+
+
+def test_program_sets_every_default():
+    # a default that only tests override is a setting no command reaches
+    unset = _unset_defaults(PROGRAM, PROGRAM_UNSET_DEFAULTS_ALLOWED)
+    assert not unset, "defaulted parameters only tests set:\n" + "\n".join(unset)
 
 
 def test_no_defaults_every_call_sets():
     # a default that every call overrides is a fallback that never runs
-    defaults, calls = [], []
-    for root in READERS:
-        for path in sorted(root.glob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            calls += _calls(tree)
-            if path.parent == SRC:
-                defaults += [(path.name, *d) for d in _defaulted_parameters(tree)]
+    defaults, calls = _defaults_and_calls(READERS)
     always = [f"{fname}:{line}: {func}({param})"
               for fname, func, param, index, line in defaults
               if not any(name == func and param not in kw and None not in kw

@@ -9,7 +9,7 @@ from scipy.special import gammainc
 from blowlab import flow, radial
 from blowlab.config import RunConfig
 
-from conftest import l2_window, same_bits
+from conftest import l2_window, neg_laplacian_by_diagonal, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def test_radial_writes_nothing_into_the_grid_cache():
     f = np.exp(-g.nodes)
     radial.solve_H_with_derivative(g, f)
     radial.apply_H(g, f)
-    radial.neg_laplacian_diagonals(g)
+    radial.neg_laplacian_rows(g)
     radial.cumulative_integral(g, f)
     assert g.cache == {}
 
@@ -266,7 +266,8 @@ def test_neg_laplacian_bands_match_apply_H(grid):
     for g in (grid, flow_grid):
         y = g.nodes
         f = (1.0 + y**2) * np.exp(-(y**2) / 50.0)
-        dl, d, du = radial.neg_laplacian_diagonals(g)
+        rows, factors = g.neg_laplacian
+        dl, d, du = radial.diagonals(rows * factors)
         bf = d * f
         bf[:-1] += du * f[1:]
         bf[1:] += dl * f[:-1]
@@ -280,24 +281,6 @@ def test_neg_laplacian_bands_match_apply_H(grid):
     assert abs(total / exact - 1.0) < 1e-10
 
 
-def _neg_laplacian_by_diagonal(grid, scale):
-    # the three diagonals filled one by one from the stencil factors
-    ep, em, epm, inv, reg = grid.stencil
-    c = scale * inv
-    c0 = scale * reg
-    dl = np.empty(grid.n - 1)
-    np.multiply(c, -em, out=dl[:-1])
-    dl[-1] = 0.0
-    d = np.empty(grid.n)
-    d[0] = c0
-    np.multiply(c, epm, out=d[1:-1])
-    d[-1] = 0.0
-    du = np.empty(grid.n - 1)
-    du[0] = -c0
-    np.multiply(c, -ep, out=du[1:])
-    return dl, d, du
-
-
 def test_neg_laplacian_rows_keep_the_bits_of_each_diagonal():
     # (scale * rows) * factors gives each diagonal's bits, and the rows at
     # half a scale are exactly half the rows, as the step's dt/2 system reads
@@ -306,12 +289,21 @@ def test_neg_laplacian_rows_keep_the_bits_of_each_diagonal():
     march = flow._flow_grid(flow.Y_MIN_FLOW, flow._flow_r_max(0.01, cache.reach), 120)
     assert march.n == 561
     for g in (cache.grid, march):
+        rows, factors = g.neg_laplacian
         for scale in (1.0, 1e-13, 1e-3, 0.5):
-            diags = radial.neg_laplacian_diagonals(g, scale)
-            halved = radial.neg_laplacian_diagonals(g, 0.5 * scale)
-            for ours, ref, half in zip(diags, _neg_laplacian_by_diagonal(g, scale), halved):
+            diags = radial.diagonals((scale * rows) * factors)
+            halved = radial.diagonals(((0.5 * scale) * rows) * factors)
+            for ours, ref, half in zip(diags, neg_laplacian_by_diagonal(g, scale), halved):
                 assert same_bits(ours, ref)
                 assert same_bits(half, 0.5 * ours)
+
+
+def test_unstable_mode_keeps_no_rows_on_its_grid():
+    # the flow step reads a grid's -Delta rows at every trial and keeps
+    # them; the eigenmode reads them once, so the profile and suite grids
+    # do not hold them (98 KB on the 3,072-node profile grid)
+    cache = flow.ProfileCache(RunConfig(command="simulate"))
+    assert cache.grid.n == 3072 and "neg_laplacian" not in vars(cache.grid)
 
 
 def test_apply_H_is_symmetric(grid):
