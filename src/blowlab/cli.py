@@ -90,12 +90,10 @@ def _cmd_profile(config: RunConfig, run_dir):
     files = ["summary.csv"]
     ok = True
     for b in config.b_sweep:
-        pset = profiles.assemble_profiles(b, grid)  # error_Psi rereads it
         rep = profiles.error_Psi(b, grid, M=config.M)
-        c_b, d_b = pset.c_b, pset.d_b
         lb = profiles.log_binv(b)
         rows.append((
-            b, c_b, d_b, rep.norm_H, rep.norm_w8, rep.norm_H2, rep.flux_ratio,
+            b, rep.c_b, rep.d_b, rep.norm_H, rep.norm_w8, rep.norm_H2, rep.flux_ratio,
             rep.norm_H / (b**4 * lb**2), rep.norm_w8 / b**6,
             rep.norm_H2 * lb**2 / b**6, rep.flux_ratio * lb / b**2,
         ))

@@ -93,10 +93,9 @@ def _flow_r_max(b0: float, reach: float) -> float:
 class ProfileCache:
     """Shared immutable profile-side machinery for one pairing radius M.
 
-    Its `q_b` reads Q~_b from the whole profile set (assemble_profiles), as
-    `init_data` and the checkpoints do; a `decompose` on the cache uses it.
-    A run's decompositions read Q~_b through its ProfileMemo, whose builds
-    compute Q~_b alone."""
+    `init_data` and the checkpoints read Q~_b and zeta_b from the exact
+    profile set on its grid (assemble_profiles).  A run's decompositions
+    read Q~_b through its ProfileMemo, whose builds compute Q~_b alone."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
@@ -119,10 +118,6 @@ class ProfileCache:
                      (self.eig.psi, self.psi_n)):
             wv = w[:m] * v[:m]
             self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
-
-    def q_b(self, b: float) -> np.ndarray:
-        """Q~_b on the profile grid, built exactly."""
-        return assemble_profiles(b, self.grid).Q_b_tilde
 
 
 class ProfileMemo:
@@ -378,14 +373,14 @@ def _kappa(cache: ProfileCache | ProfileMemo, eps: np.ndarray) -> float:
     return float(np.dot(cache.grid.weights[:n], eps[:n] * cache.eig.psi[:n]))
 
 
-def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
+def decompose(cache: ProfileMemo, r: np.ndarray, u: np.ndarray,
               seed: tuple, J: np.ndarray | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
-    Q~_b comes from `cache`: built exactly by a ProfileCache, or mostly
-    served without a build by a run's ProfileMemo.  Each Newton point
-    evaluates the field F_lam and subtracts Q~_b once, into the eps its
-    pairings read.  Given a Jacobian `J` carried from a nearby
+    Q~_b comes from `cache.q_b`, a run's ProfileMemo, which serves it
+    mostly without a build.  Each Newton point evaluates the field F_lam
+    and subtracts Q~_b once, into the eps its pairings read.  Given a
+    Jacobian `J` carried from a nearby
     state (the previous step of a trajectory), the first update uses it as
     a chord.  If the line search rejects every step along the carried J, it
     is refreshed at the current point and the update retried; every later
@@ -470,9 +465,9 @@ def decompose(cache: ProfileCache | ProfileMemo, r: np.ndarray, u: np.ndarray,
     return lam, b, diag
 
 
-def _jacobian(cache: ProfileCache | ProfileMemo, u_eval, lam: float, b: float):
+def _jacobian(cache: ProfileMemo, u_eval, lam: float, b: float):
     """Finite-difference Jacobian of the pairings at (lam, b), with Q~_b
-    from a ProfileCache or a run's ProfileMemo, as in `decompose`.
+    from `cache.q_b`, as in `decompose`.
 
     The pairings depend on b only through -Q~_b, so the b-column is field
     free: the one-sided difference -(Q~_{b+db} - Q~_b, Phi_M)/db (and the

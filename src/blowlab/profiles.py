@@ -117,32 +117,21 @@ def radiation_sigma(b: float, grid: RadialGrid, n: int):
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """b-dependent bundle of profiles on a common grid.
+    """What the flow reads of the profile at one b, on grid.nodes.
 
-    alpha = b T1 + b^2 T2 + b^3 T3 is the profile correction, alpha_prime its
-    derivative from the closed forms of the variation-of-parameters inverse
-    (never from grid differencing), and sigma2, sigma3 the exact right-hand
-    sides H T2 = sigma2, H T3 = sigma3.  Every array is on grid.nodes.
+    Q_b_tilde = Q + chi_{B1} alpha is the localized profile and
+    zeta_b = (chi_{B1} - chi_{B0}) alpha its radiation part, with
+    alpha = b T1 + b^2 T2 + b^3 T3 the profile correction.  The residual
+    builds the orders it reads itself (see _psi_values).
     """
 
-    b: float
-    B0: float
-    B1: float
-    c_b: float
-    d_b: float
-    T2: np.ndarray
-    T3: np.ndarray
     Q_b_tilde: np.ndarray
     zeta_b: np.ndarray
-    alpha: np.ndarray
-    alpha_prime: np.ndarray
-    sigma2: np.ndarray
-    sigma3: np.ndarray
 
 
 def assemble_profiles(b: float, grid: RadialGrid,
                       b_star: float = B_STAR_DEFAULT) -> ProfileSet:
-    """The profile bundle at one value of b.
+    """The profile set at one value of b.
 
     The grid keeps the last set it built: every reader rereads the set of
     the b it used just before, or builds a new one."""
@@ -182,7 +171,7 @@ def _corrections(b: float, grid: RadialGrid, n: int):
     """The order-b^2 and order-b^3 solves at b on the first n nodes, and
     the correction they give: (c_b, d_b, sigma2, sigma3, (T2, T2'),
     (T3, T3'), alpha, chi_{B1} alpha).  The one implementation of both
-    orders, for a whole set and a prefix alike."""
+    orders, for a whole set, a prefix and the residual alike."""
     y = grid.nodes[:n]
     T1 = _t1_parts(grid)[0][:n]
     _, y_t1p, q3_t1t1, q6_t1, t1_cube = (part[:n] for part in _order_sources(grid))
@@ -202,18 +191,10 @@ def _corrections(b: float, grid: RadialGrid, n: int):
 
 
 def _build_profiles(b: float, grid: RadialGrid) -> ProfileSet:
-    """The profile bundle at b, built afresh and kept nowhere."""
-    B0, B1 = zone_radii(b)
-    c_b, d_b, sigma2, sigma3, (T2, T2p), (T3, T3p), alpha, a_t = \
-        _corrections(b, grid, grid.n)
-    alpha_p = b * _t1_parts(grid)[1] + b * b * T2p + b**3 * T3p
-    a_h = cutoff(B0, grid.nodes) * alpha
-
-    return ProfileSet(
-        b=float(b), B0=B0, B1=B1, c_b=c_b, d_b=d_b,
-        T2=T2, T3=T3, Q_b_tilde=_order_sources(grid)[0] + a_t, zeta_b=a_t - a_h,
-        alpha=alpha, alpha_prime=alpha_p, sigma2=sigma2, sigma3=sigma3,
-    )
+    """The profile set at b, built afresh and kept nowhere."""
+    alpha, a_t = _corrections(b, grid, grid.n)[-2:]
+    return ProfileSet(Q_b_tilde=_order_sources(grid)[0] + a_t,
+                      zeta_b=a_t - cutoff(zone_radii(b)[0], grid.nodes) * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +205,23 @@ def _build_profiles(b: float, grid: RadialGrid) -> ProfileSet:
 @dataclass(frozen=True)
 class ErrorReport:
     b: float
+    c_b: float
+    d_b: float
     norm_H: float
     norm_w8: float
     norm_H2: float
     flux_ratio: float
 
 
-def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
-    """Residual Psi_tilde of the chi_{B1}-localized profile under b_s = -b^2,
+def _psi_values(b: float, grid: RadialGrid):
+    """(c_b, d_b, Psi_tilde): the radiation constants at b and the residual
+    Psi_tilde of the chi_{B1}-localized profile under b_s = -b^2,
     lambda_s/lambda = -b.
 
+    It builds the orders it reads and lets them go on return: alpha, its
+    derivative alpha' = b T1' + b^2 T2' + b^3 T3' from the closed forms of
+    the variation-of-parameters inverse (never from grid differencing), and
+    the exact right-hand sides H T2 = Sigma2, H T3 = Sigma3.
     The -b^2 d/db term is a centered finite difference of the localized
     correction chi_{B1} alpha, which picks up the cutoff and radiation
     b-derivatives.  The O(1) pieces are cancelled algebraically before
@@ -245,20 +233,21 @@ def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
     fourth-order weighted norms require.
     """
     y = grid.nodes
-    b = pset.b
+    c_b, d_b, sigma2, sigma3, (_, T2p), (_, T3p), alpha, _ = _corrections(b, grid, grid.n)
+    alpha_p = b * _t1_parts(grid)[1] + b * b * T2p + b**3 * T3p
+    B1 = zone_radii(b)[1]
     Q = q_soliton(y)
-    alpha, alpha_p = pset.alpha, pset.alpha_prime
-    order23 = b * b * pset.sigma2 + b**3 * pset.sigma3
+    order23 = b * b * sigma2 + b**3 * sigma3
     lam_alpha = alpha + y * alpha_p
-    chi = cutoff(pset.B1, y)
-    chi_p = cutoff(pset.B1, y, 1)
-    lap_chi = cutoff_laplacian(pset.B1, y)
+    chi = cutoff(B1, y)
+    chi_p = cutoff(B1, y, 1)
+    lap_chi = cutoff_laplacian(B1, y)
     loc_alpha = chi * alpha
     db = DB_REL * b
     lo = _corrections(b - db, grid, grid.n)[-1]
     hi = _corrections(b + db, grid, grid.n)[-1]
     dloc_db = (hi - lo) / (2.0 * db)
-    return (
+    return c_b, d_b, (
         b * (1.0 - chi) * grid.zero_modes[0]
         + b * chi * lam_alpha
         + b * y * chi_p * alpha
@@ -273,21 +262,22 @@ def _psi_values(pset: ProfileSet, grid: RadialGrid) -> np.ndarray:
 
 def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
     """Weighted norms of the residual Psi_tilde on y <= 2 B1, plus the flux
-    (H Psi_tilde, Phi_M) / (Lambda Q, Phi_M)."""
-    pset = assemble_profiles(b, grid)
+    (H Psi_tilde, Phi_M) / (Lambda Q, Phi_M) and the radiation constants
+    c_b, d_b.  Nothing is left on the grid's profile memo."""
+    _require_resolved(b, grid)
     y = grid.nodes
-    psi = _psi_values(pset, grid)
+    c_b, d_b, psi = _psi_values(b, grid)
     h_psi = apply_H(grid, psi)
     h2_psi = apply_H(grid, h_psi)
-    mask = y <= 2.0 * pset.B1
+    mask = y <= 2.0 * zone_radii(b)[1]
     w = grid.weights * mask
     norm_H = float(np.dot(w, h_psi**2))
     norm_w8 = float(np.dot(w, psi**2 / (1.0 + y**8)))
     norm_H2 = float(np.dot(w, h2_psi**2))
     phi = direction_phi(M, grid)
     flux = float(np.dot(grid.weights, h_psi * phi.Phi_M)) / phi.pair_lambda_q
-    return ErrorReport(b=float(b), norm_H=norm_H, norm_w8=norm_w8, norm_H2=norm_H2,
-                       flux_ratio=float(flux))
+    return ErrorReport(b=float(b), c_b=c_b, d_b=d_b, norm_H=norm_H, norm_w8=norm_w8,
+                       norm_H2=norm_H2, flux_ratio=float(flux))
 
 
 # ---------------------------------------------------------------------------

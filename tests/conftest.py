@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowlab import inequalities as ineq, radial
+from blowlab import flow, inequalities as ineq, radial
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +76,16 @@ def radiation_scaled_asymptotic(b):
 # ---------------------------------------------------------------------------
 # independent references the program does not use
 # ---------------------------------------------------------------------------
+
+
+class ExactProfileCache(flow.ProfileCache):
+    """A ProfileCache that `decompose` can read Q~_b from directly, built
+    exactly from the whole profile set; a run reads it through its
+    ProfileMemo instead.  The build goes through the `flow` name, so a test
+    that patches flow.assemble_profiles sees it."""
+
+    def q_b(self, b: float) -> np.ndarray:
+        return flow.assemble_profiles(b, self.grid).Q_b_tilde
 
 
 def coercivity_H_adversarial(grid):

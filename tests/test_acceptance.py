@@ -61,8 +61,9 @@ import pytest
 from blowlab import cli, flow, inequalities as ineq, modulation, profiles, radial
 from blowlab.config import RunConfig, parse_config
 
-from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, coercivity_H_adversarial,
-                      l2_window, radiation_mass_exact, radiation_scaled_asymptotic)
+from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, ExactProfileCache,
+                      coercivity_H_adversarial, l2_window, radiation_mass_exact,
+                      radiation_scaled_asymptotic)
 
 
 def report(criterion: int, ok: bool, detail: str) -> str:
@@ -293,7 +294,7 @@ def test_criterion_7_desk_scale_simulation(desk_scale_shot):
 
 def test_criterion_8_orthogonal_decomposition():
     params = RunConfig(command="simulate", b0=1e-3, nodes_per_decade=100)
-    cache = flow.ProfileCache(params)
+    cache = ExactProfileCache(params)
     from scipy.interpolate import CubicSpline
 
     qt = CubicSpline(cache.grid.t, profiles.assemble_profiles(1e-3, cache.grid).Q_b_tilde)

@@ -12,7 +12,7 @@ from blowlab import flow, profiles, radial
 from blowlab.config import B_FLOOR, RunConfig
 from blowlab.flow import RunClass
 
-from conftest import neg_laplacian_by_diagonal, same_bits
+from conftest import ExactProfileCache, neg_laplacian_by_diagonal, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def params():
 
 @pytest.fixture(scope="module")
 def cache(params):
-    return flow.ProfileCache(params)
+    return ExactProfileCache(params)
 
 
 def synthetic_state(cache, lam, b, delta=0.0, shape=None):

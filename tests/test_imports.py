@@ -92,9 +92,10 @@ def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
     reads other than its own definition: by name in its own module, by
     attribute, import or string anywhere.  Likewise each member of such a
     class that is one of `kinds`, named "Class.member": a method or
-    property (dunders aside) that nothing outside its own body reads, and
-    an annotated field that nothing outside the class reads, by attribute
-    or string."""
+    property (dunders aside) or an annotated field that nothing but its own
+    definition reads, by attribute or string; a read in another member of
+    its class counts, as a field that only a method such as `to_json_dict`
+    reads is still read."""
     parts = []  # (path, top-level statement, the names it reads)
     for root in readers:
         for path in sorted(root.glob("*.py")):
@@ -115,13 +116,13 @@ def _unread_definitions(readers: tuple, kinds: tuple = (ast.stmt,)) -> list:
                 continue
             if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
                 name = member.name
-                # the class's own reads, its member's body aside
-                own = [_references(sub) for sub in node.body + node.bases
-                       + node.decorator_list if sub is not member]
             elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                name, own = member.target.id, []
+                name = member.target.id
             else:
                 continue
+            # the class's own reads, its member aside
+            own = [_references(sub) for sub in node.body + node.bases
+                   + node.decorator_list if sub is not member]
             if not any(name in qualified for _, qualified in
                        own + [refs for _, other, refs in parts if other is not node]):
                 unread.append((path.name, member.lineno, f"{node.name}.{name}"))
@@ -138,9 +139,10 @@ def test_no_unread_definitions():
 
 def test_program_reads_every_function_and_class():
     # a function, class, method or property that only its own tests call
-    # is code no command runs; a reference that only tests read belongs in
+    # is code no command runs, and a field that only tests read is a value
+    # no command needs; a reference that only tests read belongs in
     # tests/conftest.py
-    unread = _unread_definitions(PROGRAM, (ast.FunctionDef, ast.ClassDef))
+    unread = _unread_definitions(PROGRAM, (ast.FunctionDef, ast.ClassDef, ast.AnnAssign))
     test_only = [f"{f}:{line}: {name}" for f, line, name in unread]
     assert not test_only, "read by tests alone:\n" + "\n".join(test_only)
 

@@ -96,42 +96,43 @@ def test_a_prefix_build_keeps_its_bits_wherever_it_ends(grid):
 
 def test_T2_T3_defining_equations_and_bounds(grid, fine_grid):
     b = 1e-3
-    for name, key in (("T2", "sigma2"), ("T3", "sigma3")):
-        errs = []
-        for g in (grid, fine_grid):
-            pset = profiles.assemble_profiles(b, g)
-            tk = getattr(pset, name)
-            res = radial.apply_H(g, tk) - getattr(pset, key)
-            errs.append(l2_window(g, res))
+    grids = (grid, fine_grid)
+    # (c_b, d_b, sigma2, sigma3, (T2, T2'), (T3, T3'), alpha, chi_{B1} alpha)
+    orders = [profiles._corrections(b, g, g.n) for g in grids]
+    for k in (0, 1):  # H T2 = sigma2, then H T3 = sigma3
+        errs = [l2_window(g, radial.apply_H(g, c[4 + k][0]) - c[2 + k])
+                for g, c in zip(grids, orders)]
         assert np.log2(errs[0] / errs[1]) > 1.5
-    pset = profiles.assemble_profiles(b, grid)
+    (T2, _), (T3, _) = orders[0][4:6]
     y = grid.nodes
     lb = profiles.log_binv(b)
     small = y <= 1.0
-    assert np.max(np.abs(pset.T2[small]) / y[small] ** 4) < 0.02
-    mid = (y >= 1.0) & (y <= 2.0 * pset.B1)
-    assert np.max(np.abs(pset.T2[mid])) * b * lb < 40.0
+    assert np.max(np.abs(T2[small]) / y[small] ** 4) < 0.02
+    mid = (y >= 1.0) & (y <= 2.0 * profiles.zone_radii(b)[1])
+    assert np.max(np.abs(T2[mid])) * b * lb < 40.0
     bound3 = y[mid] ** 6 / (1.0 + y[mid] ** 4) / (b * lb)
-    assert np.max(np.abs(pset.T3[mid]) / bound3) < 5.0
+    assert np.max(np.abs(T3[mid]) / bound3) < 5.0
 
 
 def test_assemble_profiles_invariants(grid):
     b = 1e-3
     pset = profiles.assemble_profiles(b, grid)
-    assert pset.B0 == b**-0.5
-    assert pset.B1 == profiles.log_binv(b) * b**-0.5
+    B0, B1 = profiles.zone_radii(b)
+    assert B0 == b**-0.5
+    assert B1 == profiles.log_binv(b) * b**-0.5
+    alpha = profiles._corrections(b, grid, grid.n)[-2]
     y = grid.nodes
-    inner = y <= pset.B1
-    outer = y >= 2.0 * pset.B1
+    inner = y <= B1
+    outer = y >= 2.0 * B1
     assert np.array_equal(pset.Q_b_tilde[inner],
-                          radial.q_soliton(y[inner]) + pset.alpha[inner])
+                          radial.q_soliton(y[inner]) + alpha[inner])
     assert np.array_equal(pset.Q_b_tilde[outer], radial.q_soliton(y[outer]))
     # the radiation is the correction between the two localization radii
-    shell = radial.cutoff(pset.B1, y) - radial.cutoff(pset.B0, y)
-    dev = pset.zeta_b - shell * pset.alpha
+    shell = radial.cutoff(B1, y) - radial.cutoff(B0, y)
+    dev = pset.zeta_b - shell * alpha
     assert np.max(np.abs(dev)) < 1e-16
-    assert np.all(pset.zeta_b[y <= pset.B0] == 0.0)
-    assert np.all(pset.zeta_b[y >= 2.0 * pset.B1] == 0.0)
+    assert np.all(pset.zeta_b[y <= B0] == 0.0)
+    assert np.all(pset.zeta_b[y >= 2.0 * B1] == 0.0)
 
 
 def test_grid_caches_compute_only_on_a_miss(monkeypatch):
@@ -176,9 +177,13 @@ def test_error_report_masks_and_variants(grid):
     rep = profiles.error_Psi(b, grid)
     assert rep.norm_H > 0 and rep.norm_w8 > 0 and rep.norm_H2 > 0
     assert np.isfinite(rep.flux_ratio)
+    # the residual's own build gives the radiation constants of the sweep
+    assert same_bits((rep.c_b, rep.d_b), profiles.radiation_sigma(b, grid, grid.n)[1:])
     small = radial.make_grid(1e-4, 100.0, 512)
     with pytest.raises(ValueError):
         profiles.error_Psi(1e-3, small)
+    with pytest.raises(ValueError):
+        profiles.error_Psi(0.2, grid)  # b beyond b*
 
 
 def test_residual_norms_sweep_and_slope(grid):
@@ -250,11 +255,11 @@ def test_profile_cache_reuse(grid):
     assert a is b
 
 
-def test_error_Psi_leaves_only_its_own_set_in_the_memo():
-    # the residual's b +- db probes are built outside the memo
+def test_error_Psi_leaves_no_profile_set_on_its_grid():
+    # the residual builds the orders it reads, at b and b +- db, outside the memo
     g = radial.make_grid(1e-4, 4e3, 1024)
     profiles.error_Psi(1e-3, g)
-    assert list(g.cache["profile_sets"]) == [(1e-3, profiles.B_STAR_DEFAULT)]
+    assert "profile_sets" not in g.cache
 
 
 def test_a_finished_grid_needs_no_cyclic_collector():
@@ -264,6 +269,7 @@ def test_a_finished_grid_needs_no_cyclic_collector():
     alive = weakref.ref(g)
     gc.disable()
     try:
+        profiles.assemble_profiles(1e-3, g)
         profiles.error_Psi(1e-3, g)
         del g
         assert alive() is None
