@@ -143,6 +143,7 @@ def _cmd_simulate(config: RunConfig, run_dir):
         "newton_iterations": traj.newton_iterations,
         "jacobian_builds": traj.jacobian_builds,
         "profile_builds": traj.profile_builds,
+        "remeshes": traj.remeshes,
     }
     ok = traj.termination != "solver_failure"
     return ok, traj.classification.value, files, metrics

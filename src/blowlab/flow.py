@@ -1,16 +1,20 @@
 """Full radial PDE flow with modulation decomposition and shooting.
 
 The equation du/dt = u'' + 3u'/r + u^3 is integrated on a log-graded radial
-grid with an implicit tridiagonal diffusion solve and explicit cubic
-reaction, step-doubling error control, and remeshing in the self-similar
-variable when the bubble scale halves.  Every accepted step re-decomposes
-the solution as u = (Q_loc(b) + eps)_lambda through the two orthogonality
-pairings against the localized direction Phi_M, with Q_loc(b) read from the
-run's memo of its last exact profile builds, and tracks the unstable-mode
-amplitude kappa = (eps, psi).  The shooting driver `shoot` bisects the
-initial amplitude a+ on the sign of the recorded exit, between the run
-config's bracket or one it grows itself; each probe ends where its
-decomposition is lost.
+grid with an implicit diffusion solve and explicit cubic reaction,
+step-doubling error control, and remeshing in the self-similar variable
+when the bubble scale halves.  The diffusion matrix is tridiagonal, and a
+diagonal scaling W (a discrete y^4 weight, the grid's `dirichlet_system`)
+makes it symmetric positive definite, as -Delta is self-adjoint in
+L^2(y^3 dy), so each implicit system is solved by LDL^T without pivoting.
+
+Every accepted step re-decomposes the solution as u = (Q_loc(b) +
+eps)_lambda through the two orthogonality pairings against the localized
+direction Phi_M, with Q_loc(b) read from the run's memo of its last exact
+profile builds, and tracks the unstable-mode amplitude kappa = (eps, psi).
+The shooting driver `shoot` bisects the initial amplitude a+ on the sign
+of the recorded exit, between the run config's bracket or one it grows
+itself; each probe ends where its decomposition is lost.
 
 The equation is invariant under u -> u(t/l^2, r/l)/l, so a run is solved in
 units of its initial scale lambda0, which every length, time and amplitude
@@ -246,6 +250,7 @@ class FlowTrajectory:
     newton_iterations: int = 0  # decompose iterations over its successful calls
     jacobian_builds: int = 0  # fresh Newton Jacobians over the run
     profile_builds: int = 0  # exact Q~_b builds decompose asked for over the run
+    remeshes: int = 0  # flow grids rebuilt in the self-similar variable over the run
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(c, name) for c in self.checkpoints])
@@ -287,10 +292,13 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
     u_max = max|u|, which the caller forms once per state.
 
     A trial solves (I + h (-Delta)) v_new = v + h v^3 once from u at h = dt
-    and twice at h = dt/2.  Each system's last row is the identity
-    (Dirichlet u_new = u at r_max), so every step keeps the boundary value
-    u[-1] bit for bit.  The dt/2 rows are the dt rows halved, which is
-    exact, and each solve consumes the system and right-hand side it gets.
+    and twice at h = dt/2, on the n - 1 unknowns below r_max, where the
+    Dirichlet value u_new = u holds: the new state's last entry is u[-1]
+    itself, bit for bit.  Each system is solved in the symmetric form
+    W (I + h (-Delta)) of `grid.dirichlet_system`, positive definite for
+    every h >= 0, by LDL^T without pivoting: the dt system by one
+    `radial.spd_solve`, the dt/2 system by one `radial.spd_factor` and two
+    `radial.spd_substitute`, for the mid and the half step.
 
     Returns (u_new, dt_taken, dt_next, n_rejects).  A u whose cube is not
     finite (a non-finite u included) raises RuntimeError at once; a
@@ -299,33 +307,38 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
     if not u_max < U3_MAX:
         raise RuntimeError("non-finite or overflowing u^3; solver failure")
     scale = atol + rtol * u_max
-    u3 = u**3
-    rows, factors = grid.neg_laplacian
+    w, wd, we, c = grid.dirichlet_system
+    ub = u[-1]
+    v = u[:-1]
+    v3 = v**3
+    # the half step's state: the last substitution of a trial writes its
+    # unknowns into the first n - 1 entries, the right-hand side they start as
+    new = np.empty_like(u)
+    new[-1] = ub
     rejects = 0
     while True:
-        full_rows = (dt * rows) * factors
-        half_rows = 0.5 * full_rows
-        full_rows[1] += 1.0
-        half_rows[1] += 1.0
+        h = 0.5 * dt
         try:
-            rhs = u + dt * u3
-            rhs[-1] = u[-1]
-            full = radial.tridiagonal_solve(*radial.diagonals(full_rows), rhs)
-            rhs = u + 0.5 * dt * u3
-            rhs[-1] = u[-1]
-            mid = radial.tridiagonal_solve(*radial.diagonals(half_rows.copy()), rhs)
-            rhs = mid + 0.5 * dt * mid**3
-            rhs[-1] = mid[-1]
-            half = radial.tridiagonal_solve(*radial.diagonals(half_rows), rhs)
+            rhs = w * (v + dt * v3)
+            rhs[-1] -= (dt * c) * ub
+            full = radial.spd_solve(w + dt * wd, dt * we, rhs)
+            factor = radial.spd_factor(w + h * wd, h * we)
+            rhs = w * (v + h * v3)
+            rhs[-1] -= (h * c) * ub
+            mid = radial.spd_substitute(factor, rhs)
+            rhs = new[:-1]
+            np.multiply(w, mid + h * mid**3, out=rhs)
+            rhs[-1] -= (h * c) * ub
+            half = radial.spd_substitute(factor, rhs)
         except np.linalg.LinAlgError:
-            raise RuntimeError("implicit system is singular; solver failure")
+            raise RuntimeError("implicit system is not positive definite; solver failure")
         full -= half
         err = float(np.abs(full, out=full).max()) / scale
         if not math.isfinite(err):
             err = 1e6
         if err <= 1.0:
-            factor = min(2.0, max(0.3, 0.9 / math.sqrt(max(err, 1e-12))))
-            return half, dt, dt * factor, rejects
+            grow = min(2.0, max(0.3, 0.9 / math.sqrt(max(err, 1e-12))))
+            return new, dt, dt * grow, rejects
         rejects += 1
         dt *= max(0.1, 0.9 / math.sqrt(err))
         if rejects > 60:
@@ -591,7 +604,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
     checkpoints = []
     termination = "budget"
     lost_step = None  # the step whose decomposition failed
-    rejects = 0
+    rejects = remeshes = 0
     iterations = jacobians = 0
     jac = None  # the last decomposition's Jacobian, carried to the next
     history = []  # decomposed (lam, b, dt that reached it), the last two
@@ -656,6 +669,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         if lam < (grid.y_min / Y_MIN_FLOW) / 2.0:
             grid, u = _remesh(params, grid, u, lam)
             umax = float(np.max(np.abs(u)))
+            remeshes += 1
 
     checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa,
                                         lost_step is None, None))
@@ -667,7 +681,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         classification=None, steps=step,
         step_rejects=rejects, decompose_lost_step=lost_step,
         newton_iterations=iterations, jacobian_builds=jacobians,
-        profile_builds=memo.builds,
+        profile_builds=memo.builds, remeshes=remeshes,
     )
     traj.classification = classify(traj)
     return traj

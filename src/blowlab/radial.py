@@ -7,10 +7,11 @@ its quadrature, its -Delta stencil, its gradient coefficients, the potential
 and the zero modes on its nodes as attributes, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
 its scaling family, the linearized operator H = -Delta - 3Q^2 together with
 its two explicit zero modes (Lambda Q and the growing solution Gamma), the
-variation-of-parameters inverse of H, the unique negative eigenmode, and
-the not-a-knot cubic spline the flow samples its fields with.  A function
-on a grid is the float array of its values on grid.nodes, and the one
-pairing is grid.weights . (f g).
+variation-of-parameters inverse of H, the unique negative eigenmode, the
+LAPACK tridiagonal solves (pivoting LU for general systems, LDL^T for
+symmetric positive definite ones), and the not-a-knot cubic spline the
+flow samples its fields with.  A function on a grid is the float array of
+its values on grid.nodes, and the one pairing is grid.weights . (f g).
 
 All closed forms are evaluated directly, never by differencing another
 quantity: the pair (Lambda Q, Gamma) satisfies the exact Wronskian
@@ -24,6 +25,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
+from scipy.linalg.lapack import dptsv as _ptsv
+from scipy.linalg.lapack import dpttrf as _pttrf
+from scipy.linalg.lapack import dpttrs as _pttrs
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +45,9 @@ class RadialGrid:
     integrands converge at O(h^2) under refinement.  make_grid builds every
     grid, the profile grid and the flow grid of the PDE alike.  What the
     nodes alone determine is an attribute: the panel increments, the stencil
-    factors and rows of -Delta, the gradient coefficients in t, the
-    potential and the zero modes.  `cache` holds the profile module's memos.
+    factors of -Delta and the flow step's symmetrized system, the gradient
+    coefficients in t, the potential and the zero modes.  `cache` holds the
+    profile module's memos.
     """
 
     nodes: np.ndarray
@@ -83,10 +88,24 @@ class RadialGrid:
         return ep, em, ep + em, 1.0 / (y[1:-1] ** 2 * h * h), 8.0 / (y[1] ** 2 - y[0] ** 2)
 
     @cached_property
-    def neg_laplacian(self) -> tuple:
-        """neg_laplacian_rows of the grid, kept for the flow step, which
-        reads them at every trial."""
-        return neg_laplacian_rows(self)
+    def dirichlet_system(self) -> tuple:
+        """-Delta on the n - 1 unknowns below a Dirichlet last node,
+        symmetrized for the flow step, which reads it at every trial:
+        (W, W diag, W superdiag, c).  W > 0 is the diagonal scaling with
+        W[i] a(i, i+1) = W[i+1] a(i+1, i) for the matrix entries a of
+        neg_laplacian_rows, a discrete y^4 weight formed as a cumulative
+        product from W[-1] = 1 downward, so W <= 1 and W v never overflows
+        where v does not.  W (I + h (-Delta)) is then symmetric positive
+        definite for every h >= 0, with diagonal W + h W diag and off
+        diagonal h W superdiag, and c = W[-1] a(n-2, n-1) couples its last
+        row to the Dirichlet value, which the right-hand side carries as
+        -h c u[-1]."""
+        rows, factors = neg_laplacian_rows(self)
+        dl, d, du = diagonals(rows * factors)
+        m = self.n - 1
+        w = np.ones(m)
+        w[:-1] = np.cumprod((dl[:m - 1] / du[:m - 1])[::-1])[::-1]
+        return w, w * d[:m], w[:-1] * du[:m - 1], float(du[m - 1])
 
     @cached_property
     def zero_modes(self) -> tuple:
@@ -286,16 +305,52 @@ def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
     """x with (dl, d, du) x = rhs, by LAPACK gtsv (Gaussian elimination with
     partial pivoting), the routine solve_banded calls for (1, 1) bands, so
     the bits are the same; skipping its input checks and band copies is
-    most of the saving.  The solve consumes its inputs: gtsv overwrites all
-    four in place, without copying them, and x is rhs itself when rhs is a
-    contiguous float array.  A caller that reads one again passes a copy.
-    Raises LinAlgError when the system is exactly singular.
+    most of the saving.  It serves the systems that are not symmetric
+    positive definite: the spline's not-a-knot slopes and the eigenmode's
+    indefinite H - sigma.  The solve consumes its inputs: gtsv overwrites
+    all four in place, without copying them, and x is rhs itself when rhs
+    is a contiguous float array.  A caller that reads one again passes a
+    copy.  Raises LinAlgError when the system is exactly singular.
     """
     # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
     x, info = _gtsv(dl, d, du, rhs, 1, 1, 1, 1)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular tridiagonal system")
     return x
+
+
+def spd_solve(d, e, rhs) -> np.ndarray:
+    """x with the symmetric tridiagonal (d, e) x = rhs, diagonal d and off
+    diagonal e, by LAPACK ptsv: the LDL^T factorization, without pivoting,
+    and its two substitutions, for a positive definite matrix.  It consumes
+    its inputs as tridiagonal_solve does, and x is rhs itself when rhs is
+    a contiguous float array.  Raises LinAlgError when the matrix is not
+    positive definite.
+    """
+    # overwrite_d, overwrite_e, overwrite_b
+    x, info = _ptsv(d, e, rhs, 1, 1, 1)[2:]
+    if info > 0:
+        raise np.linalg.LinAlgError("tridiagonal system is not positive definite")
+    return x
+
+
+def spd_factor(d, e) -> tuple:
+    """The LDL^T factor (D, the unit subdiagonal of L) of the symmetric
+    tridiagonal (d, e), by LAPACK pttrf, formed in d and e themselves, for
+    spd_substitute to solve with.  Raises LinAlgError when the matrix is
+    not positive definite.
+    """
+    d, e, info = _pttrf(d, e, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("tridiagonal system is not positive definite")
+    return d, e
+
+
+def spd_substitute(factor: tuple, rhs) -> np.ndarray:
+    """x with L D L^T x = rhs for a factor of spd_factor, by LAPACK pttrs;
+    the factor is kept, and x is rhs itself when rhs is a contiguous float
+    array."""
+    return _pttrs(*factor, rhs, 1)[0]
 
 
 class CubicSpline:
@@ -478,8 +533,8 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     deflation is needed.  psi is normalized to int psi^2 y^3 dy = 1 with
     psi(y_min) > 0.
     """
-    # H with a Dirichlet last row; the rows are not kept on the grid, which
-    # only the flow grids' steps read again
+    # H with a Dirichlet last row, read here alone: the rows are not kept
+    # on the grid
     rows, factors = neg_laplacian_rows(grid)
     dl, d, du = diagonals(rows * factors)
     d -= grid.V

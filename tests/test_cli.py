@@ -293,6 +293,7 @@ def test_simulate_manifest_reports_rejects_and_the_lost_decomposition(tmp_path):
     assert runs[0] == runs[1]
     assert runs[0]["decompose_lost_step"] == 27
     assert runs[0]["step_rejects"] == 4
+    assert runs[0]["remeshes"] == 0
     short = cli.run(parse_config(
         "command=simulate b0=0.01 kappa_exit_factor=2e4 max_steps=20"),
         out_override=str(tmp_path))["metrics"]

@@ -276,3 +276,21 @@ def test_cli_import_leaves_scipy_interpolate_out():
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_imports_scipy_only_where_it_needs_it():
+    # radial takes its LAPACK routines from scipy.linalg.lapack and
+    # modulation its Ei from scipy.special; any other scipy module would
+    # add to every start (setup time) without a reader
+    allowed = {("radial.py", "scipy.linalg.lapack"), ("modulation.py", "scipy.special")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found |= {(path.name, mod) for mod in modules if mod.split(".")[0] == "scipy"}
+    assert found <= allowed, sorted(found - allowed)

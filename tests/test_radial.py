@@ -266,7 +266,7 @@ def test_neg_laplacian_bands_match_apply_H(grid):
     for g in (grid, flow_grid):
         y = g.nodes
         f = (1.0 + y**2) * np.exp(-(y**2) / 50.0)
-        rows, factors = g.neg_laplacian
+        rows, factors = radial.neg_laplacian_rows(g)
         dl, d, du = radial.diagonals(rows * factors)
         bf = d * f
         bf[:-1] += du * f[1:]
@@ -282,28 +282,59 @@ def test_neg_laplacian_bands_match_apply_H(grid):
 
 
 def test_neg_laplacian_rows_keep_the_bits_of_each_diagonal():
-    # (scale * rows) * factors gives each diagonal's bits, and the rows at
-    # half a scale are exactly half the rows, as the step's dt/2 system reads
-    # them, on the profile grid and the 561-node march flow grid
+    # (scale * rows) * factors gives each diagonal's bits, on the profile
+    # grid and the 561-node march flow grid
     cache = flow.ProfileCache(RunConfig(command="simulate"))
     march = flow._flow_grid(flow.Y_MIN_FLOW, flow._flow_r_max(0.01, cache.reach), 120)
     assert march.n == 561
     for g in (cache.grid, march):
-        rows, factors = g.neg_laplacian
+        rows, factors = radial.neg_laplacian_rows(g)
         for scale in (1.0, 1e-13, 1e-3, 0.5):
             diags = radial.diagonals((scale * rows) * factors)
-            halved = radial.diagonals(((0.5 * scale) * rows) * factors)
-            for ours, ref, half in zip(diags, neg_laplacian_by_diagonal(g, scale), halved):
+            for ours, ref in zip(diags, neg_laplacian_by_diagonal(g, scale)):
                 assert same_bits(ours, ref)
-                assert same_bits(half, 0.5 * ours)
+
+
+def test_dirichlet_system_is_the_symmetrized_step_matrix():
+    # on the march flow grid, a remeshed one, the profile grid and a grid
+    # of 24 decades: W is finite and positive, it symmetrizes -Delta's
+    # bands to a few ulps, and the symmetric product is W (I + h(-Delta)) x
+    # on the n - 1 rows below the Dirichlet node
+    cache = flow.ProfileCache(RunConfig(command="simulate"))
+    march = flow._flow_grid(flow.Y_MIN_FLOW, flow._flow_r_max(0.01, cache.reach), 120)
+    remeshed, _ = flow._remesh(RunConfig(command="simulate", nodes_per_decade=120), march,
+                               radial.q_soliton(march.nodes), 0.4996)
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for g in (march, remeshed, cache.grid, radial.make_grid(1e-12, 1e12, 64)):
+        w, wd, we, c = g.dirichlet_system
+        m = g.n - 1
+        assert w.shape == wd.shape == (m,) and we.shape == (m - 1,)
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+        rows, factors = radial.neg_laplacian_rows(g)
+        dl, d, du = radial.diagonals(rows * factors)
+        assert np.all(np.abs(w[1:] * dl[:m - 1] - we) <= 4 * eps * np.abs(we))
+        for _ in range(8):
+            x = rng.normal(size=g.n)
+            h = 10.0 ** rng.uniform(-8, 0)
+            sym = (w + h * wd) * x[:m]
+            sym[:-1] += h * we * x[1:m]
+            sym[1:] += h * we * x[:m - 1]
+            sym[-1] += h * c * x[m]
+            ref = x[:m] + h * (d[:m] * x[:m] + du * x[1:])
+            ref[1:] += h * dl[:m - 1] * x[:m - 1]
+            size = np.abs(x[:m]) + h * (np.abs(d[:m] * x[:m]) + np.abs(du * x[1:]))
+            size[1:] += h * np.abs(dl[:m - 1] * x[:m - 1])
+            assert np.all(np.abs(sym - w * ref) <= 1e-14 * w * size)
 
 
 def test_unstable_mode_keeps_no_rows_on_its_grid():
-    # the flow step reads a grid's -Delta rows at every trial and keeps
-    # them; the eigenmode reads them once, so the profile and suite grids
-    # do not hold them (98 KB on the 3,072-node profile grid)
+    # the flow step reads a grid's symmetrized system at every trial and
+    # keeps it; the eigenmode reads -Delta's rows once, so the profile and
+    # suite grids hold neither (74 KB of system on the 3,072-node profile
+    # grid)
     cache = flow.ProfileCache(RunConfig(command="simulate"))
-    assert cache.grid.n == 3072 and "neg_laplacian" not in vars(cache.grid)
+    assert cache.grid.n == 3072 and "dirichlet_system" not in vars(cache.grid)
 
 
 def test_apply_H_is_symmetric(grid):
