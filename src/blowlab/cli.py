@@ -143,6 +143,7 @@ def _cmd_simulate(config: RunConfig, run_dir):
         "newton_iterations": traj.newton_iterations,
         "jacobian_builds": traj.jacobian_builds,
         "profile_builds": traj.profile_builds,
+        "profile_serves": traj.profile_serves,
         "remeshes": traj.remeshes,
     }
     ok = traj.termination != "solver_failure"

@@ -143,14 +143,16 @@ class ProfileMemo:
     MEMO_TOL: without it, builds that cluster next to a far b (as the first
     Jacobian's b + db does beside b) magnify their roundoff into E, which
     then underestimates the error.  Otherwise Q~_b is built exactly and
-    pushed, and the divided differences are recomputed.  Along a run b
-    moves by about 1e-4 of itself per step, so most requests are served.
+    pushed, and the divided differences are updated: the last push's
+    f[b1, b2] and f[b1, b2, b3] are the new f[b2, b3] and f[b2, b3, b4],
+    so a push forms three.  Along a run b moves by about 1e-4 of itself
+    per step, so most requests are served.
 
     A build (`profiles.localized_profile`) computes Q~_b alone, on the
     decomposition prefix: the three H^-1 solves, the radiation and the
     chi_{B1} localization over its n nodes, with the same bits as the whole
     set's Q~_b there.  On the `shoot` grid (2,527 of 3,072 nodes, M = 50)
-    that takes about 250 us, where a whole set takes about 300 us.  The
+    that takes about 240 us, where a whole set takes about 310 us.  The
     first push of a run slices the set `init_data` left on the grid at b0.
 
     A memo belongs to one run: what it serves depends on the builds before,
@@ -166,6 +168,7 @@ class ProfileMemo:
         self.bs = []  # exact builds, newest first, at most four
         self.qs = []
         self.builds = 0
+        self.serves = 0  # requests answered without a build, kept or interpolated
         self.newton = None  # (f[b1, b2], f[b1, b2, b3]) once four are kept
         self.radius = 0.0  # largest |(b - b1)(b - b2)(b - b3)| the gate passes
         self.nodes = None  # prod_{j != i} (b_i - b_j), the cubic's denominators
@@ -173,6 +176,7 @@ class ProfileMemo:
     def q_b(self, b: float) -> np.ndarray:
         """Q~_b on the decomposition prefix: kept, served or built."""
         if b in self.bs:
+            self.serves += 1
             return self.qs[self.bs.index(b)]
         if self.newton is not None:
             d = [b - bi for bi in self.bs]
@@ -181,6 +185,7 @@ class ProfileMemo:
                     sum(abs(prod3 * d[3] / (di * ni)) for di, ni in zip(d, self.nodes))
                     <= MEMO_LEBESGUE):
                 d12, d123 = self.newton
+                self.serves += 1
                 return self.qs[0] + d[0] * (d12 + d[1] * d123)
         return self._push(b)
 
@@ -191,9 +196,13 @@ class ProfileMemo:
         self.qs = [q] + self.qs[:3]
         if len(self.bs) == 4:
             (b1, b2, b3, b4), (q1, q2, q3, q4) = self.bs, self.qs
-            d12, d23 = (q1 - q2) / (b1 - b2), (q2 - q3) / (b2 - b3)
-            d34 = (q3 - q4) / (b3 - b4)
-            d123, d234 = (d12 - d23) / (b1 - b3), (d23 - d34) / (b2 - b4)
+            if self.newton is None:
+                d23 = (q2 - q3) / (b2 - b3)
+                d234 = (d23 - (q3 - q4) / (b3 - b4)) / (b2 - b4)
+            else:  # the last push's f[b1, b2] and f[b1, b2, b3], same operands
+                d23, d234 = self.newton
+            d12 = (q1 - q2) / (b1 - b2)
+            d123 = (d12 - d23) / (b1 - b3)
             d1234 = (d123 - d234) / (b1 - b4)
             self.newton = (d12, d123)
             self.nodes = [float(np.prod([bi - bj for bj in self.bs if bj != bi]))
@@ -250,6 +259,7 @@ class FlowTrajectory:
     newton_iterations: int = 0  # decompose iterations over its successful calls
     jacobian_builds: int = 0  # fresh Newton Jacobians over the run
     profile_builds: int = 0  # exact Q~_b builds decompose asked for over the run
+    profile_serves: int = 0  # Q~_b requests the run's memo answered without a build
     remeshes: int = 0  # flow grids rebuilt in the self-similar variable over the run
 
     def series(self, name: str) -> np.ndarray:
@@ -681,7 +691,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         classification=None, steps=step,
         step_rejects=rejects, decompose_lost_step=lost_step,
         newton_iterations=iterations, jacobian_builds=jacobians,
-        profile_builds=memo.builds, remeshes=remeshes,
+        profile_builds=memo.builds, profile_serves=memo.serves, remeshes=remeshes,
     )
     traj.classification = classify(traj)
     return traj

@@ -387,7 +387,8 @@ class CubicSpline:
         s = tridiagonal_solve(dl, d, du, rhs)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
-        self.coeffs = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1].copy())
+        # (c0, c1, c2, c3) of each interval, gathered by one take per call
+        self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
         self.inv_step = (n - 1) / (x[-1] - x[0])
         # interval bounds: the end intervals reach out to -inf and +inf
         self.bounds = np.concatenate(([-np.inf], x[1:-1], [np.inf]))
@@ -404,7 +405,7 @@ class CubicSpline:
         if off.any():
             i[off] = np.minimum(np.searchsorted(bounds, q[off], side="right") - 1, last)
         z = q - np.take(x, i)
-        c0, c1, c2, c3 = (np.take(c, i) for c in self.coeffs)
+        c0, c1, c2, c3 = np.take(self.coeffs, i, axis=1)
         zz = z * z
         return ((c3 + c2 * z) + c1 * zz) + c0 * (zz * z)
 
@@ -451,22 +452,40 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     return out - grid.V * v
 
 
-def cumulative_integral(grid: RadialGrid, integrand: np.ndarray, head: float = 0.0) -> np.ndarray:
-    """Running integral int_0^{y_i} g y^3 dy with the grid's panel rule, on
-    the prefix of the nodes that `integrand` covers.
+def cumulative_integral(grid: RadialGrid, f: np.ndarray, modes: tuple,
+                        heads: tuple) -> np.ndarray:
+    """The two running integrals int_0^{y_i} f m y^3 dy, m in `modes`, with
+    the grid's panel rule on the prefix of the nodes that f covers, as the
+    rows of a (2, n) array.
 
-    head supplies the analytic contribution of (0, y_min].  The sum is
-    accumulated in extended precision: the white round-off of a plain
-    cumulative sum survives fourth-order differencing of the profiles it
-    feeds and would dominate the H^2-weighted residual norms.  It runs
-    from the origin out, so a prefix gets the same bits as the whole grid.
+    heads supplies each integral's analytic contribution of (0, y_min].
+    The sums are accumulated in extended precision: the white round-off of
+    a plain cumulative sum survives fourth-order differencing of the
+    profiles it feeds and would dominate the H^2-weighted residual norms.
+    Both run in one clongdouble cumulative sum, one in each lane.  Complex
+    addition is two independent real additions, so each lane keeps the bits
+    of a longdouble sum of its own float64 panel increments, and the second
+    chain of adds costs almost nothing beside the first.  Each head is added
+    in extended precision after the sum, which is then rounded to float64
+    once.  The sums run from the origin out, so a prefix gets the same bits
+    as the whole grid.
     """
-    n = integrand.size
-    left, right = grid.panels
-    inc = left[:n - 1] * integrand[:-1] + right[:n - 1] * integrand[1:]
-    out = np.empty(n)
-    out[0] = head
-    out[1:] = np.cumsum(inc.astype(np.longdouble)) + head
+    n = f.size
+    left, right = (p[:n - 1] for p in grid.panels)
+    acc = np.empty(n - 1, np.clongdouble)
+    out = np.empty((2, n))
+    # until the sums are written, the rows of out hold one lane's integrand
+    # and the left half of its increments
+    g, half = out[0], out[1, :-1]
+    for lane, mode in zip((acc.real, acc.imag), modes):
+        np.multiply(f, mode, out=g)
+        np.multiply(left, g[:-1], out=half)
+        np.multiply(right, g[1:], out=g[1:])
+        np.add(half, g[1:], out=lane, dtype=np.float64)  # added in float64, widened exactly
+    np.cumsum(acc, out=acc)
+    out[:, 0] = heads
+    for row, lane, head in zip(out, (acc.real, acc.imag), heads):
+        np.add(lane, head, out=row[1:])
     return out
 
 
@@ -492,17 +511,16 @@ def solve_H_with_derivative(grid: RadialGrid, f: np.ndarray):
     """(u, u') with H u = f by variation of parameters, smooth at the origin.
 
     u = Gamma int_0^y f LambdaQ - LambdaQ int_0^y f Gamma, the solution
-    that vanishes at the origin, with the inner integrals accumulated by the
-    grid quadrature and an analytic head on (0, y_min]; u' is built from the
-    same integrals with the closed-form derivatives.  f must be integrable
+    that vanishes at the origin, with both inner integrals accumulated in
+    one extended-precision pass of cumulative_integral (the grid quadrature
+    and an analytic head on (0, y_min]); u' is built from the same
+    integrals with the closed-form derivatives.  f must be integrable
     against Gamma ~ 1/(2y^2) at the origin.  u at y reads f on (0, y] only,
     so f may cover a prefix of the nodes, and (u, u') cover the same one.
     """
     n = f.size
     lq, lqp, gm, gmp = (mode[:n] for mode in grid.zero_modes)
-    head_lq, head_g = _series_heads(grid, float(f[0]))
-    i1 = cumulative_integral(grid, f * lq, head=head_lq)
-    i2 = cumulative_integral(grid, f * gm, head=head_g)
+    i1, i2 = cumulative_integral(grid, f, (lq, gm), _series_heads(grid, float(f[0])))
     u = gm * i1 - lq * i2
     up = gmp * i1 - lqp * i2
     return u, up

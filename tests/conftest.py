@@ -88,6 +88,19 @@ class ExactProfileCache(flow.ProfileCache):
         return flow.assemble_profiles(b, self.grid).Q_b_tilde
 
 
+def cumulative_integral_one_lane(grid, integrand, head):
+    """Single-lane reference for cumulative_integral: one running integral
+    int_0^{y_i} g y^3 dy, its float64 panel increments cast to longdouble
+    and summed alone, plus the head, rounded to float64."""
+    n = integrand.size
+    left, right = grid.panels
+    inc = left[:n - 1] * integrand[:-1] + right[:n - 1] * integrand[1:]
+    out = np.empty(n)
+    out[0] = head
+    out[1:] = np.cumsum(inc.astype(np.longdouble)) + head
+    return out
+
+
 def coercivity_H_adversarial(grid):
     """Coercivity ratio of the unprojected near-kernel direction
     chi_10 Lambda Q, which shows that the orthogonality projection of the

@@ -313,6 +313,7 @@ def test_simulate_manifest_counts_the_newton_work(tmp_path):
     assert m["newton_iterations"] >= m["steps"]  # every call checks its residual once
     assert 0 < m["jacobian_builds"] < m["steps"]
     assert 0 < m["profile_builds"] < m["steps"]  # the run's memo serves most Q~_b
+    assert m["profile_serves"] > m["profile_builds"]
     # and the CSVs stay byte-identical run to run
     csvs = [f for f in runs[0]["files"] if f.endswith(".csv")]
     match, _, _ = filecmp.cmpfiles(runs[0]["run_dir"], runs[1]["run_dir"], csvs,

@@ -761,6 +761,26 @@ def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_p
         assert same_bits(ours, parent), f"step {cp.step}"
 
 
+def test_memo_builds_or_serves_every_request():
+    # the march workload's config: its decompositions, all before the loss
+    # at step 27, ask the memo for Q~_b 191 times; 84 are built, 39 are a
+    # kept build and 68 are interpolated
+    params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=60)
+    requests = []
+    q_b = flow.ProfileMemo.q_b
+
+    def recording(memo, b):
+        requests.append(b in memo.bs)
+        return q_b(memo, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow.ProfileMemo, "q_b", recording)
+        traj = flow.simulate(params)
+    assert traj.decompose_lost_step == 27
+    assert traj.profile_builds + traj.profile_serves == len(requests) == 191
+    assert (traj.profile_builds, sum(requests)) == (84, 39)
+
+
 def test_probe_ends_at_its_lost_decomposition():
     # b0 = 0.01 loses its decomposition at step 27; a shooting probe stops
     # there with the last kappa and smallest lambda of a run that steps on
@@ -781,7 +801,7 @@ def test_probe_ends_at_its_lost_decomposition():
 # carries (the others are scale invariant)
 RUN_COUNTS = ("termination", "classification", "steps", "step_rejects",
               "decompose_lost_step", "newton_iterations", "jacobian_builds",
-              "profile_builds", "remeshes")
+              "profile_builds", "profile_serves", "remeshes")
 LAMBDA0_POWER = {"t": 2, "lam": 1, "u_max": -1}
 
 

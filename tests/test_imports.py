@@ -269,6 +269,34 @@ def test_no_defaults_every_call_sets():
     assert not always, "defaulted parameters every call sets:\n" + "\n".join(always)
 
 
+# numpy's extended-precision types, by type name and alias
+EXTENDED_PRECISION = {"longdouble", "clongdouble", "float128", "complex256"}
+
+
+def test_extended_precision_stays_in_cumulative_integral():
+    # the running integrals are the one sum that needs more than float64,
+    # and cumulative_integral accumulates them all: the program reads an
+    # extended-precision type there (by attribute, name or string) and
+    # nowhere else
+    inside, outside = 0, []
+    for root in PROGRAM:
+        for path in sorted(root.glob("*.py")):
+            for top in ast.parse(path.read_text(), filename=str(path)).body:
+                home = (path == SRC / "radial.py" and isinstance(top, ast.FunctionDef)
+                        and top.name == "cumulative_integral")
+                for node in ast.walk(top):
+                    name = (node.attr if isinstance(node, ast.Attribute)
+                            else node.id if isinstance(node, ast.Name)
+                            else node.value if isinstance(node, ast.Constant) else None)
+                    if name in EXTENDED_PRECISION:
+                        if home:
+                            inside += 1
+                        else:
+                            outside.append(f"{path.name}:{node.lineno}: {name}")
+    assert inside > 0 and not outside, "extended precision outside cumulative_integral:\n" + \
+        "\n".join(outside)
+
+
 def test_cli_import_leaves_scipy_interpolate_out():
     # scipy.interpolate pulls in scipy.optimize, about 0.3 s of every start
     code = "import sys, blowlab.cli; print('scipy.interpolate' in sys.modules)"

@@ -1,5 +1,7 @@
 """Grid, quadrature, closed forms, the operator H, and its inverse."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from scipy.special import gammainc
 from blowlab import flow, radial
 from blowlab.config import RunConfig
 
-from conftest import l2_window, neg_laplacian_by_diagonal, same_bits
+from conftest import (cumulative_integral_one_lane, l2_window, neg_laplacian_by_diagonal,
+                      same_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +49,7 @@ def test_radial_writes_nothing_into_the_grid_cache():
     radial.solve_H_with_derivative(g, f)
     radial.apply_H(g, f)
     radial.neg_laplacian_rows(g)
-    radial.cumulative_integral(g, f)
+    radial.cumulative_integral(g, f, g.zero_modes[::2], (0.0, 0.0))
     assert g.cache == {}
 
 
@@ -357,6 +360,45 @@ def test_solve_H_roundtrip(grid, fine_grid):
         errs.append(l2_window(g, radial.apply_H(g, u) - rhs))
     assert errs[0] < 1e-4
     assert np.log2(errs[0] / errs[1]) > 1.7
+
+
+def _integrands(y):
+    """f for the running-integral tests: smooth and decaying, and a cutoff
+    times Lambda Q, exactly zero beyond the cutoff's support."""
+    return np.exp(-y) * np.cos(3.0 * y), radial.cutoff(10.0, y) * radial.lambda_q(y)
+
+
+def test_two_lane_integrals_keep_the_bits_of_one_lane_each():
+    # the real and imaginary lanes of one clongdouble sum each add as a
+    # longdouble sum alone, on the profile grid and on any prefix of it
+    grid = flow.ProfileCache(RunConfig(command="shoot", b0=3e-3)).grid
+    assert grid.n == 3072
+    lq, _, gm, _ = grid.zero_modes
+    for f in _integrands(grid.nodes):
+        for n in (1, 2, 64, 2527, grid.n):
+            series = radial._series_heads(grid, float(f[0]))
+            for heads in (series, (0.0, 0.0), (-1.5, 2.0**-40)):
+                got = radial.cumulative_integral(grid, f[:n], (lq[:n], gm[:n]), heads)
+                assert got.shape == (2, n)
+                for row, mode, head in zip(got, (lq, gm), heads):
+                    want = cumulative_integral_one_lane(grid, f[:n] * mode[:n], head)
+                    assert same_bits(row, want), (n, head)
+
+
+def test_running_integrals_are_within_an_ulp_of_the_exact_prefix_sums():
+    # each output is the exact sum of the float64 panel increments and the
+    # head to within 1 ulp; a float64 (complex128) accumulation misses this
+    grid = radial.make_grid(1e-4, 100.0, 600)
+    left, right = grid.panels
+    lq, _, gm, _ = grid.zero_modes
+    for f in _integrands(grid.nodes):
+        heads = radial._series_heads(grid, float(f[0]))
+        got = radial.cumulative_integral(grid, f, (lq, gm), heads)
+        for row, mode, head in zip(got, (lq, gm), heads):
+            g = f * mode
+            inc = (left * g[:-1] + right * g[1:]).tolist()
+            exact = np.array([math.fsum([head] + inc[:k]) for k in range(grid.n)])
+            assert np.all(np.abs(row - exact) <= np.spacing(np.abs(exact)))
 
 
 def test_unstable_mode(grid, fine_grid, eigenpair):
