@@ -128,25 +128,36 @@ class ProfileMemo:
     """One run's view of a ProfileCache that serves Q~_b mostly without
     building it.
 
-    It keeps the last four exact Q~_b (three for a quadratic, one more to
+    It keeps the last five exact Q~_b (four for a cubic, one more to
     estimate its remainder), each on the decomposition's prefix of the
-    profile grid (the pairing and psi windows).  Any other b is served
-    by the quadratic through the newest three, b1, b2, b3, in Newton form,
-    when two conditions hold.  The cubic term through the fourth,
-    E = f[b1, .., b4] (b - b1)(b - b2)(b - b3), pairs against w Phi_M and
+    profile grid (the pairing and psi windows).  Any other b is served by
+    the cubic through the newest four, b1, .., b4, in Newton form, when two
+    conditions hold.  The quartic term through the fifth,
+    E = f[b1, .., b5] (b - b1) .. (b - b4), pairs against w Phi_M and
     w H Phi_M over the pairing window and against w psi over the psi window
     to at most MEMO_TOL / 2 times that pairing's scale |v| |Q~|.  And the
-    Lebesgue sum at b of the cubic through all four, sum_i |l_i(b)|, is at
-    most MEMO_LEBESGUE.  A served Q~_b misses the exact one by -E, plus the
-    builds' roundoff times at most that sum, plus the quartic remainder, so
-    the second condition keeps the last two within the other half of
-    MEMO_TOL: without it, builds that cluster next to a far b (as the first
-    Jacobian's b + db does beside b) magnify their roundoff into E, which
-    then underestimates the error.  Otherwise Q~_b is built exactly and
-    pushed, and the divided differences are updated: the last push's
-    f[b1, b2] and f[b1, b2, b3] are the new f[b2, b3] and f[b2, b3, b4],
-    so a push forms three.  Along a run b moves by about 1e-4 of itself
-    per step, so most requests are served.
+    Lebesgue sum at b of the quartic through all five, sum_i |l_i(b)|, is
+    at most MEMO_LEBESGUE.  A served Q~_b misses the exact one by -E, plus
+    the builds' roundoff times at most that sum, plus the quintic
+    remainder, so the second condition keeps the last two within the other
+    half of MEMO_TOL: without it, builds that cluster next to a far b (as
+    the first Jacobian's b + db does beside b) magnify their roundoff into
+    E, which then underestimates the error.
+
+    A miss looks ahead before it builds.  Along a run b drifts one way, by
+    about 1e-4 of itself per step, so a miss is mostly a b just past the
+    newest build b1, where the five builds extrapolate and their Lebesgue
+    sum is large (one spacing past five equally spaced nodes sums to 31).
+    So the memo first applies the gate, at its current radius, to the
+    builds in which the mirror point 2b - b1 replaces the oldest: b is then
+    the midpoint of b1 and the new build.  If that passes, it builds at the
+    mirror point and serves b, and the next requests of the drift fall
+    between b1 and the mirror point too.  Otherwise, or when the gate at
+    the new radius then fails, b itself is built; so is a b whose mirror
+    point is already kept or lies outside the b the profile grid resolves.
+    A push updates the divided differences: the last push's f[b1, b2],
+    f[b1, b2, b3] and f[b1, .., b4] are the new f[b2, b3], f[b2, b3, b4]
+    and f[b2, .., b5], so a push forms four.
 
     A build (`profiles.localized_profile`) computes Q~_b alone, on the
     decomposition prefix: the three H^-1 solves, the radiation and the
@@ -165,56 +176,70 @@ class ProfileMemo:
         self.grid, self.phi, self.eig = cache.grid, cache.phi, cache.eig
         self.pair_n, self.psi_n, self.n = cache.pair_n, cache.psi_n, cache.n
         self.reach, self.gates = cache.reach, cache.gates
-        self.bs = []  # exact builds, newest first, at most four
+        self.bs = []  # exact builds, newest first, at most five
         self.qs = []
         self.builds = 0
         self.serves = 0  # requests answered without a build, kept or interpolated
-        self.newton = None  # (f[b1, b2], f[b1, b2, b3]) once four are kept
-        self.radius = 0.0  # largest |(b - b1)(b - b2)(b - b3)| the gate passes
-        self.nodes = None  # prod_{j != i} (b_i - b_j), the cubic's denominators
+        self.newton = None  # (f[b1, b2], f[b1, b2, b3], f[b1, .., b4]) once five are kept
+        self.radius = 0.0  # largest |(b - b1) .. (b - b4)| the gate passes
 
     def q_b(self, b: float) -> np.ndarray:
         """Q~_b on the decomposition prefix: kept, served or built."""
         if b in self.bs:
             self.serves += 1
             return self.qs[self.bs.index(b)]
-        if self.newton is not None:
-            d = [b - bi for bi in self.bs]
-            prod3 = d[0] * d[1] * d[2]
-            if (abs(prod3) <= self.radius and
-                    sum(abs(prod3 * d[3] / (di * ni)) for di, ni in zip(d, self.nodes))
-                    <= MEMO_LEBESGUE):
-                d12, d123 = self.newton
-                self.serves += 1
-                return self.qs[0] + d[0] * (d12 + d[1] * d123)
-        return self._push(b)
+        if self.newton is None:
+            return self._push(b)
+        if not self._gate(b, self.bs):
+            mirror = 2.0 * b - self.bs[0]
+            # builds stay distinct, at b the profile grid resolves
+            if (mirror in self.bs or not resolves(self.grid, mirror)
+                    or not self._gate(b, [mirror] + self.bs[:4])):
+                return self._push(b)
+            self._push(mirror)
+            if not self._gate(b, self.bs):
+                return self._push(b)
+        d1, d2, d3 = (b - bi for bi in self.bs[:3])
+        d12, d123, d1234 = self.newton
+        self.serves += 1
+        return self.qs[0] + d1 * (d12 + d2 * (d123 + d3 * d1234))
+
+    def _gate(self, b: float, bs: list) -> bool:
+        """Whether the gate at the current radius serves b from five builds
+        bs, newest first: the quartic term's bound and the Lebesgue sum
+        sum_i |l_i(b)|, l_i(b) = prod_{j != i} (b - b_j) / (b_i - b_j)."""
+        d = [b - bi for bi in bs]
+        prod4 = d[0] * d[1] * d[2] * d[3]
+        return (abs(prod4) <= self.radius and
+                sum(abs(prod4 * d[4] / (di * math.prod(bi - bj for bj in bs if bj != bi)))
+                    for di, bi in zip(d, bs)) <= MEMO_LEBESGUE)
 
     def _push(self, b: float) -> np.ndarray:
         q = localized_profile(b, self.grid, self.n)
         self.builds += 1
-        self.bs = [b] + self.bs[:3]
-        self.qs = [q] + self.qs[:3]
-        if len(self.bs) == 4:
-            (b1, b2, b3, b4), (q1, q2, q3, q4) = self.bs, self.qs
+        self.bs = [b] + self.bs[:4]
+        self.qs = [q] + self.qs[:4]
+        if len(self.bs) == 5:
+            (b1, b2, b3, b4, b5), (q1, q2, q3, q4, q5) = self.bs, self.qs
             if self.newton is None:
-                d23 = (q2 - q3) / (b2 - b3)
-                d234 = (d23 - (q3 - q4) / (b3 - b4)) / (b2 - b4)
-            else:  # the last push's f[b1, b2] and f[b1, b2, b3], same operands
-                d23, d234 = self.newton
+                d23, d34 = (q2 - q3) / (b2 - b3), (q3 - q4) / (b3 - b4)
+                d234 = (d23 - d34) / (b2 - b4)
+                d2345 = (d234 - (d34 - (q4 - q5) / (b4 - b5)) / (b3 - b5)) / (b2 - b5)
+            else:  # the last push's f[b1, b2], f[b1, b2, b3] and f[b1, .., b4]
+                d23, d234, d2345 = self.newton
             d12 = (q1 - q2) / (b1 - b2)
             d123 = (d12 - d23) / (b1 - b3)
             d1234 = (d123 - d234) / (b1 - b4)
-            self.newton = (d12, d123)
-            self.nodes = [float(np.prod([bi - bj for bj in self.bs if bj != bi]))
-                          for bi in self.bs]
+            d12345 = (d1234 - d2345) / (b1 - b5)
+            self.newton = (d12, d123, d1234)
             w = self.grid.weights
             radius = np.inf
             for wv, v_norm in self.gates:
                 m = wv.size
-                cubic = abs(float(np.dot(wv, d1234[:m])))
+                quartic = abs(float(np.dot(wv, d12345[:m])))
                 scale = v_norm * float(np.sqrt(np.dot(w[:m], q1[:m] * q1[:m])))
-                if cubic > 0.0:
-                    radius = min(radius, 0.5 * MEMO_TOL * scale / cubic)
+                if quartic > 0.0:
+                    radius = min(radius, 0.5 * MEMO_TOL * scale / quartic)
             self.radius = radius
         return q
 
@@ -258,7 +283,7 @@ class FlowTrajectory:
     decompose_lost_step: int | None = None  # step whose decomposition failed
     newton_iterations: int = 0  # decompose iterations over its successful calls
     jacobian_builds: int = 0  # fresh Newton Jacobians over the run
-    profile_builds: int = 0  # exact Q~_b builds decompose asked for over the run
+    profile_builds: int = 0  # exact Q~_b builds the run's memo made, ahead of b included
     profile_serves: int = 0  # Q~_b requests the run's memo answered without a build
     remeshes: int = 0  # flow grids rebuilt in the self-similar variable over the run
 

@@ -528,17 +528,17 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
 
 
 def _served_by_memos(run):
-    """Run `run()` and return its result, every Q~_b a memo served (not
-    kept) with its memo, the number of decompose calls and the number of
-    memo builds (calls of profiles.localized_profile)."""
+    """Run `run()` and return its result, every Q~_b a memo served (neither
+    kept nor built at b, with or without a look-ahead build) with its memo,
+    the number of decompose calls and the number of memo builds (calls of
+    profiles.localized_profile)."""
     served, calls, builds = [], [], []
     q_b, decompose, build = flow.ProfileMemo.q_b, flow.decompose, flow.localized_profile
 
     def recording(memo, b):
         kept = b in memo.bs
-        n_built = memo.builds
         q = q_b(memo, b)
-        if not kept and memo.builds == n_built:
+        if not kept and b not in memo.bs:
             served.append((b, q, memo))
         return q
 
@@ -565,12 +565,14 @@ def memo_run():
 
 
 def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
-    # b moves by about 6e-5 of itself per step here, so the quadratic through
-    # the last three builds serves most calls: 32 builds for 51 calls, where
-    # exact builds made about 2 per call.  The run reports the builds made
+    # b moves by about 6e-5 of itself per step here, so the cubic through the
+    # last four builds, with builds placed ahead of the drift, serves most
+    # calls: 19 builds for 51 calls, where exact builds made about 2 per call
+    # and the quadratic through the last three 32.  The run reports the
+    # builds made
     _, traj, served, calls, builds = memo_run
     assert traj.termination == "exit_plus" and traj.steps == calls == 51
-    assert traj.profile_builds == builds == 32
+    assert traj.profile_builds == builds == 19
     assert len(served) > calls
 
 
@@ -620,16 +622,74 @@ def _worst_served_error(cache, served):
 
 def test_memo_serves_q_b_within_its_gate(memo_run):
     # every served Q~_b meets a fresh build within MEMO_TOL of each pairing's
-    # scale, at the step sizes of the shoot + probe (b0 = 3e-3) and of march
-    # (b0 = 0.01, whose builds carry far more roundoff)
+    # scale, at the step sizes of the shoot workload's + and - probes
+    # (b0 = 3e-3), of march (b0 = 0.01, whose builds carry far more
+    # roundoff) and of two a+ = 0 runs whose gauge holds (M = 20 at
+    # b0 = 3e-3, 79 steps, and M = 10 at b0 = 0.01, 70 steps).  The worst
+    # read about 0.01, 0.01, 0.70, 0.46 and 0.50 MEMO_TOL
     cache, _, served, _, _ = memo_run
+    shoot = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
+    minus, minus_served, _, _ = _served_by_memos(
+        lambda: flow._probe(shoot, cache, -6.95153980321595e-4))
+    assert minus.termination == "exit_minus" and len(minus_served) > minus.steps
+    assert _worst_served_error(cache, served) <= flow.MEMO_TOL
+    assert _worst_served_error(cache, minus_served) <= flow.MEMO_TOL
     params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=30)
     march_cache = flow.ProfileCache(params)
     march, march_served, _, _ = _served_by_memos(
         lambda: flow.simulate(params, cache=march_cache))
     assert march.decompose_lost_step == 27 and len(march_served) > 27
-    assert _worst_served_error(cache, served) <= flow.MEMO_TOL
     assert _worst_served_error(march_cache, march_served) <= flow.MEMO_TOL < flow.NEWTON_TOL
+    for b0, M in ((3e-3, 20.0), (0.01, 10.0)):
+        params = RunConfig(command="simulate", b0=b0, M=M, kappa_exit_factor=2e4,
+                           max_steps=3000)
+        run_cache = flow.ProfileCache(params)
+        traj, run_served, _, _ = _served_by_memos(
+            lambda: flow.simulate(params, cache=run_cache))
+        assert traj.decompose_lost_step is None and len(run_served) > traj.steps
+        assert _worst_served_error(run_cache, run_served) <= flow.MEMO_TOL, (b0, M)
+
+
+def test_memo_miss_builds_at_the_mirror_point_when_the_gate_predicts_b(memo_run):
+    # five builds 1e-4 of b apart, drifting down: one spacing below the
+    # newest, b is past the builds and the gate fails, but with the mirror
+    # point 2b - b1 in place of the oldest b is between builds, so the memo
+    # builds there alone and serves b.  Ten spacings below, the prediction
+    # fails too and the memo builds b alone
+    cache = memo_run[0]
+    built = []
+    build = flow.localized_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "localized_profile", lambda *a: built.append(a[0]) or build(*a))
+        memo = flow.ProfileMemo(cache)
+        for k in range(5):
+            memo.q_b(3e-3 * (1.0 - 1e-4 * k))
+        b1, spacing = memo.bs[0], memo.bs[1] - memo.bs[0]
+        del built[:]
+        b = b1 - spacing
+        serves = memo.serves
+        memo.q_b(b)
+        assert built == [2.0 * b - b1] == memo.bs[:1] and b not in memo.bs
+        assert memo.serves == serves + 1
+        del built[:]
+        b = memo.bs[0] - 10.0 * spacing
+        memo.q_b(b)
+        assert built == [b] == memo.bs[:1] and memo.serves == serves + 1
+        # at the smallest b the profile grid resolves, a mirror point below
+        # it is not built, whatever the gate predicts
+        lo, hi = 0.0, 3e-3
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if flow.resolves(cache.grid, mid) else (mid, hi)
+        memo = flow.ProfileMemo(cache)
+        spacing = 1e-4 * hi
+        for k in range(5):
+            memo.q_b(hi + (5.5 - k) * spacing)
+        del built[:]
+        b = memo.bs[0] - spacing
+        assert not flow.resolves(cache.grid, 2.0 * b - memo.bs[0])
+        memo.q_b(b)
+        assert built == [b] == memo.bs[:1]
 
 
 def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monkeypatch):
@@ -763,22 +823,34 @@ def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_p
 
 def test_memo_builds_or_serves_every_request():
     # the march workload's config: its decompositions, all before the loss
-    # at step 27, ask the memo for Q~_b 191 times; 84 are built, 39 are a
-    # kept build and 68 are interpolated
+    # at step 27, ask the memo for Q~_b 191 times; 13 are a kept build, 111
+    # are interpolated, 54 are built and 13 are interpolated after a build
+    # at the mirror point, so 67 builds and 137 serves
     params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=60)
     requests = []
     q_b = flow.ProfileMemo.q_b
 
     def recording(memo, b):
-        requests.append(b in memo.bs)
-        return q_b(memo, b)
+        kept, builds = b in memo.bs, memo.builds
+        q = q_b(memo, b)
+        if kept:
+            requests.append("kept")
+        elif memo.builds == builds:
+            requests.append("served")
+        else:  # one build, at b or at the mirror point
+            assert memo.builds == builds + 1
+            requests.append("built" if b in memo.bs else "ahead")
+        return q
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow.ProfileMemo, "q_b", recording)
         traj = flow.simulate(params)
     assert traj.decompose_lost_step == 27
-    assert traj.profile_builds + traj.profile_serves == len(requests) == 191
-    assert (traj.profile_builds, sum(requests)) == (84, 39)
+    counts = {kind: requests.count(kind) for kind in ("kept", "served", "built", "ahead")}
+    assert counts == {"kept": 13, "served": 111, "built": 54, "ahead": 13}
+    assert len(requests) == 191 and sum(counts.values()) == len(requests)
+    assert traj.profile_builds == counts["built"] + counts["ahead"] == 67
+    assert traj.profile_serves == counts["kept"] + counts["served"] + counts["ahead"] == 137
 
 
 def test_probe_ends_at_its_lost_decomposition():
@@ -915,16 +987,6 @@ def unstable_runs(params, cache):
 def test_exit_classification_signs(unstable_runs):
     assert unstable_runs[+1].classification is RunClass.ExitUnstablePlus
     assert unstable_runs[-1].classification is RunClass.ExitUnstableMinus
-
-
-def test_kappa_growth_rate_matches_eigenvalue(params, cache, unstable_runs):
-    traj = unstable_runs[+1]
-    live = [c for c in traj.checkpoints if c.decomposed and abs(c.kappa) > 1e-5]
-    if len(live) >= 3:
-        s = np.array([c.s for c in live])
-        k = np.array([c.kappa for c in live])
-        rate = np.polyfit(s, np.log(np.abs(k)), 1)[0]
-        assert abs(rate - cache.eig.zeta) < 0.25 * cache.eig.zeta
 
 
 def test_twin_runs_grow_at_the_unstable_eigenvalue(cache):
