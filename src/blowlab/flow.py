@@ -10,8 +10,9 @@ L^2(y^3 dy), so each implicit system is solved by LDL^T without pivoting.
 
 Every accepted step re-decomposes the solution as u = (Q_loc(b) +
 eps)_lambda through the two orthogonality pairings against the localized
-direction Phi_M, with Q_loc(b) read from the run's memo of its last exact
-profile builds, and tracks the unstable-mode amplitude kappa = (eps, psi).
+direction Phi_M, with Q_loc(b) served by the quintic through exact profile
+builds on a fixed lattice in b, which every run on a ProfileCache shares,
+and tracks the unstable-mode amplitude kappa = (eps, psi).
 The shooting driver `shoot` bisects the initial amplitude a+ on the sign
 of the recorded exit, between the run config's bracket or one it grows
 itself; each probe ends where its decomposition is lost.
@@ -58,10 +59,16 @@ U_CAP = 1e12  # a run whose max|u| exceeds this (in 1/lambda0) ends as an overfl
 # decomposition
 NEWTON_TOL = 1e-11
 NEWTON_MAX = 16
-# a run's profile memo: the bound on a served Q~_b's pairings relative to
-# their scales, and the largest sum of |Lagrange weights| it serves at
+# the profile lattice in b: exact Q~_b at b_k = k MEMO_STEP, the step
+# halved at most MEMO_HALVINGS times, and the bound on a served Q~_b's
+# pairings relative to their scales
+MEMO_STEP = 2.0**-16
+MEMO_HALVINGS = 6
 MEMO_TOL = 0.1 * NEWTON_TOL
-MEMO_LEBESGUE = 16.0
+# Delta^6 over the nodes k-2, .., k+4, and prod_{j != i} (i - j) over the
+# quintic's nodes i = -2, .., 3, its Lagrange denominators
+SEXTIC = (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0)
+LAGRANGE = (-120.0, 24.0, -12.0, 12.0, -24.0, 120.0)
 # bracket search: grow from the admissible window up to this multiple of it
 BRACKET_GROW = 4.0
 BRACKET_MAX_FACTOR = 1e7
@@ -95,11 +102,19 @@ def _flow_r_max(b0: float, reach: float) -> float:
 
 
 class ProfileCache:
-    """Shared immutable profile-side machinery for one pairing radius M.
+    """The profile-side values of one pairing radius M, each a function of
+    b and M alone, shared by every run on the cache.
 
-    `init_data` and the checkpoints read Q~_b and zeta_b from the exact
-    profile set on its grid (assemble_profiles).  A run's decompositions
-    read Q~_b through its ProfileMemo, whose builds compute Q~_b alone."""
+    Formed once: the profile grid, the direction Phi_M, the unstable mode,
+    the decomposition's windows and the gate pairings.  Grown as runs ask
+    (see ProfileMemo): the exact Q~_b at lattice points b_k = k h, h being
+    MEMO_STEP or one of its halvings, on the decomposition prefix and keyed
+    by the float b_k, so a coarse node is an even node of the finer
+    levels; and the gate radius of each interval [b_k, b_k + h) served.  A
+    value kept here has the bits any run would have formed, so what a run
+    reads does not depend on the runs before it.  `init_data` and the
+    checkpoints read Q~_b and zeta_b from the exact profile set on its grid
+    (assemble_profiles)."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
@@ -115,133 +130,108 @@ class ProfileCache:
         self.psi_n = int(np.count_nonzero(y <= psi_cut))
         self.n = max(self.pair_n, self.psi_n)
         self.reach = float(y[self.n - 1])  # the largest y the decomposition reads
-        # the memo gate's pairings: (w v over its window, |v| over that window)
+        # the lattice gate's pairings: (w v over its window, |v| over that window)
         w = self.grid.weights
         self.gates = []
         for v, m in ((self.phi.Phi_M, self.pair_n), (self.phi.H_Phi_M, self.pair_n),
                      (self.eig.psi, self.psi_n)):
             wv = w[:m] * v[:m]
             self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
+        self.nodes = {}  # b_k -> the exact Q~_b on the decomposition prefix
+        self.radii = {}  # (h, k) -> the gate radius on [b_k, b_k + h)
+
+    def node(self, b: float) -> np.ndarray:
+        """The exact Q~_b at a lattice point b, built on its first request."""
+        q = self.nodes.get(b)
+        if q is None:
+            q = self.nodes[b] = localized_profile(b, self.grid, self.n)
+        return q
+
+    def radius(self, h: float, k: int) -> float:
+        """The gate on [b_k, b_k + h): the largest |prod_{i=-2..3} (t - i)|,
+        t = b/h - k, at which the sextic term through b_{k-2}, .., b_{k+4},
+        f[b_{k-2}, .., b_{k+4}] prod_i (b - b_{k+i}) = Delta^6 Q~ / 6! prod_i (t - i),
+        pairs against each gate vector v within MEMO_TOL / 2 of the scale
+        |v| |Q~_{b_k}| over v's window."""
+        r = self.radii.get((h, k))
+        if r is None:
+            d6 = sum(c * self.node((k + i) * h) for c, i in zip(SEXTIC, range(-2, 5)))
+            q = self.node(k * h)
+            w = self.grid.weights
+            r = math.inf
+            for wv, v_norm in self.gates:
+                m = wv.size
+                term = abs(float(np.dot(wv, d6[:m]))) / 720.0
+                if term > 0.0:
+                    scale = v_norm * float(np.sqrt(np.dot(w[:m], q[:m] * q[:m])))
+                    r = min(r, 0.5 * MEMO_TOL * scale / term)
+            self.radii[(h, k)] = r
+        return r
 
 
 class ProfileMemo:
-    """One run's view of a ProfileCache that serves Q~_b mostly without
-    building it.
+    """One run's reader of the Q~_b lattice on its ProfileCache.
 
-    It keeps the last five exact Q~_b (four for a cubic, one more to
-    estimate its remainder), each on the decomposition's prefix of the
-    profile grid (the pairing and psi windows).  Any other b is served by
-    the cubic through the newest four, b1, .., b4, in Newton form, when two
-    conditions hold.  The quartic term through the fifth,
-    E = f[b1, .., b5] (b - b1) .. (b - b4), pairs against w Phi_M and
-    w H Phi_M over the pairing window and against w psi over the psi window
-    to at most MEMO_TOL / 2 times that pairing's scale |v| |Q~|.  And the
-    Lebesgue sum at b of the quartic through all five, sum_i |l_i(b)|, is
-    at most MEMO_LEBESGUE.  A served Q~_b misses the exact one by -E, plus
-    the builds' roundoff times at most that sum, plus the quintic
-    remainder, so the second condition keeps the last two within the other
-    half of MEMO_TOL: without it, builds that cluster next to a far b (as
-    the first Jacobian's b + db does beside b) magnify their roundoff into
-    E, which then underestimates the error.
+    With k = floor(b/h), Q~_b is served by the quintic through the six
+    nodes b_{k-2}, .., b_{k+3} (in Lagrange form; on this middle interval
+    the Lebesgue sum is at most 1.39, so the nodes' roundoff stays as
+    small as it is) when the sextic term through the seventh node b_{k+4}
+    passes the cache's gate on [b_k, b_k + h): that term pairs against
+    w Phi_M and w H Phi_M over the pairing window and against w psi over
+    the psi window within MEMO_TOL / 2 of each pairing's scale.  The step
+    starts at h = MEMO_STEP and halves where the gate fails, at most
+    MEMO_HALVINGS times; a b on a node returns that node's bits.  A b no
+    level passes, or whose stencil leaves the b the profile grid resolves,
+    is built exactly for this run (`profiles.localized_profile`, with the
+    bits of the whole set's Q~_b on the decomposition prefix), and the last
+    such build is kept.
 
-    A miss looks ahead before it builds.  Along a run b drifts one way, by
-    about 1e-4 of itself per step, so a miss is mostly a b just past the
-    newest build b1, where the five builds extrapolate and their Lebesgue
-    sum is large (one spacing past five equally spaced nodes sums to 31).
-    So the memo first applies the gate, at its current radius, to the
-    builds in which the mirror point 2b - b1 replaces the oldest: b is then
-    the midpoint of b1 and the new build.  If that passes, it builds at the
-    mirror point and serves b, and the next requests of the drift fall
-    between b1 and the mirror point too.  Otherwise, or when the gate at
-    the new radius then fails, b itself is built; so is a b whose mirror
-    point is already kept or lies outside the b the profile grid resolves.
-    A push updates the divided differences: the last push's f[b1, b2],
-    f[b1, b2, b3] and f[b1, .., b4] are the new f[b2, b3], f[b2, b3, b4]
-    and f[b2, .., b5], so a push forms four.
-
-    A build (`profiles.localized_profile`) computes Q~_b alone, on the
-    decomposition prefix: the three H^-1 solves, the radiation and the
-    chi_{B1} localization over its n nodes, with the same bits as the whole
-    set's Q~_b there.  On the `shoot` grid (2,527 of 3,072 nodes, M = 50)
-    that takes about 240 us, where a whole set takes about 310 us.  The
-    first push of a run slices the set `init_data` left on the grid at b0.
-
-    A memo belongs to one run: what it serves depends on the builds before,
-    so a memo shared between runs would make each depend on the others.
-    It reads its cache's grid, direction, windows and gate pairings, which
-    depend on M alone and are formed once per cache.
+    A served value depends on b alone, so runs on one cache read the same
+    bits in any order.  So do the run's counts: `read` holds the distinct
+    exact profiles it read, every node of each stencil it tried and its own
+    builds, whether or not an earlier run already built them, and `serves`
+    counts the requests the lattice answered.
     """
 
     def __init__(self, cache: ProfileCache):
+        self.cache = cache
         self.grid, self.phi, self.eig = cache.grid, cache.phi, cache.eig
         self.pair_n, self.psi_n, self.n = cache.pair_n, cache.psi_n, cache.n
-        self.reach, self.gates = cache.reach, cache.gates
-        self.bs = []  # exact builds, newest first, at most five
-        self.qs = []
-        self.builds = 0
-        self.serves = 0  # requests answered without a build, kept or interpolated
-        self.newton = None  # (f[b1, b2], f[b1, b2, b3], f[b1, .., b4]) once five are kept
-        self.radius = 0.0  # largest |(b - b1) .. (b - b4)| the gate passes
+        self.reach = cache.reach
+        self.read = set()  # b of each exact Q~_b read: lattice nodes and own builds
+        self.serves = 0  # requests the lattice answered, at a node or by its quintic
+        self.built = (None, None)  # (b, Q~_b) of the run's last build off the lattice
+        self.interval = (None, None)  # ((h, k), its six quintic nodes stacked) last served
 
     def q_b(self, b: float) -> np.ndarray:
-        """Q~_b on the decomposition prefix: kept, served or built."""
-        if b in self.bs:
-            self.serves += 1
-            return self.qs[self.bs.index(b)]
-        if self.newton is None:
-            return self._push(b)
-        if not self._gate(b, self.bs):
-            mirror = 2.0 * b - self.bs[0]
-            # builds stay distinct, at b the profile grid resolves
-            if (mirror in self.bs or not resolves(self.grid, mirror)
-                    or not self._gate(b, [mirror] + self.bs[:4])):
-                return self._push(b)
-            self._push(mirror)
-            if not self._gate(b, self.bs):
-                return self._push(b)
-        d1, d2, d3 = (b - bi for bi in self.bs[:3])
-        d12, d123, d1234 = self.newton
-        self.serves += 1
-        return self.qs[0] + d1 * (d12 + d2 * (d123 + d3 * d1234))
-
-    def _gate(self, b: float, bs: list) -> bool:
-        """Whether the gate at the current radius serves b from five builds
-        bs, newest first: the quartic term's bound and the Lebesgue sum
-        sum_i |l_i(b)|, l_i(b) = prod_{j != i} (b - b_j) / (b_i - b_j)."""
-        d = [b - bi for bi in bs]
-        prod4 = d[0] * d[1] * d[2] * d[3]
-        return (abs(prod4) <= self.radius and
-                sum(abs(prod4 * d[4] / (di * math.prod(bi - bj for bj in bs if bj != bi)))
-                    for di, bi in zip(d, bs)) <= MEMO_LEBESGUE)
-
-    def _push(self, b: float) -> np.ndarray:
-        q = localized_profile(b, self.grid, self.n)
-        self.builds += 1
-        self.bs = [b] + self.bs[:4]
-        self.qs = [q] + self.qs[:4]
-        if len(self.bs) == 5:
-            (b1, b2, b3, b4, b5), (q1, q2, q3, q4, q5) = self.bs, self.qs
-            if self.newton is None:
-                d23, d34 = (q2 - q3) / (b2 - b3), (q3 - q4) / (b3 - b4)
-                d234 = (d23 - d34) / (b2 - b4)
-                d2345 = (d234 - (d34 - (q4 - q5) / (b4 - b5)) / (b3 - b5)) / (b2 - b5)
-            else:  # the last push's f[b1, b2], f[b1, b2, b3] and f[b1, .., b4]
-                d23, d234, d2345 = self.newton
-            d12 = (q1 - q2) / (b1 - b2)
-            d123 = (d12 - d23) / (b1 - b3)
-            d1234 = (d123 - d234) / (b1 - b4)
-            d12345 = (d1234 - d2345) / (b1 - b5)
-            self.newton = (d12, d123, d1234)
-            w = self.grid.weights
-            radius = np.inf
-            for wv, v_norm in self.gates:
-                m = wv.size
-                quartic = abs(float(np.dot(wv, d12345[:m])))
-                scale = v_norm * float(np.sqrt(np.dot(w[:m], q1[:m] * q1[:m])))
-                if quartic > 0.0:
-                    radius = min(radius, 0.5 * MEMO_TOL * scale / quartic)
-            self.radius = radius
-        return q
+        """Q~_b on the decomposition prefix: at or between lattice nodes, or built."""
+        cache, h = self.cache, MEMO_STEP
+        for _ in range(MEMO_HALVINGS + 1):
+            k = math.floor(b / h)
+            # an interval with a radius has a resolved stencil
+            if (h, k) not in cache.radii and not (resolves(self.grid, (k - 2) * h)
+                                                  and resolves(self.grid, (k + 4) * h)):
+                break
+            t = b / h - k  # exact
+            if t == 0.0:
+                self.read.add(b)
+                self.serves += 1
+                return cache.node(b)
+            stencil = [(k + i) * h for i in range(-2, 5)]
+            self.read.update(stencil)
+            d = [t - i for i in range(-2, 4)]
+            prod = math.prod(d)
+            if abs(prod) <= cache.radius(h, k):
+                if self.interval[0] != (h, k):
+                    self.interval = ((h, k), np.array([cache.node(x) for x in stencil[:6]]))
+                self.serves += 1
+                return np.dot([prod / (di * den) for di, den in zip(d, LAGRANGE)],
+                              self.interval[1])
+            h *= 0.5
+        self.read.add(b)
+        if self.built[0] != b:
+            self.built = (b, localized_profile(b, self.grid, self.n))
+        return self.built[1]
 
 
 @dataclass(frozen=True)
@@ -283,8 +273,8 @@ class FlowTrajectory:
     decompose_lost_step: int | None = None  # step whose decomposition failed
     newton_iterations: int = 0  # decompose iterations over its successful calls
     jacobian_builds: int = 0  # fresh Newton Jacobians over the run
-    profile_builds: int = 0  # exact Q~_b builds the run's memo made, ahead of b included
-    profile_serves: int = 0  # Q~_b requests the run's memo answered without a build
+    profile_builds: int = 0  # distinct exact Q~_b the run read: lattice nodes and its own builds
+    profile_serves: int = 0  # Q~_b requests the lattice answered, at a node or between nodes
     remeshes: int = 0  # flow grids rebuilt in the self-similar variable over the run
 
     def series(self, name: str) -> np.ndarray:
@@ -425,8 +415,9 @@ def decompose(cache: ProfileMemo, r: np.ndarray, u: np.ndarray,
               seed: tuple, J: np.ndarray | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
-    Q~_b comes from `cache.q_b`, a run's ProfileMemo, which serves it
-    mostly without a build.  Each Newton point evaluates the field F_lam
+    Q~_b comes from `cache.q_b`, a run's ProfileMemo, which serves it from
+    the lattice of its ProfileCache, mostly without a build.  Each Newton
+    point evaluates the field F_lam
     and subtracts Q~_b once, into the eps its pairings read.  Given a
     Jacobian `J` carried from a nearby
     state (the previous step of a trajectory), the first update uses it as
@@ -521,8 +512,8 @@ def _jacobian(cache: ProfileMemo, u_eval, lam: float, b: float):
     free: the one-sided difference -(Q~_{b+db} - Q~_b, Phi_M)/db (and the
     same against H Phi_M), the pairings of Q~_b - Q~_{b+db}.  Q~_b, which
     both lambda-columns subtract too, is the one the current point just
-    read, so the column costs at most one profile build, and none when a
-    memo serves b + db.
+    read, so the column costs at most one profile build, and none when the
+    lattice serves b + db.
     Being first order, it takes a tenth of the centred step.  The
     lambda-column stays centred: the pairing surface is strongly curved in
     lambda, and one-sided it added Newton iterations while saving no
@@ -622,8 +613,8 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
     A given `cache` must have been built for the same `M` as `params`, or
     ValueError is raised.  The Newton Jacobian, the seed history and the
-    profile memo live in this call only, so runs sharing a cache do not
-    depend on each other.
+    memo's counts live in this call only, and what the cache keeps depends
+    on b and M alone, so runs sharing a cache do not depend on each other.
     """
     if cache is None:
         cache = ProfileCache(params)
@@ -716,7 +707,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         classification=None, steps=step,
         step_rejects=rejects, decompose_lost_step=lost_step,
         newton_iterations=iterations, jacobian_builds=jacobians,
-        profile_builds=memo.builds, profile_serves=memo.serves, remeshes=remeshes,
+        profile_builds=len(memo.read), profile_serves=memo.serves, remeshes=remeshes,
     )
     traj.classification = classify(traj)
     return traj

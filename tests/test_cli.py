@@ -312,7 +312,7 @@ def test_simulate_manifest_counts_the_newton_work(tmp_path):
     assert m["steps"] == 40 and m["decompose_lost_step"] is None
     assert m["newton_iterations"] >= m["steps"]  # every call checks its residual once
     assert 0 < m["jacobian_builds"] < m["steps"]
-    assert 0 < m["profile_builds"] < m["steps"]  # the run's memo serves most Q~_b
+    assert 0 < m["profile_builds"] < m["steps"]  # the lattice serves most Q~_b
     assert m["profile_serves"] > m["profile_builds"]
     # and the CSVs stay byte-identical run to run
     csvs = [f for f in runs[0]["files"] if f.endswith(".csv")]

@@ -508,13 +508,13 @@ def test_the_first_flow_grid_holds_the_decomposition_windows():
     assert abs(traj.checkpoints[0].lam - 1.0) < 1e-3
 
 
-def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
-    # the carried Jacobian and the seed extrapolated in t leave one build
-    # for the seed's b and one for the line-search trial; with a fresh
-    # Jacobian per update and the last (lam, b) as seed it was about 3.9.
-    # The run's profile memo now serves most of those (see below).  Its
-    # builds bypass assemble_profiles, so they are counted where they are
-    # made, at profiles.localized_profile
+def test_simulate_builds_a_profile_per_five_decompositions(monkeypatch):
+    # the carried Jacobian and the seed extrapolated in t left about two
+    # exact builds per decompose call (3.9 with a fresh Jacobian per update
+    # and the last (lam, b) as seed).  The cache's lattice now serves them
+    # all: 40 calls read 8 nodes, so a run on a fresh cache builds those 8.
+    # The builds bypass assemble_profiles, so they are counted where they
+    # are made, at profiles.localized_profile
     params = RunConfig(command="simulate", b0=3e-3, kappa_exit_factor=2e4, max_steps=40)
     cache = flow.ProfileCache(params)
     builds, calls = [], []
@@ -523,22 +523,22 @@ def test_simulate_builds_about_two_profiles_per_decomposition(monkeypatch):
     monkeypatch.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
     traj = flow.simulate(params, cache=cache)
     assert traj.steps == len(calls) == 40 and traj.decompose_lost_step is None
-    assert traj.profile_builds == len(builds) > 0
-    assert len(builds) / len(calls) <= 2.25
+    assert traj.profile_builds == len(builds) == len(cache.nodes) > 0
+    assert len(builds) / len(calls) <= 0.2
 
 
 def _served_by_memos(run):
-    """Run `run()` and return its result, every Q~_b a memo served (neither
-    kept nor built at b, with or without a look-ahead build) with its memo,
-    the number of decompose calls and the number of memo builds (calls of
+    """Run `run()` and return its result, every Q~_b the lattice served
+    between its nodes with the memo that asked, the number of decompose
+    calls and the number of exact builds (calls of
     profiles.localized_profile)."""
     served, calls, builds = [], [], []
     q_b, decompose, build = flow.ProfileMemo.q_b, flow.decompose, flow.localized_profile
 
     def recording(memo, b):
-        kept = b in memo.bs
+        serves = memo.serves
         q = q_b(memo, b)
-        if not kept and b not in memo.bs:
+        if memo.serves > serves and q is not memo.cache.nodes.get(b):
             served.append((b, q, memo))
         return q
 
@@ -555,8 +555,9 @@ def _served_by_memos(run):
 
 @pytest.fixture(scope="module")
 def memo_run():
-    """The shoot workload's + probe (b0 = 3e-3, 51 steps), with every Q~_b
-    its memo served, the number of decompose calls and of memo builds."""
+    """The shoot workload's + probe (b0 = 3e-3, 51 steps) on a fresh cache,
+    with every Q~_b the lattice served, the number of decompose calls and
+    of exact builds."""
     params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
     cache = flow.ProfileCache(params)
     traj, served, calls, builds = _served_by_memos(
@@ -565,55 +566,69 @@ def memo_run():
 
 
 def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
-    # b moves by about 6e-5 of itself per step here, so the cubic through the
-    # last four builds, with builds placed ahead of the drift, serves most
-    # calls: 19 builds for 51 calls, where exact builds made about 2 per call
-    # and the quadratic through the last three 32.  The run reports the
-    # builds made
+    # b moves by about 6e-5 of itself per step here, about a node spacing
+    # 2^-16 every 3 steps, so the quintic through the lattice serves every
+    # call: 8 nodes for 51 calls, where exact builds made about 2 per call,
+    # the quadratic through the last three 32 and the cubic through the
+    # last four, with builds ahead of the drift, 19.  On a fresh cache the
+    # run builds what it reads
     _, traj, served, calls, builds = memo_run
     assert traj.termination == "exit_plus" and traj.steps == calls == 51
-    assert traj.profile_builds == builds == 19
+    assert traj.profile_builds == builds == 8
     assert len(served) > calls
 
 
 @pytest.mark.parametrize("M", [10.0, 20.0, 50.0])
 def test_memo_builds_keep_the_bits_of_the_whole_set(M):
-    # a memo build runs the solves, the radiation and the chi_{B1}
-    # localization on the decomposition prefix alone; across the flow's b
-    # window it gives the whole set's Q~_b there, bit for bit
+    # an exact build runs the solves, the radiation and the chi_{B1}
+    # localization on the decomposition prefix alone; at lattice nodes
+    # across the flow's b window (the lowest built for the run, as its
+    # stencil leaves the b the grid resolves) it gives the whole set's Q~_b
+    # there, bit for bit
     cache = flow.ProfileCache(RunConfig(command="simulate", b0=3e-3, M=M))
     for b in np.geomspace(B_FLOOR, profiles.B_STAR_DEFAULT, 12, endpoint=False):
+        b = np.floor(b / flow.MEMO_STEP) * flow.MEMO_STEP
         assert profiles.resolves(cache.grid, b)
         memo = flow.ProfileMemo(cache)
         q = memo.q_b(b)
-        assert memo.builds == 1 and q.size == memo.n < cache.grid.n
+        assert memo.read == {b} and q.size == memo.n < cache.grid.n
         assert same_bits(q, profiles._build_profiles(b, cache.grid).Q_b_tilde[:memo.n])
+    assert len(cache.nodes) == 11
 
 
-def test_a_runs_first_memo_build_slices_the_set_init_data_left(params, cache):
+def test_a_runs_first_memo_build_slices_the_set_init_data_left():
+    # at a b0 whose stencil leaves the b the profile grid resolves, the
+    # run builds Q~_b0 itself, and slices the set init_data left on the grid
+    params = RunConfig(command="simulate", b0=2.7e-4, max_steps=1)
+    cache = flow.ProfileCache(params)
     flow.init_data(cache, params)
     kept = profiles.assemble_profiles(params.b0, cache.grid)
     memo = flow.ProfileMemo(cache)
     q = memo.q_b(params.b0)
-    assert memo.builds == 1 and np.shares_memory(q, kept.Q_b_tilde)
+    assert memo.read == {params.b0} and memo.serves == 0 and not cache.nodes
+    assert np.shares_memory(q, kept.Q_b_tilde)
 
 
 def test_memos_share_their_caches_gate_pairings(cache):
-    # the gate pairings and the decomposition prefix depend on M alone, so
-    # a cache forms them once for the memos of all its runs
-    memo = flow.ProfileMemo(cache)
-    assert memo.gates is cache.gates
-    assert memo.n == cache.n == max(cache.pair_n, cache.psi_n)
+    # the gate pairings and radii, the lattice nodes and the decomposition
+    # prefix depend on M alone, so a cache forms them once for the memos
+    # of all its runs
+    first, second = flow.ProfileMemo(cache), flow.ProfileMemo(cache)
+    assert first.n == cache.n == max(cache.pair_n, cache.psi_n)
+    q = first.q_b(1e-3)
+    nodes, radii = set(cache.nodes), dict(cache.radii)
+    assert same_bits(second.q_b(1e-3), q) and second.read == first.read
+    assert set(cache.nodes) == nodes and cache.radii == radii
 
 
 def _worst_served_error(cache, served):
     """Largest |(v, served - fresh build)| / (|v| |fresh build|) over every
-    served Q~_b and each of its memo's gate pairings."""
+    served Q~_b and each of its cache's gate pairings."""
     w = cache.grid.weights
     worst = 0.0
-    for b, q, memo in served:
+    for b, q, _ in served:
         exact = profiles._build_profiles(b, cache.grid).Q_b_tilde[:q.size]
-        for wv, v_norm in memo.gates:
+        for wv, v_norm in cache.gates:
             m = wv.size
             scale = v_norm * np.sqrt(np.dot(w[:m], exact[:m] ** 2))
             worst = max(worst, abs(np.dot(wv, q[:m] - exact[:m])) / scale)
@@ -626,7 +641,7 @@ def test_memo_serves_q_b_within_its_gate(memo_run):
     # (b0 = 3e-3), of march (b0 = 0.01, whose builds carry far more
     # roundoff) and of two a+ = 0 runs whose gauge holds (M = 20 at
     # b0 = 3e-3, 79 steps, and M = 10 at b0 = 0.01, 70 steps).  The worst
-    # read about 0.01, 0.01, 0.70, 0.46 and 0.50 MEMO_TOL
+    # read about 0.007, 0.005, 0.47, 0.001 and 0.002 MEMO_TOL
     cache, _, served, _, _ = memo_run
     shoot = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
     minus, minus_served, _, _ = _served_by_memos(
@@ -650,46 +665,64 @@ def test_memo_serves_q_b_within_its_gate(memo_run):
         assert _worst_served_error(run_cache, run_served) <= flow.MEMO_TOL, (b0, M)
 
 
-def test_memo_miss_builds_at_the_mirror_point_when_the_gate_predicts_b(memo_run):
-    # five builds 1e-4 of b apart, drifting down: one spacing below the
-    # newest, b is past the builds and the gate fails, but with the mirror
-    # point 2b - b1 in place of the oldest b is between builds, so the memo
-    # builds there alone and serves b.  Ten spacings below, the prediction
-    # fails too and the memo builds b alone
+def _stencil(b, h):
+    """The seven lattice nodes b_{k-2}, .., b_{k+4} of step h around b."""
+    k = int(np.floor(b / h))
+    return {(k + i) * h for i in range(-2, 5)}
+
+
+def test_memo_halves_the_step_where_the_gate_fails():
+    # at M = 150 and b = 1e-3 the sextic term through the 2^-16 nodes pairs
+    # at up to about 1,400 MEMO_TOL, and through the 2^-17 nodes above the
+    # gate too: the memo serves from the 2^-18 nodes, every coarse node
+    # coming back as an even node of the finer levels, within MEMO_TOL of a
+    # fresh build
+    params = RunConfig(command="simulate", b0=1e-3, M=150.0)
+    cache = flow.ProfileCache(params)
+    memo = flow.ProfileMemo(cache)
+    b, h = 1e-3, flow.MEMO_STEP
+    q, _, _, builds = _served_by_memos(lambda: memo.q_b(b))
+    assert memo.serves == 1 and _worst_served_error(cache, [(b, q, memo)]) <= flow.MEMO_TOL
+    assert memo.read == _stencil(b, h) | _stencil(b, h / 2) | _stencil(b, h / 4)
+    assert builds == len(memo.read) == len(cache.nodes) == 14
+    assert len(cache.radii) == 3  # one gate radius per interval tried
+    # a second run reads the same nodes and builds none
+    again, _, _, builds = _served_by_memos(lambda: flow.ProfileMemo(cache).q_b(b))
+    assert builds == 0 and same_bits(again, q)
+
+
+def test_memo_builds_b_whose_stencil_leaves_the_resolved_range(memo_run):
+    # just above the smallest b the profile grid resolves, the nodes below b
+    # are not resolved: the run builds b itself, keeps that build for its
+    # next request and reads no lattice node
     cache = memo_run[0]
-    built = []
-    build = flow.localized_profile
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "localized_profile", lambda *a: built.append(a[0]) or build(*a))
-        memo = flow.ProfileMemo(cache)
-        for k in range(5):
-            memo.q_b(3e-3 * (1.0 - 1e-4 * k))
-        b1, spacing = memo.bs[0], memo.bs[1] - memo.bs[0]
-        del built[:]
-        b = b1 - spacing
-        serves = memo.serves
-        memo.q_b(b)
-        assert built == [2.0 * b - b1] == memo.bs[:1] and b not in memo.bs
-        assert memo.serves == serves + 1
-        del built[:]
-        b = memo.bs[0] - 10.0 * spacing
-        memo.q_b(b)
-        assert built == [b] == memo.bs[:1] and memo.serves == serves + 1
-        # at the smallest b the profile grid resolves, a mirror point below
-        # it is not built, whatever the gate predicts
-        lo, hi = 0.0, 3e-3
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if flow.resolves(cache.grid, mid) else (mid, hi)
-        memo = flow.ProfileMemo(cache)
-        spacing = 1e-4 * hi
-        for k in range(5):
-            memo.q_b(hi + (5.5 - k) * spacing)
-        del built[:]
-        b = memo.bs[0] - spacing
-        assert not flow.resolves(cache.grid, 2.0 * b - memo.bs[0])
-        memo.q_b(b)
-        assert built == [b] == memo.bs[:1]
+    lo, hi = 0.0, 3e-3
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if flow.resolves(cache.grid, mid) else (mid, hi)
+    b = hi * (1.0 + 1e-6)
+    assert not flow.resolves(cache.grid, b - 2.0 * flow.MEMO_STEP)
+    memo = flow.ProfileMemo(cache)
+    nodes = len(cache.nodes)
+    q, _, _, builds = _served_by_memos(lambda: memo.q_b(b))
+    assert builds == 1 and memo.q_b(b) is q and memo.read == {b} and memo.serves == 0
+    assert len(cache.nodes) == nodes
+    assert same_bits(q, profiles._build_profiles(b, cache.grid).Q_b_tilde[:memo.n])
+
+
+def test_memo_returns_a_nodes_bits_at_the_node(memo_run):
+    # a b on the lattice reads that node alone, bit for bit, at the first
+    # step or at a finer one: an odd multiple of 2^-17 whose 2^-16 gate fails
+    cache = memo_run[0]
+    b = 196 * flow.MEMO_STEP  # 2.99e-3, a node the + probe read
+    memo = flow.ProfileMemo(cache)
+    assert memo.q_b(b) is cache.nodes[b] and memo.read == {b} and memo.serves == 1
+    fine = flow.ProfileCache(RunConfig(command="simulate", b0=1e-3, M=150.0))
+    b = 131 * flow.MEMO_STEP / 2
+    memo = flow.ProfileMemo(fine)
+    q = memo.q_b(b)
+    assert q is fine.nodes[b] and memo.read == _stencil(b, flow.MEMO_STEP) | {b}
+    assert same_bits(q, profiles._build_profiles(b, fine.grid).Q_b_tilde[:memo.n])
 
 
 def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monkeypatch):
@@ -823,34 +856,33 @@ def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_p
 
 def test_memo_builds_or_serves_every_request():
     # the march workload's config: its decompositions, all before the loss
-    # at step 27, ask the memo for Q~_b 191 times; 13 are a kept build, 111
-    # are interpolated, 54 are built and 13 are interpolated after a build
-    # at the mirror point, so 67 builds and 137 serves
+    # at step 27, ask the memo for Q~_b 191 times; the lattice serves each
+    # between its nodes, and none is at a node or built off the lattice.
+    # The run reads 20 nodes (it made 67 builds when the memo served the
+    # cubic through its last builds), which a fresh cache builds for it
     params = RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4, max_steps=60)
+    cache = flow.ProfileCache(params)
     requests = []
     q_b = flow.ProfileMemo.q_b
 
     def recording(memo, b):
-        kept, builds = b in memo.bs, memo.builds
+        serves = memo.serves
         q = q_b(memo, b)
-        if kept:
-            requests.append("kept")
-        elif memo.builds == builds:
-            requests.append("served")
-        else:  # one build, at b or at the mirror point
-            assert memo.builds == builds + 1
-            requests.append("built" if b in memo.bs else "ahead")
+        if memo.serves == serves:
+            requests.append("built")
+        else:
+            requests.append("node" if q is cache.nodes.get(b) else "served")
         return q
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow.ProfileMemo, "q_b", recording)
-        traj = flow.simulate(params)
+        traj = flow.simulate(params, cache=cache)
     assert traj.decompose_lost_step == 27
-    counts = {kind: requests.count(kind) for kind in ("kept", "served", "built", "ahead")}
-    assert counts == {"kept": 13, "served": 111, "built": 54, "ahead": 13}
+    counts = {kind: requests.count(kind) for kind in ("node", "served", "built")}
+    assert counts == {"node": 0, "served": 191, "built": 0}
     assert len(requests) == 191 and sum(counts.values()) == len(requests)
-    assert traj.profile_builds == counts["built"] + counts["ahead"] == 67
-    assert traj.profile_serves == counts["kept"] + counts["served"] + counts["ahead"] == 137
+    assert traj.profile_builds == len(cache.nodes) == 20
+    assert traj.profile_serves == counts["node"] + counts["served"] == 191
 
 
 def test_probe_ends_at_its_lost_decomposition():
@@ -913,6 +945,25 @@ def test_shoot_at_any_lambda0_is_the_unit_shoot_rescaled():
                                                               for k in RUN_COUNTS]
     assert [flow.replace(c, t=c.t / lambda0**2, lam=c.lam / lambda0, u_max=c.u_max * lambda0)
             for c in scaled.best.checkpoints] == unit.best.checkpoints
+
+
+def test_runs_sharing_a_cache_do_not_depend_on_their_order():
+    # the cache keeps Q~_b only at lattice nodes and a served value depends
+    # on b alone, and a run counts every node it reads whether or not it
+    # built it: the shoot workload's - and + probes, run on one cache in
+    # either order, give the same checkpoints and counts
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
+    a = 6.95153980321595e-4
+    runs = []
+    for order in ((-a, a), (a, -a)):
+        cache = flow.ProfileCache(params)
+        runs.append({amp: flow._probe(params, cache, amp) for amp in order})
+    for amp in (-a, a):
+        first, second = runs[0][amp], runs[1][amp]
+        assert [getattr(first, k) for k in RUN_COUNTS] == [getattr(second, k)
+                                                            for k in RUN_COUNTS]
+        assert first.checkpoints == second.checkpoints
+    assert runs[0][a].profile_builds == 8 and runs[0][-a].profile_builds == 7
 
 
 def test_simulate_rejects_a_cache_built_for_other_settings():
