@@ -130,13 +130,15 @@ class ProfileCache:
         self.psi_n = int(np.count_nonzero(y <= psi_cut))
         self.n = max(self.pair_n, self.psi_n)
         self.reach = float(y[self.n - 1])  # the largest y the decomposition reads
-        # the lattice gate's pairings: (w v over its window, |v| over that window)
+        # the pairing vectors weighted over their windows, w Phi_M, w H Phi_M
+        # and w psi, which the decomposition's pairings and the lattice gate
+        # read, and the gate's pairings: (w v, |v| over v's window)
         w = self.grid.weights
-        self.gates = []
-        for v, m in ((self.phi.Phi_M, self.pair_n), (self.phi.H_Phi_M, self.pair_n),
-                     (self.eig.psi, self.psi_n)):
-            wv = w[:m] * v[:m]
-            self.gates.append((wv, float(np.sqrt(np.dot(wv, v[:m])))))
+        vectors = ((self.phi.Phi_M, self.pair_n), (self.phi.H_Phi_M, self.pair_n),
+                   (self.eig.psi, self.psi_n))
+        self.weighted = tuple(w[:m] * v[:m] for v, m in vectors)
+        self.gates = [(wv, float(np.sqrt(np.dot(wv, v[:m]))))
+                      for wv, (v, m) in zip(self.weighted, vectors)]
         self.nodes = {}  # b_k -> the exact Q~_b on the decomposition prefix
         self.radii = {}  # (h, k) -> the gate radius on [b_k, b_k + h)
 
@@ -197,7 +199,7 @@ class ProfileMemo:
         self.cache = cache
         self.grid, self.phi, self.eig = cache.grid, cache.phi, cache.eig
         self.pair_n, self.psi_n, self.n = cache.pair_n, cache.psi_n, cache.n
-        self.reach = cache.reach
+        self.reach, self.weighted = cache.reach, cache.weighted
         self.read = set()  # b of each exact Q~_b read: lattice nodes and own builds
         self.serves = 0  # requests the lattice answered, at a node or by its quintic
         self.built = (None, None)  # (b, Q~_b) of the run's last build off the lattice
@@ -291,21 +293,33 @@ def _flow_grid(r_min: float, r_max: float, nodes_per_decade: int) -> radial.Radi
     return radial.make_grid(r_min, r_max, n)
 
 
-def _u_eval(r: np.ndarray, u: np.ndarray):
-    """Evaluator for u at ascending radii, with an even-parabola extension
-    below the first node (radial regularity u'(0) = 0): the queries below
-    r[0] are a prefix."""
-    spl = radial.CubicSpline(np.log(r), u)
+def _u_eval(grid: radial.RadialGrid, u: np.ndarray):
+    """Evaluator of u on the flow grid: evaluate(y, t, lam) is u at the
+    radii lam y, y ascending with t = log y, and with an even-parabola
+    extension below the first node (radial regularity u'(0) = 0).  The
+    radii below r0 are a prefix, which it forms lam y on; past it, it reads
+    the spline, built on the grid's frame, at log lam + t, one logarithm per
+    call.  At lam = 1 it reads y and t themselves."""
+    spl = radial.CubicSpline(grid.spline_frame, u)
+    r = grid.nodes
     r0, r1 = r[0], r[1]
     c2 = (u[1] - u[0]) / (r1**2 - r0**2)
     u00 = u[0] - c2 * r0**2
 
-    def evaluate(rq: np.ndarray) -> np.ndarray:
-        rq = np.asarray(rq, dtype=float)
-        k = rq.searchsorted(r0)
-        out = np.empty_like(rq)
-        out[:k] = u00 + c2 * rq[:k] ** 2
-        out[k:] = spl(np.log(rq[k:]))
+    def evaluate(y: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
+        # the prefix lam y < r0: searched on y, then settled on the rounded
+        # products, which rise with y
+        k = int(y.searchsorted(r0 / lam))
+        while k and lam * y[k - 1] >= r0:
+            k -= 1
+        while k < y.size and lam * y[k] < r0:
+            k += 1
+        out = np.empty_like(y)
+        low = np.multiply(lam, y[:k], out=out[:k])
+        np.multiply(low, low, out=low)
+        low *= c2
+        low += u00
+        spl(t[k:] + math.log(lam), out[k:])
         return out
 
     return evaluate
@@ -377,16 +391,18 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
 
 def _field(cache: ProfileCache | ProfileMemo, u_eval, lam: float, n: int) -> np.ndarray:
     """F_lam = lam u(lam y) on the first n nodes of the profile grid."""
-    return lam * u_eval(lam * cache.grid.nodes[:n])
+    grid = cache.grid
+    field = u_eval(grid.nodes[:n], grid.t[:n], lam)
+    field *= lam
+    return field
 
 
 def _pairings(cache: ProfileCache | ProfileMemo, eps: np.ndarray):
-    """(eps, Phi_M) and (eps, H Phi_M) over the pairing window."""
-    n = cache.pair_n
-    w = cache.grid.weights[:n]
-    eps = eps[:n]
-    return (float(np.dot(w, eps * cache.phi.Phi_M[:n])),
-            float(np.dot(w, eps * cache.phi.H_Phi_M[:n])))
+    """(eps, Phi_M) and (eps, H Phi_M) over the pairing window, against the
+    cache's weighted w Phi_M and w H Phi_M."""
+    w_phi, w_hphi, _ = cache.weighted
+    eps = eps[:cache.pair_n]
+    return float(np.dot(w_phi, eps)), float(np.dot(w_hphi, eps))
 
 
 def _pairing_scales(cache: ProfileCache | ProfileMemo, field: np.ndarray):
@@ -406,12 +422,12 @@ def _covered(cache: ProfileCache, lam: float, r_max: float) -> int:
 
 
 def _kappa(cache: ProfileCache | ProfileMemo, eps: np.ndarray) -> float:
-    """Unstable-mode amplitude kappa = (eps, psi) over the psi window."""
-    n = cache.psi_n
-    return float(np.dot(cache.grid.weights[:n], eps[:n] * cache.eig.psi[:n]))
+    """Unstable-mode amplitude kappa = (eps, psi) over the psi window,
+    against the cache's weighted w psi."""
+    return float(np.dot(cache.weighted[2], eps[:cache.psi_n]))
 
 
-def decompose(cache: ProfileMemo, r: np.ndarray, u: np.ndarray,
+def decompose(cache: ProfileMemo, grid: radial.RadialGrid, u: np.ndarray,
               seed: tuple, J: np.ndarray | None = None):
     """2D Newton on (lambda, b) zeroing (eps, Phi_M) and (eps, H Phi_M).
 
@@ -426,8 +442,9 @@ def decompose(cache: ProfileMemo, r: np.ndarray, u: np.ndarray,
     update uses a fresh `_jacobian`.  So the soliton tube is declared lost
     only by an update along a fresh Jacobian, as without `J`.
 
-    u is read only where the flow grid holds it, on y <= 0.95 r_max/lam,
-    which must contain the pairing and psi windows (y <= `cache.reach`).
+    u is the state on the flow grid `grid`, read only where the grid holds
+    it, on y <= 0.95 r_max/lam, which must contain the pairing and psi
+    windows (y <= `cache.reach`).
 
     Returns (lam, b, diagnostics dict), whose "eps" covers the pairing and
     psi windows at the returned (lambda, b), "jacobian" is the Jacobian last
@@ -437,13 +454,13 @@ def decompose(cache: ProfileMemo, r: np.ndarray, u: np.ndarray,
     whose windows leave the flow grid, or no admissible descent step.
     """
     lam, b = seed
-    r_cap = 0.95 * r[-1]  # u is read on r <= r_cap
+    r_cap = 0.95 * grid.y_max  # u is read on r <= r_cap
     if not resolves(cache.grid, b):
         raise RuntimeError(f"decomposition seed b={b:g} outside the profile grid's range")
     if cache.reach > r_cap / lam:
         raise RuntimeError(f"decomposition window y <= {cache.reach:g} leaves the flow "
                            f"grid at lambda={lam:g}")
-    u_eval = _u_eval(r, u)
+    u_eval = _u_eval(grid, u)
     n = cache.n
     field = _field(cache, u_eval, lam, n)
     s1, s2 = _pairing_scales(cache, field)
@@ -458,8 +475,8 @@ def decompose(cache: ProfileMemo, r: np.ndarray, u: np.ndarray,
             dlam, db = np.linalg.solve(J, [r1, r2])
         except np.linalg.LinAlgError:
             raise RuntimeError("decomposition Jacobian is singular")
-        dlam = np.clip(dlam, -0.2 * lam, 0.2 * lam)
-        db = np.clip(db, -0.5 * b, 0.5 * b)
+        dlam = min(max(dlam, -0.2 * lam), 0.2 * lam)
+        db = min(max(db, -0.5 * b), 0.5 * b)
         # damped update: the pairing surface is strongly curved in lambda
         for alpha in (1.0, 0.5, 0.25, 0.125, 0.0625):
             lam_t, b_t = lam - alpha * dlam, b - alpha * db
@@ -576,11 +593,10 @@ def init_data(cache: ProfileCache, params: RunConfig):
             f"window {window:g}", stacklevel=2)
     grid = _flow_grid(Y_MIN_FLOW, _flow_r_max(b0, cache.reach), params.nodes_per_decade)
     y = grid.nodes
-    u0 = _u_eval(cache.grid.nodes,
-                 assemble_profiles(b0, cache.grid).Q_b_tilde + a_plus * cache.eig.psi)
+    u0 = _u_eval(cache.grid, assemble_profiles(b0, cache.grid).Q_b_tilde + a_plus * cache.eig.psi)
     inside = y <= cache.grid.y_max
     vals = np.empty_like(y)
-    vals[inside] = u0(y[inside])
+    vals[inside] = u0(y[inside], grid.t[inside], 1.0)
     vals[~inside] = radial.q_soliton(y[~inside])
     return FlowState(grid=grid, u=vals)
 
@@ -658,7 +674,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
         if lost_step is None:
             seed = _extrapolated_seed(cache.grid, history, dt_taken, lam, b)
             try:
-                lam, b, dd = decompose(memo, grid.nodes, u, seed, jac)
+                lam, b, dd = decompose(memo, grid, u, seed, jac)
             except RuntimeError:
                 lost_step = step
             else:
@@ -720,7 +736,7 @@ def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed
     else:
         # one evaluation and one exact profile set over the covered prefix,
         # which holds both windows
-        u_eval = dd["u_eval"] if dd else _u_eval(grid.nodes, u)
+        u_eval = dd["u_eval"] if dd else _u_eval(grid, u)
         n = _covered(cache, lam, grid.y_max)
         field = _field(cache, u_eval, lam, n)
         pset = assemble_profiles(b, cache.grid)
@@ -741,7 +757,7 @@ def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed
 def _remesh(params: RunConfig, grid: radial.RadialGrid, u, lam):
     """Rebuild the grid in the self-similar variable once lambda halves."""
     new = _flow_grid(Y_MIN_FLOW * lam, grid.y_max, params.nodes_per_decade)
-    return new, _u_eval(grid.nodes, u)(new.nodes)
+    return new, _u_eval(grid, u)(new.nodes, new.t, 1.0)
 
 
 # ---------------------------------------------------------------------------

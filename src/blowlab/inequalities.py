@@ -24,6 +24,9 @@ GRID_Y_MIN = 1e-3
 GRID_Y_MAX = 400.0
 HARDY_R = 100.0  # outer radius of the second and third Hardy controls
 HARDY_GAMMA = 1.0  # extra power of y in the third Hardy control
+# a gaussian ring is evaluated where |z| < BUMP_REACH only: past |z| = 27.3,
+# exp(-z^2) underflows to exactly +0
+BUMP_REACH = 27.5
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class TestFunctionSampler:
             raise ValueError("grid too small for the sampler support window")
         rng = self._rng
         if self.family == "gaussian-bumps":
-            y2 = y**2
+            y2 = grid.y2
             f = np.zeros_like(y)
             if derivatives:
                 fp = np.zeros_like(y)
@@ -79,17 +82,28 @@ class TestFunctionSampler:
                 c = rng.uniform(0.0, 0.5 * SAMPLER_SUPPORT)
                 # keep the ring width resolvable on a log grid: w grows with c
                 w = rng.uniform(max(1.0, 0.35 * c), max(2.0, 0.5 * c))
-                # ring bump exp(-((y^2-c^2)/w^2)^2): even in y, C-infinity
-                z = (y2 - c**2) / w**2
-                g = np.exp(-(z**2))
-                f += a * g
+                # ring bump exp(-z^2), z = (y^2-c^2)/w^2: even in y, C-infinity.
+                # Outside the ring's window it and its derivatives are +-0,
+                # which leave f, f' and f'' (never -0) as they are
+                c2, w2 = c**2, w**2
+                ring = slice(*y2.searchsorted((c2 - BUMP_REACH * w2, c2 + BUMP_REACH * w2)))
+                z = y2[ring] - c2
+                z /= w2
+                g = np.multiply(z, z)
+                np.negative(g, out=g)
+                np.exp(g, out=g)
                 if derivatives:
-                    gp = g * (-2.0 * z) * (2.0 * y / w**2)
-                    gpp = g * ((2.0 * z * 2.0 * y / w**2) ** 2
-                               - 2.0 * (2.0 * y / w**2) ** 2
-                               - 2.0 * z * 2.0 / w**2)
-                    fp += a * gp
-                    fpp += a * gpp
+                    yr = y[ring]
+                    yw = 2.0 * yr / w2
+                    gp = g * (-2.0 * z) * yw
+                    gpp = g * ((2.0 * z * 2.0 * yr / w2) ** 2 - 2.0 * yw**2
+                               - 2.0 * z * 2.0 / w2)
+                    gp *= a
+                    fp[ring] += gp
+                    gpp *= a
+                    fpp[ring] += gpp
+                g *= a
+                f[ring] += g
             return (f, fp, fpp) if derivatives else f
         # the other family, polynomial-decay
         s = rng.uniform(1.0, 0.3 * SAMPLER_SUPPORT)
@@ -112,18 +126,16 @@ def _log_weight(y):
     return 1.0 + np.abs(np.log(y))
 
 
-def _grid_derivatives(grid, v, y2):
-    """First and second derivative on the log grid (for fitted-ratio checks);
-    y2 is grid.nodes**2."""
+def _grid_derivatives(grid, v):
+    """First and second derivative on the log grid (for fitted-ratio checks)."""
     vt, vp = radial.log_gradient(grid, v)
-    return vp, (radial.log_gradient(grid, vt)[0] - vt) / y2
+    return vp, (radial.log_gradient(grid, vt)[0] - vt) / grid.y2
 
 
 class _Denominators(NamedTuple):
     """The sample-free divisors of the coercivity ratios on one grid, with
-    L = _log_weight(y): y^2 and the y-powers times L^2."""
+    L = _log_weight(y): the y-powers times L^2 (y^2 itself is grid.y2)."""
 
-    y2: np.ndarray
     lw2: np.ndarray
     y2_lw2: np.ndarray
     y4_lw2: np.ndarray
@@ -136,7 +148,7 @@ def _denominators(grid) -> _Denominators:
     order of the quotient it divides, so every quotient keeps its bits."""
     y = grid.nodes
     lw2 = _log_weight(y) ** 2
-    return _Denominators(y2=y**2, lw2=lw2, y2_lw2=y**2 * lw2, y4_lw2=y**4 * lw2,
+    return _Denominators(lw2=lw2, y2_lw2=y**2 * lw2, y4_lw2=y**4 * lw2,
                          y6_lw2=y**6 * lw2, y4_1y4_lw2=y**4 * (1 + y**4) * lw2)
 
 
@@ -162,7 +174,7 @@ def hardy_suite(sampler: TestFunctionSampler, n: int,
     y = grid.nodes
     w = grid.weights
     # the sample-free factors, masks and masked weights, once per suite
-    y2 = y**2
+    y2 = grid.y2
     lw2 = _log_weight(y) ** 2
     in_r = y <= HARDY_R
     band = (y >= 1.0) & (y <= 2.0)
@@ -228,9 +240,9 @@ def _h_ratio(grid, u, den: _Denominators):
     """Second-order coercivity ratio for one sample array; den is
     _denominators(grid)."""
     w = grid.weights
-    up, upp = _grid_derivatives(grid, u, den.y2)
+    up, upp = _grid_derivatives(grid, u)
     hu = radial.apply_H(grid, u)
-    num = (np.dot(w, upp**2) + np.dot(w, up**2 / den.y2)
+    num = (np.dot(w, upp**2) + np.dot(w, up**2 / grid.y2)
            + np.dot(w, u**2 / den.y4_lw2))
     return num / max(np.dot(w, hu**2), 1e-300)
 
@@ -304,8 +316,8 @@ def _h2_ratio(grid, u, den: _Denominators):
     w = grid.weights
     hu = radial.apply_H(grid, u)
     h2u = radial.apply_H(grid, hu)
-    up, upp = _grid_derivatives(grid, u, den.y2)
-    hup, hupp = _grid_derivatives(grid, hu, den.y2)
+    up, upp = _grid_derivatives(grid, u)
+    hup, hupp = _grid_derivatives(grid, hu)
     num = (
         np.dot(w, hu**2 / den.y4_lw2)
         + np.dot(w, hup**2 / den.y2_lw2)
@@ -328,9 +340,8 @@ def interpolation_spotcheck(grid: radial.RadialGrid, eps: np.ndarray,
     h2e = radial.apply_H(grid, he)
     E2 = float(np.dot(w, he * he))
     E4 = float(np.dot(w, h2e * h2e))
-    y2 = y**2
-    ep, epp = _grid_derivatives(grid, eps, y2)
-    hep, hepp = _grid_derivatives(grid, he, y2)
+    ep, epp = _grid_derivatives(grid, eps)
+    hep, hepp = _grid_derivatives(grid, he)
     lw2 = 1.0 + np.log(y) ** 2
     lhs_e4 = (
         np.dot(w, he**2 / (y**4 * lw2))

@@ -3,15 +3,16 @@
 Everything here lives on the half line y > 0 carrying the measure y^3 dy of
 radial functions in four dimensions.  The module provides the log-graded grid,
 which make_grid builds for the profiles and the flow alike and which carries
-its quadrature, its -Delta stencil, its gradient coefficients, the potential
-and the zero modes on its nodes as attributes, the explicit stationary bubble Q(y) = 1/(1 + y^2/8) and
-its scaling family, the linearized operator H = -Delta - 3Q^2 together with
-its two explicit zero modes (Lambda Q and the growing solution Gamma), the
-variation-of-parameters inverse of H, the unique negative eigenmode, the
-LAPACK tridiagonal solves (pivoting LU for general systems, LDL^T for
-symmetric positive definite ones), and the not-a-knot cubic spline the
-flow samples its fields with.  A function on a grid is the float array of
-its values on grid.nodes, and the one pairing is grid.weights . (f g).
+its quadrature, its -Delta stencil, its gradient coefficients, the potential,
+the zero modes and its splines' frame as attributes, the explicit stationary
+bubble Q(y) = 1/(1 + y^2/8) and its scaling family, the linearized operator
+H = -Delta - 3Q^2 together with its two explicit zero modes (Lambda Q and the
+growing solution Gamma), the variation-of-parameters inverse of H, the unique
+negative eigenmode, the LAPACK tridiagonal solves (pivoting LU for general
+systems, LDL^T for symmetric positive definite ones), and the not-a-knot
+cubic spline the flow samples its fields with, whose knot-only part a grid
+keeps.  A function on a grid is the float array of its values on
+grid.nodes, and the one pairing is grid.weights . (f g).
 
 All closed forms are evaluated directly, never by differencing another
 quantity: the pair (Lambda Q, Gamma) satisfies the exact Wronskian
@@ -25,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _gtsv
+from scipy.linalg.lapack import dgttrf as _gttrf
+from scipy.linalg.lapack import dgttrs as _gttrs
 from scipy.linalg.lapack import dptsv as _ptsv
 from scipy.linalg.lapack import dpttrf as _pttrf
 from scipy.linalg.lapack import dpttrs as _pttrs
@@ -46,8 +49,9 @@ class RadialGrid:
     grid, the profile grid and the flow grid of the PDE alike.  What the
     nodes alone determine is an attribute: the panel increments, the stencil
     factors of -Delta and the flow step's symmetrized system, the gradient
-    coefficients in t, the potential and the zero modes.  `cache` holds the
-    profile module's memos.
+    coefficients in t, the squares y^2, the potential, the zero modes and
+    the frame of the splines built on the nodes.  `cache` holds the profile
+    module's memos.
     """
 
     nodes: np.ndarray
@@ -71,6 +75,11 @@ class RadialGrid:
     def t(self) -> np.ndarray:
         """t = log y at the nodes, computed once per grid."""
         return np.log(self.nodes)
+
+    @cached_property
+    def y2(self) -> np.ndarray:
+        """y^2 at the nodes, computed once per grid."""
+        return self.nodes**2
 
     @cached_property
     def h(self) -> float:
@@ -106,6 +115,12 @@ class RadialGrid:
         w = np.ones(m)
         w[:-1] = np.cumprod((dl[:m - 1] / du[:m - 1])[::-1])[::-1]
         return w, w * d[:m], w[:-1] * du[:m - 1], float(du[m - 1])
+
+    @cached_property
+    def spline_frame(self) -> SplineFrame:
+        """The knot-only part of every CubicSpline built on this grid, on
+        the knots t."""
+        return SplineFrame(self.t)
 
     @cached_property
     def zero_modes(self) -> tuple:
@@ -305,12 +320,13 @@ def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
     """x with (dl, d, du) x = rhs, by LAPACK gtsv (Gaussian elimination with
     partial pivoting), the routine solve_banded calls for (1, 1) bands, so
     the bits are the same; skipping its input checks and band copies is
-    most of the saving.  It serves the systems that are not symmetric
-    positive definite: the spline's not-a-knot slopes and the eigenmode's
-    indefinite H - sigma.  The solve consumes its inputs: gtsv overwrites
-    all four in place, without copying them, and x is rhs itself when rhs
-    is a contiguous float array.  A caller that reads one again passes a
-    copy.  Raises LinAlgError when the system is exactly singular.
+    most of the saving.  It serves the system that is not symmetric
+    positive definite, the eigenmode's indefinite H - sigma (the spline's
+    not-a-knot slopes reuse a gttrf factor, see SplineFrame).  The solve
+    consumes its inputs: gtsv overwrites all four in place, without copying
+    them, and x is rhs itself when rhs is a contiguous float array.  A
+    caller that reads one again passes a copy.  Raises LinAlgError when the
+    system is exactly singular.
     """
     # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
     x, info = _gtsv(dl, d, du, rhs, 1, 1, 1, 1)[3:]
@@ -353,23 +369,24 @@ def spd_substitute(factor: tuple, rhs) -> np.ndarray:
     return _pttrs(*factor, rhs, 1)[0]
 
 
-class CubicSpline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing with at
-    least four knots, extrapolating the end cubics beyond [x[0], x[-1]].
+class SplineFrame:
+    """What the not-a-knot slope system of a CubicSpline reads from its knots
+    x alone, x strictly increasing with at least four knots: the spacings,
+    the end rows' factors, the LU factorization of the slope matrix by
+    LAPACK gttrf, and the interval rule's uniform inverse step and bounds.
 
-    It repeats the arithmetic of scipy's CubicSpline (1.17) bit for bit: the
-    knot slopes solve the same tridiagonal system by the same gtsv, and a
-    query q in [x[i], x[i+1]) (the last interval closed on the right) is
-    the power sum ((c3 + c2 z) + c1 z^2) + c0 z^3 of z = q - x[i] that
-    PPoly evaluates.  Queries must be free of NaN.
+    gttrf eliminates with the partial pivoting of gtsv, the routine scipy
+    solves the slope system with, and its gttrs substitutions repeat gtsv's
+    arithmetic on the right-hand side, so a spline on a frame has the bits
+    of one that solves its whole system.  RadialGrid.spline_frame keeps the
+    frame of a grid's t, which lives as long as the grid.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray):
         n = x.size
         if n < 4:
             raise ValueError(f"need at least 4 knots, got {n}")
         dx = np.diff(x)
-        slope = np.diff(y) / dx
         d = np.empty(n)
         d[0], d[-1] = dx[1], dx[-2]
         d[1:-1] = 2 * (dx[:-1] + dx[1:])
@@ -379,35 +396,87 @@ class CubicSpline:
         dl = np.empty(n - 1)
         dl[:-1] = dx[1:]
         dl[-1] = x[-1] - x[-3]
-        rhs = np.empty(n)
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        rhs[0] = ((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]
-        rhs[-1] = (dx[-1] ** 2 * slope[-2]
-                   + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]
-        s = tridiagonal_solve(dl, d, du, rhs)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        self.x = x
-        # (c0, c1, c2, c3) of each interval, gathered by one take per call
-        self.coeffs = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self.x, self.dx = x, dx
+        # the first and last rows' right-hand sides are
+        # (a0 slope[0] + b0 slope[1]) / du[0] and (b1 slope[-2] + a1 slope[-1]) / dl[-1]
+        self.ends = ((dx[0] + 2 * du[0]) * dx[1], dx[0] ** 2, du[0],
+                     dx[-1] ** 2, (2 * dl[-1] + dx[-1]) * dx[-2], dl[-1])
+        *self.lu, info = _gttrf(dl, d, du, 1, 1, 1)  # (dl, d, du, du2, ipiv)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular tridiagonal system")
         self.inv_step = (n - 1) / (x[-1] - x[0])
         # interval bounds: the end intervals reach out to -inf and +inf
         self.bounds = np.concatenate(([-np.inf], x[1:-1], [np.inf]))
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        x, bounds, last = self.x, self.bounds, self.x.size - 2
+
+class CubicSpline:
+    """Not-a-knot cubic spline through (x, y) on the SplineFrame of the
+    knots x, extrapolating the end cubics beyond [x[0], x[-1]].  A build
+    forms only the right-hand side, one gttrs solve and the coefficients;
+    on a grid's t, the frame is grid.spline_frame.
+
+    It repeats the arithmetic of scipy's CubicSpline (1.17) bit for bit: the
+    knot slopes solve the same tridiagonal system with the bits of the same
+    gtsv (see SplineFrame), and a query q in [x[i], x[i+1]) (the last
+    interval closed on the right) is the power sum
+    ((c3 + c2 z) + c1 z^2) + c0 z^3 of z = q - x[i] that PPoly evaluates.
+    Queries must be free of NaN.
+    """
+
+    def __init__(self, frame: SplineFrame, y: np.ndarray):
+        a0, b0, du0, b1, a1, dl1 = frame.ends
+        dx = frame.dx
+        slope = np.diff(y)
+        slope /= dx
+        rhs = np.empty(y.size)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] = (a0 * slope[0] + b0 * slope[1]) / du0
+        rhs[-1] = (b1 * slope[-2] + a1 * slope[-1]) / dl1
+        s = _gttrs(*frame.lu, rhs, "N", 1)[0]  # overwrite_b
+        # (c0, c1, c2, c3) of each interval, gathered by one take per call:
+        # c0 = t/dx, c1 = (slope - s[:-1])/dx - t with t = (s[:-1] + s[1:] - 2 slope)/dx
+        self.coeffs = coeffs = np.empty((4, dx.size))
+        c0, c1, c2, c3 = coeffs
+        np.add(s[:-1], s[1:], out=c0)
+        np.multiply(2, slope, out=c1)
+        c0 -= c1
+        c0 /= dx
+        np.subtract(slope, s[:-1], out=c1)
+        c1 /= dx
+        c1 -= c0
+        c0 /= dx
+        c2[:] = s[:-1]
+        c3[:] = y[:-1]
+        self.frame = frame
+
+    def __call__(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The spline at q, written into `out`, which it returns."""
+        frame = self.frame
+        x, bounds = frame.x, frame.bounds
+        last = x.size - 2
         # the interval under a uniform knot spacing (clipped at 0 first, the
         # cast to int is the floor), then checked against the knots
-        f = (q - x[0]) * self.inv_step
+        f = q - x[0]
+        f *= frame.inv_step
         np.maximum(f, 0, out=f)
         np.minimum(f, last, out=f)
         i = f.astype(np.intp)
-        off = (q < np.take(bounds, i)) | (q >= np.take(bounds, i + 1))
+        off = np.less(q, bounds[:-1].take(i))
+        off |= np.greater_equal(q, bounds[1:].take(i))
         if off.any():
             i[off] = np.minimum(np.searchsorted(bounds, q[off], side="right") - 1, last)
-        z = q - np.take(x, i)
-        c0, c1, c2, c3 = np.take(self.coeffs, i, axis=1)
-        zz = z * z
-        return ((c3 + c2 * z) + c1 * zz) + c0 * (zz * z)
+        # z = q - x[i] and the power sum, in place
+        z = x.take(i)
+        np.subtract(q, z, out=z)
+        c0, c1, c2, c3 = self.coeffs.take(i, axis=1)
+        c2 *= z
+        c2 += c3
+        np.multiply(z, z, out=c3)
+        c1 *= c3
+        c2 += c1
+        c3 *= z
+        c0 *= c3
+        return np.add(c2, c0, out=out)
 
 
 def log_gradient(grid: RadialGrid, v: np.ndarray):

@@ -301,13 +301,13 @@ def test_criterion_8_orthogonal_decomposition():
     worst_err = 0.0
     worst_res = 0.0
     for lam_true, delta in ((0.7, 1e-5), (0.7, 1e-4), (1.3, 1e-4)):
-        r = flow._flow_grid(0.02 * lam_true, 30.0 * lam_true * 218.0, 100).nodes
-        y = r / lam_true
+        g = flow._flow_grid(0.02 * lam_true, 30.0 * lam_true * 218.0, 100)
+        y = g.nodes / lam_true
         inside = y <= cache.grid.y_max
         vals = np.where(inside, qt(np.log(np.minimum(y, cache.grid.y_max))),
                         radial.q_soliton(y))
         u = (vals + delta * np.exp(-(y**2)) * y**2) / lam_true
-        lam, b, dd = flow.decompose(cache, r, u, (lam_true * 1.0005, 1e-3))
+        lam, b, dd = flow.decompose(cache, g, u, (lam_true * 1.0005, 1e-3))
         worst_err = max(worst_err, abs(lam - lam_true) / (10.0 * delta),
                         abs(b - 1e-3) / (10.0 * delta))
         worst_res = max(worst_res, dd["res_phi"], dd["res_hphi"])

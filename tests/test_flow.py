@@ -1,5 +1,6 @@
 """PDE flow, decomposition, classification, and shooting mechanics."""
 
+import math
 import warnings
 from dataclasses import fields
 
@@ -27,9 +28,8 @@ def cache(params):
 
 
 def synthetic_state(cache, lam, b, delta=0.0, shape=None):
-    r = flow._flow_grid(flow.Y_MIN_FLOW * lam, 30.0 * lam * flow.zone_radii(b)[1],
-                        100).nodes
-    y = r / lam
+    g = flow._flow_grid(flow.Y_MIN_FLOW * lam, 30.0 * lam * flow.zone_radii(b)[1], 100)
+    y = g.nodes / lam
     qt = CubicSpline(cache.grid.t, flow.assemble_profiles(b, cache.grid).Q_b_tilde)
     inside = y <= cache.grid.y_max
     vals = np.where(inside, qt(np.log(np.minimum(y, cache.grid.y_max))),
@@ -37,7 +37,7 @@ def synthetic_state(cache, lam, b, delta=0.0, shape=None):
     if delta:
         shape = shape if shape is not None else np.exp(-(y**2)) * y**2
         vals = vals + delta * shape
-    return r, vals / lam
+    return g, vals / lam
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +300,8 @@ def test_energy_of_the_bubble():
 
 
 def test_decompose_recovers_exact_profile(cache):
-    r, u = synthetic_state(cache, 0.5, 1e-3)
-    lam, b, dd = flow.decompose(cache, r, u, (0.5 * 1.001, 1e-3 * 1.001))
+    g, u = synthetic_state(cache, 0.5, 1e-3)
+    lam, b, dd = flow.decompose(cache, g, u, (0.5 * 1.001, 1e-3 * 1.001))
     assert abs(lam - 0.5) < 1e-5
     assert abs(b - 1e-3) < 1e-6
     assert dd["res_phi"] < 1e-11 and dd["res_hphi"] < 1e-11
@@ -309,68 +309,112 @@ def test_decompose_recovers_exact_profile(cache):
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-4])
 def test_decompose_synthetic_perturbations(cache, delta):
-    r, u = synthetic_state(cache, 0.7, 1e-3, delta=delta)
-    lam, b, dd = flow.decompose(cache, r, u, (0.7 * 1.0005, 1e-3))
+    g, u = synthetic_state(cache, 0.7, 1e-3, delta=delta)
+    lam, b, dd = flow.decompose(cache, g, u, (0.7 * 1.0005, 1e-3))
     assert abs(lam - 0.7) < 10.0 * delta
     assert abs(b - 1e-3) < 10.0 * delta
     assert dd["res_phi"] < 1e-11 and dd["res_hphi"] < 1e-11
 
 
 def test_resonance_perturbation_moves_lambda_not_b(cache):
-    r, u = synthetic_state(cache, 0.7, 1e-3)
+    g, u = synthetic_state(cache, 0.7, 1e-3)
     eta = 1e-5
-    u2 = u + eta * radial.lambda_q(r / 0.7) / 0.7
-    lam1, b1, _ = flow.decompose(cache, r, u, (0.7, 1e-3))
-    lam2, b2, _ = flow.decompose(cache, r, u2, (0.7, 1e-3))
+    u2 = u + eta * radial.lambda_q(g.nodes / 0.7) / 0.7
+    lam1, b1, _ = flow.decompose(cache, g, u, (0.7, 1e-3))
+    lam2, b2, _ = flow.decompose(cache, g, u2, (0.7, 1e-3))
     assert abs(lam2 - lam1) > 5.0 * abs(b2 - b1)
 
 
 def test_u_eval_reads_the_parabola_prefix_bit_for_bit():
-    # on ascending queries all below r0, across it and all above it, the
-    # sliced prefix gives what masking each query gives
+    # on ascending queries lam y all below r0, across it and all above it,
+    # the sliced prefix gives what masking each query gives: the parabola
+    # at lam y below r0 and the spline at log lam + log y above it
     g = flow._flow_grid(0.02, 300.0, 120)
     r, u = g.nodes, radial.q_soliton(g.nodes / 0.5) / 0.5 + 0.1 * np.exp(-g.nodes**2)
-    spl = radial.CubicSpline(np.log(r), u)
+    spl = radial.CubicSpline(radial.SplineFrame(g.t), u)
     c2 = (u[1] - u[0]) / (r[1] ** 2 - r[0] ** 2)
     u00 = u[0] - c2 * r[0] ** 2
 
-    def masked(rq):
+    def masked(y, lam):
+        rq = lam * y
         out = np.empty_like(rq)
         low = rq < r[0]
         out[low] = u00 + c2 * rq[low] ** 2
-        out[~low] = spl(np.log(rq[~low]))
+        q = math.log(lam) + np.log(y[~low])
+        out[~low] = spl(q, np.empty_like(q))
         return out
 
-    evaluate = flow._u_eval(r, u)
-    for rq in (np.geomspace(1e-4, 0.9 * r[0], 40), 0.7 * r, r[:300],
-               np.concatenate([[0.5 * r[0]], r[:3]]), np.geomspace(r[0], 290.0, 500)):
-        assert same_bits(evaluate(rq), masked(rq))
+    evaluate = flow._u_eval(g, u)
+    near = np.geomspace(1e-3, 1.0, 300)
+    for y, lam in ((np.geomspace(1e-4, 0.9 * r[0], 40), 1.0), (r, 0.7), (r, 1.3),
+                   (r[:300], 1.0), (np.concatenate([[0.5 * r[0]], r[:3]]), 1.0),
+                   (np.geomspace(r[0], 290.0, 500), 1.0),
+                   # lam y_k lands on r0 or next to it, where the searched
+                   # prefix is settled on the products
+                   (near, r[0] / near[150]), (near, np.nextafter(r[0] / near[150], 0.0)),
+                   (near, np.nextafter(r[0] / near[150], 1.0))):
+        assert same_bits(evaluate(y, np.log(y), lam), masked(y, lam))
+    # at lam = 1 the evaluator reads the spline at the given t itself
+    assert same_bits(evaluate(r, g.t, 1.0), u)
 
 
 def test_decompose_evaluates_each_lambda_once(cache, monkeypatch):
     # F_lam = lam u(lam y) is evaluated once per lambda: the Jacobian's
     # b-column reads no field, and the step's kappa reads the field that
     # decompose returns
-    radii = []  # lam * y0 of every spline evaluation
+    scales = []  # lam of every evaluation
     original = flow._u_eval
 
-    def recording(r, u):
-        evaluate = original(r, u)
+    def recording(grid, u):
+        evaluate = original(grid, u)
 
-        def wrapped(rq):
-            radii.append(float(rq[0]))
-            return evaluate(rq)
+        def wrapped(y, t, lam):
+            scales.append(lam)
+            return evaluate(y, t, lam)
 
         return wrapped
 
     monkeypatch.setattr(flow, "_u_eval", recording)
-    r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
-    lam, b, dd = flow.decompose(cache, r, u, (0.7 * 1.02, 1e-3 * 1.1))
+    g, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
+    lam, b, dd = flow.decompose(cache, g, u, (0.7 * 1.02, 1e-3 * 1.1))
     assert dd["iterations"] >= 2
-    assert len(radii) == len(set(radii))
-    evaluations = len(radii)
+    assert len(scales) == len(set(scales))
+    evaluations = len(scales)
     kappa = flow._kappa(cache, dd["eps"])
-    assert kappa is not None and len(radii) == evaluations
+    assert kappa is not None and len(scales) == evaluations
+
+
+def test_log_lambda_field_stays_within_roundoff_of_lam_u_of_lam_y(monkeypatch):
+    # the field reads the spline at log lam + t instead of log(lam y); at
+    # each root of the shoot workload's + probe it stays within 4 eps
+    # max|F| of lam u(lam y) formed with one logarithm per query (it moves
+    # by at most 1.0 eps max|F|, on 57 to 245 of the 2,527 nodes)
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000)
+    cache = flow.ProfileCache(params)
+    decompose, roots = flow.decompose, []
+
+    def decomposing(memo, grid, u, seed, J):
+        lam, b, dd = decompose(memo, grid, u, seed, J)
+        roots.append((grid, u, lam))
+        return lam, b, dd
+
+    monkeypatch.setattr(flow, "decompose", decomposing)
+    flow._probe(params, cache, 6.95153980321595e-4)
+    assert len(roots) == 51
+    y = cache.grid.nodes[:cache.n]
+    for grid, u, lam in roots:
+        r = grid.nodes
+        spl = radial.CubicSpline(radial.SplineFrame(np.log(r)), u)
+        c2 = (u[1] - u[0]) / (r[1] ** 2 - r[0] ** 2)
+        rq = lam * y
+        low = rq < r[0]
+        want = np.empty_like(rq)
+        want[low] = u[0] - c2 * r[0] ** 2 + c2 * rq[low] ** 2
+        q = np.log(rq[~low])
+        want[~low] = spl(q, np.empty_like(q))
+        want *= lam
+        field = flow._field(cache, flow._u_eval(grid, u), lam, cache.n)
+        assert np.max(np.abs(field - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("b", [1e-2, 3e-3, 1e-3])
@@ -378,8 +422,8 @@ def test_jacobian_b_column_matches_centred_difference(cache, b):
     # the one-sided, field-free b-column against a centred difference of
     # the pairings of one field
     lam = 0.7
-    r, u = synthetic_state(cache, lam, b, delta=1e-5)
-    u_eval = flow._u_eval(r, u)
+    g, u = synthetic_state(cache, lam, b, delta=1e-5)
+    u_eval = flow._u_eval(g, u)
     field = flow._field(cache, u_eval, lam, cache.pair_n)
     db = 1e-6 * b
     plus = np.array(flow._pairings(cache, field - cache.q_b(b + db)[:field.size]))
@@ -392,7 +436,7 @@ def test_jacobian_b_column_matches_centred_difference(cache, b):
 def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
     # each Newton update builds Q~ at b + db for the Jacobian and at most
     # one line-search trial; Q~ at the current b is in the set the grid built last
-    r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
+    g, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
     misses = []
     original = flow.assemble_profiles
 
@@ -403,7 +447,7 @@ def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
         return original(b, grid, *args, **kwargs)
 
     monkeypatch.setattr(flow, "assemble_profiles", counting)
-    _, _, dd = flow.decompose(cache, r, u, (0.7 * 0.98, 1e-3 * 0.9))
+    _, _, dd = flow.decompose(cache, g, u, (0.7 * 0.98, 1e-3 * 0.9))
     iterations = dd["iterations"]
     assert iterations >= 2
     assert misses[0] == 1e-3 * 0.9  # the seed's own build
@@ -413,8 +457,8 @@ def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
 @pytest.fixture(scope="module")
 def carried_jacobian(cache):
     """The Jacobian a decomposition at (0.7, 1e-3) hands to the next call."""
-    r, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
-    _, _, dd = flow.decompose(cache, r, u, (0.7, 1e-3))
+    g, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
+    _, _, dd = flow.decompose(cache, g, u, (0.7, 1e-3))
     assert dd["jacobian_builds"] >= 1
     return dd["jacobian"]
 
@@ -431,10 +475,10 @@ def _converged_alike(got, want):
 def test_decompose_with_a_carried_jacobian_reaches_the_fresh_root(cache, carried_jacobian):
     # the chord from a nearby state converges to the fresh-Jacobian root and
     # saves a Jacobian build
-    r, u = synthetic_state(cache, 0.7 * 1.002, 1.003e-3, delta=1e-5)
+    g, u = synthetic_state(cache, 0.7 * 1.002, 1.003e-3, delta=1e-5)
     seed = (0.7 * 1.001, 1.002e-3)
-    fresh = flow.decompose(cache, r, u, seed)
-    chord = flow.decompose(cache, r, u, seed, J=carried_jacobian)
+    fresh = flow.decompose(cache, g, u, seed)
+    chord = flow.decompose(cache, g, u, seed, J=carried_jacobian)
     _converged_alike(chord, fresh)
     assert chord[2]["jacobian_builds"] < fresh[2]["jacobian_builds"]
 
@@ -443,28 +487,28 @@ def test_decompose_refreshes_a_wrong_carried_jacobian(cache, carried_jacobian, m
     # with its b-column negated, the carried J points b the wrong way: the
     # line search rejects every alpha, J is refreshed at the seed itself and
     # the update retried
-    r, u = synthetic_state(cache, 0.7 * 1.002, 1.003e-3, delta=1e-5)
+    g, u = synthetic_state(cache, 0.7 * 1.002, 1.003e-3, delta=1e-5)
     seed = (0.7 * 1.002, 1.1e-3)
-    fresh = flow.decompose(cache, r, u, seed)
+    fresh = flow.decompose(cache, g, u, seed)
     wrong = carried_jacobian * np.array([1.0, -1.0])
     points = []
     original = flow._jacobian
     monkeypatch.setattr(flow, "_jacobian",
                         lambda c, ev, lam, b: points.append((lam, b)) or original(c, ev, lam, b))
-    refreshed = flow.decompose(cache, r, u, seed, J=wrong)
+    refreshed = flow.decompose(cache, g, u, seed, J=wrong)
     _converged_alike(refreshed, fresh)
     assert points[0] == seed
     assert refreshed[2]["jacobian_builds"] == len(points)
 
 
 def test_decompose_signals_tube_loss(cache, carried_jacobian):
-    r = flow._flow_grid(0.01, 500.0, 100).nodes
-    u = 0.3 * np.exp(-(r**2))  # nowhere near the soliton family
+    g = flow._flow_grid(0.01, 500.0, 100)
+    u = 0.3 * np.exp(-(g.nodes**2))  # nowhere near the soliton family
     with pytest.raises(RuntimeError):
-        flow.decompose(cache, r, u, (1.0, 1e-3))
+        flow.decompose(cache, g, u, (1.0, 1e-3))
     # a carried Jacobian does not hide the loss: only a fresh one declares it
     with pytest.raises(RuntimeError):
-        flow.decompose(cache, r, u, (1.0, 1e-3), J=carried_jacobian)
+        flow.decompose(cache, g, u, (1.0, 1e-3), J=carried_jacobian)
 
 
 def test_decompose_below_the_profile_grids_b_is_a_tube_loss(cache):
@@ -474,13 +518,13 @@ def test_decompose_below_the_profile_grids_b_is_a_tube_loss(cache):
     assert flow.resolves(cache.grid, flow.B_FLOOR)
     assert not flow.resolves(cache.grid, 1.5e-4)
     assert not any(flow.resolves(cache.grid, b) for b in (-1e-3, 0.0, 0.05))
-    r = flow._flow_grid(0.01, 500.0, 100).nodes
-    u = 0.3 * np.exp(-(r**2))
+    g = flow._flow_grid(0.01, 500.0, 100)
+    u = 0.3 * np.exp(-(g.nodes**2))
     # the first update halves b to 1.5e-4, which the grid cannot resolve
     with pytest.raises(RuntimeError, match="left the soliton tube"):
-        flow.decompose(cache, r, u, (1.0, 3e-4))
+        flow.decompose(cache, g, u, (1.0, 3e-4))
     with pytest.raises(RuntimeError, match="outside the profile grid"):
-        flow.decompose(cache, r, u, (1.0, 1.5e-4))
+        flow.decompose(cache, g, u, (1.0, 1.5e-4))
 
 
 def test_decompose_reads_u_only_where_the_flow_grid_holds_it(cache):
@@ -488,11 +532,11 @@ def test_decompose_reads_u_only_where_the_flow_grid_holds_it(cache):
     # 0.95 r_max falls short of lam * reach is a lost decomposition, not a
     # spline extrapolated past r_max
     lam, b = 0.7, 1e-3
-    r, u = synthetic_state(cache, lam, b, delta=1e-5)
-    assert abs(flow.decompose(cache, r, u, (lam, b))[0] / lam - 1.0) < 1e-3
-    keep = r <= 0.9 * lam * cache.reach
+    g, u = synthetic_state(cache, lam, b, delta=1e-5)
+    assert abs(flow.decompose(cache, g, u, (lam, b))[0] / lam - 1.0) < 1e-3
+    short = flow._flow_grid(g.y_min, 0.9 * lam * cache.reach, 100)
     with pytest.raises(RuntimeError, match="leaves the flow grid"):
-        flow.decompose(cache, r[keep], u[keep], (lam, b))
+        flow.decompose(cache, short, np.interp(short.nodes, g.nodes, u), (lam, b))
 
 
 def test_the_first_flow_grid_holds_the_decomposition_windows():
@@ -745,7 +789,7 @@ def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monk
     flow._probe(params, cache, 6.95153980321595e-4)
     assert len(live) == 4  # steps 1, 20, 40 and the exit at 51
     for grid, u, lam, b in live:
-        u_eval = flow._u_eval(grid.nodes, u)
+        u_eval = flow._u_eval(grid, u)
 
         def energies(at):
             n = flow._covered(cache, at, grid.y_max)
@@ -777,8 +821,8 @@ def test_step_kappa_pairs_the_eps_of_its_decomposition(monkeypatch):
     decompose, kappa = flow.decompose, flow._kappa
     roots, pairs = [], []
 
-    def decomposing(memo, r, u, seed, J):
-        lam, b, dd = decompose(memo, r, u, seed, J)
+    def decomposing(memo, grid, u, seed, J):
+        lam, b, dd = decompose(memo, grid, u, seed, J)
         roots.append((memo, lam, b, dd["u_eval"]))
         return lam, b, dd
 
@@ -788,7 +832,7 @@ def test_step_kappa_pairs_the_eps_of_its_decomposition(monkeypatch):
             memo, lam, b, u_eval = roots[-1]
             n = memo.psi_n
             field = flow._field(memo, u_eval, lam, memo.n)[:n]
-            parent = np.dot(memo.grid.weights[:n], (field - memo.q_b(b)[:n]) * memo.eig.psi[:n])
+            parent = np.dot(memo.grid.weights[:n] * memo.eig.psi[:n], field - memo.q_b(b)[:n])
             pairs.append((k, float(parent)))
         return k
 
@@ -802,17 +846,17 @@ def test_step_kappa_pairs_the_eps_of_its_decomposition(monkeypatch):
 def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
     """kappa, res_phi, res_hphi, E1, E2 and E2_hat of a live checkpoint as
     formed before eps was handed on: each pairing subtracts the exact Q~_b
-    from the field over its own window, and the energies pad eps with zeros
-    to the whole profile grid."""
+    from the field over its own window and dots it with the weighted
+    w v, and the energies pad eps with zeros to the whole profile grid."""
     g, w = cache.grid, cache.grid.weights
-    u_eval = dd["u_eval"] if dd else flow._u_eval(grid.nodes, u)
+    u_eval = dd["u_eval"] if dd else flow._u_eval(grid, u)
     n = flow._covered(cache, lam, grid.y_max)
     field = flow._field(cache, u_eval, lam, n)
     pset = profiles.assemble_profiles(b, g)
     q = pset.Q_b_tilde
 
     def paired(v, m):
-        return float(np.dot(w[:m], (field[:m] - q[:m]) * v[:m]))
+        return float(np.dot(w[:m] * v[:m], field[:m] - q[:m]))
 
     s1, s2 = flow._pairing_scales(cache, field)
     eps = np.zeros(g.n)
@@ -1005,7 +1049,7 @@ def test_init_data_window_warning(params, cache):
 
 def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     st = flow.init_data(cache, params)
-    lam, b, dd = flow.decompose(cache, st.r, st.u, (1.0, params.b0))
+    lam, b, dd = flow.decompose(cache, st.grid, st.u, (1.0, params.b0))
     n = flow._covered(cache, lam, st.r[-1])
     # kappa vanishes up to the pairing tolerance times its scale
     assert abs(flow._kappa(cache, dd["eps"])) < 5e-9
@@ -1051,7 +1095,7 @@ def test_twin_runs_grow_at_the_unstable_eigenvalue(cache):
     misses = {}
     for npd in (60, 120, 240):
         g = flow._flow_grid(0.02, 200.0, npd)
-        psi = flow._u_eval(cache.grid.nodes, cache.eig.psi)(g.nodes)
+        psi = flow._u_eval(cache.grid, cache.eig.psi)(g.nodes, g.t, 1.0)
         u0 = radial.q_soliton(g.nodes)
         u1 = u0 + delta * psi
         t, kappa = [], []

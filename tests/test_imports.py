@@ -53,6 +53,65 @@ def test_no_import_inside_a_function():
     assert not nested, "imports inside a function:\n" + "\n".join(sorted(nested))
 
 
+# methods that change a list, dict, set or deque in place
+MUTATORS = {"append", "appendleft", "extend", "extendleft", "insert", "update",
+            "setdefault", "pop", "popitem", "popleft", "clear", "add", "discard",
+            "remove", "sort", "reverse", "__setitem__", "__delitem__"}
+# functools decorators that keep a cache beside the module
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _module_state_writes(tree: ast.Module) -> list:
+    """(line, what) for each place a function stores into or mutates a name
+    bound at the top level of the module (x[k] = v, x[k] += v, del x[k],
+    x.append(v), x.setdefault(k, v), ...), declares one `global`, or wears
+    a functools cache decorator.  A name the function binds itself, as a
+    parameter or a local, is its own."""
+    module_names = {name for node in tree.body for name in _bound_names(node)}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in fn.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = getattr(target, "attr", getattr(target, "id", None))
+            if name in CACHE_DECORATORS:
+                found.append((deco.lineno, f"@{name} on {fn.name}"))
+        args = fn.args
+        own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        own |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        own |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+        shared = module_names - own
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append((node.lineno, "global " + ", ".join(node.names)))
+            elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in shared):
+                found.append((node.lineno, f"{node.value.id}[...] stored in {fn.name}"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in shared):
+                found.append((node.lineno, f"{node.func.value.id}.{node.func.attr} in {fn.name}"))
+    return found
+
+
+def test_no_function_keeps_state_at_module_level():
+    # a cache lives on what it caches for, a grid or a ProfileCache, and
+    # dies with it: a frame dict at module level, keyed by grid, kept every
+    # grid's frame alive and grew a benchmark run's peak RSS by about 10 MB
+    probe = ast.parse("FRAMES = {}\nSEEN = []\n@functools.lru_cache\ndef frame(grid):\n"
+                      "    FRAMES[id(grid)] = grid\n    SEEN.append(grid)\n"
+                      "    own = []\n    own.append(grid)\n")
+    assert [what for _, what in _module_state_writes(probe)] == [
+        "@lru_cache on frame", "FRAMES[...] stored in frame", "SEEN.append in frame"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {what}" for line, what in _module_state_writes(tree)]
+    assert not found, "module-level state written by a function:\n" + "\n".join(found)
+
+
 def _references(node: ast.AST) -> tuple:
     """(bare, qualified) names a node reads.  Bare names are identifiers,
     which another module's code resolves in its own namespace.  Qualified

@@ -1,6 +1,8 @@
 """Grid, quadrature, closed forms, the operator H, and its inverse."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -512,7 +514,7 @@ def test_cubic_spline_matches_scipy_bit_for_bit():
     cache = flow.ProfileCache(params)
     u = flow.init_data(cache, params).u
     x = np.log(flow.init_data(cache, params).grid.nodes)
-    ours, theirs = radial.CubicSpline(x, u), CubicSpline(x, u)
+    ours, theirs = radial.CubicSpline(radial.SplineFrame(x), u), CubicSpline(x, u)
     rng = np.random.default_rng(7)
     queries = [np.log(lam * cache.grid.nodes[:cache.pair_n])
                for lam in np.exp(rng.uniform(np.log(0.3), np.log(1.5), 20))]
@@ -520,12 +522,12 @@ def test_cubic_spline_matches_scipy_bit_for_bit():
                                    [x[0] - 1.0, x[-1] + 1.0, -np.inf]]))
     with np.errstate(invalid="ignore"):  # -inf gives NaN in both
         for q in queries:
-            assert same_bits(ours(q), theirs(q))
+            assert same_bits(ours(q, np.empty_like(q)), theirs(q))
     # splines on the profile grid, as init_data builds for Q~_b0 + a+ psi
     for values in (flow.assemble_profiles(params.b0, cache.grid).Q_b_tilde, cache.eig.psi):
         q = np.log(rng.uniform(0.02, cache.grid.y_max, 500))
-        assert same_bits(radial.CubicSpline(cache.grid.t, values)(q),
-                          CubicSpline(cache.grid.t, values)(q))
+        ours = radial.CubicSpline(cache.grid.spline_frame, values)
+        assert same_bits(ours(q, np.empty_like(q)), CubicSpline(cache.grid.t, values)(q))
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,9 +540,51 @@ def test_cubic_spline_matches_scipy_on_uneven_knots(n, seed):
     x = np.cumsum(rng.uniform(1e-3, 2.0, n))
     y = rng.normal(size=n)
     q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, 200)
-    assert same_bits(radial.CubicSpline(x, y)(q), CubicSpline(x, y)(q))
+    ours = radial.CubicSpline(radial.SplineFrame(x), y)
+    assert same_bits(ours(q, np.empty_like(q)), CubicSpline(x, y)(q))
 
 
 def test_cubic_spline_needs_four_knots():
     with pytest.raises(ValueError, match="4 knots"):
-        radial.CubicSpline(np.arange(3.0), np.zeros(3))
+        radial.SplineFrame(np.arange(3.0))
+
+
+@pytest.mark.parametrize("n", [64, 605, 3072])
+def test_spline_frame_slopes_have_the_bits_of_gtsv(n):
+    # a spline on a grid solves its not-a-knot slopes with the gttrs of the
+    # frame's one gttrf factor: the bits gtsv gives on the whole system,
+    # and then scipy's coefficients, for random values
+    from scipy.interpolate import CubicSpline
+
+    grid = radial.make_grid(1e-2, 3e2, n)
+    x = grid.t
+    dx = np.diff(x)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        y = rng.normal(size=n)
+        slope = np.diff(y) / dx
+        d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        du = np.concatenate(([x[2] - x[0]], dx[:-1]))
+        dl = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+        rhs = np.concatenate((
+            [((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]],
+            3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]]))
+        s = radial.tridiagonal_solve(dl, d, du, rhs)
+        spl = radial.CubicSpline(grid.spline_frame, y)
+        assert spl.frame is grid.spline_frame
+        assert same_bits(spl.coeffs[2], s[:-1])
+        assert same_bits(spl.coeffs, CubicSpline(x, y).c)
+
+
+def test_a_grids_spline_frame_lives_and_dies_with_the_grid():
+    # every spline on a grid shares the one frame the grid holds, and
+    # nothing else keeps the frame once the grid and its splines are gone
+    grid = radial.make_grid(1e-2, 3e2, 200)
+    first = radial.CubicSpline(grid.spline_frame, np.sin(grid.nodes))
+    second = radial.CubicSpline(grid.spline_frame, np.cos(grid.nodes))
+    assert first.frame is second.frame is grid.spline_frame
+    frame = weakref.ref(grid.spline_frame)
+    del first, second, grid
+    gc.collect()
+    assert frame() is None
