@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .inequalities import FAMILIES
 from .modulation import FIT_MIN_DECAY, S_MAX, integrate_reduced
-from .profiles import B_STAR_DEFAULT, M_DEFAULT
+from .profiles import B_STAR, M_DEFAULT
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
@@ -119,10 +119,10 @@ def _require(cond: bool, message: str):
 
 
 def _b_window(name, b):
-    # the profiles are built for 0 < b < B_STAR_DEFAULT only
-    if not 0.0 < b < B_STAR_DEFAULT:
+    # the profiles are built for 0 < b < B_STAR only
+    if not 0.0 < b < B_STAR:
         raise ValueError(
-            f"{name}={b!r} outside the admissible window (0, {B_STAR_DEFAULT})")
+            f"{name}={b!r} outside the admissible window (0, {B_STAR})")
     _require(b >= B_MIN, f"{name}={b!r} is below the smallest b, {B_MIN:g}")
 
 

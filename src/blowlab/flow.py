@@ -33,14 +33,7 @@ import numpy as np
 
 from . import radial
 from .config import B_FLOOR, B_FLOOR_EXIT, RunConfig
-from .profiles import (
-    assemble_profiles,
-    direction_phi,
-    localized_profile,
-    log_binv,
-    resolves,
-    zone_radii,
-)
+from .profiles import direction_phi, localized_profile, log_binv, resolves, zone_radii
 
 E_OF_Q = 4.0 / 3.0  # energy of the stationary bubble, = 1/2*16/3 - 1/4*16/3
 
@@ -112,9 +105,9 @@ class ProfileCache:
     by the float b_k, so a coarse node is an even node of the finer
     levels; and the gate radius of each interval [b_k, b_k + h) served.  A
     value kept here has the bits any run would have formed, so what a run
-    reads does not depend on the runs before it.  `init_data` and the
-    checkpoints read Q~_b and zeta_b from the exact profile set on its grid
-    (assemble_profiles)."""
+    reads does not depend on the runs before it.  `init_data` builds Q~_b0
+    on the whole profile grid, and each checkpoint builds Q~_b and zeta_b on
+    its covered prefix (`profiles.localized_profile`), keeping neither."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
@@ -146,7 +139,7 @@ class ProfileCache:
         """The exact Q~_b at a lattice point b, built on its first request."""
         q = self.nodes.get(b)
         if q is None:
-            q = self.nodes[b] = localized_profile(b, self.grid, self.n)
+            q = self.nodes[b] = localized_profile(b, self.grid, self.n)[0]
         return q
 
     def radius(self, h: float, k: int) -> float:
@@ -184,9 +177,9 @@ class ProfileMemo:
     starts at h = MEMO_STEP and halves where the gate fails, at most
     MEMO_HALVINGS times; a b on a node returns that node's bits.  A b no
     level passes, or whose stencil leaves the b the profile grid resolves,
-    is built exactly for this run (`profiles.localized_profile`, with the
-    bits of the whole set's Q~_b on the decomposition prefix), and the last
-    such build is kept.
+    is built exactly for this run (`profiles.localized_profile` on the
+    decomposition prefix, with the bits of a whole-grid build there), and
+    the last such build is kept.
 
     A served value depends on b alone, so runs on one cache read the same
     bits in any order.  So do the run's counts: `read` holds the distinct
@@ -232,7 +225,7 @@ class ProfileMemo:
             h *= 0.5
         self.read.add(b)
         if self.built[0] != b:
-            self.built = (b, localized_profile(b, self.grid, self.n))
+            self.built = (b, localized_profile(b, self.grid, self.n)[0])
         return self.built[1]
 
 
@@ -554,11 +547,13 @@ def _jacobian(cache: ProfileMemo, u_eval, lam: float, b: float):
 
 
 def flow_energies(grid: radial.RadialGrid, eps: np.ndarray, zeta_b: np.ndarray):
-    """E1, E2 and the second-localization E2_hat of eps, with zeta_b from
-    its profile set.  `eps` covers a prefix of the profile grid; it is zero
-    beyond it."""
+    """E1, E2 and the second-localization E2_hat of eps, with zeta_b the
+    radiation part of its profile.  Both cover the same prefix of the
+    profile grid; they are zero beyond it."""
     n = eps.size
-    eps = np.concatenate((eps, np.zeros(grid.n - n)))
+    pad = np.zeros(grid.n - n)
+    eps_hat = np.concatenate((eps + zeta_b, pad))
+    eps = np.concatenate((eps, pad))
     he = radial.apply_H(grid, eps)
     # keep stencil noise at the coverage edge out
     keep = n if n == grid.n else max(n - 6, 0)
@@ -566,7 +561,7 @@ def flow_energies(grid: radial.RadialGrid, eps: np.ndarray, zeta_b: np.ndarray):
     _, dy = radial.log_gradient(grid, eps)
     e1 = float(np.dot(w, dy * dy))
     e2 = float(np.dot(w, he**2))
-    he_hat = radial.apply_H(grid, eps + zeta_b)
+    he_hat = radial.apply_H(grid, eps_hat)
     e2_hat = float(np.dot(w, he_hat**2))
     return e1, e2, e2_hat
 
@@ -593,7 +588,8 @@ def init_data(cache: ProfileCache, params: RunConfig):
             f"window {window:g}", stacklevel=2)
     grid = _flow_grid(Y_MIN_FLOW, _flow_r_max(b0, cache.reach), params.nodes_per_decade)
     y = grid.nodes
-    u0 = _u_eval(cache.grid, assemble_profiles(b0, cache.grid).Q_b_tilde + a_plus * cache.eig.psi)
+    q = localized_profile(b0, cache.grid, cache.grid.n)[0]
+    u0 = _u_eval(cache.grid, q + a_plus * cache.eig.psi)
     inside = y <= cache.grid.y_max
     vals = np.empty_like(y)
     vals[inside] = u0(y[inside], grid.t[inside], 1.0)
@@ -734,14 +730,14 @@ def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed
         e1 = e2 = e2h = np.nan
         res1 = res2 = np.nan
     else:
-        # one evaluation and one exact profile set over the covered prefix,
-        # which holds both windows
+        # one evaluation and one exact profile build over the covered
+        # prefix, which holds both windows
         u_eval = dd["u_eval"] if dd else _u_eval(grid, u)
         n = _covered(cache, lam, grid.y_max)
         field = _field(cache, u_eval, lam, n)
-        pset = assemble_profiles(b, cache.grid)
-        eps = field - pset.Q_b_tilde[:n]
-        e1, e2, e2h = flow_energies(cache.grid, eps, pset.zeta_b)
+        q, zeta = localized_profile(b, cache.grid, n)
+        eps = field - q
+        e1, e2, e2h = flow_energies(cache.grid, eps, zeta)
         kappa = _kappa(cache, eps)
         r1, r2 = _pairings(cache, eps)
         s1, s2 = _pairing_scales(cache, field)

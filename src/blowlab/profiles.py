@@ -32,7 +32,7 @@ from .radial import (
     solve_H_with_derivative,
 )
 
-B_STAR_DEFAULT = 0.05
+B_STAR = 0.05
 M_DEFAULT = 50.0
 DB_REL = 1e-3  # relative step of the residual's centred b-difference
 
@@ -51,7 +51,7 @@ def zone_radii(b: float) -> tuple[float, float]:
 def resolves(grid: RadialGrid, b: float) -> bool:
     """Whether `grid` carries the localized profiles at b: 0 < b < b* and
     4 B1(b) <= y_max."""
-    return 0.0 < b < B_STAR_DEFAULT and 4.0 * zone_radii(b)[1] <= grid.y_max
+    return 0.0 < b < B_STAR and 4.0 * zone_radii(b)[1] <= grid.y_max
 
 
 # ---------------------------------------------------------------------------
@@ -111,67 +111,40 @@ def radiation_sigma(b: float, grid: RadialGrid, n: int):
 
 
 # ---------------------------------------------------------------------------
-# higher profiles and the assembled set
+# higher profiles and the localized profile
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileSet:
-    """What the flow reads of the profile at one b, on grid.nodes.
+def localized_profile(b: float, grid: RadialGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What the flow reads of the profile at b, (Q~_b, zeta_b), on the
+    first n nodes of the grid.
 
-    Q_b_tilde = Q + chi_{B1} alpha is the localized profile and
+    Q~_b = Q + chi_{B1} alpha is the localized profile and
     zeta_b = (chi_{B1} - chi_{B0}) alpha its radiation part, with
-    alpha = b T1 + b^2 T2 + b^3 T3 the profile correction.  The residual
+    alpha = b T1 + b^2 T2 + b^3 T3 the profile correction.  The three H^-1
+    solves, the radiation's Sigma_b and both localizations run on the n
+    nodes alone, and nothing is kept.  A value at a node reads only the
+    nodes up to it and the constants c_b and d_b, so the bits are those of
+    the whole grid's build on its first n nodes, for any n.  The residual
     builds the orders it reads itself (see _psi_values).
     """
-
-    Q_b_tilde: np.ndarray
-    zeta_b: np.ndarray
-
-
-def assemble_profiles(b: float, grid: RadialGrid,
-                      b_star: float = B_STAR_DEFAULT) -> ProfileSet:
-    """The profile set at one value of b.
-
-    The grid keeps the last set it built: every reader rereads the set of
-    the b it used just before, or builds a new one."""
-    key = (float(b), b_star)
-    memo = grid.cache.get("profile_sets")
-    if memo is not None and key in memo:
-        return memo[key]
     _require_resolved(b, grid)
-    pset = _build_profiles(b, grid)
-    grid.cache["profile_sets"] = {key: pset}
-    return pset
-
-
-def localized_profile(b: float, grid: RadialGrid, n: int) -> np.ndarray:
-    """Q~_b on the first n nodes of the grid, and nothing else of its set.
-
-    The set the grid keeps (see assemble_profiles) is sliced when it is at
-    b.  Otherwise the three H^-1 solves, the radiation's Sigma_b and the
-    chi_{B1} localization run on the n nodes alone.  A value at a node
-    reads only the nodes up to it and the constants c_b and d_b, so the
-    bits are those of assemble_profiles(b, grid).Q_b_tilde[:n] for any n.
-    """
-    kept = grid.cache.get("profile_sets", {}).get((float(b), B_STAR_DEFAULT))
-    if kept is not None:
-        return kept.Q_b_tilde[:n]
-    _require_resolved(b, grid)
-    return _order_sources(grid)[0][:n] + _corrections(b, grid, n)[-1]
+    alpha, a_t = _corrections(b, grid, n)[-2:]
+    return (_order_sources(grid)[0][:n] + a_t,
+            a_t - cutoff(zone_radii(b)[0], grid.nodes[:n]) * alpha)
 
 
 def _require_resolved(b: float, grid: RadialGrid) -> None:
     if not resolves(grid, b):
         raise ValueError(f"grid y_max={grid.y_max:g} does not resolve b={b:g}; "
-                         f"need 0 < b < {B_STAR_DEFAULT} and 4*B1(b) <= y_max")
+                         f"need 0 < b < {B_STAR} and 4*B1(b) <= y_max")
 
 
 def _corrections(b: float, grid: RadialGrid, n: int):
     """The order-b^2 and order-b^3 solves at b on the first n nodes, and
     the correction they give: (c_b, d_b, sigma2, sigma3, (T2, T2'),
     (T3, T3'), alpha, chi_{B1} alpha).  The one implementation of both
-    orders, for a whole set, a prefix and the residual alike."""
+    orders, for the localized profile and the residual alike."""
     y = grid.nodes[:n]
     T1 = _t1_parts(grid)[0][:n]
     _, y_t1p, q3_t1t1, q6_t1, t1_cube = (part[:n] for part in _order_sources(grid))
@@ -188,13 +161,6 @@ def _corrections(b: float, grid: RadialGrid, n: int):
     alpha = b * T1 + b * b * T2 + b**3 * T3
     return c_b, d_b, sigma2, sigma3, (T2, T2p), (T3, T3p), alpha, \
         cutoff(zone_radii(b)[1], y) * alpha
-
-
-def _build_profiles(b: float, grid: RadialGrid) -> ProfileSet:
-    """The profile set at b, built afresh and kept nowhere."""
-    alpha, a_t = _corrections(b, grid, grid.n)[-2:]
-    return ProfileSet(Q_b_tilde=_order_sources(grid)[0] + a_t,
-                      zeta_b=a_t - cutoff(zone_radii(b)[0], grid.nodes) * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +229,8 @@ def _psi_values(b: float, grid: RadialGrid):
 def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
     """Weighted norms of the residual Psi_tilde on y <= 2 B1, plus the flux
     (H Psi_tilde, Phi_M) / (Lambda Q, Phi_M) and the radiation constants
-    c_b, d_b.  Nothing is left on the grid's profile memo."""
+    c_b, d_b.  The grid keeps only what no b enters (T1, the order sources
+    and the direction Phi_M)."""
     _require_resolved(b, grid)
     y = grid.nodes
     c_b, d_b, psi = _psi_values(b, grid)

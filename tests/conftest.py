@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowlab import flow, inequalities as ineq, radial
+from blowlab import flow, inequalities as ineq, profiles, radial
 
 
 @pytest.fixture(scope="session")
@@ -78,14 +78,25 @@ def radiation_scaled_asymptotic(b):
 # ---------------------------------------------------------------------------
 
 
+def whole_profile(b, grid):
+    """(Q~_b, zeta_b) built exactly on the whole grid: the reference that
+    every prefix build, lattice node and checkpoint is checked against."""
+    return profiles.localized_profile(b, grid, grid.n)
+
+
 class ExactProfileCache(flow.ProfileCache):
     """A ProfileCache that `decompose` can read Q~_b from directly, built
-    exactly from the whole profile set; a run reads it through its
-    ProfileMemo instead.  The build goes through the `flow` name, so a test
-    that patches flow.assemble_profiles sees it."""
+    exactly on the whole profile grid; a run reads it through its
+    ProfileMemo instead.  It keeps its last build, so a request at the b
+    before reuses it.  The build goes through the `flow` name, so a test
+    that patches flow.localized_profile sees each miss."""
+
+    built = (None, None)  # (b, Q~_b) of the last build
 
     def q_b(self, b: float) -> np.ndarray:
-        return flow.assemble_profiles(b, self.grid).Q_b_tilde
+        if self.built[0] != b:
+            self.built = (b, flow.localized_profile(b, self.grid, self.grid.n)[0])
+        return self.built[1]
 
 
 def cumulative_integral_one_lane(grid, integrand, head):

@@ -63,7 +63,7 @@ from blowlab.config import RunConfig, parse_config
 
 from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, ExactProfileCache,
                       coercivity_H_adversarial, l2_window, radiation_mass_exact,
-                      radiation_scaled_asymptotic)
+                      radiation_scaled_asymptotic, whole_profile)
 
 
 def report(criterion: int, ok: bool, detail: str) -> str:
@@ -297,7 +297,7 @@ def test_criterion_8_orthogonal_decomposition():
     cache = ExactProfileCache(params)
     from scipy.interpolate import CubicSpline
 
-    qt = CubicSpline(cache.grid.t, profiles.assemble_profiles(1e-3, cache.grid).Q_b_tilde)
+    qt = CubicSpline(cache.grid.t, whole_profile(1e-3, cache.grid)[0])
     worst_err = 0.0
     worst_res = 0.0
     for lam_true, delta in ((0.7, 1e-5), (0.7, 1e-4), (1.3, 1e-4)):

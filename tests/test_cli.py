@@ -4,8 +4,11 @@ import csv
 import filecmp
 import json
 import os
+import sys
+import types
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,8 @@ def test_window_rejection_names_the_window():
         parse_config("command=modulation\nb0 = 0.2")
 
 
-def test_b_star_itself_is_rejected_at_parse_time():
-    # the profiles exist for 0 < b < B_STAR_DEFAULT only, so b = 0.05 fails
+def test_the_window_end_itself_is_rejected_at_parse_time():
+    # the profiles exist for 0 < b < B_STAR only, so b = 0.05 fails
     # before a run directory is made
     with pytest.raises(ValueError, match=r"b0=0.05 outside"):
         parse_config("command=simulate b0=0.05")
@@ -415,3 +418,45 @@ def test_cli_main_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
     assert cli.main([str(tmp_path / "missing.cfg")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _package_bindings():
+    """Every attribute of each loaded blowlab module and of each class it
+    defines, by (module, name[, attribute])."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "blowlab" or mod_name.startswith("blowlab."):
+            for key, value in vars(mod).items():
+                out[(mod_name, key)] = value
+                if isinstance(value, type) and value.__module__ == mod_name:
+                    out.update(((mod_name, key, a), v) for a, v in vars(value).items())
+    return out
+
+
+def test_the_benchmark_tracer_wraps_the_package_and_restores_it(tmp_path):
+    # the benchmark's tracer patches the package's functions by name and
+    # skips a name the package no longer has.  Over a short simulate and a
+    # small profile sweep it still traces the flow, records no error, and
+    # its uninstall puts back every function it replaced.  spans.py is
+    # compiled from its source, so nothing is written beside it
+    spans = types.ModuleType("spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans.__dict__)
+    before = _package_bindings()
+    tracer = spans.Tracer().install()
+    try:
+        assert flow.simulate is not before[("blowlab.flow", "simulate")]
+        cli.run(RunConfig(command="simulate", b0=3e-3, kappa_exit_factor=2e4, max_steps=20),
+                out_override=str(tmp_path))
+        cli.run(RunConfig(command="profile", b_sweep=(1e-2, 3e-3), grid_n=1024),
+                out_override=str(tmp_path))
+    finally:
+        tracer.uninstall()
+    after = _package_bindings()
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
+    names = {span[1] for span in tracer.spans}
+    assert {"flow.simulate", "flow.decompose", "flow.init_data", "profiles.error_Psi"} <= names
+    assert [span for span in tracer.spans if span[5] and "error" in span[5]] == []

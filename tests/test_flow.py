@@ -13,7 +13,7 @@ from blowlab import flow, profiles, radial
 from blowlab.config import B_FLOOR, RunConfig
 from blowlab.flow import RunClass
 
-from conftest import ExactProfileCache, same_bits
+from conftest import ExactProfileCache, same_bits, whole_profile
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def cache(params):
 def synthetic_state(cache, lam, b, delta=0.0, shape=None):
     g = flow._flow_grid(flow.Y_MIN_FLOW * lam, 30.0 * lam * flow.zone_radii(b)[1], 100)
     y = g.nodes / lam
-    qt = CubicSpline(cache.grid.t, flow.assemble_profiles(b, cache.grid).Q_b_tilde)
+    qt = CubicSpline(cache.grid.t, whole_profile(b, cache.grid)[0])
     inside = y <= cache.grid.y_max
     vals = np.where(inside, qt(np.log(np.minimum(y, cache.grid.y_max))),
                     radial.q_soliton(y))
@@ -435,18 +435,17 @@ def test_jacobian_b_column_matches_centred_difference(cache, b):
 
 def test_decompose_builds_at_most_two_profiles_per_update(cache, monkeypatch):
     # each Newton update builds Q~ at b + db for the Jacobian and at most
-    # one line-search trial; Q~ at the current b is in the set the grid built last
+    # one line-search trial; Q~ at the current b is the cache's last build.
+    # The cache builds through flow.localized_profile on a miss alone
     g, u = synthetic_state(cache, 0.7, 1e-3, delta=1e-5)
     misses = []
-    original = flow.assemble_profiles
+    original = flow.localized_profile
 
-    def counting(b, grid, *args, **kwargs):
-        memo = grid.cache.get("profile_sets", {})
-        if not any(key[0] == float(b) for key in memo):
-            misses.append(b)
-        return original(b, grid, *args, **kwargs)
+    def counting(b, grid, n):
+        misses.append(b)
+        return original(b, grid, n)
 
-    monkeypatch.setattr(flow, "assemble_profiles", counting)
+    monkeypatch.setattr(flow, "localized_profile", counting)
     _, _, dd = flow.decompose(cache, g, u, (0.7 * 0.98, 1e-3 * 0.9))
     iterations = dd["iterations"]
     assert iterations >= 2
@@ -557,13 +556,19 @@ def test_simulate_builds_a_profile_per_five_decompositions(monkeypatch):
     # exact builds per decompose call (3.9 with a fresh Jacobian per update
     # and the last (lam, b) as seed).  The cache's lattice now serves them
     # all: 40 calls read 8 nodes, so a run on a fresh cache builds those 8.
-    # The builds bypass assemble_profiles, so they are counted where they
-    # are made, at profiles.localized_profile
+    # A build is a call of profiles.localized_profile on the decomposition
+    # prefix; init_data and the checkpoints build on longer prefixes
     params = RunConfig(command="simulate", b0=3e-3, kappa_exit_factor=2e4, max_steps=40)
     cache = flow.ProfileCache(params)
     builds, calls = [], []
     build, decompose = flow.localized_profile, flow.decompose
-    monkeypatch.setattr(flow, "localized_profile", lambda *a: builds.append(a[0]) or build(*a))
+
+    def building(b, grid, n):
+        if n == cache.n:
+            builds.append(b)
+        return build(b, grid, n)
+
+    monkeypatch.setattr(flow, "localized_profile", building)
     monkeypatch.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
     traj = flow.simulate(params, cache=cache)
     assert traj.steps == len(calls) == 40 and traj.decompose_lost_step is None
@@ -574,22 +579,32 @@ def test_simulate_builds_a_profile_per_five_decompositions(monkeypatch):
 def _served_by_memos(run):
     """Run `run()` and return its result, every Q~_b the lattice served
     between its nodes with the memo that asked, the number of decompose
-    calls and the number of exact builds (calls of
-    profiles.localized_profile)."""
-    served, calls, builds = [], [], []
+    calls and the number of exact builds a memo asked for (calls of
+    profiles.localized_profile inside ProfileMemo.q_b; init_data and the
+    checkpoints build outside it)."""
+    served, calls, builds, asking = [], [], [], []
     q_b, decompose, build = flow.ProfileMemo.q_b, flow.decompose, flow.localized_profile
 
     def recording(memo, b):
         serves = memo.serves
-        q = q_b(memo, b)
+        asking.append(memo)
+        try:
+            q = q_b(memo, b)
+        finally:
+            asking.pop()
         if memo.serves > serves and q is not memo.cache.nodes.get(b):
             served.append((b, q, memo))
         return q
 
+    def building(b, grid, n):
+        if asking:
+            builds.append(b)
+        return build(b, grid, n)
+
     mp = pytest.MonkeyPatch()
     mp.setattr(flow.ProfileMemo, "q_b", recording)
     mp.setattr(flow, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
-    mp.setattr(flow, "localized_profile", lambda *a: builds.append(a[0]) or build(*a))
+    mp.setattr(flow, "localized_profile", building)
     try:
         result = run()
     finally:
@@ -627,30 +642,17 @@ def test_memo_builds_keep_the_bits_of_the_whole_set(M):
     # an exact build runs the solves, the radiation and the chi_{B1}
     # localization on the decomposition prefix alone; at lattice nodes
     # across the flow's b window (the lowest built for the run, as its
-    # stencil leaves the b the grid resolves) it gives the whole set's Q~_b
-    # there, bit for bit
+    # stencil leaves the b the grid resolves) it gives the whole grid's
+    # Q~_b there, bit for bit
     cache = flow.ProfileCache(RunConfig(command="simulate", b0=3e-3, M=M))
-    for b in np.geomspace(B_FLOOR, profiles.B_STAR_DEFAULT, 12, endpoint=False):
+    for b in np.geomspace(B_FLOOR, profiles.B_STAR, 12, endpoint=False):
         b = np.floor(b / flow.MEMO_STEP) * flow.MEMO_STEP
         assert profiles.resolves(cache.grid, b)
         memo = flow.ProfileMemo(cache)
         q = memo.q_b(b)
         assert memo.read == {b} and q.size == memo.n < cache.grid.n
-        assert same_bits(q, profiles._build_profiles(b, cache.grid).Q_b_tilde[:memo.n])
+        assert same_bits(q, whole_profile(b, cache.grid)[0][:memo.n])
     assert len(cache.nodes) == 11
-
-
-def test_a_runs_first_memo_build_slices_the_set_init_data_left():
-    # at a b0 whose stencil leaves the b the profile grid resolves, the
-    # run builds Q~_b0 itself, and slices the set init_data left on the grid
-    params = RunConfig(command="simulate", b0=2.7e-4, max_steps=1)
-    cache = flow.ProfileCache(params)
-    flow.init_data(cache, params)
-    kept = profiles.assemble_profiles(params.b0, cache.grid)
-    memo = flow.ProfileMemo(cache)
-    q = memo.q_b(params.b0)
-    assert memo.read == {params.b0} and memo.serves == 0 and not cache.nodes
-    assert np.shares_memory(q, kept.Q_b_tilde)
 
 
 def test_memos_share_their_caches_gate_pairings(cache):
@@ -671,7 +673,7 @@ def _worst_served_error(cache, served):
     w = cache.grid.weights
     worst = 0.0
     for b, q, _ in served:
-        exact = profiles._build_profiles(b, cache.grid).Q_b_tilde[:q.size]
+        exact = whole_profile(b, cache.grid)[0][:q.size]
         for wv, v_norm in cache.gates:
             m = wv.size
             scale = v_norm * np.sqrt(np.dot(w[:m], exact[:m] ** 2))
@@ -751,7 +753,7 @@ def test_memo_builds_b_whose_stencil_leaves_the_resolved_range(memo_run):
     q, _, _, builds = _served_by_memos(lambda: memo.q_b(b))
     assert builds == 1 and memo.q_b(b) is q and memo.read == {b} and memo.serves == 0
     assert len(cache.nodes) == nodes
-    assert same_bits(q, profiles._build_profiles(b, cache.grid).Q_b_tilde[:memo.n])
+    assert same_bits(q, whole_profile(b, cache.grid)[0][:memo.n])
 
 
 def test_memo_returns_a_nodes_bits_at_the_node(memo_run):
@@ -766,7 +768,7 @@ def test_memo_returns_a_nodes_bits_at_the_node(memo_run):
     memo = flow.ProfileMemo(fine)
     q = memo.q_b(b)
     assert q is fine.nodes[b] and memo.read == _stencil(b, flow.MEMO_STEP) | {b}
-    assert same_bits(q, profiles._build_profiles(b, fine.grid).Q_b_tilde[:memo.n])
+    assert same_bits(q, whole_profile(b, fine.grid)[0][:memo.n])
 
 
 def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monkeypatch):
@@ -793,9 +795,9 @@ def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monk
 
         def energies(at):
             n = flow._covered(cache, at, grid.y_max)
-            pset = flow.assemble_profiles(b, cache.grid)
-            eps = flow._field(cache, u_eval, at, n) - pset.Q_b_tilde[:n]
-            return np.array(flow.flow_energies(cache.grid, eps, pset.zeta_b))
+            q, zeta = whole_profile(b, cache.grid)
+            eps = flow._field(cache, u_eval, at, n) - q[:n]
+            return np.array(flow.flow_energies(cache.grid, eps, zeta[:n]))
 
         base = energies(lam)
         for shift in (1.0 - 1e-11, 1.0 + 1e-11):
@@ -847,13 +849,13 @@ def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
     """kappa, res_phi, res_hphi, E1, E2 and E2_hat of a live checkpoint as
     formed before eps was handed on: each pairing subtracts the exact Q~_b
     from the field over its own window and dots it with the weighted
-    w v, and the energies pad eps with zeros to the whole profile grid."""
+    w v, and the energies pad eps with zeros to the whole profile grid and
+    add the whole grid's zeta_b to it."""
     g, w = cache.grid, cache.grid.weights
     u_eval = dd["u_eval"] if dd else flow._u_eval(grid, u)
     n = flow._covered(cache, lam, grid.y_max)
     field = flow._field(cache, u_eval, lam, n)
-    pset = profiles.assemble_profiles(b, g)
-    q = pset.Q_b_tilde
+    q, zeta = whole_profile(b, g)
 
     def paired(v, m):
         return float(np.dot(w[:m] * v[:m], field[:m] - q[:m]))
@@ -865,7 +867,7 @@ def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
     keep = n if n == g.n else max(n - 6, 0)
     wk = w * (np.arange(g.n) < keep)
     _, dy = radial.log_gradient(g, eps)
-    he_hat = radial.apply_H(g, eps + pset.zeta_b)
+    he_hat = radial.apply_H(g, eps + zeta)
     return (paired(cache.eig.psi, cache.psi_n),
             abs(paired(cache.phi.Phi_M, cache.pair_n)) / s1,
             abs(paired(cache.phi.H_Phi_M, cache.pair_n)) / s2,
@@ -875,11 +877,11 @@ def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
 
 @pytest.mark.parametrize("b0, a_plus, live", [(3e-3, 6.95153980321595e-4, 4), (0.01, 0.0, 2)])
 def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_plus, live):
-    # a checkpoint builds its exact profile set once and hands one eps to
-    # its pairings and energies; on the shoot workload's + probe (live at
-    # steps 1, 20, 40 and the exit at 51, which has no dd) and on a probe
-    # at march's b0 (live at steps 1 and 20, lost at 27) each column keeps
-    # its bits
+    # a checkpoint builds Q~_b and zeta_b once on its covered prefix and
+    # hands one eps to its pairings and energies; against the whole-grid
+    # build, on the shoot workload's + probe (live at steps 1, 20, 40 and
+    # the exit at 51, which has no dd) and on a probe at march's b0 (live at
+    # steps 1 and 20, lost at 27) each column keeps its bits
     params = RunConfig(command="shoot", b0=b0, kappa_exit_factor=2e4, max_steps=3000)
     cache = flow.ProfileCache(params)
     make_checkpoint, seen = flow._make_checkpoint, []
@@ -1053,12 +1055,12 @@ def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     n = flow._covered(cache, lam, st.r[-1])
     # kappa vanishes up to the pairing tolerance times its scale
     assert abs(flow._kappa(cache, dd["eps"])) < 5e-9
-    pset = flow.assemble_profiles(b, cache.grid)
-    eps = flow._field(cache, dd["u_eval"], lam, n) - pset.Q_b_tilde[:n]
-    e1, e2, e2h = flow.flow_energies(cache.grid, eps, pset.zeta_b)
+    q, zeta = whole_profile(b, cache.grid)
+    eps = flow._field(cache, dd["u_eval"], lam, n) - q[:n]
+    e1, e2, e2h = flow.flow_energies(cache.grid, eps, zeta[:n])
     assert e2 < 1e-6  # interpolation floor of the second-order energy
     # the hat-energy is dominated by the genuine radiation term
-    hz = radial.apply_H(cache.grid, pset.zeta_b)
+    hz = radial.apply_H(cache.grid, zeta)
     assert abs(e2h / np.dot(cache.grid.weights, hz * hz) - 1.0) < 0.05
 
 

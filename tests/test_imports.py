@@ -220,11 +220,7 @@ def test_every_setting_is_read():
 
 
 # Defaulted parameters that may keep a default no call sets, each with its reason.
-UNSET_DEFAULTS_ALLOWED = {
-    # perfbench/spans.py reads this default with inspect.signature to key
-    # its hit probe on the grid's profile memo, so the signature keeps it
-    ("assemble_profiles", "b_star"),
-}
+UNSET_DEFAULTS_ALLOWED = set()
 
 # Defaulted parameters that only tests may set, each with its reason.
 PROGRAM_UNSET_DEFAULTS_ALLOWED = UNSET_DEFAULTS_ALLOWED | {

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from blowlab import profiles, radial
 
 from conftest import (RADIATION_OFFSET, T1_FAR_CONSTANT, l2_window,
-                      radiation_mass_exact, resonance_mass, same_bits)
+                      radiation_mass_exact, resonance_mass, same_bits, whole_profile)
 
 SWEEP = (1e-2, 3e-3, 1e-3, 3e-4)
 
@@ -78,7 +78,7 @@ def test_radiation_constants_and_plateaus(grid):
 
 def test_radiation_rejects_bad_b(grid):
     with pytest.raises(ValueError):
-        profiles.assemble_profiles(0.2, grid)  # b beyond b*
+        whole_profile(0.2, grid)  # b beyond b*
     with pytest.raises(ValueError):
         profiles.radiation_sigma(1e-9, grid, grid.n)  # 6*B0 beyond the grid
 
@@ -86,12 +86,15 @@ def test_radiation_rejects_bad_b(grid):
 def test_a_prefix_build_keeps_its_bits_wherever_it_ends(grid):
     # c_b and d_b pair over the whole grid: over a prefix that ends just past
     # B0/2, where chi_{B0/4} ends, the BLAS dot grouped the same terms
-    # differently and c_b or d_b moved in their last bits
+    # differently and c_b or d_b moved in their last bits.  zeta_b is
+    # elementwise in alpha, so its prefix keeps its bits too
     for b in (1e-2, 1e-3, 3e-4):
-        full = profiles._build_profiles(b, grid).Q_b_tilde
+        full = whole_profile(b, grid)
         k = int(np.count_nonzero(grid.nodes < 0.5 * b**-0.5))
         for n in (64, k - 3, k + 1, k + 5, k + 17, grid.n):
-            assert same_bits(profiles.localized_profile(b, grid, n), full[:n])
+            prefix = profiles.localized_profile(b, grid, n)
+            for part, whole in zip(prefix, full):
+                assert same_bits(part, whole[:n])
 
 
 def test_T2_T3_defining_equations_and_bounds(grid, fine_grid):
@@ -114,25 +117,29 @@ def test_T2_T3_defining_equations_and_bounds(grid, fine_grid):
     assert np.max(np.abs(T3[mid]) / bound3) < 5.0
 
 
-def test_assemble_profiles_invariants(grid):
+def test_localized_profile_invariants_on_a_prefix(grid):
+    # on a prefix that ends inside the chi_{B1} transition and on one past
+    # it, Q~_b is Q + alpha inside B1 and Q from 2 B1 on, and zeta_b is the
+    # correction between the two localization radii
     b = 1e-3
-    pset = profiles.assemble_profiles(b, grid)
     B0, B1 = profiles.zone_radii(b)
     assert B0 == b**-0.5
     assert B1 == profiles.log_binv(b) * b**-0.5
-    alpha = profiles._corrections(b, grid, grid.n)[-2]
-    y = grid.nodes
-    inner = y <= B1
-    outer = y >= 2.0 * B1
-    assert np.array_equal(pset.Q_b_tilde[inner],
-                          radial.q_soliton(y[inner]) + alpha[inner])
-    assert np.array_equal(pset.Q_b_tilde[outer], radial.q_soliton(y[outer]))
-    # the radiation is the correction between the two localization radii
-    shell = radial.cutoff(B1, y) - radial.cutoff(B0, y)
-    dev = pset.zeta_b - shell * alpha
-    assert np.max(np.abs(dev)) < 1e-16
-    assert np.all(pset.zeta_b[y <= B0] == 0.0)
-    assert np.all(pset.zeta_b[y >= 2.0 * B1] == 0.0)
+    for end in (1.5 * B1, 3.0 * B1):
+        n = int(np.count_nonzero(grid.nodes <= end))
+        q, zeta = profiles.localized_profile(b, grid, n)
+        assert q.shape == zeta.shape == (n,)
+        alpha = profiles._corrections(b, grid, n)[-2]
+        y = grid.nodes[:n]
+        inner = y <= B1
+        outer = y >= 2.0 * B1
+        assert np.array_equal(q[inner], radial.q_soliton(y[inner]) + alpha[inner])
+        assert np.array_equal(q[outer], radial.q_soliton(y[outer]))
+        shell = radial.cutoff(B1, y) - radial.cutoff(B0, y)
+        assert np.max(np.abs(zeta - shell * alpha)) < 1e-16
+        assert np.all(zeta[y <= B0] == 0.0)
+        assert np.all(zeta[outer] == 0.0)
+        assert outer.any() == (end > 2.0 * B1)
 
 
 def test_grid_caches_compute_only_on_a_miss(monkeypatch):
@@ -149,22 +156,19 @@ def test_grid_caches_compute_only_on_a_miss(monkeypatch):
     # the grid computed its panel moments when make_grid built it
     assert calls == {"lambda_q": 1, "gamma_growing": 1}
     assert np.array_equal(first, second)
-    pset = profiles.assemble_profiles(1e-3, g)
-    assert profiles.assemble_profiles(1e-3, g) is pset
 
 
 def test_assemble_rejects_small_grid():
     g = radial.make_grid(1e-4, 50.0, 256)
     with pytest.raises(ValueError):
-        profiles.assemble_profiles(1e-4, g)
+        whole_profile(1e-4, g)
 
 
 def test_zeta_b_norm_sweep(grid):
     # sup bounds with C = 2 and the weighted H, H^2 controls with C = 6
     for b in SWEEP:
-        pset = profiles.assemble_profiles(b, grid)
         lb = profiles.log_binv(b)
-        z = pset.zeta_b
+        z = whole_profile(b, grid)[1]
         hz = radial.apply_H(grid, z)
         h2z = radial.apply_H(grid, hz)
         assert np.max(np.abs(z)) ** 2 < 20.0 * b**2 * lb**2
@@ -249,27 +253,28 @@ def test_flux_ratio_values(grid):
     assert abs(vals[3e-4] + 4.00) < 0.2
 
 
-def test_profile_cache_reuse(grid):
-    a = profiles.assemble_profiles(1e-3, grid)
-    b = profiles.assemble_profiles(1e-3, grid)
-    assert a is b
-
-
-def test_error_Psi_leaves_no_profile_set_on_its_grid():
-    # the residual builds the orders it reads, at b and b +- db, outside the memo
+def test_profile_builds_keep_only_b_independent_values_on_the_grid():
+    # the localized profile and the residual build what they read at b (and
+    # the residual at b +- db) and keep none of it: after each call, at
+    # either b, the grid holds the same b-independent keys
     g = radial.make_grid(1e-4, 4e3, 1024)
-    profiles.error_Psi(1e-3, g)
-    assert "profile_sets" not in g.cache
+    keys = []
+    for b in (1e-3, 2e-3):
+        profiles.error_Psi(b, g)
+        keys.append(set(g.cache))
+        profiles.localized_profile(b, g, g.n)
+        keys.append(set(g.cache))
+    assert all(k == {"T1_parts", "order_sources", "phi_directions"} for k in keys)
 
 
 def test_a_finished_grid_needs_no_cyclic_collector():
-    # a profile set holds no reference back to its grid, so dropping the
-    # grid frees it and its memo by reference counting alone
+    # nothing a build keeps on the grid refers back to it, so dropping the
+    # grid frees it and its cache by reference counting alone
     g = radial.make_grid(1e-4, 4e3, 1024)
     alive = weakref.ref(g)
     gc.disable()
     try:
-        profiles.assemble_profiles(1e-3, g)
+        profiles.localized_profile(1e-3, g, g.n)
         profiles.error_Psi(1e-3, g)
         del g
         assert alive() is None

@@ -14,7 +14,7 @@ from blowlab import flow, radial
 from blowlab.config import RunConfig
 
 from conftest import (cumulative_integral_one_lane, l2_window, neg_laplacian_by_diagonal,
-                      same_bits)
+                      same_bits, whole_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,7 @@ def test_cubic_spline_matches_scipy_bit_for_bit():
         for q in queries:
             assert same_bits(ours(q, np.empty_like(q)), theirs(q))
     # splines on the profile grid, as init_data builds for Q~_b0 + a+ psi
-    for values in (flow.assemble_profiles(params.b0, cache.grid).Q_b_tilde, cache.eig.psi):
+    for values in (whole_profile(params.b0, cache.grid)[0], cache.eig.psi):
         q = np.log(rng.uniform(0.02, cache.grid.y_max, 500))
         ours = radial.CubicSpline(cache.grid.spline_frame, values)
         assert same_bits(ours(q, np.empty_like(q)), CubicSpline(cache.grid.t, values)(q))
