@@ -77,11 +77,15 @@ class TestFunctionSampler:
             if derivatives:
                 fp = np.zeros_like(y)
                 fpp = np.zeros_like(y)
-            for _ in range(rng.integers(2, 5)):
-                a = rng.uniform(-1.0, 1.0)
-                c = rng.uniform(0.0, 0.5 * SAMPLER_SUPPORT)
+            # each bump's (a, c, w) from one draw; lo + (hi - lo) u is the
+            # bits of rng.uniform(lo, hi) on the same stream
+            draws = rng.random(3 * rng.integers(2, 5)).tolist()
+            for ua, uc, uw in zip(draws[::3], draws[1::3], draws[2::3]):
+                a = -1.0 + 2.0 * ua
+                c = 0.5 * SAMPLER_SUPPORT * uc
                 # keep the ring width resolvable on a log grid: w grows with c
-                w = rng.uniform(max(1.0, 0.35 * c), max(2.0, 0.5 * c))
+                lo, hi = max(1.0, 0.35 * c), max(2.0, 0.5 * c)
+                w = lo + (hi - lo) * uw
                 # ring bump exp(-z^2), z = (y^2-c^2)/w^2: even in y, C-infinity.
                 # Outside the ring's window it and its derivatives are +-0,
                 # which leave f, f' and f'' (never -0) as they are
@@ -106,8 +110,9 @@ class TestFunctionSampler:
                 f[ring] += g
             return (f, fp, fpp) if derivatives else f
         # the other family, polynomial-decay
-        s = rng.uniform(1.0, 0.3 * SAMPLER_SUPPORT)
-        coef = rng.uniform(-1.0, 1.0, size=4)
+        draws = rng.random(5)
+        s = 1.0 + (0.3 * SAMPLER_SUPPORT - 1.0) * float(draws[0])
+        coef = -1.0 + 2.0 * draws[1:]
         u = (y / s) ** 2
         e = np.exp(-u)
         p = coef[0] + u * (coef[1] + u * (coef[2] + u * coef[3]))

@@ -11,16 +11,17 @@ the 2/|log b| correction is the radiation flux.  In L = |log b| it integrates
 exactly.  With L0 = |log b0|, d = L - L0, S(x) = x^4 + 10x^3 + 42x^2 + 92x + 92
 and C = lam0^2 / (b0 (L0+2)^4):
 
-    s     = e^L - e^L0 - 2 e^-2 (Ei(L+2) - Ei(L0+2))
+    s     = int_0^d e^(L0+x) (L0+x)/(L0+x+2) dx
     b     = b0 e^-d
     lam   = lam0 e^-d ((L+2)/(L0+2))^2
+    t     = C int_0^d e^-x (L0+x) (L0+x+2)^3 dx
     T - t = C e^-d S(L),   T = C S(L0)
 
 so lam/(T-t) is proportional to (L+2)^2/S(L) ~ 1/L^2 while |log(T-t)| ~ L:
-the blow-up speed lam(t) ~ (T-t)/|log(T-t)|^2 read off directly.  Each
-sample inverts s(d) by Newton.  Two differences cancel where d is small:
-Ei(L+2) - Ei(L0+2), so s integrates its first unit of d by quadrature, and
-T - (T-t), so t is formed from the increment S(L) - S(L0) expanded in d.
+the blow-up speed lam(t) ~ (T-t)/|log(T-t)|^2 read off directly.  Both
+integrands are positive, so the two integrals are summed over unit panels
+in d with no cancellation at any d or b0, and each sample inverts s(d) by
+Newton.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
 from .profiles import log_binv
 
 S_MAX = 1e280  # largest s_end: b ~ 1/s, and lam, T - t for lambda0 ~ 1, stay normal doubles
 FIT_DECADES = 1.0  # fit_blowup_law's window: the final decades of lam decay
 FIT_MIN_DECAY = 100.0  # fit_blowup_law's trajectory decays lam at least this much
-HEAD = 1.0  # s(d) by quadrature for d <= HEAD, where the Ei difference cancels
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 S_POLY = np.polynomial.Polynomial([92.0, 92.0, 42.0, 10.0, 1.0])
 
@@ -71,28 +70,45 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     L = L0 + d
     decay = np.exp(-d)
     C = np.float64(lambda0) ** 2 / (b0 * (L0 + 2.0) ** 4)
-    S0 = S_POLY(L0)
-    increment = S_POLY(np.polynomial.Polynomial([L0, 1.0])) - S0  # S(L0 + d) - S0 in powers of d
     b = b0 * decay
     lam = lambda0 * decay * ((L + 2.0) / (L0 + 2.0)) ** 2
-    t = C * (-np.expm1(-d) * S0 - decay * increment(d))
+    t = C * _panel_integral(d, L0, -1.0, _dt_integrand)
     tau = C * decay * S_POLY(L)
-    T_est = C * S0
+    T_est = C * S_POLY(L0)
     if not all(np.finfo(float).tiny <= v < np.inf for v in (b[-1], lam[-1], tau[-1], T_est)):
         raise ValueError(f"b, lambda or T - t at s_end={s_end:g} is not a positive normal double")
     return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau, T_est=float(T_est))
 
 
+def _panel_integral(d, L0, sign, f):
+    """int_0^d e^(sign x) f(L0 + x) dx for each entry of d >= 0, by the
+    20-node Gauss-Legendre rule on every whole unit panel [j, j+1] below d
+    and on the partial panel [floor(d), d].  e^(sign x) is formed as
+    e^(sign j) e^(sign tau), tau in [0, 1], so that exp never takes a large
+    rounded argument."""
+    m = np.floor(d)
+    j = np.arange(m.max())
+    tau = 0.5 * (1.0 + GL_NODES)
+    panels = np.exp(sign * j) * ((np.exp(sign * tau) * f(L0 + j[:, None] + tau))
+                                 @ (0.5 * GL_WEIGHTS))
+    prefix = np.concatenate([[0.0], np.cumsum(panels)])
+    r = d - m
+    tau = 0.5 * r[:, None] * (1.0 + GL_NODES)
+    last = 0.5 * r * ((np.exp(sign * tau) * f(L0 + m[:, None] + tau)) @ GL_WEIGHTS)
+    return prefix[m.astype(np.intp)] + np.exp(sign * m) * last
+
+
+def _ds_integrand(L):
+    return L / (L + 2.0)
+
+
+def _dt_integrand(L):
+    return L * (L + 2.0) ** 3
+
+
 def _s_of_d(d, L0):
     """s(d) = int_0^d e^(L0+x) (L0+x)/(L0+x+2) dx, the time in s to reach L0 + d."""
-    s = np.empty_like(d)
-    head = d <= HEAD
-    u = L0 + 0.5 * d[head, None] * (1.0 + GL_NODES)
-    s[head] = 0.5 * d[head] * ((np.exp(u) * u / (u + 2.0)) @ GL_WEIGHTS)
-    L = L0 + d[~head]
-    s[~head] = (np.exp(L0) * np.expm1(d[~head])
-                - 2.0 * np.exp(-2.0) * (expi(L + 2.0) - expi(L0 + 2.0)))
-    return s
+    return math.exp(L0) * _panel_integral(d, L0, 1.0, _ds_integrand)
 
 
 def _d_of_s(s, L0):

@@ -509,9 +509,9 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     y = grid.nodes
     ep, em, _, inv, _ = grid.stencil
     out = np.empty_like(v)
-    out[1:-1] = -inv * (
-        ep * (v[2:] - v[1:-1]) - em * (v[1:-1] - v[:-2])
-    )
+    # -inv (ep d_i - em d_{i-1}) with each difference d = diff(v) formed once
+    d = np.diff(v)
+    out[1:-1] = inv * (em * d[:-1] - ep * d[1:])
     # ghost node / even extension: Delta f(y0) = 8 (f1 - f0)/(y1^2 - y0^2)
     out[0] = -8.0 * (v[1] - v[0]) / (y[1] ** 2 - y[0] ** 2)
     h = grid.h

@@ -361,11 +361,20 @@ def test_cli_import_leaves_scipy_interpolate_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special took 35-45 ms and about 3 MB of every start for one Ei;
+    # modulation sums its integrals by Gauss-Legendre panels instead
+    code = "import sys, blowlab.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_package_imports_scipy_only_where_it_needs_it():
-    # radial takes its LAPACK routines from scipy.linalg.lapack and
-    # modulation its Ei from scipy.special; any other scipy module would
-    # add to every start (setup time) without a reader
-    allowed = {("radial.py", "scipy.linalg.lapack"), ("modulation.py", "scipy.special")}
+    # radial takes its LAPACK routines from scipy.linalg.lapack; any other
+    # scipy module would add to every start (setup time) without a reader
+    allowed = {("radial.py", "scipy.linalg.lapack")}
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

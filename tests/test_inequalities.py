@@ -58,6 +58,62 @@ def test_values_only_sampling_keeps_the_values_and_the_draws(sgrid, family):
             assert same_bits(values, full[0]), (seed, k)
 
 
+def _sample_by_uniform_draws(rng, grid, family, derivatives):
+    """The sampler with one rng.uniform call per parameter, the oracle for
+    its batched draws."""
+    y = grid.nodes
+    if family == "gaussian-bumps":
+        y2 = grid.y2
+        f, fp, fpp = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+        for _ in range(rng.integers(2, 5)):
+            a = rng.uniform(-1.0, 1.0)
+            c = rng.uniform(0.0, 0.5 * ineq.SAMPLER_SUPPORT)
+            w = rng.uniform(max(1.0, 0.35 * c), max(2.0, 0.5 * c))
+            c2, w2 = c**2, w**2
+            ring = slice(*y2.searchsorted((c2 - ineq.BUMP_REACH * w2,
+                                           c2 + ineq.BUMP_REACH * w2)))
+            z = y2[ring] - c2
+            z /= w2
+            g = np.exp(-(z * z))
+            if derivatives:
+                yr = y[ring]
+                yw = 2.0 * yr / w2
+                gp = g * (-2.0 * z) * yw
+                gpp = g * ((2.0 * z * 2.0 * yr / w2) ** 2 - 2.0 * yw**2 - 2.0 * z * 2.0 / w2)
+                fp[ring] += a * gp
+                fpp[ring] += a * gpp
+            f[ring] += a * g
+        return (f, fp, fpp) if derivatives else f
+    s = rng.uniform(1.0, 0.3 * ineq.SAMPLER_SUPPORT)
+    coef = rng.uniform(-1.0, 1.0, size=4)
+    u = (y / s) ** 2
+    e = np.exp(-u)
+    p = coef[0] + u * (coef[1] + u * (coef[2] + u * coef[3]))
+    if not derivatives:
+        return p * e
+    up = 2.0 * y / s**2
+    dp = coef[1] + u * (2.0 * coef[2] + 3.0 * coef[3] * u)
+    d2p = 2.0 * coef[2] + 6.0 * coef[3] * u
+    return (p * e, e * up * (dp - p),
+            e * ((2.0 / s**2) * (dp - p) + up**2 * (d2p - 2.0 * dp + p)))
+
+
+@pytest.mark.parametrize("family", ineq.FAMILIES)
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_batched_draws_match_uniform_draws(sgrid, refined, family, derivatives):
+    # lo + (hi - lo) u from one rng.random call per sample is the bits of
+    # one rng.uniform(lo, hi) per parameter, sample after sample
+    for grid in (sgrid, refined):
+        for seed in (0, 1, 7, 2024):
+            sampler = ineq.TestFunctionSampler(seed=seed, family=family)
+            rng = np.random.default_rng(seed)
+            for k in range(8):
+                got = sampler.sample(grid, derivatives=derivatives)
+                want = _sample_by_uniform_draws(rng, grid, family, derivatives)
+                assert all(same_bits(g, w) for g, w in zip(np.atleast_2d(got),
+                                                          np.atleast_2d(want))), (seed, k)
+
+
 def _log_derivatives(grid, v):
     vt = np.gradient(v, grid.t)
     return vt / grid.nodes, (np.gradient(vt, grid.t) - vt) / grid.nodes**2

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from blowlab import modulation
+from blowlab.profiles import log_binv
 
 from conftest import b_of_s_asymptotic
 
@@ -29,10 +30,13 @@ def test_states_and_guards():
 
 
 @pytest.mark.parametrize("b0, lambda0, s_end", [
-    (1e-9, 2.0, 100.0), (1e-2, 1.0, 1e6), (1e-3, 1.0, 1e30), (0.05, 1.0, 1e30)])
+    (1e-9, 2.0, 100.0), (1e-2, 1.0, 1e6), (1e-3, 1.0, 1e30), (0.05, 1.0, 1e30),
+    (0.999, 1.0, 1e3)])
 def test_closed_form_matches_a_high_order_solve(b0, lambda0, s_end):
-    # (1e-9, 2, 100) keeps d = log(b0/b) near 1e-7: both the Ei difference
-    # in s(d) and T - (T - t) cancel there, while T ~ 4.4e9 and t <= 400
+    # (1e-9, 2, 100) keeps d = log(b0/b) near 1e-7, where T ~ 4.4e9 and
+    # t <= 400: t is summed, not formed as T - (T - t).  (0.999, 1, 1e3)
+    # starts at L0 = 1e-3, where S(L0 + d) - S(L0) ~ 92 d nearly cancels
+    # against S(L0)(1 - e^-d) in any form of t built from S
     def rhs(_s, state):
         b, lam, _t = state
         return (-b * b * (1.0 + 2.0 / np.log(1.0 / b)), -b * lam, lam * lam)
@@ -44,6 +48,43 @@ def test_closed_form_matches_a_high_order_solve(b0, lambda0, s_end):
     for got, want in zip((tr.b, tr.lam, tr.t), ref.y):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.max(np.abs(tr.t + tr.tau - tr.T_est)) <= 1e-13 * tr.T_est
+
+
+# s(d) = e^(L0+d) - e^L0 - 2 e^-2 (Ei(L0+d+2) - Ei(L0+2)) at L0 = log_binv(b0),
+# evaluated with mpmath at 80 digits on the exact doubles d and L0
+S_OF_D_DS = (1e-9, 0.5, 1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40, 7.25, 64.0)
+S_OF_D_REFERENCE = {
+    # b0: (edge d, where s(d) is within 200x of the largest double), s at S_OF_D_DS + (edge,)
+    0.049: (701.5, (1.2270831611003665e-08, 8.22698639476128, 22.505953248953634,
+                    22.505953248987314, 22.505953249020994, 23572.68047628713,
+                    1.2350539647120676e+29, 9.250177878362043e+305)),
+    1e-2: (700.25, (6.972068938074109e-08, 45.994504783572275, 123.93812252914033,
+                    123.93812252932254, 123.93812252950475, 118674.47198015796,
+                    6.055953323538945e+29, 1.2986097379203805e+306)),
+    1e-30: (635.5, (9.718617216414108e+20, 6.3053656566254265e+29, 1.6703242596255948e+30,
+                    1.6703242596279986e+30, 1.670324259630402e+30, 1.3707079090746586e+33,
+                    6.1421357292171446e+57, 9.838082642272122e+305)),
+}
+
+
+@pytest.mark.parametrize("b0", sorted(S_OF_D_REFERENCE))
+def test_s_of_d_matches_a_high_precision_reference(b0):
+    edge, want = S_OF_D_REFERENCE[b0]
+    got = modulation._s_of_d(np.array(S_OF_D_DS + (edge,)), log_binv(b0))
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("b0", sorted(S_OF_D_REFERENCE))
+def test_s_of_d_is_seamless_at_panel_ends(b0):
+    # whole panels sum below an integer d and the partial panel starts at
+    # it: across the seam s keeps increasing, and its two increments over
+    # 2^-40 on either side agree to 4 ulp of s (s'' moves them by ~1e-24 s)
+    seams = np.array([1.0, 2.0, 7.0, 8.0, 64.0, 65.0, 600.0])
+    delta = 2.0**-40
+    lo, at, hi = modulation._s_of_d(np.concatenate([seams - delta, seams, seams + delta]),
+                                    log_binv(b0)).reshape(3, -1)
+    assert np.all(lo < at) and np.all(at < hi)
+    assert np.all(np.abs((hi - at) - (at - lo)) <= 4.0 * np.spacing(at))
 
 
 def test_tiny_s_end_keeps_every_sample():

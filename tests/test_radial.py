@@ -204,7 +204,8 @@ def test_log_gradient_is_second_order():
 
 
 def _apply_H_by_closed_form_potential(grid, v):
-    # apply_H with V evaluated from its closed form on every call
+    # apply_H with V evaluated from its closed form on every call and each
+    # difference of v formed at both nodes that read it
     y = grid.nodes
     ep, em, _, inv, _ = grid.stencil
     V = radial.potential(y)
@@ -222,8 +223,9 @@ def _apply_H_by_closed_form_potential(grid, v):
 
 def test_grid_kernels_match_their_reference_forms_bit_for_bit():
     # log_gradient reads numpy's non-uniform coefficients from the grid and
-    # apply_H reads V from it: on the profile grid, a flow grid and the two
-    # suite grids both give what np.gradient and the closed form give
+    # apply_H reads V from it and forms each difference once: on the profile
+    # grid, a flow grid and the two suite grids both give what np.gradient
+    # and the closed form with differences formed per node give
     grids = [
         flow.ProfileCache(RunConfig(command="simulate")).grid,
         flow._flow_grid(flow.Y_MIN_FLOW, 4321.0, 120),
