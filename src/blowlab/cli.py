@@ -137,7 +137,7 @@ def _cmd_simulate(config: RunConfig, run_dir):
         "classification": traj.classification.value,
         "termination": traj.termination,
         "steps": traj.steps,
-        "lambda_decay": float(config.lambda0 / np.nanmin(traj.series("lam"))),
+        "lambda_decay": traj.lambda_decay,
         "step_rejects": traj.step_rejects,
         "decompose_lost_step": traj.decompose_lost_step,
         "newton_iterations": traj.newton_iterations,
@@ -160,8 +160,7 @@ def _cmd_shoot(config: RunConfig, run_dir):
         "bracket_lo": result.bracket[0],
         "bracket_hi": result.bracket[1],
         "best_classification": result.best.classification.value,
-        "best_lambda_decay": float(
-            config.lambda0 / np.nanmin(result.best.series("lam"))),
+        "best_lambda_decay": result.best.lambda_decay,
     }
     return True, result.best.classification.value, files, metrics
 

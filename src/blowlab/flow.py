@@ -174,12 +174,12 @@ class ProfileMemo:
     passes the cache's gate on [b_k, b_k + h): that term pairs against
     w Phi_M and w H Phi_M over the pairing window and against w psi over
     the psi window within MEMO_TOL / 2 of each pairing's scale.  The step
-    starts at h = MEMO_STEP and halves where the gate fails, at most
-    MEMO_HALVINGS times; a b on a node returns that node's bits.  A b no
-    level passes, or whose stencil leaves the b the profile grid resolves,
-    is built exactly for this run (`profiles.localized_profile` on the
-    decomposition prefix, with the bits of a whole-grid build there), and
-    the last such build is kept.
+    starts at h = MEMO_STEP and halves, at most MEMO_HALVINGS times, past
+    each level whose gate fails or whose stencil leaves the b the profile
+    grid resolves; a b on a node returns that node's bits.  A b no level
+    passes is built exactly for this run (`profiles.localized_profile` on
+    the decomposition prefix, with the bits of a whole-grid build there),
+    and the last such build is kept.
 
     A served value depends on b alone, so runs on one cache read the same
     bits in any order.  So do the run's counts: `read` holds the distinct
@@ -203,25 +203,25 @@ class ProfileMemo:
         cache, h = self.cache, MEMO_STEP
         for _ in range(MEMO_HALVINGS + 1):
             k = math.floor(b / h)
-            # an interval with a radius has a resolved stencil
-            if (h, k) not in cache.radii and not (resolves(self.grid, (k - 2) * h)
-                                                  and resolves(self.grid, (k + 4) * h)):
-                break
-            t = b / h - k  # exact
-            if t == 0.0:
-                self.read.add(b)
-                self.serves += 1
-                return cache.node(b)
-            stencil = [(k + i) * h for i in range(-2, 5)]
-            self.read.update(stencil)
-            d = [t - i for i in range(-2, 4)]
-            prod = math.prod(d)
-            if abs(prod) <= cache.radius(h, k):
-                if self.interval[0] != (h, k):
-                    self.interval = ((h, k), np.array([cache.node(x) for x in stencil[:6]]))
-                self.serves += 1
-                return np.dot([prod / (di * den) for di, den in zip(d, LAGRANGE)],
-                              self.interval[1])
+            # an interval with a radius has a resolved stencil; a level whose
+            # stencil is not resolved is passed over as a failed gate
+            if (h, k) in cache.radii or (resolves(self.grid, (k - 2) * h)
+                                         and resolves(self.grid, (k + 4) * h)):
+                t = b / h - k  # exact
+                if t == 0.0:
+                    self.read.add(b)
+                    self.serves += 1
+                    return cache.node(b)
+                stencil = [(k + i) * h for i in range(-2, 5)]
+                self.read.update(stencil)
+                d = [t - i for i in range(-2, 4)]
+                prod = math.prod(d)
+                if abs(prod) <= cache.radius(h, k):
+                    if self.interval[0] != (h, k):
+                        self.interval = ((h, k), np.array([cache.node(x) for x in stencil[:6]]))
+                    self.serves += 1
+                    return np.dot([prod / (di * den) for di, den in zip(d, LAGRANGE)],
+                                  self.interval[1])
             h *= 0.5
         self.read.add(b)
         if self.built[0] != b:
@@ -274,6 +274,11 @@ class FlowTrajectory:
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(c, name) for c in self.checkpoints])
+
+    @property
+    def lambda_decay(self) -> float:
+        """lambda0 over the smallest lambda the checkpoints recorded."""
+        return float(self.params.lambda0 / np.nanmin(self.series("lam")))
 
 
 # ---------------------------------------------------------------------------
@@ -877,11 +882,7 @@ def shoot(params: RunConfig, cache: ProfileCache | None = None) -> ShootingResul
     if _exit_sign(lo_traj) > 0:
         lo_traj, hi_traj = hi_traj, lo_traj
     a_lo, a_hi = lo_traj.params.a_plus, hi_traj.params.a_plus
-
-    def depth(tr):
-        return tr.params.lambda0 / np.nanmin(tr.series("lam"))
-
-    best = max([lo_traj, hi_traj], key=depth)
+    best = max([lo_traj, hi_traj], key=lambda tr: tr.lambda_decay)
     history = [(a_lo, a_hi)]
     it = 0
     for it in range(1, params.budget + 1):
@@ -889,7 +890,7 @@ def shoot(params: RunConfig, cache: ProfileCache | None = None) -> ShootingResul
         if mid in (a_lo, a_hi):
             break  # bracket at floating point resolution
         traj = _probe(params, cache, mid)
-        if depth(traj) > depth(best):
+        if traj.lambda_decay > best.lambda_decay:
             best = traj
         # a run without an unstable exit sides with the sign of its last kappa
         if (_exit_sign(traj) or (1 if traj.series("kappa")[-1] >= 0 else -1)) > 0:

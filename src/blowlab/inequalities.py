@@ -138,8 +138,8 @@ def _grid_derivatives(grid, v):
 
 
 class _Denominators(NamedTuple):
-    """The sample-free divisors of the coercivity ratios on one grid, with
-    L = _log_weight(y): the y-powers times L^2 (y^2 itself is grid.y2)."""
+    """The sample-free divisors of the weighted ratios on one grid: the
+    y-powers times a log weight L^2 (y^2 itself is grid.y2)."""
 
     lw2: np.ndarray
     y2_lw2: np.ndarray
@@ -148,11 +148,11 @@ class _Denominators(NamedTuple):
     y4_1y4_lw2: np.ndarray  # y^4 (1 + y^4) L^2
 
 
-def _denominators(grid) -> _Denominators:
-    """A suite builds these once per grid.  Each is built in the operation
-    order of the quotient it divides, so every quotient keeps its bits."""
+def _denominators(grid, lw2: np.ndarray) -> _Denominators:
+    """The divisors for the log weight lw2 = L^2, once per grid: the suites'
+    _log_weight(y)**2 or the spotcheck's 1 + log^2 y.  Each is built in the
+    operation order of the quotient it divides, so every quotient keeps its bits."""
     y = grid.nodes
-    lw2 = _log_weight(y) ** 2
     return _Denominators(lw2=lw2, y2_lw2=y**2 * lw2, y4_lw2=y**4 * lw2,
                          y6_lw2=y**6 * lw2, y4_1y4_lw2=y**4 * (1 + y**4) * lw2)
 
@@ -180,14 +180,14 @@ def hardy_suite(sampler: TestFunctionSampler, n: int,
     w = grid.weights
     # the sample-free factors, masks and masked weights, once per suite
     y2 = grid.y2
-    lw2 = _log_weight(y) ** 2
+    den = _denominators(grid, _log_weight(y) ** 2)
     in_r = y <= HARDY_R
     band = (y >= 1.0) & (y <= 2.0)
     ring = (y >= 1.0) & (y <= HARDY_R)
     w_in, w_band, w_ring = w[in_r], w[band], w[ring]
-    den2 = (y**4 * lw2)[in_r]
-    den3 = (y ** (4 + HARDY_GAMMA) * lw2)[ring]
-    den3p = (y ** (2 + HARDY_GAMMA) * lw2)[ring]
+    den2 = den.y4_lw2[in_r]
+    den3 = (y ** (4 + HARDY_GAMMA) * den.lw2)[ring]
+    den3p = (y ** (2 + HARDY_GAMMA) * den.lw2)[ring]
     worst = {"identity": 0.0, "hardy1": 0.0, "hardy2": 0.0, "hardy3": 0.0}
     for _ in range(n):
         v, vp, vpp = sampler.sample(grid, derivatives=True)
@@ -243,7 +243,7 @@ def subpositivity_suite(sampler: TestFunctionSampler, n: int,
 
 def _h_ratio(grid, u, den: _Denominators):
     """Second-order coercivity ratio for one sample array; den is
-    _denominators(grid)."""
+    the suites' _denominators."""
     w = grid.weights
     up, upp = _grid_derivatives(grid, u)
     hu = radial.apply_H(grid, u)
@@ -258,7 +258,7 @@ def coercivity_H_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAUL
     w = grid.weights
     direction = direction_phi(M, grid)
     phi = direction.Phi_M
-    den = _denominators(grid)
+    den = _denominators(grid, _log_weight(grid.nodes) ** 2)
     worst = 0.0
     ratios = []
     for _ in range(n):
@@ -295,7 +295,7 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
     phi = direction_phi(M, grid)
     p = phi.Phi_M
     p_norm = float(np.sqrt(phi.norm_sq))
-    den = _denominators(grid)
+    den = _denominators(grid, _log_weight(grid.nodes) ** 2)
     worst = 0.0
     ratios = []
     resid = 0.0
@@ -317,13 +317,21 @@ def coercivity_H2_suite(sampler: TestFunctionSampler, n: int, M: float = M_DEFAU
 
 def _h2_ratio(grid, u, den: _Denominators):
     """Full fourth-order coercivity ratio for one sample array; den is
-    _denominators(grid)."""
-    w = grid.weights
+    the suites' _denominators."""
     hu = radial.apply_H(grid, u)
     h2u = radial.apply_H(grid, hu)
     up, upp = _grid_derivatives(grid, u)
+    num = _fourth_order_sum(grid, den, u, up, upp, hu)
+    return num / max(np.dot(grid.weights, h2u**2), 1e-300)
+
+
+def _fourth_order_sum(grid, den: _Denominators, u, up, upp, hu):
+    """The six weighted terms that |H^2 u|^2 controls: |H u|, its first two
+    derivatives and u with its first two derivatives, each squared over its
+    y-power times L^2, given u's derivatives (up, upp) and hu = H u."""
+    w = grid.weights
     hup, hupp = _grid_derivatives(grid, hu)
-    num = (
+    return (
         np.dot(w, hu**2 / den.y4_lw2)
         + np.dot(w, hup**2 / den.y2_lw2)
         + np.dot(w, hupp**2 / den.lw2)
@@ -331,7 +339,6 @@ def _h2_ratio(grid, u, den: _Denominators):
         + np.dot(w, up**2 / den.y6_lw2)
         + np.dot(w, upp**2 / den.y4_lw2)
     )
-    return num / max(np.dot(w, h2u**2), 1e-300)
 
 
 def interpolation_spotcheck(grid: radial.RadialGrid, eps: np.ndarray,
@@ -346,17 +353,9 @@ def interpolation_spotcheck(grid: radial.RadialGrid, eps: np.ndarray,
     E2 = float(np.dot(w, he * he))
     E4 = float(np.dot(w, h2e * h2e))
     ep, epp = _grid_derivatives(grid, eps)
-    hep, hepp = _grid_derivatives(grid, he)
-    lw2 = 1.0 + np.log(y) ** 2
-    lhs_e4 = (
-        np.dot(w, he**2 / (y**4 * lw2))
-        + np.dot(w, hep**2 / (y**2 * lw2))
-        + np.dot(w, hepp**2 / lw2)
-        + np.dot(w, eps**2 / (y**4 * (1 + y**4) * lw2))
-        + np.dot(w, ep**2 / (y**6 * lw2))
-        + np.dot(w, epp**2 / (y**4 * lw2))
-    )
-    lhs_e2 = np.dot(w, eps**2 / (y**4 * lw2)) + np.dot(w, ep**2 / (y**2 * lw2)) \
+    den = _denominators(grid, 1.0 + np.log(y) ** 2)
+    lhs_e4 = _fourth_order_sum(grid, den, eps, ep, epp, he)
+    lhs_e2 = np.dot(w, eps**2 / den.y4_lw2) + np.dot(w, ep**2 / den.y2_lw2) \
         + np.dot(w, epp**2)
     sup_tail = float(np.max(np.abs(eps / (1.0 + y)))) ** 2
     details = {

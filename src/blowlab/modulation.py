@@ -38,6 +38,7 @@ FIT_DECADES = 1.0  # fit_blowup_law's window: the final decades of lam decay
 FIT_MIN_DECAY = 100.0  # fit_blowup_law's trajectory decays lam at least this much
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 S_POLY = np.polynomial.Polynomial([92.0, 92.0, 42.0, 10.0, 1.0])
+TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def integrate_reduced(b0: float, lambda0: float, s_end: float,
     t = C * _panel_integral(d, L0, -1.0, _dt_integrand)
     tau = C * decay * S_POLY(L)
     T_est = C * S_POLY(L0)
-    if not all(np.finfo(float).tiny <= v < np.inf for v in (b[-1], lam[-1], tau[-1], T_est)):
+    if not all(TINY <= v < np.inf for v in (b[-1], lam[-1], tau[-1], T_est)):
         raise ValueError(f"b, lambda or T - t at s_end={s_end:g} is not a positive normal double")
     return ReducedTrajectory(s=s, b=b, lam=lam, t=t, tau=tau, T_est=float(T_est))
 
@@ -113,13 +114,14 @@ def _s_of_d(d, L0):
 
 def _d_of_s(s, L0):
     """Invert s(d) by Newton.  s(d) is increasing and convex, and the start
-    log1p(s b0 (L0+2)/L0) lies above the root, so the iterates fall to it."""
+    log1p(s b0 (L0+2)/L0) lies above the root, so the iterates fall to it.
+    The stop scale min(d, 1) is kept normal, so that a subnormal d stops."""
     d = np.log1p(s * math.exp(-L0) * (L0 + 2.0) / L0)
     for _ in range(100):
         L = L0 + d
         step = (_s_of_d(d, L0) - s) / (np.exp(L) * L / (L + 2.0))
         d = d - step
-        if np.all(np.abs(step) <= 1e-8 * np.minimum(d, 1.0)):
+        if np.all(np.abs(step) <= 1e-8 * np.clip(d, TINY, 1.0)):
             return d
     raise RuntimeError("Newton inversion of s(d) did not converge")
 

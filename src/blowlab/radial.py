@@ -102,15 +102,14 @@ class RadialGrid:
         symmetrized for the flow step, which reads it at every trial:
         (W, W diag, W superdiag, c).  W > 0 is the diagonal scaling with
         W[i] a(i, i+1) = W[i+1] a(i+1, i) for the matrix entries a of
-        neg_laplacian_rows, a discrete y^4 weight formed as a cumulative
+        neg_laplacian, a discrete y^4 weight formed as a cumulative
         product from W[-1] = 1 downward, so W <= 1 and W v never overflows
         where v does not.  W (I + h (-Delta)) is then symmetric positive
         definite for every h >= 0, with diagonal W + h W diag and off
         diagonal h W superdiag, and c = W[-1] a(n-2, n-1) couples its last
         row to the Dirichlet value, which the right-hand side carries as
         -h c u[-1]."""
-        rows, factors = neg_laplacian_rows(self)
-        dl, d, du = diagonals(rows * factors)
+        dl, d, du = neg_laplacian(self)
         m = self.n - 1
         w = np.ones(m)
         w[:-1] = np.cumprod((dl[:m - 1] / du[:m - 1])[::-1])[::-1]
@@ -292,28 +291,20 @@ def cutoff_laplacian(scale: float, y):
 # ---------------------------------------------------------------------------
 
 
-def neg_laplacian_rows(grid: RadialGrid) -> tuple:
-    """-Delta's tridiagonal rows, unscaled, as (rows, factors): row i of
-    s * (-Delta) is (s * rows[i]) * factors[:, i] on columns i - 1, i and
-    i + 1, the bits of filling each diagonal from the stencil factors.
-    rows holds the first row's regularity factor and the interior
-    1/(y^2 h^2), factors (0, 1, -1) on the first row (apply_H's
-    even-extension rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2)) and its
-    flux stencil (-exp(-h), exp(h) + exp(-h), -exp(h)) inside.  The last row
-    is zero: the caller sets the outer boundary condition."""
+def neg_laplacian(grid: RadialGrid) -> tuple:
+    """-Delta's tridiagonal (dl, d, du), filled diagonal by diagonal from
+    the stencil factors, as tridiagonal_solve takes them: the first row is
+    apply_H's even-extension rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2),
+    the interior rows the flux stencil (-exp(-h), exp(h) + exp(-h), -exp(h))
+    times 1/(y^2 h^2), and the last row is zero: the caller sets the outer
+    boundary condition.  The arrays are fresh on every call and kept
+    nowhere."""
     ep, em, epm, inv, reg = grid.stencil
-    rows = np.zeros(grid.n)
-    rows[0], rows[1:-1] = reg, inv
-    factors = np.zeros((3, grid.n))
-    factors[:, 0] = 0.0, 1.0, -1.0
-    factors[:, 1:-1] = [[-em], [epm], [-ep]]
-    return rows, factors
-
-
-def diagonals(bands: np.ndarray):
-    """(dl, d, du) of a (3, n) array that holds a tridiagonal matrix row by
-    row, as the product of neg_laplacian_rows does, each a view of `bands`."""
-    return bands[0, 1:], bands[1], bands[2, :-1]
+    dl, d, du = np.zeros(grid.n - 1), np.zeros(grid.n), np.zeros(grid.n - 1)
+    dl[:-1] = inv * -em
+    d[0], d[1:-1] = reg, inv * epm
+    du[0], du[1:] = -reg, inv * -ep
+    return dl, d, du
 
 
 def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
@@ -503,7 +494,7 @@ def apply_H(grid: RadialGrid, v: np.ndarray) -> np.ndarray:
     log variable (exactly symmetric against the quadrature weights away from
     the ends).  The first node encodes radial regularity v'(0) = 0 through
     the even-extension parabola rule, the last node a one-sided stencil.
-    All rows but the last are those of neg_laplacian_rows minus V, summed
+    All rows but the last are those of neg_laplacian minus V, summed
     as flux differences because the H^2-weighted norms see this roundoff.
     """
     y = grid.nodes
@@ -622,8 +613,7 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     """
     # H with a Dirichlet last row, read here alone: the rows are not kept
     # on the grid
-    rows, factors = neg_laplacian_rows(grid)
-    dl, d, du = diagonals(rows * factors)
+    dl, d, du = neg_laplacian(grid)
     d -= grid.V
     d[-1] = 1.0
     w = grid.weights

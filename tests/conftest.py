@@ -118,25 +118,23 @@ def coercivity_H_adversarial(grid):
     coercivity suites is needed."""
     y = grid.nodes
     return float(ineq._h_ratio(grid, radial.cutoff(10.0, y) * radial.lambda_q(y),
-                               ineq._denominators(grid)))
+                               ineq._denominators(grid, ineq._log_weight(y) ** 2)))
 
 
-def neg_laplacian_by_diagonal(grid, scale):
-    """scale * (-Delta)'s (dl, d, du) filled diagonal by diagonal from the
-    stencil factors, as tridiagonal_solve takes them; the last row is zero."""
+def neg_laplacian_by_diagonal(grid):
+    """-Delta's (dl, d, du) filled diagonal by diagonal from the stencil
+    factors, as tridiagonal_solve takes them; the last row is zero."""
     ep, em, epm, inv, reg = grid.stencil
-    c = scale * inv
-    c0 = scale * reg
     dl = np.empty(grid.n - 1)
-    np.multiply(c, -em, out=dl[:-1])
+    np.multiply(inv, -em, out=dl[:-1])
     dl[-1] = 0.0
     d = np.empty(grid.n)
-    d[0] = c0
-    np.multiply(c, epm, out=d[1:-1])
+    d[0] = reg
+    np.multiply(inv, epm, out=d[1:-1])
     d[-1] = 0.0
     du = np.empty(grid.n - 1)
-    du[0] = -c0
-    np.multiply(c, -ep, out=du[1:])
+    du[0] = -reg
+    np.multiply(inv, -ep, out=du[1:])
     return dl, d, du
 
 

@@ -641,9 +641,9 @@ def test_memo_builds_fewer_profiles_than_decompositions(memo_run):
 def test_memo_builds_keep_the_bits_of_the_whole_set(M):
     # an exact build runs the solves, the radiation and the chi_{B1}
     # localization on the decomposition prefix alone; at lattice nodes
-    # across the flow's b window (the lowest built for the run, as its
-    # stencil leaves the b the grid resolves) it gives the whole grid's
-    # Q~_b there, bit for bit
+    # across the flow's b window it gives the whole grid's Q~_b there, bit
+    # for bit.  The lowest, 16 MEMO_STEP, whose 2^-16 stencil leaves the b
+    # the grid resolves, is read as a node of the 2^-17 level
     cache = flow.ProfileCache(RunConfig(command="simulate", b0=3e-3, M=M))
     for b in np.geomspace(B_FLOOR, profiles.B_STAR, 12, endpoint=False):
         b = np.floor(b / flow.MEMO_STEP) * flow.MEMO_STEP
@@ -652,7 +652,7 @@ def test_memo_builds_keep_the_bits_of_the_whole_set(M):
         q = memo.q_b(b)
         assert memo.read == {b} and q.size == memo.n < cache.grid.n
         assert same_bits(q, whole_profile(b, cache.grid)[0][:memo.n])
-    assert len(cache.nodes) == 11
+    assert len(cache.nodes) == 12
 
 
 def test_memos_share_their_caches_gate_pairings(cache):
@@ -737,10 +737,25 @@ def test_memo_halves_the_step_where_the_gate_fails():
     assert builds == 0 and same_bits(again, q)
 
 
+def test_memo_serves_b_near_the_b_floor():
+    # in the last 5% of a run that reaches the b floor the 2^-16 stencil
+    # leaves the b the profile grid resolves; the memo passes over that
+    # level as over a failed gate and serves b from a finer one, within
+    # MEMO_TOL of a fresh build (about 0.005 MEMO_TOL at worst)
+    cache = flow.ProfileCache(RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4))
+    h = flow.MEMO_STEP
+    for b in (2.35e-4, 2.5e-4, 2.625e-4, 2.7e-4):
+        assert not flow.resolves(cache.grid, (math.floor(b / h) - 2) * h)
+        memo = flow.ProfileMemo(cache)
+        _, served, _, _ = _served_by_memos(lambda: memo.q_b(b))
+        assert memo.serves == len(served) == 1 and b not in memo.read
+        assert _worst_served_error(cache, served) <= flow.MEMO_TOL
+
+
 def test_memo_builds_b_whose_stencil_leaves_the_resolved_range(memo_run):
     # just above the smallest b the profile grid resolves, the nodes below b
-    # are not resolved: the run builds b itself, keeps that build for its
-    # next request and reads no lattice node
+    # are not resolved at any level: the run builds b itself, keeps that
+    # build for its next request and reads no lattice node
     cache = memo_run[0]
     lo, hi = 0.0, 3e-3
     for _ in range(80):
@@ -967,6 +982,7 @@ def test_a_run_at_any_lambda0_is_the_unit_run_rescaled():
     assert (unit.steps, unit.decompose_lost_step) == (60, 27)
     for lambda0, rtol in ((2.0**-40, 0.0), (2.0**30, 0.0), (1e-13, 1e-15), (1e6, 1e-15)):
         traj = flow.simulate(flow.replace(params, lambda0=lambda0), cache=cache)
+        assert traj.lambda_decay == float(lambda0 / np.nanmin(traj.series("lam")))
         assert [getattr(traj, k) for k in RUN_COUNTS] == [getattr(unit, k) for k in RUN_COUNTS]
         for f in fields(flow.Checkpoint):
             want = unit.series(f.name) * lambda0 ** LAMBDA0_POWER.get(f.name, 0)
@@ -987,6 +1003,7 @@ def test_shoot_at_any_lambda0_is_the_unit_shoot_rescaled():
     assert (scaled.history, scaled.bracket, scaled.iterations) == (
         unit.history, unit.bracket, unit.iterations)
     assert scaled.best.params.a_plus == unit.best.params.a_plus
+    assert scaled.best.lambda_decay == float(lambda0 / np.nanmin(scaled.best.series("lam")))
     assert [getattr(scaled.best, k) for k in RUN_COUNTS] == [getattr(unit.best, k)
                                                               for k in RUN_COUNTS]
     assert [flow.replace(c, t=c.t / lambda0**2, lam=c.lam / lambda0, u_max=c.u_max * lambda0)

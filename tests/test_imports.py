@@ -1,7 +1,9 @@
 """Static hygiene of the package sources, checked with the standard library."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,6 +17,7 @@ SRC = Path(blowlab.__file__).resolve().parent
 PROGRAM = (SRC, SRC.parent.parent / "perfbench")
 # every place a definition in the package may be read from
 READERS = PROGRAM + (Path(__file__).resolve().parent,)
+README = SRC.parent.parent / "README.md"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -386,3 +389,24 @@ def test_package_imports_scipy_only_where_it_needs_it():
                 continue
             found |= {(path.name, mod) for mod in modules if mod.split(".")[0] == "scipy"}
     assert found <= allowed, sorted(found - allowed)
+
+
+def test_readme_names_resolve():
+    # each inline-code span of the README that starts with a package
+    # module's dotted name, `module.name` or `blowlab.module.name` (a call
+    # or assignment may follow), names an attribute the package has, so
+    # no paragraph describes a function that is gone
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    name = re.compile(r"(?:blowlab\.)?(%s)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+                      % "|".join(modules))
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    refs = [m.groups() for span in re.findall(r"`([^`]+)`", text)
+            if (m := name.match(span))]
+    missing = []
+    for module, path in refs:
+        obj = importlib.import_module(f"blowlab.{module}")
+        for part in path.split("."):
+            obj = getattr(obj, part, missing)
+        if obj is missing:
+            missing.append(f"{module}.{path}")
+    assert refs and not missing, "README names the package lacks: " + ", ".join(missing)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blowlab import inequalities as ineq
-from blowlab import radial
+from blowlab import profiles, radial
 
 from conftest import coercivity_H_adversarial, same_bits
 
@@ -180,7 +180,7 @@ def _hardy_by_formula(sampler, n, grid):
 def test_suite_ratios_match_their_formulas_bit_for_bit(sgrid, family):
     # the suites build the sample-free factors once per grid, in the
     # operation order of the quotients they enter
-    den = ineq._denominators(sgrid)
+    den = ineq._denominators(sgrid, ineq._log_weight(sgrid.nodes) ** 2)
     for seed in (0, 5):
         sampler = ineq.TestFunctionSampler(seed=seed, family=family)
         for _ in range(3):
@@ -265,8 +265,51 @@ def test_coercivity_H2_stability(sgrid, refined):
 def test_ratio_scale_invariance(sgrid):
     sampler = ineq.TestFunctionSampler(seed=5)
     v = sampler.sample(sgrid)
-    den = ineq._denominators(sgrid)
+    den = ineq._denominators(sgrid, ineq._log_weight(sgrid.nodes) ** 2)
     assert abs(ineq._h2_ratio(sgrid, v, den) - ineq._h2_ratio(sgrid, 2.0 * v, den)) < 1e-9
+
+
+def _spotcheck_by_formula(grid, eps, b):
+    # the spotcheck's details with every y-power and its weight 1 + log^2 y
+    # evaluated in place
+    y, w = grid.nodes, grid.weights
+    he = radial.apply_H(grid, eps)
+    h2e = radial.apply_H(grid, he)
+    E2 = float(np.dot(w, he * he))
+    E4 = float(np.dot(w, h2e * h2e))
+    ep, epp = _log_derivatives(grid, eps)
+    hep, hepp = _log_derivatives(grid, he)
+    lw2 = 1.0 + np.log(y) ** 2
+    lhs_e4 = (
+        np.dot(w, he**2 / (y**4 * lw2))
+        + np.dot(w, hep**2 / (y**2 * lw2))
+        + np.dot(w, hepp**2 / lw2)
+        + np.dot(w, eps**2 / (y**4 * (1 + y**4) * lw2))
+        + np.dot(w, ep**2 / (y**6 * lw2))
+        + np.dot(w, epp**2 / (y**4 * lw2))
+    )
+    lhs_e2 = (np.dot(w, eps**2 / (y**4 * lw2)) + np.dot(w, ep**2 / (y**2 * lw2))
+              + np.dot(w, epp**2))
+    sup_tail = float(np.max(np.abs(eps / (1.0 + y)))) ** 2
+    return {
+        "estun_over_E4": float(lhs_e4 / E4),
+        "estunbis_over_E2": float(lhs_e2 / E2),
+        "supnorm_tail": sup_tail,
+        "supnorm_over_b3logC": sup_tail / (b**3 * profiles.log_binv(b) ** 2),
+    }
+
+
+def test_interpolation_spotcheck_matches_its_formula_bit_for_bit(sgrid):
+    # the spotcheck shares the suites' six-term E4 sum and divisors, with
+    # its own weight 1 + log^2 y, and keeps every detail's bits: on the
+    # verify command's eps and on a sampled one
+    y = sgrid.nodes
+    for eps in (1e-4 * y**2 * np.exp(-y**2), ineq.TestFunctionSampler(seed=3).sample(sgrid)):
+        rep = ineq.interpolation_spotcheck(sgrid, eps, b=3e-3)
+        expected = _spotcheck_by_formula(sgrid, eps, 3e-3)
+        assert rep.details.keys() == expected.keys()
+        for key, value in expected.items():
+            assert same_bits(rep.details[key], value), key
 
 
 def test_interpolation_spotcheck_zero_input(sgrid):

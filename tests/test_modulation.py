@@ -87,6 +87,23 @@ def test_s_of_d_is_seamless_at_panel_ends(b0):
     assert np.all(np.abs((hi - at) - (at - lo)) <= 4.0 * np.spacing(at))
 
 
+@pytest.mark.parametrize("lambda0", [1e-100, 1.0, 1e100])
+def test_subnormal_d_ends_the_inversion(lambda0):
+    # at b0 = 1e-300 and s_end = 1e-12 the Newton inversion of s(d) runs on
+    # subnormal d, whose steps cannot meet a stop scale of d itself; each
+    # call returns a trajectory the guard accepts, or its ValueError
+    tiny = np.finfo(float).tiny
+    try:
+        tr = modulation.integrate_reduced(1e-300, lambda0, 1e-12)
+    except ValueError as exc:
+        assert "normal double" in str(exc)
+        return
+    assert tr.b[-1] == 1e-300 and tr.lam[-1] == lambda0
+    assert all(tiny <= v < np.inf for v in (tr.lam[-1], tr.tau[-1], tr.T_est))
+    if lambda0 == 1.0:
+        assert tr.tau[-1] == pytest.approx(1.003e300, rel=1e-3)
+
+
 def test_tiny_s_end_keeps_every_sample():
     # the log-spaced part starts 8 decades below s_end once s_end <= 1e-8
     for s_end in (1e-9, 1e-8, 1e-12):

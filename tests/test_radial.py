@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from scipy.special import gammainc
 
-from blowlab import flow, radial
+from blowlab import flow, inequalities, radial
 from blowlab.config import RunConfig
 
 from conftest import (cumulative_integral_one_lane, l2_window, neg_laplacian_by_diagonal,
@@ -50,7 +50,7 @@ def test_radial_writes_nothing_into_the_grid_cache():
     f = np.exp(-g.nodes)
     radial.solve_H_with_derivative(g, f)
     radial.apply_H(g, f)
-    radial.neg_laplacian_rows(g)
+    radial.neg_laplacian(g)
     radial.cumulative_integral(g, f, g.zero_modes[::2], (0.0, 0.0))
     assert g.cache == {}
 
@@ -273,8 +273,7 @@ def test_neg_laplacian_bands_match_apply_H(grid):
     for g in (grid, flow_grid):
         y = g.nodes
         f = (1.0 + y**2) * np.exp(-(y**2) / 50.0)
-        rows, factors = radial.neg_laplacian_rows(g)
-        dl, d, du = radial.diagonals(rows * factors)
+        dl, d, du = radial.neg_laplacian(g)
         bf = d * f
         bf[:-1] += du * f[1:]
         bf[1:] += dl * f[:-1]
@@ -288,18 +287,27 @@ def test_neg_laplacian_bands_match_apply_H(grid):
     assert abs(total / exact - 1.0) < 1e-10
 
 
-def test_neg_laplacian_rows_keep_the_bits_of_each_diagonal():
-    # (scale * rows) * factors gives each diagonal's bits, on the profile
-    # grid and the 561-node march flow grid
+def test_neg_laplacian_keeps_the_bits_of_each_diagonal():
+    # each diagonal has the bits of the one filled from the stencil factors
+    # and of the (3, n) product of row factors and stencils it was once
+    # read from, on the profile grid, the 561-node march flow grid and the
+    # suite grid; every call returns fresh arrays
     cache = flow.ProfileCache(RunConfig(command="simulate"))
     march = flow._flow_grid(flow.Y_MIN_FLOW, flow._flow_r_max(0.01, cache.reach), 120)
     assert march.n == 561
-    for g in (cache.grid, march):
-        rows, factors = radial.neg_laplacian_rows(g)
-        for scale in (1.0, 1e-13, 1e-3, 0.5):
-            diags = radial.diagonals((scale * rows) * factors)
-            for ours, ref in zip(diags, neg_laplacian_by_diagonal(g, scale)):
-                assert same_bits(ours, ref)
+    for g in (cache.grid, march, inequalities.default_grid()):
+        diags = radial.neg_laplacian(g)
+        ep, em, epm, inv, reg = g.stencil
+        rows = np.concatenate(([reg], inv, [0.0]))
+        factors = np.zeros((3, g.n))
+        factors[:, 0] = 0.0, 1.0, -1.0
+        factors[:, 1:-1] = [[-em], [epm], [-ep]]
+        bands = rows * factors
+        for ours, ref, band in zip(diags, neg_laplacian_by_diagonal(g),
+                                   (bands[0, 1:], bands[1], bands[2, :-1])):
+            assert same_bits(ours, ref) and same_bits(ours, band)
+        assert not any(np.shares_memory(a, b)
+                       for a, b in zip(diags, radial.neg_laplacian(g)))
 
 
 def test_dirichlet_system_is_the_symmetrized_step_matrix():
@@ -318,8 +326,7 @@ def test_dirichlet_system_is_the_symmetrized_step_matrix():
         m = g.n - 1
         assert w.shape == wd.shape == (m,) and we.shape == (m - 1,)
         assert np.all(np.isfinite(w)) and np.all(w > 0)
-        rows, factors = radial.neg_laplacian_rows(g)
-        dl, d, du = radial.diagonals(rows * factors)
+        dl, d, du = radial.neg_laplacian(g)
         assert np.all(np.abs(w[1:] * dl[:m - 1] - we) <= 4 * eps * np.abs(we))
         for _ in range(8):
             x = rng.normal(size=g.n)
