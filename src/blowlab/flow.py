@@ -333,9 +333,9 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
     Dirichlet value u_new = u holds: the new state's last entry is u[-1]
     itself, bit for bit.  Each system is solved in the symmetric form
     W (I + h (-Delta)) of `grid.dirichlet_system`, positive definite for
-    every h >= 0, by LDL^T without pivoting: the dt system by one
-    `radial.spd_solve`, the dt/2 system by one `radial.spd_factor` and two
-    `radial.spd_substitute`, for the mid and the half step.
+    every h >= 0, by LDL^T without pivoting: each system by one
+    `radial.spd_factor`, the dt system then by one `radial.spd_substitute`
+    and the dt/2 system by two, for the mid and the half step.
 
     Returns (u_new, dt_taken, dt_next, n_rejects).  A u whose cube is not
     finite (a non-finite u included) raises RuntimeError at once; a
@@ -358,7 +358,7 @@ def step_flow(grid: radial.RadialGrid, u: np.ndarray, u_max: float, dt: float,
         try:
             rhs = w * (v + dt * v3)
             rhs[-1] -= (dt * c) * ub
-            full = radial.spd_solve(w + dt * wd, dt * we, rhs)
+            full = radial.spd_substitute(radial.spd_factor(w + dt * wd, dt * we), rhs)
             factor = radial.spd_factor(w + h * wd, h * we)
             rhs = w * (v + h * v3)
             rhs[-1] -= (h * c) * ub
@@ -784,20 +784,18 @@ def modulation_residuals(traj: FlowTrajectory) -> dict:
     the two tracked bootstrap ratios at the same checkpoints.
 
     Only checkpoints with a live decomposition enter; once the run leaves
-    the soliton tube the frozen (lambda, b) carry no information.
+    the soliton tube the frozen (lambda, b) carry no information.  Fewer
+    than five of them give no residual: every array is then empty, under
+    the same six keys.
     """
-    empty = {"s": np.array([]), "lam_res": np.array([]),
-             "b_res": np.array([]), "b_mid": np.array([])}
     live = [c for c in traj.checkpoints if c.decomposed]
     if len(live) < 5:
-        return empty
+        live = []
     s = np.array([c.s for c in live])
     lam = np.array([c.lam for c in live])
     b = np.array([c.b for c in live])
     ds = s[2:] - s[:-2]
     ok = ds > 0
-    if not ok.any():
-        return empty
     dlog_lam = (np.log(lam[2:]) - np.log(lam[:-2]))[ok] / ds[ok]
     b_s = (b[2:] - b[:-2])[ok] / ds[ok]
     b_mid = b[1:-1][ok]

@@ -8,11 +8,12 @@ the zero modes and its splines' frame as attributes, the explicit stationary
 bubble Q(y) = 1/(1 + y^2/8) and its scaling family, the linearized operator
 H = -Delta - 3Q^2 together with its two explicit zero modes (Lambda Q and the
 growing solution Gamma), the variation-of-parameters inverse of H, the unique
-negative eigenmode, the LAPACK tridiagonal solves (pivoting LU for general
-systems, LDL^T for symmetric positive definite ones), and the not-a-knot
-cubic spline the flow samples its fields with, whose knot-only part a grid
-keeps.  A function on a grid is the float array of its values on
-grid.nodes, and the one pairing is grid.weights . (f g).
+negative eigenmode, the LAPACK tridiagonal factorizations and their
+substitutions (pivoting LU for general systems, LDL^T for symmetric
+positive definite ones), and the not-a-knot cubic spline the flow samples
+its fields with, whose knot-only part a grid keeps.  A function on a grid
+is the float array of its values on grid.nodes, and the one pairing is
+grid.weights . (f g).
 
 All closed forms are evaluated directly, never by differencing another
 quantity: the pair (Lambda Q, Gamma) satisfies the exact Wronskian
@@ -25,10 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _gtsv
 from scipy.linalg.lapack import dgttrf as _gttrf
 from scipy.linalg.lapack import dgttrs as _gttrs
-from scipy.linalg.lapack import dptsv as _ptsv
 from scipy.linalg.lapack import dpttrf as _pttrf
 from scipy.linalg.lapack import dpttrs as _pttrs
 
@@ -293,7 +292,7 @@ def cutoff_laplacian(scale: float, y):
 
 def neg_laplacian(grid: RadialGrid) -> tuple:
     """-Delta's tridiagonal (dl, d, du), filled diagonal by diagonal from
-    the stencil factors, as tridiagonal_solve takes them: the first row is
+    the stencil factors, as lu_factor takes them: the first row is
     apply_H's even-extension rule -Delta f(y0) = 8 (f0 - f1)/(y1^2 - y0^2),
     the interior rows the flux stencil (-exp(-h), exp(h) + exp(-h), -exp(h))
     times 1/(y^2 h^2), and the last row is zero: the caller sets the outer
@@ -307,45 +306,38 @@ def neg_laplacian(grid: RadialGrid) -> tuple:
     return dl, d, du
 
 
-def tridiagonal_solve(dl, d, du, rhs) -> np.ndarray:
-    """x with (dl, d, du) x = rhs, by LAPACK gtsv (Gaussian elimination with
-    partial pivoting), the routine solve_banded calls for (1, 1) bands, so
-    the bits are the same; skipping its input checks and band copies is
-    most of the saving.  It serves the system that is not symmetric
-    positive definite, the eigenmode's indefinite H - sigma (the spline's
-    not-a-knot slopes reuse a gttrf factor, see SplineFrame).  The solve
-    consumes its inputs: gtsv overwrites all four in place, without copying
-    them, and x is rhs itself when rhs is a contiguous float array.  A
-    caller that reads one again passes a copy.  Raises LinAlgError when the
-    system is exactly singular.
+def lu_factor(dl, d, du) -> tuple:
+    """The LU factor (dl, d, du, du2, ipiv) of the tridiagonal (dl, d, du)
+    by LAPACK gttrf, Gaussian elimination with partial pivoting, for
+    lu_substitute to solve with.  It serves the systems that are not
+    symmetric positive definite: the eigenmode's indefinite H - sigma and
+    the spline's not-a-knot slopes.  gttrf pivots on the test of gtsv, the
+    routine solve_banded calls for (1, 1) bands, and its gttrs substitution
+    repeats gtsv's arithmetic, so a solve has solve_banded's bits.  The
+    factor is formed in dl, d and du themselves: a caller that reads one
+    again passes a copy.  Raises LinAlgError when the system is exactly
+    singular.
     """
-    # overwrite_dl, overwrite_d, overwrite_du, overwrite_b
-    x, info = _gtsv(dl, d, du, rhs, 1, 1, 1, 1)[3:]
+    # overwrite_dl, overwrite_d, overwrite_du
+    dl, d, du, du2, ipiv, info = _gttrf(dl, d, du, 1, 1, 1)
     if info > 0:
         raise np.linalg.LinAlgError("singular tridiagonal system")
-    return x
+    return dl, d, du, du2, ipiv
 
 
-def spd_solve(d, e, rhs) -> np.ndarray:
-    """x with the symmetric tridiagonal (d, e) x = rhs, diagonal d and off
-    diagonal e, by LAPACK ptsv: the LDL^T factorization, without pivoting,
-    and its two substitutions, for a positive definite matrix.  It consumes
-    its inputs as tridiagonal_solve does, and x is rhs itself when rhs is
-    a contiguous float array.  Raises LinAlgError when the matrix is not
-    positive definite.
-    """
-    # overwrite_d, overwrite_e, overwrite_b
-    x, info = _ptsv(d, e, rhs, 1, 1, 1)[2:]
-    if info > 0:
-        raise np.linalg.LinAlgError("tridiagonal system is not positive definite")
-    return x
+def lu_substitute(factor: tuple, rhs) -> np.ndarray:
+    """x with (dl, d, du) x = rhs for a factor of lu_factor, by LAPACK
+    gttrs; the factor is kept, and x is rhs itself when rhs is a contiguous
+    float array."""
+    return _gttrs(*factor, rhs, "N", 1)[0]  # overwrite_b
 
 
 def spd_factor(d, e) -> tuple:
     """The LDL^T factor (D, the unit subdiagonal of L) of the symmetric
-    tridiagonal (d, e), by LAPACK pttrf, formed in d and e themselves, for
-    spd_substitute to solve with.  Raises LinAlgError when the matrix is
-    not positive definite.
+    tridiagonal (d, e), diagonal d and off diagonal e, by LAPACK pttrf,
+    without pivoting, formed in d and e themselves, for spd_substitute to
+    solve with.  Raises LinAlgError when the matrix is not positive
+    definite.
     """
     d, e, info = _pttrf(d, e, 1, 1)
     if info > 0:
@@ -363,14 +355,13 @@ def spd_substitute(factor: tuple, rhs) -> np.ndarray:
 class SplineFrame:
     """What the not-a-knot slope system of a CubicSpline reads from its knots
     x alone, x strictly increasing with at least four knots: the spacings,
-    the end rows' factors, the LU factorization of the slope matrix by
-    LAPACK gttrf, and the interval rule's uniform inverse step and bounds.
+    the end rows' factors, the lu_factor of the slope matrix, and the
+    interval rule's uniform inverse step and bounds.
 
-    gttrf eliminates with the partial pivoting of gtsv, the routine scipy
-    solves the slope system with, and its gttrs substitutions repeat gtsv's
-    arithmetic on the right-hand side, so a spline on a frame has the bits
-    of one that solves its whole system.  RadialGrid.spline_frame keeps the
-    frame of a grid's t, which lives as long as the grid.
+    scipy solves the slope system with gtsv, whose bits lu_factor and
+    lu_substitute keep, so a spline on a frame has the bits of one that
+    solves its whole system.  RadialGrid.spline_frame keeps the frame of a
+    grid's t, which lives as long as the grid.
     """
 
     def __init__(self, x: np.ndarray):
@@ -392,9 +383,7 @@ class SplineFrame:
         # (a0 slope[0] + b0 slope[1]) / du[0] and (b1 slope[-2] + a1 slope[-1]) / dl[-1]
         self.ends = ((dx[0] + 2 * du[0]) * dx[1], dx[0] ** 2, du[0],
                      dx[-1] ** 2, (2 * dl[-1] + dx[-1]) * dx[-2], dl[-1])
-        *self.lu, info = _gttrf(dl, d, du, 1, 1, 1)  # (dl, d, du, du2, ipiv)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular tridiagonal system")
+        self.lu = lu_factor(dl, d, du)
         self.inv_step = (n - 1) / (x[-1] - x[0])
         # interval bounds: the end intervals reach out to -inf and +inf
         self.bounds = np.concatenate(([-np.inf], x[1:-1], [np.inf]))
@@ -403,7 +392,7 @@ class SplineFrame:
 class CubicSpline:
     """Not-a-knot cubic spline through (x, y) on the SplineFrame of the
     knots x, extrapolating the end cubics beyond [x[0], x[-1]].  A build
-    forms only the right-hand side, one gttrs solve and the coefficients;
+    forms only the right-hand side, one lu_substitute and the coefficients;
     on a grid's t, the frame is grid.spline_frame.
 
     It repeats the arithmetic of scipy's CubicSpline (1.17) bit for bit: the
@@ -423,7 +412,7 @@ class CubicSpline:
         rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         rhs[0] = (a0 * slope[0] + b0 * slope[1]) / du0
         rhs[-1] = (b1 * slope[-2] + a1 * slope[-1]) / dl1
-        s = _gttrs(*frame.lu, rhs, "N", 1)[0]  # overwrite_b
+        s = lu_substitute(frame.lu, rhs)
         # (c0, c1, c2, c3) of each interval, gathered by one take per call:
         # c0 = t/dx, c1 = (slope - s[:-1])/dx - t with t = (s[:-1] + s[1:] - 2 slope)/dx
         self.coeffs = coeffs = np.empty((4, dx.size))
@@ -633,11 +622,12 @@ def unstable_mode(grid: RadialGrid) -> Eigenpair:
     for it in range(EIG_MAX_ITER):
         shifted = d - sigma
         shifted[-1] = 1.0  # keep Dirichlet row intact
-        try:  # the solve consumes what it is given; dl, du and x are read again
-            x_new = tridiagonal_solve(dl.copy(), shifted, du.copy(), x.copy())
+        try:  # the factor is formed in what it is given; dl and du are read again
+            factor = lu_factor(dl.copy(), shifted, du.copy())
         except np.linalg.LinAlgError:
             sigma *= 1.0 + 1e-8
             continue
+        x_new = lu_substitute(factor, x)  # solved in x, which is not read again
         x_new[-1] = 0.0
         nrm = np.sqrt(np.dot(w, x_new * x_new))
         if not np.isfinite(nrm) or nrm == 0.0:

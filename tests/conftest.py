@@ -123,7 +123,7 @@ def coercivity_H_adversarial(grid):
 
 def neg_laplacian_by_diagonal(grid):
     """-Delta's (dl, d, du) filled diagonal by diagonal from the stencil
-    factors, as tridiagonal_solve takes them; the last row is zero."""
+    factors, as radial.lu_factor takes them; the last row is zero."""
     ep, em, epm, inv, reg = grid.stencil
     dl = np.empty(grid.n - 1)
     np.multiply(inv, -em, out=dl[:-1])

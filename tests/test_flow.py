@@ -199,12 +199,12 @@ def test_step_flow_matches_the_banded_solve_on_the_march_grid(params, cache):
     assert rejects > 0  # the reject path is compared too
 
 
-def test_each_trial_solves_dt_once_and_factors_dt_half_once(monkeypatch):
-    # a trial step: one dt solve, one dt/2 factorization and its two
-    # substitutions, and no pivoting LU
+def test_each_trial_factors_dt_and_dt_half_once_and_substitutes_three_times(monkeypatch):
+    # a trial step: one dt factorization and its substitution, one dt/2
+    # factorization and its two substitutions, and no pivoting LU
     g = flow._flow_grid(0.01, 50.0, 100)
     u = radial.q_soliton(g.nodes / 0.5) / 0.5 + 0.1 * np.exp(-(g.nodes**2))
-    calls = dict.fromkeys(("spd_solve", "spd_factor", "spd_substitute", "tridiagonal_solve"), 0)
+    calls = dict.fromkeys(("spd_factor", "spd_substitute", "lu_factor", "lu_substitute"), 0)
 
     def counting(name, original):
         def call(*args):
@@ -218,8 +218,8 @@ def test_each_trial_solves_dt_once_and_factors_dt_half_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         rejects = flow.step_flow(g, u, np.max(np.abs(u)), dt, 1e-5, 1e-9)[3]
         trials = rejects + 1
-        assert calls == {"spd_solve": trials, "spd_factor": trials,
-                         "spd_substitute": 2 * trials, "tridiagonal_solve": 0}
+        assert calls == {"spd_factor": 2 * trials, "spd_substitute": 3 * trials,
+                         "lu_factor": 0, "lu_substitute": 0}
     assert rejects > 0
 
 
@@ -229,7 +229,7 @@ def test_step_flow_rejects_a_non_finite_state_at_once(monkeypatch, bad):
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
     u[100] = bad
     calls = []
-    for name in ("spd_solve", "spd_factor", "spd_substitute", "tridiagonal_solve"):
+    for name in ("spd_factor", "spd_substitute", "lu_factor", "lu_substitute"):
         monkeypatch.setattr(radial, name, lambda *a: calls.append(1))
     with pytest.raises(RuntimeError, match="non-finite"):
         flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
@@ -262,7 +262,7 @@ def test_overflowing_state_ends_in_a_solver_failure(monkeypatch):
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
     u[100] = 1e110
     calls = []
-    for name in ("spd_solve", "spd_factor", "spd_substitute", "tridiagonal_solve"):
+    for name in ("spd_factor", "spd_substitute", "lu_factor", "lu_substitute"):
         monkeypatch.setattr(radial, name, lambda *a: calls.append(1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and without an overflow warning
@@ -274,15 +274,21 @@ def test_overflowing_state_ends_in_a_solver_failure(monkeypatch):
 def test_singular_implicit_system_ends_the_run_classified(params, cache, monkeypatch):
     g = flow._flow_grid(0.01, 50.0, 100)
     u = radial.q_soliton(g.nodes / 0.5) / 0.5
-    # ptsv and pttrf report a matrix that is not positive definite with
-    # info > 0; the step's dt solve and its dt/2 factorization each end it
-    monkeypatch.setattr(radial, "_ptsv", lambda d, e, b, *overwrite: (d, e, b, 1))
-    with pytest.raises(RuntimeError, match="not positive definite"):
-        flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
-    monkeypatch.undo()
+    # pttrf reports a matrix that is not positive definite with info > 0;
+    # the step's dt factorization and its dt/2 factorization each end it
+    pttrf = radial._pttrf
+    for failing in (1, 2):
+        calls = []
+
+        def fails_once(d, e, *overwrite):
+            calls.append(1)
+            return (d, e, 1) if len(calls) == failing else pttrf(d, e, *overwrite)
+
+        monkeypatch.setattr(radial, "_pttrf", fails_once)
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
+        assert len(calls) == failing
     monkeypatch.setattr(radial, "_pttrf", lambda d, e, *overwrite: (d, e, 1))
-    with pytest.raises(RuntimeError, match="not positive definite"):
-        flow.step_flow(g, u, np.max(np.abs(u)), 1e-4, 1e-5, 1e-9)
     traj = flow.simulate(flow.replace(params, max_steps=5), cache=cache)
     assert traj.termination == "solver_failure" and traj.steps == 1
     assert traj.classification is RunClass.GridExhausted
@@ -1271,6 +1277,16 @@ def test_classify_reads_the_tenfold_decay_alone(termination):
     deep = flow.classify(_constructed_run(termination, 0.2))
     shallow = flow.classify(_constructed_run(termination, 0.25))
     assert deep is RunClass.TypeII_tracking and shallow is RunClass.GridExhausted
+
+
+def test_modulation_residuals_of_a_short_run_keep_all_six_keys():
+    # a 30-step run has fewer than five live checkpoints: no residual, and
+    # every one of the six series is there, empty
+    traj = flow.simulate(RunConfig(command="simulate", b0=0.01, max_steps=30))
+    assert sum(c.decomposed for c in traj.checkpoints) < 5
+    res = flow.modulation_residuals(traj)
+    assert set(res) == {"s", "lam_res", "b_res", "b_mid", "E2_ratio", "kappa_ratio"}
+    assert all(v.shape == (0,) for v in res.values())
 
 
 def test_lyapunov_series_fields(unstable_runs):

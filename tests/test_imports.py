@@ -376,19 +376,26 @@ def test_cli_import_leaves_scipy_special_out():
 
 def test_package_imports_scipy_only_where_it_needs_it():
     # radial takes its LAPACK routines from scipy.linalg.lapack; any other
-    # scipy module would add to every start (setup time) without a reader
+    # scipy module would add to every start (setup time) without a reader.
+    # The routines are one factorization and its substitution for each kind
+    # of tridiagonal, general (gttrf, gttrs) and positive definite (pttrf,
+    # pttrs), so a second solve path cannot come back
     allowed = {("radial.py", "scipy.linalg.lapack")}
     found = set()
+    routines = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 modules = [node.module]
+                if node.module == "scipy.linalg.lapack":
+                    routines |= {(path.name, alias.name) for alias in node.names}
             else:
                 continue
             found |= {(path.name, mod) for mod in modules if mod.split(".")[0] == "scipy"}
     assert found <= allowed, sorted(found - allowed)
+    assert routines == {("radial.py", name) for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs")}
 
 
 def test_readme_names_resolve():

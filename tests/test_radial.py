@@ -492,21 +492,64 @@ def test_unstable_mode_matches_the_banded_solve_bit_for_bit():
 
 
 def test_unstable_mode_retries_a_singular_shift(grid, eigenpair, monkeypatch):
-    # gtsv's info > 0 (an exactly zero pivot) nudges the shift and retries
-    gtsv = radial._gtsv
+    # gttrf's info > 0 (an exactly zero pivot) nudges the shift and retries
+    gttrf = radial._gttrf
     calls = []
 
     def singular_once(*args):
         calls.append(1)
-        out = gtsv(*args)
-        return out[:4] + (1,) if len(calls) == 1 else out
+        out = gttrf(*args)
+        return out[:5] + (1,) if len(calls) == 1 else out
 
-    monkeypatch.setattr(radial, "_gtsv", singular_once)
+    monkeypatch.setattr(radial, "_gttrf", singular_once)
     fresh = radial.make_grid(grid.y_min, grid.y_max, grid.n)
     pair = radial.unstable_mode(fresh)
     assert len(calls) > 1
     assert abs(pair.zeta - eigenpair.zeta) <= 1e-9 * eigenpair.zeta
     assert np.max(np.abs(pair.psi - eigenpair.psi)) < 1e-6
+
+
+def test_lu_factor_and_substitute_have_the_bits_of_gtsv():
+    # on the profile grid's indefinite H - sigma, at shifts on both sides of
+    # the negative eigenvalue and at it: the gttrf factor pivots rows, and
+    # each gttrs substitution on the kept factor returns gtsv's bits
+    from scipy.linalg.lapack import dgtsv
+
+    cache = flow.ProfileCache(RunConfig(command="simulate"))
+    grid = cache.grid
+    dl, d, du = radial.neg_laplacian(grid)
+    d -= grid.V
+    d[-1] = 1.0
+    rng = np.random.default_rng(11)
+    for sigma in (-1.0, -0.5, -cache.eig.zeta, -0.3, 0.2, 3.0):
+        shifted = d - sigma
+        shifted[-1] = 1.0
+        factor = radial.lu_factor(dl.copy(), shifted.copy(), du.copy())
+        ipiv = factor[-1]
+        assert np.any(ipiv != np.arange(1, grid.n + 1))  # some rows interchange
+        for rhs in (np.exp(-grid.nodes), rng.normal(size=grid.n)):
+            ref, info = dgtsv(dl, shifted, du, rhs)[3:]
+            assert info == 0
+            assert same_bits(radial.lu_substitute(factor, rhs.copy()), ref)
+
+
+def test_spd_factor_and_substitute_have_the_bits_of_ptsv():
+    # on the 561-node march grid's step matrix W (I + dt(-Delta)) at a few
+    # dt: one pttrf factor and its pttrs substitutions give ptsv's bits
+    from scipy.linalg.lapack import dptsv
+
+    cache = flow.ProfileCache(RunConfig(command="simulate"))
+    march = flow._flow_grid(flow.Y_MIN_FLOW, flow._flow_r_max(0.01, cache.reach), 120)
+    assert march.n == 561
+    w, wd, we, _ = march.dirichlet_system
+    rng = np.random.default_rng(13)
+    for dt in (1e-8, 1e-5, 1e-3, 0.1):
+        factor = radial.spd_factor(w + dt * wd, dt * we)
+        for _ in range(3):
+            rhs = rng.normal(size=march.n - 1)
+            ref, info = dptsv(w + dt * wd, dt * we, rhs)[2:]
+            assert info == 0
+            assert same_bits(radial.spd_substitute(factor, rhs.copy()), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +607,7 @@ def test_spline_frame_slopes_have_the_bits_of_gtsv(n):
     # frame's one gttrf factor: the bits gtsv gives on the whole system,
     # and then scipy's coefficients, for random values
     from scipy.interpolate import CubicSpline
+    from scipy.linalg.lapack import dgtsv
 
     grid = radial.make_grid(1e-2, 3e2, n)
     x = grid.t
@@ -579,7 +623,8 @@ def test_spline_frame_slopes_have_the_bits_of_gtsv(n):
             [((dx[0] + 2 * du[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / du[0]],
             3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
             [(dx[-1] ** 2 * slope[-2] + (2 * dl[-1] + dx[-1]) * dx[-2] * slope[-1]) / dl[-1]]))
-        s = radial.tridiagonal_solve(dl, d, du, rhs)
+        s, info = dgtsv(dl, d, du, rhs)[3:]
+        assert info == 0
         spl = radial.CubicSpline(grid.spline_frame, y)
         assert spl.frame is grid.spline_frame
         assert same_bits(spl.coeffs[2], s[:-1])
