@@ -44,18 +44,10 @@ def run(config: RunConfig, out_override: str | None = None) -> dict:
 
 
 def _write_manifest(run_dir, config, started, ok, termination, files, metrics) -> dict:
-    manifest = {
-        "artifact": "blowlab",
-        "version": __version__,
-        "command": config.command,
-        "config": config.to_dict(),
-        "started": started,
-        "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "ok": bool(ok),
-        "termination": termination,
-        "files": sorted(files),
-        "metrics": metrics,
-    }
+    manifest = dict(zip(schema.MANIFEST_JSON, (
+        "blowlab", __version__, config.command, config.to_dict(), started,
+        time.strftime("%Y-%m-%dT%H:%M:%S"), bool(ok), termination, sorted(files),
+        metrics)))
     write_json(run_dir / "manifest.json", manifest)
     return manifest
 
@@ -67,12 +59,8 @@ def _cmd_modulation(config: RunConfig, run_dir):
     files = ["trajectory.csv", "fit.json"]
     deep = modulation.integrate_reduced(config.b0, config.lambda0, config.fit_s_end)
     fit = modulation.fit_blowup_law(deep)
-    payload = {
-        "kappa": fit.kappa, "exponent": fit.exponent, "residual": fit.residual,
-        "T_est": fit.T_est,
-        "window_lo": fit.window[0], "window_hi": fit.window[1],
-    }
-    write_json(run_dir / "fit.json", payload)
+    write_json(run_dir / "fit.json", dict(zip(schema.FIT_JSON, (
+        fit.kappa, fit.exponent, fit.residual, fit.T_est, *fit.window))))
     metrics = {
         "sb_end": float(traj.s[-1] * traj.b[-1]),
         "exponent": fit.exponent,
@@ -97,12 +85,9 @@ def _cmd_profile(config: RunConfig, run_dir):
             rep.norm_H / (b**4 * lb**2), rep.norm_w8 / b**6,
             rep.norm_H2 * lb**2 / b**6, rep.flux_ratio * lb / b**2,
         ))
-        name = f"error-report-b{b:g}.json"
-        write_json(run_dir / name, {
-            "variant": "tilde", "b": rep.b, "norm_H": rep.norm_H,
-            "norm_w8": rep.norm_w8, "norm_H2": rep.norm_H2,
-            "flux_ratio": rep.flux_ratio,
-        })
+        name = schema.ERROR_REPORT_FILE.format(b)
+        write_json(run_dir / name, dict(zip(schema.ERROR_REPORT_JSON, (
+            "tilde", rep.b, rep.norm_H, rep.norm_w8, rep.norm_H2, rep.flux_ratio))))
         files.append(name)
         ok = ok and np.isfinite([rep.norm_H, rep.norm_w8, rep.norm_H2]).all()
     write_csv(run_dir / "summary.csv", schema.PROFILE_SUMMARY_CSV, rows)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from .inequalities import FAMILIES
 from .modulation import FIT_MIN_DECAY, S_MAX, integrate_reduced
 from .profiles import B_STAR, M_DEFAULT
+from .schema import ERROR_REPORT_FILE
 
 COMMANDS = ("profile", "modulation", "simulate", "shoot", "verify")
 
@@ -72,8 +73,13 @@ class RunConfig:
         _require(self.command not in ("simulate", "shoot") or self.b0 > B_FLOOR_EXIT,
                  f"{self.command} needs b0 above the flow's b floor "
                  f"{B_FLOOR_EXIT:g}, got {self.b0!r}")
+        _require(self.b_sweep, "b_sweep must hold at least one b")
         for b in self.b_sweep:
             _b_window("b_sweep", b)
+        # each b writes one error report, named by its %g form
+        names = [ERROR_REPORT_FILE.format(b) for b in self.b_sweep]
+        _require(len(set(names)) == len(names),
+                 f"b_sweep={self.b_sweep!r} names one error report twice: {names}")
         _require(self.lambda0 > 0, "lambda0 must be positive")
         _require(self.command not in ("simulate", "shoot")
                  or 1.0 / LAMBDA0_MAX <= self.lambda0 <= LAMBDA0_MAX,
@@ -158,11 +164,11 @@ def parse_config(source: str) -> RunConfig:
             if path not in known:
                 raise ValueError(f"unknown config key {('%s.%s' % (section, key)).strip('.')!r}")
             f = known[path]
-            if f.name == "b_sweep":
-                values[path] = tuple(float(x) for x in val.split(",") if x)
-            else:
-                try:
+            try:
+                if f.name == "b_sweep":
+                    values[path] = tuple(float(x) for x in val.split(",") if x)
+                else:
                     values[path] = _CASTS[type(getattr(RunConfig, f.name))](val)
-                except (ValueError, KeyError) as exc:
-                    raise ValueError(f"key {path!r}: cannot parse {val!r}") from exc
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"key {path!r}: cannot parse {val!r}") from exc
     return RunConfig(**values).validate()

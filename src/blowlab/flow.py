@@ -731,19 +731,20 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
 
 def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
+    """A step's row: `kappa` is the one the last exit rule read, and the
+    energies and residuals read an exact Q~_b."""
     if not decomposed:
         e1 = e2 = e2h = np.nan
         res1 = res2 = np.nan
     else:
         # one evaluation and one exact profile build over the covered
-        # prefix, which holds both windows
+        # prefix, which holds the pairing window
         u_eval = dd["u_eval"] if dd else _u_eval(grid, u)
         n = _covered(cache, lam, grid.y_max)
         field = _field(cache, u_eval, lam, n)
         q, zeta = localized_profile(b, cache.grid, n)
         eps = field - q
         e1, e2, e2h = flow_energies(cache.grid, eps, zeta)
-        kappa = _kappa(cache, eps)
         r1, r2 = _pairings(cache, eps)
         s1, s2 = _pairing_scales(cache, field)
         res1, res2 = abs(r1) / s1, abs(r2) / s2
@@ -891,7 +892,7 @@ def shoot(params: RunConfig, cache: ProfileCache | None = None) -> ShootingResul
         if traj.lambda_decay > best.lambda_decay:
             best = traj
         # a run without an unstable exit sides with the sign of its last kappa
-        if (_exit_sign(traj) or (1 if traj.series("kappa")[-1] >= 0 else -1)) > 0:
+        if (_exit_sign(traj) or (1 if traj.checkpoints[-1].kappa >= 0 else -1)) > 0:
             a_hi = mid
         else:
             a_lo = mid

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import radial
+from . import radial, schema
 from .profiles import M_DEFAULT, direction_phi, log_binv
 
 # the sample families: smooth (C^4 at least) for every suite `verify` runs
@@ -39,13 +39,7 @@ class InequalityReport:
     details: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self):
-        out = {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_ratio": self.worst_ratio,
-            "violated": self.violated,
-            "tolerance": self.tolerance,
-        }
+        out = {k: getattr(self, k) for k in schema.SUITE_JSON}
         out.update({k: v for k, v in self.details.items() if np.isscalar(v)})
         return out
 

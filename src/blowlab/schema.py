@@ -1,5 +1,8 @@
 """Public output contract: CSV columns and JSON field names per command.
 
+The writers read these tuples, so each CSV header and JSON key is spelled
+here only (a suite's JSON adds its scalar details to its tuple's keys).
+
 Every CSV is RFC 4180 (CRLF, comma separated, '.' decimal) with values
 written in shortest round-trip double precision, so identical configs
 reproduce identical bytes.  Manifests carry timestamps and are exempt from
@@ -11,9 +14,11 @@ config snapshot.
 
 The flow's tables carry the energies E1 = |d_y eps|^2, E2 = |H eps|^2 and
 E2_hat (E2 with zeta_b added to eps), with E2_hat/lambda^2 the monitored
-Lyapunov quantity.  |H^2 eps|^2 is not written: on a sampled flow state it
-measures the interpolation noise of four differences, not eps, and a
-1e-11 relative shift of lambda moves it by up to 0.28 relative.
+Lyapunov quantity.  `kappa` = (eps, psi) is the one the step's exit rule
+compared with the admissible window, on its decomposition's eps.
+|H^2 eps|^2 is not written: on a sampled flow state it measures the
+interpolation noise of four differences, not eps, and a 1e-11 relative
+shift of lambda moves it by up to 0.28 relative.
 """
 
 TRAJECTORY_CSV = ("s", "t", "b", "lambda")
@@ -31,6 +36,8 @@ PROFILE_SUMMARY_CSV = (
 )
 
 ERROR_REPORT_JSON = ("variant", "b", "norm_H", "norm_w8", "norm_H2", "flux_ratio")
+# one report per b of the sweep, named by its shortest %g form
+ERROR_REPORT_FILE = "error-report-b{:g}.json"
 
 CHECKPOINT_CSV = (
     "step", "t", "s", "lambda", "b", "kappa", "E", "E1", "E2", "E2_hat",

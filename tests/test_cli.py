@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import blowlab
 from blowlab import cli, flow, profiles, schema
 from blowlab.config import B_FLOOR_EXIT, LAMBDA0_MAX, RunConfig, parse_config
 
@@ -36,6 +37,27 @@ def test_the_window_end_itself_is_rejected_at_parse_time():
         parse_config("command=simulate b0=0.05")
     with pytest.raises(ValueError, match=r"b_sweep=0.05 outside"):
         parse_config("command=profile b_sweep=0.05")
+
+
+def test_a_sweep_whose_report_names_collide_is_rejected():
+    # each b writes error-report-b{b:g}.json, so two b that print alike
+    # would share one report and the manifest would list it twice
+    for text in ("b_sweep=3e-3,3.0000001e-3", "b_sweep=1e-3,3e-3,1e-3"):
+        with pytest.raises(ValueError, match=r"names one error report twice"):
+            parse_config(f"command=profile grid_n=2048 {text}")
+    assert parse_config("command=profile b_sweep=3e-3,3.001e-3").b_sweep == (3e-3, 3.001e-3)
+
+
+def test_an_empty_sweep_is_rejected():
+    with pytest.raises(ValueError, match=r"b_sweep must hold at least one b"):
+        parse_config("command=profile b_sweep=")
+
+
+def test_an_unparsable_sweep_names_its_key():
+    # the same message as every other key, not float()'s bare one
+    for val in ("abc", "3e-3,x"):
+        with pytest.raises(ValueError, match=rf"^key 'b_sweep': cannot parse '{val}'$"):
+            parse_config(f"command=profile b_sweep={val}")
 
 
 def test_flow_b0_at_the_b_floor_is_rejected_at_parse_time(tmp_path):
@@ -401,6 +423,69 @@ def test_json_outputs_follow_the_schema(tmp_path):
                 unbounded = payload["name"] in ("coercivity_H", "coercivity_H2",
                                                 "interpolation")
                 assert (payload["tolerance"] is None) == unbounded
+
+
+def test_json_values_are_their_sources_fields(tmp_path, monkeypatch):
+    # each JSON field a command writes holds the value of the same name on
+    # what it reports: the blow-up fit, the error report, the suite report,
+    # and the run's config and handler result in the manifest
+    sources = {}
+
+    def recording(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            sources.setdefault(name, []).append(out)
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(cli.modulation, "fit_blowup_law")
+    recording(cli.profiles, "error_Psi")
+    for suite in ("hardy_suite", "subpositivity_suite"):
+        recording(cli.inequalities, suite)
+    handled = []
+
+    def modulation(config, run_dir):
+        handled.append(cli._cmd_modulation(config, run_dir))
+        return handled[-1]
+    monkeypatch.setitem(cli._HANDLERS, "modulation", modulation)
+    configs = [parse_config(text) for text in (
+        "command=modulation b0=0.01 s_end=1e3 fit_s_end=1e8",
+        "command=profile b_sweep=3e-3 grid_n=2048",
+        "command=verify samples=60 seed=2")]
+    run_dirs = [cli.run(cfg, out_override=str(tmp_path))["run_dir"] for cfg in configs]
+
+    def plain(v):
+        # the JSON form of a value: a tuple is a list and a non-finite float null
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (tuple, list)):
+            return [plain(x) for x in v]
+        return None if isinstance(v, float) and not np.isfinite(v) else v
+
+    fit, = sources["fit_blowup_law"]
+    payload = _strict_json(os.path.join(run_dirs[0], "fit.json"))
+    window = dict(zip(("window_lo", "window_hi"), fit.window))
+    assert payload == {k: window[k] if k in window else getattr(fit, k)
+                       for k in schema.FIT_JSON}
+    rep, = sources["error_Psi"]
+    payload = _strict_json(os.path.join(run_dirs[1], "error-report-b0.003.json"))
+    assert payload == {k: "tilde" if k == "variant" else getattr(rep, k)
+                       for k in schema.ERROR_REPORT_JSON}
+    for suite in ("hardy_suite", "subpositivity_suite"):
+        rep, = sources[suite]
+        payload = _strict_json(os.path.join(run_dirs[2], f"suite-{rep.name}.json"))
+        assert {k: payload[k] for k in schema.SUITE_JSON} == {
+            k: plain(getattr(rep, k)) for k in schema.SUITE_JSON}
+    (ok, termination, files, metrics), = handled
+    manifest = _strict_json(os.path.join(run_dirs[0], "manifest.json"))
+    assert manifest.pop("started") <= manifest.pop("finished")
+    assert manifest == {
+        "artifact": "blowlab", "version": blowlab.__version__,
+        "command": configs[0].command, "config": plain(configs[0].to_dict()),
+        "ok": ok, "termination": termination, "files": sorted(files),
+        "metrics": metrics}
 
 
 def test_cli_main_exit_codes(tmp_path, capsys):

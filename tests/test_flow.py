@@ -898,27 +898,44 @@ def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
 
 @pytest.mark.parametrize("b0, a_plus, live", [(3e-3, 6.95153980321595e-4, 4), (0.01, 0.0, 2)])
 def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_plus, live):
-    # a checkpoint builds Q~_b and zeta_b once on its covered prefix and
-    # hands one eps to its pairings and energies; against the whole-grid
-    # build, on the shoot workload's + probe (live at steps 1, 20, 40 and
-    # the exit at 51, which has no dd) and on a probe at march's b0 (live at
-    # steps 1 and 20, lost at 27) each column keeps its bits
+    # a checkpoint writes the kappa its step's exit rule read, the pairing
+    # of the eps its decomposition formed against the served Q~_b, which is
+    # within MEMO_TOL of the scale |psi| |Q~_b| of the exact profile's
+    # kappa; it builds Q~_b and zeta_b once on its covered prefix and hands
+    # one eps to its residuals and energies, which keep their bits against
+    # the whole-grid build.  On the shoot workload's + probe (live at steps
+    # 1, 20, 40 and the exit at 51, which has no dd) and on a probe at
+    # march's b0 (live at steps 1 and 20, lost at 27)
     params = RunConfig(command="shoot", b0=b0, kappa_exit_factor=2e4, max_steps=3000)
     cache = flow.ProfileCache(params)
-    make_checkpoint, seen = flow._make_checkpoint, []
+    decompose, make_checkpoint = flow.decompose, flow._make_checkpoint
+    roots, seen = [], []
+
+    def decomposing(memo, grid, u, seed, J):
+        lam, b, dd = decompose(memo, grid, u, seed, J)
+        roots.append((memo, dd))
+        return lam, b, dd
 
     def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
         cp = make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd)
         if decomposed:
-            seen.append((cp, _parent_checkpoint_columns(cache, grid, u, lam, b, dd)))
+            memo, root = roots[-1]
+            seen.append((cp, b, flow._kappa(memo, root["eps"]),
+                         _parent_checkpoint_columns(cache, grid, u, lam, b, dd)))
         return cp
 
+    monkeypatch.setattr(flow, "decompose", decomposing)
     monkeypatch.setattr(flow, "_make_checkpoint", record)
     flow._probe(params, cache, a_plus)
     assert len(seen) == live
-    for cp, parent in seen:
-        ours = (cp.kappa, cp.res_phi, cp.res_hphi, cp.E1, cp.E2, cp.E2_hat)
-        assert same_bits(ours, parent), f"step {cp.step}"
+    w, n = cache.grid.weights[:cache.psi_n], cache.psi_n
+    for cp, b, step_kappa, parent in seen:
+        assert same_bits(cp.kappa, step_kappa), f"step {cp.step}"
+        q = whole_profile(b, cache.grid)[0][:n]
+        scale = np.sqrt(np.dot(w, cache.eig.psi[:n] ** 2) * np.dot(w, q * q))
+        assert abs(cp.kappa - parent[0]) <= flow.MEMO_TOL * scale, f"step {cp.step}"
+        ours = (cp.res_phi, cp.res_hphi, cp.E1, cp.E2, cp.E2_hat)
+        assert same_bits(ours, parent[1:]), f"step {cp.step}"
 
 
 def test_memo_builds_or_serves_every_request():

@@ -209,6 +209,15 @@ def test_program_reads_every_function_and_class():
     assert not test_only, "read by tests alone:\n" + "\n".join(test_only)
 
 
+def test_program_reads_every_module_constant():
+    # a module-level name that only tests read is a value the program does
+    # not follow: a tuple of output keys that tests check while the writers
+    # spell the keys a second time
+    unread = _unread_definitions(PROGRAM, (ast.Assign,))
+    test_only = [f"{f}:{line}: {name}" for f, line, name in unread]
+    assert not test_only, "read by tests alone:\n" + "\n".join(test_only)
+
+
 def test_every_setting_is_read():
     # a RunConfig field that no program module reads is a setting that does
     # nothing; config.py itself only declares, validates and serializes
