@@ -97,9 +97,7 @@ def _cmd_profile(config: RunConfig, run_dir):
 
 def _write_run_series(traj, run_dir):
     cps = traj.checkpoints
-    write_csv(run_dir / "checkpoints.csv", schema.CHECKPOINT_CSV, (
-        (c.step, c.t, c.s, c.lam, c.b, c.kappa, c.E, c.E1, c.E2, c.E2_hat,
-         c.u_max, c.res_phi, c.res_hphi, int(c.decomposed)) for c in cps))
+    write_csv(run_dir / "checkpoints.csv", schema.CHECKPOINT_CSV, (c.row() for c in cps))
     files = ["checkpoints.csv"]
     mr = flow.modulation_residuals(traj)
     if mr["s"].size:

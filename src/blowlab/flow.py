@@ -20,6 +20,11 @@ itself; each probe ends where its decomposition is lost.
 The equation is invariant under u -> u(t/l^2, r/l)/l, so a run is solved in
 units of its initial scale lambda0, which every length, time and amplitude
 below is in, and `simulate` rescales its checkpoints once at the end.
+
+A checkpoint forms what the exit rules, the classification and `shoot`
+read when it is made; its values against an exact Q~_b (the energies and
+the pairing residuals) are formed on their first read, so the probes
+`shoot` discards never build them.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -106,8 +112,10 @@ class ProfileCache:
     levels; and the gate radius of each interval [b_k, b_k + h) served.  A
     value kept here has the bits any run would have formed, so what a run
     reads does not depend on the runs before it.  `init_data` builds Q~_b0
-    on the whole profile grid, and each checkpoint builds Q~_b and zeta_b on
-    its covered prefix (`profiles.localized_profile`), keeping neither."""
+    on the whole profile grid, and the last (b0, Q~_b0) is kept, so the
+    probes of one `shoot` build it once.  A checkpoint builds Q~_b and
+    zeta_b on its covered prefix (`profiles.localized_profile`) when its
+    energies are first read, keeping neither."""
 
     def __init__(self, params: RunConfig):
         self.M = params.M
@@ -134,6 +142,7 @@ class ProfileCache:
                       for wv, (v, m) in zip(self.weighted, vectors)]
         self.nodes = {}  # b_k -> the exact Q~_b on the decomposition prefix
         self.radii = {}  # (h, k) -> the gate radius on [b_k, b_k + h)
+        self.initial = (None, None)  # (b0, Q~_b0 on the whole grid) of the last init_data
 
     def node(self, b: float) -> np.ndarray:
         """The exact Q~_b at a lattice point b, built on its first request."""
@@ -241,6 +250,15 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """One row of checkpoints.csv.
+
+    The fields are formed with the row.  The columns E1, E2, E2_hat,
+    res_phi and res_hphi read an exact Q~_b and are formed on their first
+    read, from the `exact_inputs` a decomposed checkpoint keeps: its
+    ProfileCache, flow grid and u, and lambda and b in units of lambda0.
+    That is one u on its flow grid, about 8 KB at 1,000 nodes.  Without
+    them the five read NaN.  Two checkpoints are equal when their rows are.
+    """
     step: int
     t: float
     s: float
@@ -248,13 +266,41 @@ class Checkpoint:
     b: float
     kappa: float
     E: float
-    E1: float
-    E2: float
-    E2_hat: float
     u_max: float
-    res_phi: float
-    res_hphi: float
     decomposed: bool = True
+    exact_inputs: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def exact(self) -> tuple:
+        """(E1, E2, E2_hat, res_phi, res_hphi): one evaluation and one
+        exact profile build over the covered prefix, which holds the
+        pairing window."""
+        if self.exact_inputs is None:
+            return (np.nan,) * 5
+        cache, grid, u, lam, b = self.exact_inputs
+        n = _covered(cache, lam, grid.y_max)
+        f_lam = _field(cache, _u_eval(grid, u), lam, n)
+        q, zeta = localized_profile(b, cache.grid, n)
+        eps = f_lam - q
+        r1, r2 = _pairings(cache, eps)
+        s1, s2 = _pairing_scales(cache, f_lam)
+        return (*flow_energies(cache.grid, eps, zeta), abs(r1) / s1, abs(r2) / s2)
+
+    E1 = property(lambda self: self.exact[0])
+    E2 = property(lambda self: self.exact[1])
+    E2_hat = property(lambda self: self.exact[2])
+    res_phi = property(lambda self: self.exact[3])
+    res_hphi = property(lambda self: self.exact[4])
+
+    def row(self) -> tuple:
+        """The values of `schema.CHECKPOINT_CSV`, in its order."""
+        return (self.step, self.t, self.s, self.lam, self.b, self.kappa, self.E,
+                *self.exact[:3], self.u_max, *self.exact[3:], int(self.decomposed))
+
+    def __eq__(self, other):
+        if not isinstance(other, Checkpoint):
+            return NotImplemented
+        return self.row() == other.row()
 
 
 @dataclass
@@ -513,7 +559,6 @@ def decompose(cache: ProfileMemo, grid: radial.RadialGrid, u: np.ndarray,
         "iterations": it,
         "jacobian": J,
         "jacobian_builds": builds,
-        "u_eval": u_eval,
         "eps": eps,
     }
     return lam, b, diag
@@ -593,8 +638,9 @@ def init_data(cache: ProfileCache, params: RunConfig):
             f"window {window:g}", stacklevel=2)
     grid = _flow_grid(Y_MIN_FLOW, _flow_r_max(b0, cache.reach), params.nodes_per_decade)
     y = grid.nodes
-    q = localized_profile(b0, cache.grid, cache.grid.n)[0]
-    u0 = _u_eval(cache.grid, q + a_plus * cache.eig.psi)
+    if cache.initial[0] != b0:
+        cache.initial = (b0, localized_profile(b0, cache.grid, cache.grid.n)[0])
+    u0 = _u_eval(cache.grid, cache.initial[1] + a_plus * cache.eig.psi)
     inside = y <= cache.grid.y_max
     vals = np.empty_like(y)
     vals[inside] = u0(y[inside], grid.t[inside], 1.0)
@@ -624,7 +670,8 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
     It is solved in units of lambda0, from lambda = 1, and then its
     checkpoints' t, lambda and max|u| are scaled by lambda0^2, lambda0 and
-    1/lambda0; every other column and count is scale invariant.
+    1/lambda0; every other column and count is scale invariant, and a
+    checkpoint's exact-profile columns are formed from its unit-run inputs.
     Once the decomposition is lost the run keeps stepping without it, or,
     with `stop_at_loss`, ends at that step as `decomposition_lost`.
 
@@ -703,7 +750,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
 
         if step % CHECKPOINT_EVERY == 0 or step == 1:
             cp = _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa,
-                                  lost_step is None, dd)
+                                  lost_step is None)
             checkpoints.append(cp)
             if cp.E < E_OF_Q and umax < u0_max / DISSIPATION_DROP:
                 termination = "dissipated"
@@ -715,7 +762,7 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
             remeshes += 1
 
     checkpoints.append(_make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa,
-                                        lost_step is None, None))
+                                        lost_step is None))
     lambda0 = params.lambda0
     checkpoints = [replace(c, t=c.t * (lambda0 * lambda0), lam=c.lam * lambda0,
                            u_max=c.u_max / lambda0) for c in checkpoints]
@@ -730,29 +777,14 @@ def simulate(params: RunConfig, cache: ProfileCache | None = None,
     return traj
 
 
-def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
-    """A step's row: `kappa` is the one the last exit rule read, and the
-    energies and residuals read an exact Q~_b."""
-    if not decomposed:
-        e1 = e2 = e2h = np.nan
-        res1 = res2 = np.nan
-    else:
-        # one evaluation and one exact profile build over the covered
-        # prefix, which holds the pairing window
-        u_eval = dd["u_eval"] if dd else _u_eval(grid, u)
-        n = _covered(cache, lam, grid.y_max)
-        field = _field(cache, u_eval, lam, n)
-        q, zeta = localized_profile(b, cache.grid, n)
-        eps = field - q
-        e1, e2, e2h = flow_energies(cache.grid, eps, zeta)
-        r1, r2 = _pairings(cache, eps)
-        s1, s2 = _pairing_scales(cache, field)
-        res1, res2 = abs(r1) / s1, abs(r2) / s2
+def _make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed):
+    """A step's row: `kappa` is the one the last exit rule read, and E the
+    one the dissipation exit reads.  A decomposed row keeps the inputs of
+    its exact-profile columns, which read Q~_b when first read."""
     return Checkpoint(
-        step=step, t=t, s=s, lam=lam, b=b, kappa=kappa,
-        E=flow_energy(grid, u), E1=e1, E2=e2, E2_hat=e2h,
-        u_max=umax, res_phi=res1, res_hphi=res2,
-        decomposed=decomposed,
+        step=step, t=t, s=s, lam=lam, b=b, kappa=kappa, E=flow_energy(grid, u),
+        u_max=umax, decomposed=decomposed,
+        exact_inputs=(cache, grid, u, lam, b) if decomposed else None,
     )
 
 

@@ -179,10 +179,11 @@ class ErrorReport:
     flux_ratio: float
 
 
-def _psi_values(b: float, grid: RadialGrid):
+def _psi_values(b: float, grid: RadialGrid, n: int):
     """(c_b, d_b, Psi_tilde): the radiation constants at b and the residual
     Psi_tilde of the chi_{B1}-localized profile under b_s = -b^2,
-    lambda_s/lambda = -b.
+    lambda_s/lambda = -b, on the first n nodes, with the bits of the whole
+    grid's residual there (as for `localized_profile`).
 
     It builds the orders it reads and lets them go on return: alpha, its
     derivative alpha' = b T1' + b^2 T2' + b^3 T3' from the closed forms of
@@ -198,9 +199,9 @@ def _psi_values(b: float, grid: RadialGrid):
     the roundoff floor proportional to the local residual, which the
     fourth-order weighted norms require.
     """
-    y = grid.nodes
-    c_b, d_b, sigma2, sigma3, (_, T2p), (_, T3p), alpha, _ = _corrections(b, grid, grid.n)
-    alpha_p = b * _t1_parts(grid)[1] + b * b * T2p + b**3 * T3p
+    y = grid.nodes[:n]
+    c_b, d_b, sigma2, sigma3, (_, T2p), (_, T3p), alpha, _ = _corrections(b, grid, n)
+    alpha_p = b * _t1_parts(grid)[1][:n] + b * b * T2p + b**3 * T3p
     B1 = zone_radii(b)[1]
     Q = q_soliton(y)
     order23 = b * b * sigma2 + b**3 * sigma3
@@ -210,11 +211,11 @@ def _psi_values(b: float, grid: RadialGrid):
     lap_chi = cutoff_laplacian(B1, y)
     loc_alpha = chi * alpha
     db = DB_REL * b
-    lo = _corrections(b - db, grid, grid.n)[-1]
-    hi = _corrections(b + db, grid, grid.n)[-1]
+    lo = _corrections(b - db, grid, n)[-1]
+    hi = _corrections(b + db, grid, n)[-1]
     dloc_db = (hi - lo) / (2.0 * db)
     return c_b, d_b, (
-        b * (1.0 - chi) * grid.zero_modes[0]
+        b * (1.0 - chi) * grid.zero_modes[0][:n]
         + b * chi * lam_alpha
         + b * y * chi_p * alpha
         + chi * order23
@@ -230,10 +231,18 @@ def error_Psi(b: float, grid: RadialGrid, M: float = M_DEFAULT) -> ErrorReport:
     """Weighted norms of the residual Psi_tilde on y <= 2 B1, plus the flux
     (H Psi_tilde, Phi_M) / (Lambda Q, Phi_M) and the radiation constants
     c_b, d_b.  The grid keeps only what no b enters (T1, the order sources
-    and the direction Phi_M)."""
+    and the direction Phi_M).
+
+    The norms read y <= 2 B1, and the flux reads Phi_M, +-0 beyond 2M.  The
+    two applications of H's three-point stencil read two nodes past them,
+    so Psi_tilde is formed on the nodes y <= 2 max(B1, M) and three more
+    (one to spare), and zero beyond: every product past that prefix is +-0
+    in the whole-grid sums, which keep their bits."""
     _require_resolved(b, grid)
     y = grid.nodes
-    c_b, d_b, psi = _psi_values(b, grid)
+    n = min(int(np.count_nonzero(y <= 2.0 * max(zone_radii(b)[1], M))) + 3, grid.n)
+    psi = np.zeros(grid.n)
+    c_b, d_b, psi[:n] = _psi_values(b, grid, n)
     h_psi = apply_H(grid, psi)
     h2_psi = apply_H(grid, h_psi)
     mask = y <= 2.0 * zone_radii(b)[1]

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blowlab import flow, inequalities as ineq, profiles, radial
+from blowlab import flow, inequalities as ineq, profiles, radial, schema
+
+# the Checkpoint attribute each checkpoints.csv column writes, in its order
+CHECKPOINT_ATTRS = tuple({"lambda": "lam"}.get(k, k) for k in schema.CHECKPOINT_CSV)
+# the columns a checkpoint forms on first read, against an exact Q~_b
+EXACT_COLUMNS = ("E1", "E2", "E2_hat", "res_phi", "res_hphi")
 
 
 @pytest.fixture(scope="session")

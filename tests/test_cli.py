@@ -17,6 +17,8 @@ import blowlab
 from blowlab import cli, flow, profiles, schema
 from blowlab.config import B_FLOOR_EXIT, LAMBDA0_MAX, RunConfig, parse_config
 
+from conftest import CHECKPOINT_ATTRS, EXACT_COLUMNS
+
 
 def test_minimal_config_gets_defaults():
     cfg = parse_config("command=modulation b0=0.01")
@@ -259,10 +261,11 @@ def _read_csv(path):
 
 def test_checkpoints_csv_round_trips_the_checkpoints(tmp_path):
     # b0 = 0.01 loses its decomposition at step 27, so the table holds live
-    # rows and rows with no decomposition (NaN energies, decomposed 0)
-    column = {"lam": "lambda"}
-    assert [column.get(f.name, f.name) for f in fields(flow.Checkpoint)] == \
-        list(schema.CHECKPOINT_CSV)
+    # rows and rows with no decomposition (NaN energies, decomposed 0).
+    # Each column writes the checkpoint attribute of its name: a field
+    # formed with the row, or one of the five formed on first read
+    formed = [f.name for f in fields(flow.Checkpoint) if f.compare]
+    assert sorted(CHECKPOINT_ATTRS) == sorted(formed + list(EXACT_COLUMNS))
     traj = flow.simulate(RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4,
                                    max_steps=60))
     cli._write_run_series(traj, tmp_path)
@@ -270,12 +273,12 @@ def test_checkpoints_csv_round_trips_the_checkpoints(tmp_path):
     assert tuple(header) == schema.CHECKPOINT_CSV and len(rows) == len(traj.checkpoints)
     assert {row[-1] for row in rows} == {"0", "1"}
     for c, row in zip(traj.checkpoints, rows):
-        for f, text in zip(fields(flow.Checkpoint), row):
-            want = getattr(c, f.name)
-            if f.name in ("step", "decomposed"):
-                assert int(text) == int(want), f.name
+        for name, text in zip(CHECKPOINT_ATTRS, row):
+            want = getattr(c, name)
+            if name in ("step", "decomposed"):
+                assert int(text) == int(want), name
             else:
-                assert float(text) == want or np.isnan(want) and text == "nan", f.name
+                assert float(text) == want or np.isnan(want) and text == "nan", name
 
 
 def test_diagnostics_csv_holds_the_centred_modulation_residuals(tmp_path):

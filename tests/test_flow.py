@@ -1,19 +1,22 @@
 """PDE flow, decomposition, classification, and shooting mechanics."""
 
+import collections
 import math
+import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from blowlab import flow, profiles, radial
+from blowlab import cli, flow, profiles, radial, schema
+from blowlab.io import write_csv
 from blowlab.config import B_FLOOR, RunConfig
 from blowlab.flow import RunClass
 
-from conftest import ExactProfileCache, same_bits, whole_profile
+from conftest import (CHECKPOINT_ATTRS, EXACT_COLUMNS, ExactProfileCache, same_bits,
+                      whole_profile)
 
 
 @pytest.fixture(scope="module")
@@ -803,10 +806,10 @@ def test_checkpoint_energies_are_stable_under_a_last_digits_shift_of_lambda(monk
     live = []
     make_checkpoint = flow._make_checkpoint
 
-    def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
+    def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed):
         if decomposed:
             live.append((grid, u, lam, b))
-        return make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd)
+        return make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed)
 
     monkeypatch.setattr(flow, "_make_checkpoint", record)
     flow._probe(params, cache, 6.95153980321595e-4)
@@ -846,7 +849,7 @@ def test_step_kappa_pairs_the_eps_of_its_decomposition(monkeypatch):
 
     def decomposing(memo, grid, u, seed, J):
         lam, b, dd = decompose(memo, grid, u, seed, J)
-        roots.append((memo, lam, b, dd["u_eval"]))
+        roots.append((memo, lam, b, flow._u_eval(grid, u)))
         return lam, b, dd
 
     def pairing(c, eps):
@@ -866,16 +869,15 @@ def test_step_kappa_pairs_the_eps_of_its_decomposition(monkeypatch):
     assert same_bits(*zip(*pairs))
 
 
-def _parent_checkpoint_columns(cache, grid, u, lam, b, dd):
+def _parent_checkpoint_columns(cache, grid, u, lam, b):
     """kappa, res_phi, res_hphi, E1, E2 and E2_hat of a live checkpoint as
     formed before eps was handed on: each pairing subtracts the exact Q~_b
     from the field over its own window and dots it with the weighted
     w v, and the energies pad eps with zeros to the whole profile grid and
     add the whole grid's zeta_b to it."""
     g, w = cache.grid, cache.grid.weights
-    u_eval = dd["u_eval"] if dd else flow._u_eval(grid, u)
     n = flow._covered(cache, lam, grid.y_max)
-    field = flow._field(cache, u_eval, lam, n)
+    field = flow._field(cache, flow._u_eval(grid, u), lam, n)
     q, zeta = whole_profile(b, g)
 
     def paired(v, m):
@@ -904,8 +906,8 @@ def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_p
     # kappa; it builds Q~_b and zeta_b once on its covered prefix and hands
     # one eps to its residuals and energies, which keep their bits against
     # the whole-grid build.  On the shoot workload's + probe (live at steps
-    # 1, 20, 40 and the exit at 51, which has no dd) and on a probe at
-    # march's b0 (live at steps 1 and 20, lost at 27)
+    # 1, 20, 40 and the exit at 51) and on a probe at march's b0 (live at
+    # steps 1 and 20, lost at 27)
     params = RunConfig(command="shoot", b0=b0, kappa_exit_factor=2e4, max_steps=3000)
     cache = flow.ProfileCache(params)
     decompose, make_checkpoint = flow.decompose, flow._make_checkpoint
@@ -916,12 +918,12 @@ def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_p
         roots.append((memo, dd))
         return lam, b, dd
 
-    def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd):
-        cp = make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed, dd)
+    def record(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed):
+        cp = make_checkpoint(cache, step, t, s, grid, u, umax, lam, b, kappa, decomposed)
         if decomposed:
             memo, root = roots[-1]
             seen.append((cp, b, flow._kappa(memo, root["eps"]),
-                         _parent_checkpoint_columns(cache, grid, u, lam, b, dd)))
+                         _parent_checkpoint_columns(cache, grid, u, lam, b)))
         return cp
 
     monkeypatch.setattr(flow, "decompose", decomposing)
@@ -936,6 +938,36 @@ def test_live_checkpoints_keep_the_bits_of_the_parent_forms(monkeypatch, b0, a_p
         assert abs(cp.kappa - parent[0]) <= flow.MEMO_TOL * scale, f"step {cp.step}"
         ours = (cp.res_phi, cp.res_hphi, cp.E1, cp.E2, cp.E2_hat)
         assert same_bits(ours, parent[1:]), f"step {cp.step}"
+
+
+# the columns a checkpoint forms with its row, which the exit rules,
+# classify, lambda_decay and shoot read
+FORMED_COLUMNS = ("step", "t", "s", "lam", "b", "kappa", "E", "u_max", "decomposed")
+
+
+def test_a_checkpoint_builds_its_exact_profile_on_first_read(monkeypatch):
+    # march's config, lost at step 27: reading what a checkpoint forms with
+    # its row builds no profile, nor do classify and lambda_decay.  The five
+    # exact-profile columns build Q~_b once per decomposed checkpoint, on
+    # their first read, and read NaN on the others
+    assert set(FORMED_COLUMNS) | set(EXACT_COLUMNS) == set(CHECKPOINT_ATTRS)
+    traj = flow.simulate(RunConfig(command="simulate", b0=0.01, kappa_exit_factor=2e4,
+                                   max_steps=60))
+    builds = []
+    build = flow.localized_profile
+    monkeypatch.setattr(flow, "localized_profile",
+                        lambda b, grid, n: builds.append(b) or build(b, grid, n))
+    for c in traj.checkpoints:
+        for name in FORMED_COLUMNS:
+            getattr(c, name)
+    assert flow.classify(traj) is traj.classification and traj.lambda_decay > 0
+    assert builds == []
+    for _ in range(2):
+        for c in traj.checkpoints:
+            values = [getattr(c, name) for name in EXACT_COLUMNS]
+            assert np.isfinite(values).all() == c.decomposed
+    live = [c.b for c in traj.checkpoints if c.decomposed]
+    assert len(live) == 2 and builds == live
 
 
 def test_memo_builds_or_serves_every_request():
@@ -1007,10 +1039,10 @@ def test_a_run_at_any_lambda0_is_the_unit_run_rescaled():
         traj = flow.simulate(flow.replace(params, lambda0=lambda0), cache=cache)
         assert traj.lambda_decay == float(lambda0 / np.nanmin(traj.series("lam")))
         assert [getattr(traj, k) for k in RUN_COUNTS] == [getattr(unit, k) for k in RUN_COUNTS]
-        for f in fields(flow.Checkpoint):
-            want = unit.series(f.name) * lambda0 ** LAMBDA0_POWER.get(f.name, 0)
-            np.testing.assert_allclose(traj.series(f.name), want, rtol=rtol, atol=0,
-                                       err_msg=f"{f.name} at lambda0={lambda0!r}")
+        for name in CHECKPOINT_ATTRS:
+            want = unit.series(name) * lambda0 ** LAMBDA0_POWER.get(name, 0)
+            np.testing.assert_allclose(traj.series(name), want, rtol=rtol, atol=0,
+                                       err_msg=f"{name} at lambda0={lambda0!r}")
 
 
 def test_shoot_at_any_lambda0_is_the_unit_shoot_rescaled():
@@ -1096,7 +1128,7 @@ def test_init_data_zero_amplitude_has_zero_kappa(cache, params):
     # kappa vanishes up to the pairing tolerance times its scale
     assert abs(flow._kappa(cache, dd["eps"])) < 5e-9
     q, zeta = whole_profile(b, cache.grid)
-    eps = flow._field(cache, dd["u_eval"], lam, n) - q[:n]
+    eps = flow._field(cache, flow._u_eval(st.grid, st.u), lam, n) - q[:n]
     e1, e2, e2h = flow.flow_energies(cache.grid, eps, zeta[:n])
     assert e2 < 1e-6  # interpolation floor of the second-order energy
     # the hat-energy is dominated by the genuine radiation term
@@ -1274,14 +1306,73 @@ def test_shoot_gives_up_growing_at_the_cap(params, cache, monkeypatch):
         flow.shoot(flow.replace(params, max_steps=1), cache=cache)
 
 
+def _profile_builds_by_caller(monkeypatch):
+    """Count each exact build by the function that asked for it: a lattice
+    node (`node`), a memo's own build (`q_b`), init_data's whole-grid
+    Q~_b0 or a checkpoint's exact-profile columns (`exact`)."""
+    builds = collections.Counter()
+    build = flow.localized_profile
+
+    def building(b, grid, n):
+        builds[sys._getframe(1).f_code.co_name] += 1
+        return build(b, grid, n)
+
+    monkeypatch.setattr(flow, "localized_profile", building)
+    return builds
+
+
+def test_a_shoot_builds_checkpoint_profiles_for_its_best_run_alone(tmp_path, monkeypatch):
+    # the perfbench shoot pass: three probes on one cache, live at 3, 4 and
+    # 5 checkpoints, of which the first (a+ = -a) is the best.  The probes
+    # build the lattice nodes they read and share one Q~_b0; only writing
+    # the best run's table builds checkpoint profiles, one per decomposed
+    # checkpoint of that run
+    a = 6.95153980321595e-4
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000,
+                       bracket_lo=-a, bracket_hi=a, budget=1)
+    cache = flow.ProfileCache(params)
+    builds = _profile_builds_by_caller(monkeypatch)
+    result = flow.shoot(params, cache=cache)
+    assert len(result.history) == 2
+    assert dict(builds) == {"node": len(cache.nodes), "init_data": 1}
+    cli._write_run_series(result.best, tmp_path)
+    live = sum(c.decomposed for c in result.best.checkpoints)
+    assert result.best.params.a_plus == -a and live == 3
+    assert dict(builds) == {"node": len(cache.nodes), "init_data": 1, "exact": live}
+
+
+def test_a_shoots_best_run_writes_the_table_of_an_eager_run(tmp_path, monkeypatch):
+    # the best run forms its exact-profile columns after the other probes
+    # ran on its cache.  Its checkpoints.csv has the bytes of the same probe
+    # run on a fresh cache with each row formed as its checkpoint is made
+    # (at lambda0 = 1 the rescaling leaves every row as it is)
+    a = 6.95153980321595e-4
+    params = RunConfig(command="shoot", b0=3e-3, kappa_exit_factor=2e4, max_steps=3000,
+                       bracket_lo=-a, bracket_hi=a, budget=1)
+    assert params.lambda0 == 1.0
+    best = flow.shoot(params).best
+    cli._write_run_series(best, tmp_path)
+    rows = []
+    make_checkpoint = flow._make_checkpoint
+
+    def eager(*args):
+        cp = make_checkpoint(*args)
+        rows.append(cp.row())
+        return cp
+
+    monkeypatch.setattr(flow, "_make_checkpoint", eager)
+    flow._probe(params, flow.ProfileCache(params), best.params.a_plus)
+    write_csv(tmp_path / "eager.csv", schema.CHECKPOINT_CSV, rows)
+    assert (tmp_path / "checkpoints.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+
 def _constructed_run(termination, lam_end):
     """A run at lambda0 = 2 whose three live checkpoints take lambda from
     lambda0 down to lam_end, ended by `termination`."""
     params = RunConfig(command="simulate", b0=3e-3, lambda0=2.0, max_steps=60)
     checkpoints = [
         flow.Checkpoint(step=step, t=1e-3 * step, s=0.5 * step, lam=lam, b=3e-3 * lam / 2.0,
-                        kappa=1e-9, E=1.3, E1=1e-7, E2=1e-10, E2_hat=1e-10, u_max=1.0 / lam,
-                        res_phi=1e-13, res_hphi=1e-13)
+                        kappa=1e-9, E=1.3, u_max=1.0 / lam)
         for step, lam in ((1, 2.0), (20, 1.0), (40, lam_end))]
     return flow.FlowTrajectory(params=params, checkpoints=checkpoints,
                                termination=termination, classification=None, steps=40)

@@ -190,6 +190,24 @@ def test_error_report_masks_and_variants(grid):
         profiles.error_Psi(0.2, grid)  # b beyond b*
 
 
+@pytest.mark.parametrize("b, M", [(0.04, 50.0), (1e-3, 10.0), (1e-4, 50.0)])
+def test_error_report_keeps_the_bits_of_the_whole_grids_residual(grid, b, M):
+    # error_Psi forms Psi_tilde on the prefix its sums read, zero beyond;
+    # the report is the one the whole grid's residual gives, where 2M
+    # (b = 0.04) or 2 B1 (the others) bounds what is read
+    rep = profiles.error_Psi(b, grid, M=M)
+    c_b, d_b, psi = profiles._psi_values(b, grid, grid.n)
+    y, w = grid.nodes, grid.weights * (grid.nodes <= 2.0 * profiles.zone_radii(b)[1])
+    h_psi = radial.apply_H(grid, psi)
+    h2_psi = radial.apply_H(grid, h_psi)
+    phi = profiles.direction_phi(M, grid)
+    whole = (c_b, d_b, float(np.dot(w, h_psi**2)), float(np.dot(w, psi**2 / (1.0 + y**8))),
+             float(np.dot(w, h2_psi**2)),
+             float(np.dot(grid.weights, h_psi * phi.Phi_M)) / phi.pair_lambda_q)
+    assert same_bits((rep.c_b, rep.d_b, rep.norm_H, rep.norm_w8, rep.norm_H2,
+                      rep.flux_ratio), whole)
+
+
 def test_residual_norms_sweep_and_slope(grid):
     """Frozen weighted-norm ratios across the b-sweep (tilde variant).
 
